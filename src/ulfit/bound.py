@@ -26,6 +26,7 @@ from .channel import (
     ChannelParams,
     FadingModel,
     coupling_gain_L,
+    discrete_char_fn,
     fading_char_fn,
     fading_moments,
     shadow_stats,
@@ -120,8 +121,9 @@ def l_stats(cell, victim_bs, params: ChannelParams) -> LStats:
 
     Returns:
         LStats with a vectorized characteristic function of the centered
-        gain, built from a weight-preserving binned reduction of the
-        converged quadrature grid.
+        gain. The quadrature ladder evaluates the gain once per grid node
+        and reduces the accepted level to a weight-preserving binned law;
+        the characteristic function is that law's, by discrete_char_fn.
     """
     dom = ue_domain(cell.region, cell.bs, victim_bs, params.d_min_km)
 
@@ -132,16 +134,7 @@ def l_stats(cell, victim_bs, params: ChannelParams) -> LStats:
     centered = values - mu
 
     def char_fn(t):
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty(tt.shape, dtype=complex)
-        # Keep the outer product below ~4e7 entries per block.
-        step = max(1, int(4e7 / max(len(values), 1)))
-        for i in range(0, len(tt), step):
-            block = tt[i : i + step]
-            out[i : i + step] = np.exp(
-                1j * block[:, None] * centered[None, :]
-            ) @ weights
-        return complex(out[0]) if np.isscalar(t) else out
+        return discrete_char_fn(centered, weights, t)
 
     return LStats(mu, var, char_fn)
 

@@ -33,6 +33,7 @@ __all__ = [
     "fading_gain_db_pdf",
     "fading_moments",
     "fading_char_fn",
+    "discrete_char_fn",
     "sample_fading_db",
     "sample_fading_db_block",
     "fading_draw_budget",
@@ -43,6 +44,8 @@ _PDF_FLOOR = 1e-14
 _DB_WINDOW = 80.0
 _PANELS = 300
 _NODES_PER_PANEL = 32
+# Entries of one (frequencies x atoms) block of exponentials: 16 MB.
+_CHARFN_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -261,9 +264,61 @@ def fading_char_fn(model: FadingModel, t):
         return complex(out) if np.isscalar(t) else out
     nodes, wts = _nodes(model)
     mu, _ = fading_moments(model)
+    return discrete_char_fn(nodes - mu, wts, t)
+
+
+def _is_progression(t: np.ndarray) -> bool:
+    """Whether the 1-D array t is an arithmetic progression.
+
+    Equality is judged within a few ulps of max |t|, the rounding that
+    computing c * n_k leaves on exact multiples of a step c.
+    """
+    if t.ndim != 1 or t.size < 2:
+        return False
+    fitted = np.linspace(t[0], t[-1], t.size)
+    tol = 8.0 * np.finfo(float).eps * float(np.abs(t).max())
+    return bool(np.abs(t - fitted).max() <= tol)
+
+
+def discrete_char_fn(values, weights, t):
+    """Characteristic function sum_j weights[j] exp(i t values[j]).
+
+    When t is an arithmetic progression of T frequencies, it is cut into
+    blocks of B ~ sqrt(T) frequencies, and block b is the first block
+    shifted by d_b = t[bB] - t[0]. The shift factors exp(i d_b values)
+    act along the atoms, so every block is the first block's exponentials
+    times weights * exp(i d_b values): one matrix product, with one complex
+    exponential per atom and block instead of one per atom and frequency.
+    Any other t, scalars included, takes the direct formula
+    exp(i t values) @ weights. Either way one block of exponentials holds
+    at most 2**20 entries.
+
+    Args:
+        values: atoms of the law, shape (n,).
+        weights: their probabilities, shape (n,).
+        t: frequency, scalar or 1-D array.
+
+    Returns:
+        complex scalar for a scalar t, complex array matching t otherwise.
+    """
+    x = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
     tt = np.atleast_1d(np.asarray(t, dtype=float))
-    val = np.exp(1j * tt[:, None] * (nodes - mu)[None, :]) @ wts
-    return complex(val[0]) if np.isscalar(t) else val
+    cap = max(1, _CHARFN_BLOCK_ENTRIES // max(x.size, 1))
+    rows = min(max(1, math.ceil(math.sqrt(tt.size))), cap)
+    if tt.size <= rows or not _is_progression(tt):
+        out = np.empty(tt.shape, dtype=complex)
+        for i in range(0, tt.size, cap):
+            out[i : i + cap] = np.exp(1j * tt[i : i + cap, None] * x[None, :]) @ w
+    else:
+        first = np.exp(1j * tt[:rows, None] * x[None, :])
+        starts = np.arange(0, tt.size, rows)
+        blocks = np.empty((starts.size, rows), dtype=complex)
+        for i in range(0, starts.size, cap):
+            shifts = np.exp(1j * x[:, None] * (tt[starts[i : i + cap]] - tt[0]))
+            blocks[i : i + cap] = (first @ (w[:, None] * shifts)).T
+        out = blocks.ravel()[: tt.size]
+    return complex(out[0]) if np.isscalar(t) else out
 
 
 def sample_fading_db(model: FadingModel, rng):

@@ -1,7 +1,9 @@
 """Command-line front end: bound, fit, simulate, and compare reports.
 
-Outputs are plain CSV/JSON plus a small manifest written atomically next
-to each output, so any result can be audited and reproduced. Exit codes:
+Outputs are plain CSV/JSON plus a small manifest next to each output, so
+any result can be audited and reproduced. Every file is written atomically
+(temporary file, then os.replace), so a failed command never leaves a
+half-written output. Exit codes:
 0 success, 2 input/schema problem, 3 numeric failure, 4 scenario-hash
 mismatch between compared artifacts.
 """
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     SamplingStall,
     SchemaError,
 )
+from .fileio import atomic_open
 from .fit import (
     PowerLognormalFit,
     gaussian_step1,
@@ -99,12 +101,13 @@ def parse_grid(spec: str) -> np.ndarray:
 
 def _write_manifest(out_path: str, doc: dict) -> None:
     """Atomic manifest write next to an output file."""
-    path = f"{out_path}.manifest.json"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    _write_json(f"{out_path}.manifest.json", doc)
+
+
+def _write_json(path, doc: dict) -> None:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _manifest(command, scen_hash, bound, seed, n, outputs) -> dict:
@@ -153,7 +156,7 @@ def cmd_bound(scenario_path, out_csv) -> int:
     maxima = ["max"] + [
         max(row[i + 1] for row in rows) for i in range(len(_BOUND_COLUMNS))
     ]
-    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out_csv) as fh:
         fh.write("cell_id," + ",".join(_BOUND_COLUMNS) + "\n")
         for row in rows + [maxima]:
             fh.write(
@@ -205,15 +208,13 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
         "bound": _bound_doc(scenario.bound),
         "per_cell": per_cell,
     }
-    with open(out_json, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_json, doc)
     outputs = [str(out_json)]
     if grid is not None:
         cdf_csv = f"{out_json}.cdf.csv"
         vals = powln_cdf_db(grid, agg)
         vals = np.atleast_1d(vals)
-        with open(cdf_csv, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(cdf_csv) as fh:
             fh.write("q_dbm,cdf\n")
             for q, v in zip(grid, vals):
                 fh.write(f"{_g17(q)},{_g17(v)}\n")
@@ -283,9 +284,7 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
         return 4
     ks = ks_distance(EmpiricalCdf(samples), lambda q: powln_cdf_db(q, fit))
     verdict = compare_verdict(ks, eps_total, samples.n)
-    with open(out_report, "w", encoding="utf-8") as fh:
-        json.dump(verdict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_report, verdict)
     _write_manifest(
         str(out_report),
         _manifest(

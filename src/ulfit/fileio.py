@@ -1,0 +1,40 @@
+"""Atomic output files.
+
+Every file the command line writes goes through ``atomic_open``: the
+content is written to ``<path>.tmp`` and moved over ``path`` with
+``os.replace`` only once the write has finished, so a failure part way
+leaves the previous file intact and no temporary file behind.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+
+__all__ = ["atomic_open"]
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open ``<path>.tmp`` for writing and replace ``path`` with it on exit.
+
+    Args:
+        path: final file path.
+        mode: "w" for UTF-8 text (newlines written as given) or "wb".
+
+    Yields:
+        The open temporary file.
+    """
+    path = str(path)
+    tmp = f"{path}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise

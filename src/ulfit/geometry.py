@@ -10,13 +10,15 @@ Grid refinement targets a 1e-7 relative change between successive levels.
 Masked boundary cells limit the achievable rate on curved regions, so the
 engine accepts the finest-level estimate when the final change is below
 1e-4 relative and raises QuadratureFailure only beyond that. The ladder is
-deterministic for a given region and density.
+deterministic for a given region and density. One ladder serves every
+entry point: it evaluates the integrand once per masked node of each level
+it visits, and the integrand must be vectorized over an (n, 2) block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -331,17 +333,21 @@ def _grid_axes(box, m):
     return xs, ys, hx * hy
 
 
-def _level_sums(region, density, integrands, m):
+def _level_sums(region, density, field, profile, m):
     """Masked midpoint sums at one grid level.
 
-    Returns (kernel_sum, integrand_kernel_sums, cell_area). Rows are
+    Returns (kernel_sum, field_sums, cell_area, any_mass, chunks). The field
+    is evaluated once per masked node. field_sums holds the kernel-weighted
+    sum of its values and, for a profile, of their squares; a profile also
+    keeps each chunk's (kernel weights, field values) in chunks. Rows are
     processed in fixed-size chunks so peak memory stays flat; chunking does
     not change the summation order between runs.
     """
     box = bounding_box(region)
     xs, ys, dA = _grid_axes(box, m)
     kernel_sum = 0.0
-    acc = [0.0 + 0.0j] * len(integrands)
+    acc = [] if field is None else [0.0 + 0.0j] * (2 if profile else 1)
+    chunks = []
     any_mass = False
     for lo in range(0, m, _CHUNK_ROWS):
         yy = ys[lo : lo + _CHUNK_ROWS]
@@ -354,38 +360,41 @@ def _level_sums(region, density, integrands, m):
         yf = Y[mask]
         w = density._kernel(xf, yf)
         kernel_sum += float(w.sum())
-        if integrands:
-            pts = np.column_stack((xf, yf))
-            for i, g in enumerate(integrands):
-                acc[i] += complex(np.sum(w * g(pts)))
-    return kernel_sum, acc, dA, any_mass
+        if field is None:
+            continue
+        v = np.asarray(field(np.column_stack((xf, yf))))
+        if v.shape != w.shape:
+            raise DomainError(
+                f"integrand returned shape {v.shape} for {w.size} points; "
+                "it must be vectorized over an (n, 2) block"
+            )
+        acc[0] += complex(np.sum(w * v))
+        if profile:
+            acc[1] += complex(np.sum(w * v**2))
+            chunks.append((w, v))
+    return kernel_sum, acc, dA, any_mass, chunks
 
 
-def _eval_integrand(g, pts):
-    """Call g on an (n, 2) block, falling back to per-point evaluation."""
-    try:
-        out = np.asarray(g(pts))
-        if out.shape == (pts.shape[0],):
-            return out
-    except Exception:
-        pass
-    return np.asarray([g(p) for p in pts])
-
-
-def _integrate_many_level(region, density, integrands):
+def _integrate_ladder(region, density, field=None, profile=False):
     """Doubling-ladder quadrature shared by every integral entry point.
 
-    Integrands must accept an (n, 2) point block and return n values.
-    Returns (values, mass_integral, level) where values[i] is the density
-    average of integrands[i], mass_integral is the plain integral of the
-    density kernel (for normalization constants), and level is the grid
-    size the ladder settled at.
+    ``field`` maps an (n, 2) block of points to n values and is evaluated
+    once per masked node. Returns (values, mass_integral, chunks): values
+    holds the density average of the field (empty without a field) and,
+    for a profile, of its square; mass_integral is the plain integral of
+    the density kernel (for normalization constants); and, for a profile,
+    chunks are the accepted level's (kernel weights, field values) blocks
+    (empty otherwise).
     """
     prev_vals = None
     prev_mass = None
     final_rel = math.inf
     for m in _LEVELS:
-        kernel_sum, acc, dA, any_mass = _level_sums(region, density, integrands, m)
+        # Drop the previous level's blocks before building this level's.
+        chunks = None
+        kernel_sum, acc, dA, any_mass, chunks = _level_sums(
+            region, density, field, profile, m
+        )
         if not any_mass:
             if m == _LEVELS[-1]:
                 raise EmptyRegion("region has no area at the finest grid")
@@ -408,7 +417,7 @@ def _integrate_many_level(region, density, integrands):
                 f"estimates still changing by {final_rel:.3e} relative at the "
                 f"{_LEVELS[-1]}x{_LEVELS[-1]} cap"
             )
-    return vals, mass, m
+    return vals, mass, chunks
 
 
 def ue_domain(region: Region, serving_bs, victim_bs, d_min: float) -> Region:
@@ -435,9 +444,11 @@ def density_profile(
     """Distribution of a scalar field under the density, plus moments.
 
     Runs the usual convergence ladder on the field's first two moments,
-    then reduces the finest grid to ``nbins`` weight-preserving bins
-    (weighted mean as the representative value, so the first moment of the
-    binned distribution is exact).
+    evaluating the field once per masked node of each level visited, then
+    reduces the accepted level's nodes, kept from that same pass, to
+    ``nbins`` weight-preserving bins (weighted mean as the representative
+    value, so the first moment of the binned distribution is exact). Peak
+    memory holds one level's kernel weights and field values.
 
     Args:
         region: effective region.
@@ -451,40 +462,22 @@ def density_profile(
     Raises:
         QuadratureFailure, EmptyRegion: as for region_integral.
     """
-    g1 = lambda pts: value_fn(pts)
-    g2 = lambda pts: value_fn(pts) ** 2
-    (m1, m2), _, level = _integrate_many_level(region, density, [g1, g2])
+    (m1, m2), _, chunks = _integrate_ladder(
+        region, density, value_fn, profile=True
+    )
     mean = m1.real
     var = max(m2.real - mean * mean, 0.0)
 
-    # One extra pass at the converged level to histogram the field.
-    box = bounding_box(region)
-    xs, ys, _ = _grid_axes(box, level)
-    lo, hi = math.inf, -math.inf
-    for start in range(0, level, _CHUNK_ROWS):
-        yy = ys[start : start + _CHUNK_ROWS]
-        X, Y = np.meshgrid(xs, yy, indexing="xy")
-        mask = region._mask(X, Y)
-        if not mask.any():
-            continue
-        v = value_fn(np.column_stack((X[mask], Y[mask])))
-        lo = min(lo, float(v.min()))
-        hi = max(hi, float(v.max()))
+    # Bin the accepted level's nodes; their field values are already known.
+    lo = min(float(v.min()) for _, v in chunks)
+    hi = max(float(v.max()) for _, v in chunks)
     if not hi > lo:
         # Degenerate field: a single bin carries all the mass.
         return mean, var, np.array([1.0]), np.array([mean])
     width = (hi - lo) / nbins
     wsum = np.zeros(nbins)
     vsum = np.zeros(nbins)
-    for start in range(0, level, _CHUNK_ROWS):
-        yy = ys[start : start + _CHUNK_ROWS]
-        X, Y = np.meshgrid(xs, yy, indexing="xy")
-        mask = region._mask(X, Y)
-        if not mask.any():
-            continue
-        xf, yf = X[mask], Y[mask]
-        w = density._kernel(xf, yf)
-        v = value_fn(np.column_stack((xf, yf)))
+    for w, v in chunks:
         idx = np.minimum(((v - lo) / width).astype(np.intp), nbins - 1)
         wsum += np.bincount(idx, weights=w, minlength=nbins)
         vsum += np.bincount(idx, weights=w * v, minlength=nbins)
@@ -508,19 +501,24 @@ def normalize_density(region: Region, density: UeDensity) -> float:
         QuadratureFailure: if the grid ladder does not settle.
         EmptyRegion: if the region carries no area.
     """
-    _, mass, _ = _integrate_many_level(region, density, [])
+    _, mass, _ = _integrate_ladder(region, density)
     return 1.0 / mass
 
 
 def region_integral(region: Region, density: UeDensity, integrand) -> complex:
     """Integral of ``integrand`` against the normalized density.
 
-    The integrand may be scalar (point -> complex) or vectorized over an
-    (n, 2) block. Evaluated as a ratio of masked-grid sums, so the
-    constant integrand returns exactly 1 at every level.
+    The integrand must be vectorized: it maps an (n, 2) block of points to
+    n values. Evaluated as a ratio of masked-grid sums, so the constant
+    integrand returns exactly 1 at every level.
+
+    Raises:
+        DomainError: if the integrand returns any other shape.
+        QuadratureFailure, EmptyRegion: if the grid ladder does not settle
+            or the region carries no area. Exceptions the integrand raises
+            propagate unchanged.
     """
-    g = lambda pts: _eval_integrand(integrand, pts)
-    vals, _, _ = _integrate_many_level(region, density, [g])
+    vals, _, _ = _integrate_ladder(region, density, integrand)
     return vals[0]
 
 

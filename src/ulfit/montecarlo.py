@@ -27,6 +27,7 @@ from .channel import (
     sample_fading_db_block,
 )
 from .errors import DomainError, ParseError, SamplingStall
+from .fileio import atomic_open
 from .geometry import proposal_block, rejection_envelope, ue_domain
 from .scenario import Scenario, rng_stream
 
@@ -248,10 +249,11 @@ def save_samples(samples: SampleSet, path, scenario_hash: str) -> None:
     """Write samples as little-endian binary plus a JSON sidecar.
 
     Layout: 8-byte little-endian count, then n float64 values. The
-    sidecar at <path>.json records {seed, n, scenario_hash}.
+    sidecar at <path>.json records {seed, n, scenario_hash}. Both files are
+    written atomically.
     """
     path = str(path)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<Q", samples.n))
         fh.write(samples.values.astype("<f8").tobytes())
     sidecar = {
@@ -259,7 +261,7 @@ def save_samples(samples: SampleSet, path, scenario_hash: str) -> None:
         "n": samples.n,
         "scenario_hash": scenario_hash,
     }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
+    with atomic_open(path + ".json") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

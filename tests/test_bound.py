@@ -18,9 +18,16 @@ from ulfit.bound import (
     step2_bound,
     total_bound,
 )
-from ulfit.channel import FadingModel, coupling_gain_L, fading_char_fn, shadow_stats
+from ulfit.channel import (
+    FadingModel,
+    _is_progression,
+    coupling_gain_L,
+    discrete_char_fn,
+    fading_char_fn,
+    shadow_stats,
+)
 from ulfit.errors import DomainError
-from ulfit.geometry import bounding_box, ue_domain
+from ulfit.geometry import bounding_box, density_profile, ue_domain
 from ulfit.scenario import DEFAULT_CHANNEL, build_single_cell
 
 DEFAULTS = BoundParams()
@@ -190,6 +197,50 @@ def test_l_stats_char_fn_against_coarse_grid():
     for t in (0.1, 0.3):
         direct = np.exp(1j * t * (lvals - stats.mu_l)).mean()
         assert abs(stats.char_fn(t) - direct) < 5e-3
+
+
+def eps2_frequencies(sigma_l2, sigma_s2):
+    """The exact frequency array epsilon2 hands to the characteristic function."""
+    seen = []
+
+    def record(t):
+        seen.append(np.array(t))
+        return np.ones(np.shape(t), dtype=complex)
+
+    epsilon2(DEFAULTS, sigma_l2, sigma_s2, record)
+    return seen[0]
+
+
+def direct_char_fn(x, w, t):
+    """Reference exp(i t x) @ w, in row blocks to bound memory."""
+    return np.concatenate(
+        [np.exp(1j * np.outer(t[i : i + 256], x)) @ w for i in range(0, t.size, 256)]
+    )
+
+
+def test_l_stats_char_fn_progression_matches_direct():
+    cell, victim, stats = bread_stats(0.01, "uniform")
+    dom = ue_domain(cell.region, cell.bs, victim, DEFAULT_CHANNEL.d_min_km)
+
+    def field(p):
+        return coupling_gain_L(p, cell.bs, victim, DEFAULT_CHANNEL)
+
+    mu, _, weights, values = density_profile(dom, cell.density, field)
+    assert mu == stats.mu_l
+    x = values - mu
+    t = eps2_frequencies(stats.sigma_l2, shadow_stats(DEFAULT_CHANNEL).sigma_s2)
+    assert t.size == 2863 and _is_progression(t)
+    got = stats.char_fn(t)
+    np.testing.assert_array_equal(got, discrete_char_fn(x, weights, t))
+    assert np.abs(got - direct_char_fn(x, weights, t)).max() < 1e-13
+    # Non-progressions and scalars take the direct formula.
+    shuffled = np.random.default_rng(5).permutation(t[:400])
+    assert not _is_progression(shuffled)
+    direct = direct_char_fn(x, weights, shuffled)
+    assert np.abs(stats.char_fn(shuffled) - direct).max() < 1e-13
+    scalar = stats.char_fn(0.25)
+    assert isinstance(scalar, complex)
+    assert abs(scalar - np.exp(0.25j * x) @ weights) < 1e-13
 
 
 def test_step1_requires_matching_cutoffs():

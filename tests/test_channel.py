@@ -5,10 +5,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as complex_gamma
 
+from ulfit.bound import BoundParams, epsilon2
 from ulfit.channel import (
     ChannelParams,
     FadingModel,
+    _is_progression,
+    _nodes,
     coupling_gain_L,
+    discrete_char_fn,
     fading_char_fn,
     fading_draw_budget,
     fading_gain_db_pdf,
@@ -204,6 +208,56 @@ def test_char_fn_monte_carlo_oracle():
     h = 10.0 * np.log10(-np.log1p(-rng.random(10_000_000)))
     emp = np.exp(0.1j * (h - mu)).mean()
     assert abs(fading_char_fn(model, 0.1) - emp) < 3e-3
+
+
+def eps2_frequencies(sigma_l2, sigma_s2):
+    """The exact frequency array epsilon2 hands to the characteristic function."""
+    seen = []
+
+    def record(t):
+        seen.append(np.array(t))
+        return np.ones(np.shape(t), dtype=complex)
+
+    epsilon2(BoundParams(), sigma_l2, sigma_s2, record)
+    return seen[0]
+
+
+def test_discrete_char_fn_progression_fading_nodes():
+    # Second-step probe of a Rayleigh cell: the fading law against the
+    # gain-plus-shadowing Gaussian (sigma_G^2 = sigma_L^2 + 164 dB^2).
+    model = FadingModel("rayleigh")
+    mu, sigma_h2 = fading_moments(model)
+    t = eps2_frequencies(sigma_h2, 15.357 + 164.0)
+    assert t.size == 2863 and _is_progression(t)
+    nodes, wts = _nodes(model)
+    x = nodes - mu
+    direct = np.exp(1j * np.outer(t, x)) @ wts
+    got = discrete_char_fn(x, wts, t)
+    assert np.abs(got - direct).max() < 1e-13
+    np.testing.assert_array_equal(fading_char_fn(model, t), got)
+
+
+def test_discrete_char_fn_direct_path():
+    model = FadingModel("rayleigh")
+    mu, _ = fading_moments(model)
+    nodes, wts = _nodes(model)
+    x = nodes - mu
+    t = eps2_frequencies(30.0, 180.0)
+    bent = t.copy()
+    bent[1000] *= 1.0 + 1e-9
+    shuffled = np.random.default_rng(3).permutation(t)
+    for arr in (bent, shuffled, t[[0, 2, 3]]):
+        assert not _is_progression(arr)
+        direct = np.exp(1j * np.outer(arr, x)) @ wts
+        assert np.abs(discrete_char_fn(x, wts, arr) - direct).max() < 1e-13
+    for scalar in (0.3, np.float64(-0.7)):
+        assert not _is_progression(np.atleast_1d(scalar))
+        got = discrete_char_fn(x, wts, scalar)
+        assert isinstance(got, complex)
+        assert abs(got - np.exp(1j * scalar * x) @ wts) < 1e-13
+    zero_d = discrete_char_fn(x, wts, np.array(0.3))
+    assert zero_d.shape == (1,)
+    assert discrete_char_fn(x, wts, np.array([])).shape == (0,)
 
 
 def test_sample_none_always_zero():

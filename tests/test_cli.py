@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import ulfit
+import ulfit.cli
 from ulfit.bound import BoundParams
 from ulfit.channel import ChannelParams, FadingModel
 from ulfit.cli import main, parse_grid
 from ulfit.errors import SchemaError
+from ulfit.fileio import atomic_open
 from ulfit.geometry import Disk, Intersection, UeDensity
 from ulfit.montecarlo import load_samples
 from ulfit.scenario import Cell, Scenario, save_scenario, scenario_hash
@@ -159,6 +161,52 @@ def test_fit_command_output(ws, scen, fit_path):
     manifest = json.loads((ws / "fit.json.manifest.json").read_text())
     assert manifest["command"] == "fit"
     assert manifest["outputs"] == [str(fit_path), f"{fit_path}.cdf.csv"]
+
+
+def test_atomic_open_failure_keeps_previous_file(tmp_path):
+    for mode, old, part in (("w", "old\n", "new"), ("wb", b"\x00old", b"\x01new")):
+        path = tmp_path / f"out.{mode}"
+        with atomic_open(path, mode) as fh:
+            fh.write(old)
+        with pytest.raises(RuntimeError):
+            with atomic_open(path, mode) as fh:
+                fh.write(part)
+                raise RuntimeError("disk full")
+        data = path.read_bytes()
+        assert data == (old if mode == "wb" else old.encode())
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_fit_failure_mid_write_keeps_previous_outputs(
+    ws, scen_path, fit_path, monkeypatch
+):
+    cdf = ws / "fit.json.cdf.csv"
+    before = (fit_path.read_bytes(), cdf.read_bytes())
+    calls = []
+    real_g17 = ulfit.cli._g17
+
+    def failing_g17(x):
+        calls.append(x)
+        if len(calls) == 5:
+            raise RuntimeError("write interrupted")
+        return real_g17(x)
+
+    monkeypatch.setattr(ulfit.cli, "_g17", failing_g17)
+    with pytest.raises(RuntimeError):
+        main(
+            [
+                "fit",
+                "--scenario",
+                str(scen_path),
+                "--out",
+                str(fit_path),
+                "--grid",
+                "-140:-40:20",
+            ]
+        )
+    assert len(calls) == 5
+    assert (fit_path.read_bytes(), cdf.read_bytes()) == before
+    assert list(ws.glob("*.tmp")) == []
 
 
 def test_simulate_outputs(ws, scen, sim_path):

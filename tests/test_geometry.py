@@ -216,13 +216,56 @@ def test_density_profile_inverse_radial_annulus_moments():
     assert var == pytest.approx(m2 - m1**2, rel=5e-4)
 
 
-def test_eval_integrand_scalar_fallback():
-    from ulfit.geometry import _eval_integrand
+def test_region_integral_propagates_integrand_errors():
+    # math.hypot rejects array rows; the error reaches the caller.
+    with pytest.raises(TypeError):
+        region_integral(
+            Disk((0.0, 0.0), 1.0),
+            UeDensity("uniform"),
+            lambda p: math.hypot(p[0], p[1]),
+        )
 
-    pts = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 12.0]])
-    # math.hypot rejects array rows, so the per-point path must kick in.
-    out = _eval_integrand(lambda p: math.hypot(p[0], p[1]), pts)
-    np.testing.assert_allclose(out, [math.hypot(1, 2), 5.0, 13.0])
+
+def test_region_integral_rejects_wrong_shape():
+    reg, den = Disk((0.0, 0.0), 1.0), UeDensity("uniform")
+    for bad in (lambda p: 1.0, lambda p: np.ones((len(p), 2)), lambda p: p[:-1, 0]):
+        with pytest.raises(DomainError):
+            region_integral(reg, den, bad)
+
+
+def test_density_profile_evaluates_each_node_once():
+    # A trigonometric field on its full period: the midpoint sums of the
+    # field and its square are exact from the first level, so the ladder
+    # stops at the second. Every node of the unit square is masked.
+    square = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+
+    def field(p):
+        return np.sin(2 * math.pi * p[:, 0]) * np.cos(2 * math.pi * p[:, 1]) + 2.0
+
+    evaluated = []
+
+    def counted(p):
+        evaluated.append(len(p))
+        return field(p)
+
+    nbins = 64
+    mean, var, wts, vals = density_profile(
+        square, UeDensity("uniform"), counted, nbins=nbins
+    )
+    assert sum(evaluated) == 64**2 + 128**2
+    assert mean == pytest.approx(2.0, abs=1e-12)
+    assert var == pytest.approx(0.25, abs=1e-12)
+    # The bins are those of a plain re-binning of the 128 x 128 level.
+    xs = (np.arange(128) + 0.5) / 128
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    v = field(np.column_stack((X.ravel(), Y.ravel())))
+    lo, hi = v.min(), v.max()
+    idx = np.minimum(((v - lo) / ((hi - lo) / nbins)).astype(np.intp), nbins - 1)
+    wsum = np.bincount(idx, minlength=nbins).astype(float)
+    vsum = np.bincount(idx, weights=v, minlength=nbins)
+    keep = wsum > 0
+    np.testing.assert_array_equal(wts, wsum[keep] / wsum[keep].sum())
+    np.testing.assert_array_equal(vals, vsum[keep] / wsum[keep])
 
 
 def test_empty_intersection_raises_lazily():
