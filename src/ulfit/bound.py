@@ -68,12 +68,13 @@ class BoundParams:
     k2: float = 500.0
 
     def __post_init__(self):
-        if not (self.omega > 0 and self.k1 > 0 and self.k2 > 0):
-            raise DomainError("omega, k1, k2 must be positive")
+        for name in ("omega", "k1", "k2"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name}: must be positive")
         if int(self.p) != self.p or self.p < 1:
-            raise DomainError("p must be a positive integer")
+            raise DomainError("p: must be a positive integer")
         if self.p < 2.0 / self.omega:
-            raise DomainError("p must be at least 2/omega")
+            raise DomainError("p: must be at least 2/omega")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ __all__ = [
     "fading_moments",
     "fading_char_fn",
     "discrete_char_fn",
-    "sample_fading_db",
     "sample_fading_db_block",
     "fading_draw_budget",
 ]
@@ -70,13 +69,13 @@ class ChannelParams:
 
     def __post_init__(self):
         if not self.alpha > 0:
-            raise DomainError("alpha must be > 0")
+            raise DomainError("alpha: must be > 0")
         if not 0 < self.eta <= 1:
-            raise DomainError("eta must be in (0, 1]")
+            raise DomainError("eta: must be in (0, 1]")
         if not self.sigma_shad_db > 0:
-            raise DomainError("sigma_shad must be > 0")
+            raise DomainError("sigma_shad_db: must be > 0")
         if self.d_min_km < 0:
-            raise DomainError("d_min must be >= 0")
+            raise DomainError("d_min_km: must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,8 @@ class FadingModel:
 
     kind is one of "none", "rayleigh", "rician". gamma_ratio is the
     Rician ratio of line-of-sight to scattered power; zero makes it
-    statistically identical to Rayleigh.
+    statistically identical to Rayleigh. Error messages call it gamma,
+    its key in a scenario file.
     """
 
     kind: str
@@ -93,13 +93,13 @@ class FadingModel:
 
     def __post_init__(self):
         if self.kind not in ("none", "rayleigh", "rician"):
-            raise DomainError(f"unknown fading kind {self.kind!r}")
+            raise DomainError(f"kind: unknown fading kind {self.kind!r}")
         if self.kind == "rician":
             g = self.gamma_ratio
             if g is None or not math.isfinite(g) or g < 0:
-                raise DomainError("rician fading requires finite gamma_ratio >= 0")
+                raise DomainError("gamma: rician fading requires a finite ratio >= 0")
         elif self.gamma_ratio is not None:
-            raise DomainError("gamma_ratio only applies to rician fading")
+            raise DomainError("gamma: only applies to rician fading")
 
 
 @dataclass(frozen=True)
@@ -321,26 +321,6 @@ def discrete_char_fn(values, weights, t):
     return complex(out[0]) if np.isscalar(t) else out
 
 
-def sample_fading_db(model: FadingModel, rng):
-    """One dB-scale fading draw using inverse-CDF transforms.
-
-    The draw budget per sample is fixed by model kind (0, 1, or 2
-    uniforms), which keeps counter-based streams reproducible when
-    samples are generated in slices.
-    """
-    if model.kind == "none":
-        return 0.0
-    if model.kind == "rayleigh" or model.gamma_ratio == 0:
-        e = -np.log1p(-rng.random())
-        return 10.0 * math.log10(e)
-    k = model.gamma_ratio
-    s = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    nu = math.sqrt(k / (k + 1.0))
-    x = s * ndtri(rng.random()) + nu
-    y = s * ndtri(rng.random())
-    return 10.0 * math.log10(x * x + y * y)
-
-
 def fading_draw_budget(model: FadingModel) -> int:
     """Uniform variates consumed per fading draw (0, 1, or 2)."""
     if model.kind == "none":
@@ -351,10 +331,13 @@ def fading_draw_budget(model: FadingModel) -> int:
 
 
 def sample_fading_db_block(model: FadingModel, rng, n: int) -> np.ndarray:
-    """Vectorized sample_fading_db: n draws from one stream.
+    """n dB-scale fading draws from one stream by inverse-CDF transforms.
 
-    Consumes exactly fading_draw_budget(model) * n uniforms, in the same
-    per-draw order as the scalar sampler.
+    Draw i reads uniforms [b i, b (i + 1)) of the stream, where the budget
+    b = fading_draw_budget(model) is fixed by model kind. One block of n
+    draws therefore equals n blocks of one draw from the same stream,
+    which keeps counter-based streams reproducible when samples are
+    generated in slices.
     """
     if model.kind == "none":
         return np.zeros(n)

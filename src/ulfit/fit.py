@@ -6,19 +6,32 @@ linear-scale sum over cells is then fitted by a power lognormal, whose
 CDF is a Gaussian CDF raised to a power lambda:
 
 1. solve_sum_stats matches a lognormal X to the sum's MGF at two probes
-   (Mehta et al., IEEE TWC 2007). The probes are dimensionless and act
-   on the power in units of a reference power, the scenario's
-   power-control target P0 (MgfFitConfig).
+   (Mehta et al., IEEE TWC 2007), each lognormal's MGF by a 12-node
+   Gauss-Hermite rule. The probes are fixed, s = 0.001 and 0.005. They
+   are dimensionless and act on the power in units of a reference power,
+   the scenario's power-control target P0.
 2. power_lognormal_fit takes sigma_q and lambda from the two tail slopes
    (Szyszkowicz & Yanikomeroglu, GLOBECOM 2009) and mu_q from one
    location equation: the power lognormal's MGF at the first probe
    equals that of X.
+
+Why the probes act on I / P0: Mehta et al. state their probes for
+lognormal terms in dB about unit power. The same numbers applied per mW
+to interference of 1e-13 to 1e-10 mW leave both MGF deficits at s E[I],
+and the second equation repeats the first (solve_sum_stats raises
+NoConvergence then). Every cell's interference is P0 plus dimensionless
+terms (coupling gain, shadowing, fading), so I / P0 is the model's own
+dimensionless power; the 84-cell hotspot aggregate sits about 2 dB below
+it, in the unit range the probes are stated for. Tying the probes to P0
+also makes the fit equivariant: shifting P0, and with it every cell, by
+c dB shifts mu_X and mu_q by c and leaves sigma_X, lambda and sigma_q
+unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri
@@ -30,7 +43,6 @@ __all__ = [
     "ZETA",
     "GaussianFit",
     "PowerLognormalFit",
-    "MgfFitConfig",
     "gaussian_step1",
     "gaussian_step2",
     "approx_mgf",
@@ -45,22 +57,10 @@ __all__ = [
 
 ZETA = 10.0 / math.log(10.0)
 
-# 12-point Gauss-Hermite rule; values per the standard tabulation
-# (Abramowitz & Stegun, Table 25.10) extended to double precision.
-_GH12 = (
-    (-3.8897248978697818, 2.6585516843563044e-07),
-    (-3.0206370251208896, 8.5736870435878683e-05),
-    (-2.2795070805010598, 0.0039053905846290599),
-    (-1.5976826351526048, 0.051607985615883978),
-    (-0.94778839124016379, 0.26049231026416109),
-    (-0.31424037625435913, 0.57013523626247953),
-    (0.31424037625435913, 0.57013523626247953),
-    (0.94778839124016379, 0.26049231026416109),
-    (1.5976826351526048, 0.051607985615883978),
-    (2.2795070805010598, 0.0039053905846290599),
-    (3.0206370251208896, 8.5736870435878683e-05),
-    (3.8897248978697818, 2.6585516843563044e-07),
-)
+# MGF probes, dimensionless, applied to I / P_ref (see the module docstring).
+_PROBES = (0.001, 0.005)
+# 12-node Gauss-Hermite rule of the lognormal MGFs.
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(12)
 
 
 @dataclass(frozen=True)
@@ -95,53 +95,6 @@ class PowerLognormalFit:
         return math.sqrt(self.sigma_q2)
 
 
-def _gh_nodes(m0: int):
-    if m0 == 12:
-        arr = np.asarray(_GH12)
-        return arr[:, 0].copy(), arr[:, 1].copy()
-    return np.polynomial.hermite.hermgauss(m0)
-
-
-@dataclass(frozen=True)
-class MgfFitConfig:
-    """Probe points and quadrature order of the MGF match.
-
-    The probes s1 and s2 are dimensionless. The match evaluates the MGF
-    deficit D(s) = 1 - E[exp(-s I / P_ref)] of a power I at s = s1, s2,
-    with I in units of the reference power P_ref that solve_sum_stats and
-    power_lognormal_fit take as p_ref_dbm. Mehta et al. (IEEE TWC 2007)
-    state their probes for lognormal terms in dB about unit power; the
-    same numbers applied per mW to interference of 1e-13 to 1e-10 mW
-    leave both deficits at s E[I], and the second equation repeats the
-    first (solve_sum_stats raises NoConvergence then).
-
-    The fit takes P_ref = P0, the scenario's power-control target. Every
-    cell's interference is P0 plus dimensionless terms (coupling gain,
-    shadowing, fading), so I / P0 is the model's own dimensionless power;
-    the 84-cell hotspot aggregate sits about 2 dB below it, in the unit
-    range the probes are stated for. Tying the probes to P0 also makes
-    the fit equivariant: shifting P0, and with it every cell, by c dB
-    shifts mu_X and mu_q by c and leaves sigma_X, lambda and sigma_q
-    unchanged.
-    """
-
-    s1: float = 0.001
-    s2: float = 0.005
-    m0: int = 12
-    gh_nodes: tuple = field(default=None)
-
-    def __post_init__(self):
-        if not (self.s1 > 0 and self.s2 > 0) or self.s1 == self.s2:
-            raise DomainError("probe points must be positive and distinct")
-        if self.m0 < 8:
-            raise DomainError("quadrature order must be at least 8")
-        if self.gh_nodes is None:
-            a, w = _gh_nodes(self.m0)
-            object.__setattr__(self, "gh_nodes", (tuple(a), tuple(w)))
-        elif len(self.gh_nodes[0]) != self.m0:
-            raise DomainError("node count must equal the quadrature order")
-
-
 def gaussian_step1(stats, shadow: ShadowStats, p0_dbm: float) -> GaussianFit:
     """Gaussian fit of coupling gain plus shadowing.
 
@@ -161,22 +114,21 @@ def gaussian_step2(g: GaussianFit, fading: FadingModel) -> GaussianFit:
     return GaussianFit(g.mu + mu_h, g.sigma2 + sigma_h2)
 
 
-def approx_mgf(mu: float, sigma2: float, s: float, cfg: MgfFitConfig) -> float:
-    """Gauss-Hermite approximation of E[exp(-s 10^(X/10))], X Gaussian."""
+def approx_mgf(mu: float, sigma2: float, s: float) -> float:
+    """12-node Gauss-Hermite approximation of E[exp(-s 10^(X/10))], X Gaussian."""
     if not s > 0:
         raise DomainError("s must be > 0")
-    return 1.0 - _mgf_deficit(mu, sigma2, s, cfg)[0]
+    return 1.0 - _mgf_deficit(mu, sigma2, s)[0]
 
 
-def _mgf_deficit(mu: float, sigma2: float, s: float, cfg: MgfFitConfig):
+def _mgf_deficit(mu: float, sigma2: float, s: float):
     """1 - approx_mgf without cancellation, and its gradient in (mu, ln sigma).
 
     Weak cells leave the MGF within 1e-7 of one, so the complementary
     form is what carries the information.
     """
-    a, w = cfg.gh_nodes
-    w = np.asarray(w) / math.sqrt(math.pi)
-    spread = math.sqrt(2.0 * sigma2) * np.asarray(a)
+    w = _GH_WEIGHTS / math.sqrt(math.pi)
+    spread = math.sqrt(2.0 * sigma2) * _GH_NODES
     log_se = math.log(s) + (spread + mu) / ZETA
     with np.errstate(over="ignore"):
         se = np.exp(log_se)
@@ -204,15 +156,14 @@ def _fw_init(fits):
 _KAPPA_MAX = 1e4
 
 
-def solve_sum_stats(
-    fits, p_ref_dbm: float, cfg: MgfFitConfig | None = None
-) -> tuple[float, float]:
+def solve_sum_stats(fits, p_ref_dbm: float) -> tuple[float, float]:
     """Lognormal (mu_X, sigma_X) matching the sum's MGF at two probes.
 
-    Solves D_X(s_k) = D_sum(s_k) for k = 1, 2 (Mehta et al., IEEE TWC
-    2007), where D(s) = 1 - E[exp(-s I / P_ref)] is the MGF deficit of
-    MgfFitConfig: the 12-node Gauss-Hermite rule for each lognormal, the
-    product of the per-cell MGFs for the sum. Newton on (mu_X in dB,
+    Solves D_X(s_k) = D_sum(s_k) at the probes s_1 = 0.001 and
+    s_2 = 0.005 (Mehta et al., IEEE TWC 2007), where
+    D(s) = 1 - E[exp(-s I / P_ref)] is the MGF deficit: the 12-node
+    Gauss-Hermite rule for each lognormal, the product of the per-cell
+    MGFs for the sum. Newton on (mu_X in dB,
     ln sigma_X) with residuals relative to the targets, an analytic
     Jacobian J and a halving line search, from the Fenton-Wilkinson
     moments, to a residual below 1e-10.
@@ -240,8 +191,7 @@ def solve_sum_stats(
     Args:
         fits: per-cell Gaussian fits of the dBm interference.
         p_ref_dbm: reference power P_ref of the probes, the scenario's
-            power-control target P0 (see MgfFitConfig).
-        cfg: probe configuration; defaults used when omitted.
+            power-control target P0 (see the module docstring).
 
     Returns:
         (mu_x in dBm, sigma_x in dB), sigma_x >= 0.
@@ -252,7 +202,6 @@ def solve_sum_stats(
     """
     if not fits:
         raise DomainError("at least one fit is required")
-    cfg = cfg or MgfFitConfig()
     if all(f.sigma2 == 0 for f in fits):
         # Deterministic sum: the MGF match is exact with sigma = 0.
         total = sum(10.0 ** (f.mu / 10.0) for f in fits)
@@ -260,20 +209,19 @@ def solve_sum_stats(
 
     # Work in dB relative to P_ref, where the probes are stated.
     rel = [GaussianFit(f.mu - p_ref_dbm, f.sigma2) for f in fits]
-    probes = (cfg.s1, cfg.s2)
     targets = [
         -math.expm1(
-            sum(math.log1p(-_mgf_deficit(f.mu, f.sigma2, s, cfg)[0]) for f in rel)
+            sum(math.log1p(-_mgf_deficit(f.mu, f.sigma2, s)[0]) for f in rel)
         )
-        for s in probes
+        for s in _PROBES
     ]
 
     def system(x):
         sig2 = math.exp(2.0 * x[1])
         r = np.empty(2)
         jac = np.empty((2, 2))
-        for k, (s, c) in enumerate(zip(probes, targets)):
-            d, grad = _mgf_deficit(x[0], sig2, s, cfg)
+        for k, (s, c) in enumerate(zip(_PROBES, targets)):
+            d, grad = _mgf_deficit(x[0], sig2, s)
             r[k] = d / c - 1.0
             jac[k] = grad / c
         return r, jac
@@ -343,9 +291,7 @@ def powln_mean(fit: PowerLognormalFit) -> float:
     return _powln_expect(fit, lambda q: q, 1e-8)
 
 
-def power_lognormal_fit(
-    fits, p_ref_dbm: float, cfg: MgfFitConfig | None = None
-) -> PowerLognormalFit:
+def power_lognormal_fit(fits, p_ref_dbm: float) -> PowerLognormalFit:
     """Fit the aggregate law from per-cell Gaussian fits.
 
     Three equations fix the three parameters:
@@ -355,10 +301,9 @@ def power_lognormal_fit(
     - lambda = sigma_q^2 sum_b 1 / sigma_b^2: the lower-tail slope of the
       sum (Szyszkowicz & Yanikomeroglu, GLOBECOM 2009);
     - mu_q solves D_Q(s1) = D_X(s1): the power lognormal keeps the MGF
-      deficit at the first probe (stated against P_ref, see MgfFitConfig)
-      that X matched to the sum. Both sides use the same Gauss-Legendre
-      quadrature, settled to 1e-10 relative, and bisection finds the
-      root to 1e-9 dB.
+      deficit at the first probe (stated against P_ref) that X matched
+      to the sum. Both sides use the same Gauss-Legendre quadrature,
+      settled to 1e-10 relative, and bisection finds the root to 1e-9 dB.
 
     The tail slopes leave one location condition. Taking it from the
     MGF match keeps every equation an equation on the sum: two slopes and
@@ -373,7 +318,6 @@ def power_lognormal_fit(
     Args:
         fits: per-cell Gaussian fits of the dBm interference.
         p_ref_dbm: reference power of the MGF probes, the scenario's P0.
-        cfg: probe configuration; defaults used when omitted.
 
     Raises:
         NoConvergence: from the MGF match or if the location bracket
@@ -385,8 +329,7 @@ def power_lognormal_fit(
         raise DomainError("at least one fit is required")
     if any(f.sigma2 == 0 for f in fits):
         raise DomainError("tail matching requires sigma2 > 0 for every cell")
-    cfg = cfg or MgfFitConfig()
-    mu_x, sigma_x = solve_sum_stats(fits, p_ref_dbm, cfg)
+    mu_x, sigma_x = solve_sum_stats(fits, p_ref_dbm)
     if sigma_x <= 0:
         raise NoConvergence("matched lognormal collapsed to zero spread")
     sigma_q2 = sigma_x**2
@@ -397,7 +340,7 @@ def power_lognormal_fit(
 
     def deficit(fit):
         return _powln_expect(
-            fit, lambda q: -np.expm1(-cfg.s1 * np.exp(q / ZETA)), 1e-10
+            fit, lambda q: -np.expm1(-_PROBES[0] * np.exp(q / ZETA)), 1e-10
         )
 
     target = math.log(deficit(PowerLognormalFit(1.0, mu_xr, sigma_q2)))

@@ -1,10 +1,13 @@
-"""Planar regions, user densities, quadrature, and position sampling.
+"""Planar regions, user densities, quadrature, and rejection proposals.
 
 Coverage areas are built from a small set of primitives (disk, polygon,
 ellipse, annulus) plus intersection. All membership tests are vectorized
 over arrays of points. Integration against a user density uses a masked
 tensor grid over the bounding box with midpoint nodes, refined by doubling
-until successive estimates settle.
+until successive estimates settle. For sampling, this module provides the
+pieces of the rejection step (the envelope and the accept test of a block
+of proposals); the position sampler itself is montecarlo._positions_slice,
+which draws the proposals from counter-based streams.
 
 Grid refinement targets a 1e-7 relative change between successive levels.
 Masked boundary cells limit the achievable rate on curved regions, so the
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyRegion, QuadratureFailure, SamplingStall
+from .errors import DomainError, EmptyRegion, QuadratureFailure
 
 __all__ = [
     "Disk",
@@ -37,7 +40,6 @@ __all__ = [
     "effective_region",
     "normalize_density",
     "region_integral",
-    "sample_position",
 ]
 
 _LEVELS = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -46,10 +48,10 @@ _CAP_REL_TOL = 1e-4
 _CHUNK_ROWS = 256
 
 
-def _as_point(p) -> tuple[float, float]:
+def _as_point(p, name: str = "point") -> tuple[float, float]:
     x, y = float(p[0]), float(p[1])
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError("point coordinates must be finite")
+        raise DomainError(f"{name}: coordinates must be finite")
     return (x, y)
 
 
@@ -61,9 +63,9 @@ class Disk:
     radius_km: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_point(self.center))
+        object.__setattr__(self, "center", _as_point(self.center, "center"))
         if not self.radius_km > 0:
-            raise EmptyRegion("disk radius must be positive")
+            raise EmptyRegion("radius_km: must be positive")
 
     def _mask(self, x, y):
         cx, cy = self.center
@@ -84,11 +86,11 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_point(self.center))
+        object.__setattr__(self, "center", _as_point(self.center, "center"))
         if self.r_inner < 0:
-            raise DomainError("annulus inner radius must be >= 0")
+            raise DomainError("r_inner: must be >= 0")
         if not self.r_outer > self.r_inner:
-            raise EmptyRegion("annulus requires r_outer > r_inner")
+            raise EmptyRegion("r_outer: must exceed r_inner")
 
     def _mask(self, x, y):
         cx, cy = self.center
@@ -111,9 +113,10 @@ class Ellipse:
     rotation_rad: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_point(self.center))
-        if not (self.a_km > 0 and self.b_km > 0):
-            raise EmptyRegion("ellipse semi-axes must be positive")
+        object.__setattr__(self, "center", _as_point(self.center, "center"))
+        for name in ("a_km", "b_km"):
+            if not getattr(self, name) > 0:
+                raise EmptyRegion(f"{name}: must be positive")
 
     def _mask(self, x, y):
         cx, cy = self.center
@@ -144,14 +147,16 @@ class Polygon:
     vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        vs = tuple(_as_point(v) for v in self.vertices)
+        vs = tuple(
+            _as_point(v, f"vertices[{i}]") for i, v in enumerate(self.vertices)
+        )
         object.__setattr__(self, "vertices", vs)
         if len(vs) < 3:
-            raise DomainError("polygon needs at least 3 vertices")
+            raise DomainError("vertices: a polygon needs at least 3")
         if self._signed_area() <= 0:
-            raise DomainError("polygon vertices must be counterclockwise")
+            raise DomainError("vertices: must be counterclockwise")
         if not self._is_simple():
-            raise DomainError("polygon must be non-self-intersecting")
+            raise DomainError("vertices: polygon must be non-self-intersecting")
 
     def _signed_area(self) -> float:
         vs = self.vertices
@@ -210,7 +215,7 @@ class Intersection:
     def __post_init__(self):
         parts = tuple(self.parts)
         if not parts:
-            raise DomainError("intersection requires at least one region")
+            raise DomainError("parts: an intersection needs at least one region")
         object.__setattr__(self, "parts", parts)
 
     def _mask(self, x, y):
@@ -238,8 +243,9 @@ class UeDensity:
     """User position density over a region.
 
     kind "uniform" is constant over the region. kind "inverse_radial"
-    falls off as 1/distance from ``origin``; the normalization constant is
-    always computed from the region, never user-supplied.
+    falls off as 1/distance from ``origin``, which only that kind takes;
+    the normalization constant is always computed from the region, never
+    user-supplied.
     """
 
     kind: str
@@ -247,11 +253,13 @@ class UeDensity:
 
     def __post_init__(self):
         if self.kind not in ("uniform", "inverse_radial"):
-            raise DomainError(f"unknown density kind {self.kind!r}")
+            raise DomainError(f"kind: unknown density kind {self.kind!r}")
         if self.kind == "inverse_radial":
             if self.origin is None:
-                raise DomainError("inverse_radial density requires an origin")
-            object.__setattr__(self, "origin", _as_point(self.origin))
+                raise DomainError("origin: inverse_radial density requires one")
+            object.__setattr__(self, "origin", _as_point(self.origin, "origin"))
+        elif self.origin is not None:
+            raise DomainError("origin: only applies to inverse_radial")
 
     def _kernel(self, x, y):
         if self.kind == "uniform":
@@ -307,7 +315,7 @@ def effective_region(region: Region, bs, d_min: float) -> Region:
         raise DomainError("d_min must be >= 0")
     if d_min == 0:
         return region
-    bs = _as_point(bs)
+    bs = _as_point(bs, "bs")
     if isinstance(region, Disk) and region.center == bs:
         if d_min >= region.radius_km:
             raise EmptyRegion("exclusion disk covers the whole region")
@@ -430,7 +438,7 @@ def ue_domain(region: Region, serving_bs, victim_bs, d_min: float) -> Region:
     same region so they agree.
     """
     eff = effective_region(region, serving_bs, d_min)
-    if _as_point(serving_bs) == _as_point(victim_bs):
+    if _as_point(serving_bs, "serving_bs") == _as_point(victim_bs, "victim_bs"):
         return eff
     return effective_region(eff, victim_bs, d_min)
 
@@ -557,7 +565,8 @@ def rejection_envelope(region: Region, density: UeDensity):
 
     Returns (bounding box, rho floor). The floor is the envelope constant's
     denominator for inverse_radial densities (sup density = W / floor) and
-    None for uniform ones.
+    None for uniform ones. Raises DomainError for an inverse_radial
+    density whose origin touches the region.
     """
     box = bounding_box(region)
     if density.kind != "inverse_radial":
@@ -586,44 +595,3 @@ def proposal_block(region: Region, density: UeDensity, box, floor, u3):
         rho = np.hypot(pts[:, 0] - ox, pts[:, 1] - oy)
         ok &= u3[:, 2] * rho <= floor
     return pts, ok
-
-
-def sample_position(region: Region, density: UeDensity, rng) -> np.ndarray:
-    """One position by rejection from the bounding box.
-
-    Args:
-        region: effective region to sample within.
-        density: normalized density (uniform or inverse_radial).
-        rng: numpy Generator owned by the caller.
-
-    Returns:
-        array (2,) inside the region.
-
-    Raises:
-        SamplingStall: if the acceptance rate falls below 1e-6.
-    """
-    return sample_positions(region, density, rng, 1)[0]
-
-
-def sample_positions(region: Region, density: UeDensity, rng, n: int) -> np.ndarray:
-    """Batch form of sample_position; returns an (n, 2) array."""
-    if n <= 0:
-        return np.empty((0, 2))
-    box, floor = rejection_envelope(region, density)
-    out = np.empty((n, 2))
-    got = 0
-    proposed = 0
-    batch = max(2 * n, 1024)
-    while got < n:
-        u = rng.random((batch, 3))
-        pts, ok = proposal_block(region, density, box, floor, u)
-        proposed += batch
-        take = min(int(ok.sum()), n - got)
-        if take:
-            out[got : got + take] = pts[ok][:take]
-            got += take
-        if proposed >= 2_000_000 and got / proposed < 1e-6:
-            raise SamplingStall(
-                f"acceptance rate {got / proposed:.2e} after {proposed} proposals"
-            )
-    return out

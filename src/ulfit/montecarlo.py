@@ -7,6 +7,8 @@ draw index): slicing the work across threads, or re-running any subset
 of indices, reproduces identical values. Positions use one fresh stream
 per rejection round ("pos:0", "pos:1", ...) so that an index's proposal
 sequence never depends on how many other indices are still pending.
+_positions_slice is the package's one position sampler; geometry supplies
+its rejection envelope and the accept test of each block of proposals.
 """
 
 from __future__ import annotations
@@ -223,16 +225,22 @@ def ks_distance(ecdf: EmpiricalCdf, cdf) -> float:
     """Exact one-sample KS statistic between a step CDF and a model CDF.
 
     Evaluates sup over the sample points of the larger one-sided gap,
-    using the step function's value just before and at each point.
+    using the step function's value just before and at each point. The
+    model CDF must be vectorized: it maps the (n,) array of samples to n
+    values.
+
+    Raises:
+        DomainError: if the CDF returns any other shape. Exceptions the
+            CDF raises propagate unchanged.
     """
     x = ecdf.samples.values
     n = ecdf.samples.n
-    try:
-        f = np.asarray(cdf(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.array([float(cdf(v)) for v in x])
+    f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise DomainError(
+            f"model CDF returned shape {f.shape} for {n} samples; "
+            "it must be vectorized"
+        )
     upper = np.arange(1, n + 1) / n - f
     lower = f - np.arange(0, n) / n
     return float(max(upper.max(), lower.max(), 0.0))

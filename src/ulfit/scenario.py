@@ -5,6 +5,13 @@ its own region and user density), channel parameters, the fading model,
 and the bound tuning constants. Two builders cover the standard setups:
 a two-station layout with the canonical intersection region, and a seeded
 random drop of many disk cells in a half-kilometer square.
+
+Loading validates each input once. The loader checks only the JSON types
+and shapes, and requires every number and point to be finite. The
+constructors (ChannelParams, FadingModel, BoundParams, UeDensity, the
+regions and Scenario) own every range and consistency rule; their
+messages start with the field they reject, and the loader reports each
+rejection as one SchemaError under the document path, e.g. channel.eta.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .errors import (
     PlacementFailure,
     SchemaError,
 )
+from .fileio import atomic_open
 from .geometry import (
     Annulus,
     Disk,
@@ -86,12 +94,16 @@ class Scenario:
         object.__setattr__(self, "cells", tuple(self.cells))
         ids = [c.id for c in self.cells]
         if len(set(ids)) != len(ids):
-            raise DomainError("cell ids must be unique")
-        for c in self.cells:
+            raise DomainError("cells: cell ids must be unique")
+        for i, c in enumerate(self.cells):
             if tuple(c.bs) == tuple(self.victim_bs):
-                raise DomainError(f"cell {c.id} sits on the victim station")
-            # Raises EmptyRegion when the carve leaves provably nothing.
-            effective_region(c.region, c.bs, self.channel.d_min_km)
+                raise DomainError(
+                    f"cells[{i}].bs: cell {c.id} sits on the victim station"
+                )
+            try:
+                effective_region(c.region, c.bs, self.channel.d_min_km)
+            except EmptyRegion as exc:
+                raise EmptyRegion(f"cells[{i}].region: {exc}") from exc
 
 
 def rng_stream(seed: int, cell_id: int, tag: str) -> np.random.Generator:
@@ -265,8 +277,31 @@ def scenario_to_doc(scenario: Scenario) -> dict:
     }
 
 
+def _finite(val) -> float | None:
+    """A JSON number as a finite float, None for anything else."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        x = float(val)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _point(val) -> tuple[float, float] | None:
+    """A JSON [x, y] pair of finite numbers as a tuple, None otherwise."""
+    if not isinstance(val, list) or len(val) != 2:
+        return None
+    x, y = _finite(val[0]), _finite(val[1])
+    return None if x is None or y is None else (x, y)
+
+
 class _Checker:
-    """Walks a document, raising SchemaError with a dotted field path."""
+    """Walks a document, raising SchemaError with a dotted field path.
+
+    It checks JSON types and shapes only; numbers and points must be
+    finite. Range and consistency rules belong to the constructors.
+    """
 
     def __init__(self, doc, path=""):
         self.doc = doc
@@ -285,9 +320,10 @@ class _Checker:
             return default
         val = self.doc[key]
         if kind == "number":
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                self.fail(key, "expected a number")
-            return float(val)
+            x = _finite(val)
+            if x is None:
+                self.fail(key, "expected a finite number")
+            return x
         if kind == "int":
             if isinstance(val, bool) or not isinstance(val, int):
                 self.fail(key, "expected an integer")
@@ -297,13 +333,10 @@ class _Checker:
                 self.fail(key, "expected a string")
             return val
         if kind == "point":
-            if (
-                not isinstance(val, list)
-                or len(val) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val)
-            ):
-                self.fail(key, "expected [x, y]")
-            return (float(val[0]), float(val[1]))
+            p = _point(val)
+            if p is None:
+                self.fail(key, "expected [x, y] of finite numbers")
+            return p
         if kind == "list":
             if not isinstance(val, list):
                 self.fail(key, "expected an array")
@@ -320,50 +353,70 @@ class _Checker:
         )
 
 
+def _build(path, make, *args, **kwargs):
+    """make(*args, **kwargs), its rejection reported under the document path.
+
+    Constructor messages start with the field they reject ("eta: must be
+    in (0, 1]"), so the SchemaError names the full path ("channel.eta").
+    """
+    try:
+        return make(*args, **kwargs)
+    except (DomainError, EmptyRegion) as exc:
+        raise SchemaError(f"{path}.{exc}" if path else str(exc)) from exc
+
+
 def _region_from_doc(doc, path) -> Region:
     c = _Checker(doc, path)
     kind = c.get("type", "string")
-    try:
-        if kind == "disk":
-            return Disk(c.get("center", "point"), c.get("radius_km", "number"))
-        if kind == "annulus":
-            return Annulus(
-                c.get("center", "point"),
-                c.get("r_inner", "number"),
-                c.get("r_outer", "number"),
-            )
-        if kind == "ellipse":
-            return Ellipse(
-                c.get("center", "point"),
-                c.get("a_km", "number"),
-                c.get("b_km", "number"),
-                c.get("rotation_rad", "number", required=False, default=0.0),
-            )
-        if kind == "polygon":
-            verts = c.get("vertices", "list")
-            if any(
-                not isinstance(v, list)
-                or len(v) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
-                for v in verts
-            ):
-                c.fail("vertices", "expected an array of [x, y] pairs")
-            return Polygon(tuple((float(v[0]), float(v[1])) for v in verts))
-        if kind == "intersection":
-            parts = c.get("parts", "list")
-            return Intersection(
-                tuple(
-                    _region_from_doc(p, f"{path}.parts[{i}]")
-                    for i, p in enumerate(parts)
-                )
-            )
-    except (DomainError, EmptyRegion) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    if kind == "disk":
+        return _build(
+            path, Disk, c.get("center", "point"), c.get("radius_km", "number")
+        )
+    if kind == "annulus":
+        return _build(
+            path,
+            Annulus,
+            c.get("center", "point"),
+            c.get("r_inner", "number"),
+            c.get("r_outer", "number"),
+        )
+    if kind == "ellipse":
+        return _build(
+            path,
+            Ellipse,
+            c.get("center", "point"),
+            c.get("a_km", "number"),
+            c.get("b_km", "number"),
+            c.get("rotation_rad", "number", required=False, default=0.0),
+        )
+    if kind == "polygon":
+        verts = c.get("vertices", "list")
+        pts = []
+        for i, v in enumerate(verts):
+            p = _point(v)
+            if p is None:
+                c.fail(f"vertices[{i}]", "expected [x, y] of finite numbers")
+            pts.append(p)
+        return _build(path, Polygon, tuple(pts))
+    if kind == "intersection":
+        parts = c.get("parts", "list")
+        return _build(
+            path,
+            Intersection,
+            tuple(
+                _region_from_doc(p, f"{path}.parts[{i}]")
+                for i, p in enumerate(parts)
+            ),
+        )
     c.fail("type", f"unknown region type {kind!r}")
 
 
 def scenario_from_doc(doc) -> Scenario:
     """Validated scenario from a plain-JSON document.
+
+    The document's types and shapes are checked here; every range and
+    consistency rule is the constructor's, reported under the path of
+    the object it builds.
 
     Raises:
         SchemaError: naming the offending field by dotted path.
@@ -372,51 +425,34 @@ def scenario_from_doc(doc) -> Scenario:
     victim = root.get("victim_bs", "point")
 
     ch = root.sub("channel")
-    eta = ch.get("eta", "number")
-    if not 0 < eta <= 1:
-        ch.fail("eta", "must be in (0, 1]")
-    alpha = ch.get("alpha", "number")
-    if not alpha > 0:
-        ch.fail("alpha", "must be > 0")
-    sigma_shad = ch.get("sigma_shad_db", "number")
-    if not sigma_shad > 0:
-        ch.fail("sigma_shad_db", "must be > 0")
-    d_min = ch.get("d_min_km", "number")
-    if d_min < 0:
-        ch.fail("d_min_km", "must be >= 0")
-    channel = ChannelParams(
+    channel = _build(
+        "channel",
+        ChannelParams,
         a_db=ch.get("a_db", "number"),
-        alpha=alpha,
+        alpha=ch.get("alpha", "number"),
         p0_dbm=ch.get("p0_dbm", "number"),
-        eta=eta,
-        sigma_shad_db=sigma_shad,
-        d_min_km=d_min,
+        eta=ch.get("eta", "number"),
+        sigma_shad_db=ch.get("sigma_shad_db", "number"),
+        d_min_km=ch.get("d_min_km", "number"),
     )
 
     fd = root.sub("fading")
-    fkind = fd.get("kind", "string")
-    if fkind not in ("none", "rayleigh", "rician"):
-        fd.fail("kind", f"unknown fading kind {fkind!r}")
-    gamma = fd.get("gamma", "number", required=(fkind == "rician"))
-    if fkind == "rician":
-        if gamma < 0 or not math.isfinite(gamma):
-            fd.fail("gamma", "must be finite and >= 0")
-        fading = FadingModel("rician", gamma)
-    else:
-        if gamma is not None:
-            fd.fail("gamma", "only applies to rician fading")
-        fading = FadingModel(fkind)
+    fading = _build(
+        "fading",
+        FadingModel,
+        fd.get("kind", "string"),
+        fd.get("gamma", "number", required=False),
+    )
 
     bd = root.sub("bound")
-    try:
-        bound = BoundParams(
-            omega=bd.get("omega", "number"),
-            p=bd.get("p", "int"),
-            k1=bd.get("k1", "number"),
-            k2=bd.get("k2", "number"),
-        )
-    except DomainError as exc:
-        raise SchemaError(f"bound: {exc}") from exc
+    bound = _build(
+        "bound",
+        BoundParams,
+        omega=bd.get("omega", "number"),
+        p=bd.get("p", "int"),
+        k1=bd.get("k1", "number"),
+        k2=bd.get("k2", "number"),
+    )
 
     cell_docs = root.get("cells", "list")
     if not cell_docs:
@@ -429,18 +465,15 @@ def scenario_from_doc(doc) -> Scenario:
         bs = cc.get("bs", "point")
         region = _region_from_doc(cc.get("region", "object"), f"{path}.region")
         dd = cc.sub("density")
-        dkind = dd.get("kind", "string")
-        if dkind not in ("uniform", "inverse_radial"):
-            dd.fail("kind", f"unknown density kind {dkind!r}")
-        origin = dd.get("origin", "point", required=(dkind == "inverse_radial"))
-        if dkind == "uniform" and origin is not None:
-            dd.fail("origin", "only applies to inverse_radial")
-        cells.append(Cell(cid, bs, region, UeDensity(dkind, origin)))
+        density = _build(
+            f"{path}.density",
+            UeDensity,
+            dd.get("kind", "string"),
+            dd.get("origin", "point", required=False),
+        )
+        cells.append(Cell(cid, bs, region, density))
 
-    try:
-        return Scenario(victim, tuple(cells), channel, fading, bound)
-    except (DomainError, EmptyRegion) as exc:
-        raise SchemaError(str(exc)) from exc
+    return _build("", Scenario, victim, tuple(cells), channel, fading, bound)
 
 
 def load_scenario(path) -> Scenario:
@@ -455,8 +488,8 @@ def load_scenario(path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path) -> None:
-    """Write a scenario as indented UTF-8 JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a scenario as indented UTF-8 JSON, atomically."""
+    with atomic_open(path) as fh:
         json.dump(scenario_to_doc(scenario), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

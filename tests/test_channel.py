@@ -18,7 +18,6 @@ from ulfit.channel import (
     fading_gain_db_pdf,
     fading_moments,
     path_loss,
-    sample_fading_db,
     sample_fading_db_block,
     shadow_stats,
 )
@@ -263,7 +262,6 @@ def test_discrete_char_fn_direct_path():
 def test_sample_none_always_zero():
     rng = np.random.default_rng(0)
     model = FadingModel("none")
-    assert sample_fading_db(model, rng) == 0.0
     assert (sample_fading_db_block(model, rng, 10) == 0.0).all()
 
 
@@ -302,12 +300,16 @@ def test_draw_budget():
 
 
 def test_block_matches_scalar_stream():
+    # One block of n draws equals n blocks of one draw from the same
+    # stream: what slicing a simulation into spans relies on.
     for model in (FadingModel("rayleigh"), FadingModel("rician", 7.0)):
         r1 = np.random.default_rng(123)
         block = sample_fading_db_block(model, r1, 64)
         r2 = np.random.default_rng(123)
-        scalar = np.array([sample_fading_db(model, r2) for _ in range(64)])
-        np.testing.assert_allclose(block, scalar, rtol=1e-15)
+        singles = np.concatenate(
+            [sample_fading_db_block(model, r2, 1) for _ in range(64)]
+        )
+        np.testing.assert_allclose(block, singles, rtol=1e-15)
 
 
 def test_block_consumes_exact_budget():

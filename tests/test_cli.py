@@ -344,6 +344,19 @@ def test_exit_code_2_paths(ws, scen_path, sim_path):
     )
 
 
+def test_non_finite_scenario_exits_2(ws, scen_path, capsys):
+    # json reads NaN; the loader rejects it before any numeric work.
+    doc = json.loads(scen_path.read_text())
+    doc["channel"]["p0_dbm"] = float("nan")
+    nan_p0 = ws / "nan_p0.json"
+    nan_p0.write_text(json.dumps(doc))
+    out = ws / "nan_fit.json"
+    assert main(["fit", "--scenario", str(nan_p0), "--out", str(out)]) == 2
+    assert "channel.p0_dbm" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(ws.glob("nan_fit*")) == []
+
+
 def test_exit_code_3_numeric(ws):
     # Lens of two almost-disjoint disks: valid schema, unusable measure.
     lens = Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0)))

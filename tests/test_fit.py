@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from ulfit.bound import LStats
 from ulfit.channel import ChannelParams, FadingModel, shadow_stats
 from ulfit.errors import DomainError, NoConvergence
 from ulfit.fit import (
+    _GH_NODES,
+    _GH_WEIGHTS,
+    _PROBES,
     ZETA,
     GaussianFit,
-    MgfFitConfig,
     PowerLognormalFit,
     approx_mgf,
     gaussian_step1,
@@ -59,33 +62,15 @@ def test_power_lognormal_fit_validation():
         PowerLognormalFit(1.0, -100.0, 0.0)
 
 
-def test_mgf_config_validation():
-    with pytest.raises(DomainError):
-        MgfFitConfig(s1=0.001, s2=0.001)
-    with pytest.raises(DomainError):
-        MgfFitConfig(s1=-0.001)
-    with pytest.raises(DomainError):
-        MgfFitConfig(m0=6)
-    with pytest.raises(DomainError):
-        MgfFitConfig(m0=12, gh_nodes=((1.0, 2.0), (0.5, 0.5)))
-
-
 def test_gh_nodes_quadrature_exactness():
     # weights sum to sqrt(pi); rule is exact through degree 23
-    a, w = map(np.asarray, MgfFitConfig().gh_nodes)
+    a, w = _GH_NODES, _GH_WEIGHTS
     assert w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
     for m in range(1, 12):
         moment = float(np.sum(w * a ** (2 * m))) * 2.0**m / math.sqrt(math.pi)
         exact = float(np.prod(np.arange(1, 2 * m, 2, dtype=float)))
         assert moment == pytest.approx(exact, rel=1e-12)
     assert float(np.sum(w * a**7)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_gh_nodes_match_recurrence():
-    a, w = map(np.asarray, MgfFitConfig().gh_nodes)
-    ah, wh = np.polynomial.hermite.hermgauss(12)
-    np.testing.assert_allclose(a, ah, atol=1e-12)
-    np.testing.assert_allclose(w, wh, rtol=1e-10)
 
 
 def test_gaussian_step1_arithmetic():
@@ -121,33 +106,29 @@ def test_gaussian_step2_rician_ten():
 
 
 def test_approx_mgf_degenerate_sigma():
-    cfg = MgfFitConfig()
-    val = approx_mgf(-90.0, 0.0, 0.01, cfg)
+    val = approx_mgf(-90.0, 0.0, 0.01)
     assert val == pytest.approx(math.exp(-0.01 * 10.0 ** (-9.0)), rel=1e-14)
 
 
 def test_approx_mgf_small_s_limit():
-    cfg = MgfFitConfig()
-    assert approx_mgf(-90.0, 100.0, 1e-15, cfg) == pytest.approx(1.0, abs=1e-9)
+    assert approx_mgf(-90.0, 100.0, 1e-15) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(DomainError):
-        approx_mgf(-90.0, 100.0, 0.0, cfg)
+        approx_mgf(-90.0, 100.0, 0.0)
 
 
 def test_approx_mgf_monte_carlo_weak_cell():
-    cfg = MgfFitConfig()
     rng = np.random.default_rng(19)
     q = rng.normal(-97.1, math.sqrt(205.3), 10_000_000)
     emp = np.exp(-0.001 * 10.0 ** (q / 10.0)).mean()
-    assert abs(approx_mgf(-97.1, 205.3, 0.001, cfg) - emp) < 1e-3
+    assert abs(approx_mgf(-97.1, 205.3, 0.001) - emp) < 1e-3
 
 
 def test_approx_mgf_monte_carlo_strong_cell():
     # a regime where the MGF is far from 1, so the check has teeth
-    cfg = MgfFitConfig()
     rng = np.random.default_rng(29)
     q = rng.normal(0.0, 5.0, 10_000_000)
     emp = np.exp(-0.5 * 10.0 ** (q / 10.0)).mean()
-    assert abs(approx_mgf(0.0, 25.0, 0.5, cfg) - emp) < 2e-3
+    assert abs(approx_mgf(0.0, 25.0, 0.5) - emp) < 2e-3
 
 
 def test_solve_sum_stats_single_fit_self_match():
@@ -244,19 +225,19 @@ def test_toy3_pins_match_mpmath_oracle():
 def test_power_lognormal_mean_match():
     # Location rule: the power lognormal keeps the matched lognormal X's
     # MGF deficit at the first probe, stated against P0.
-    cfg = MgfFitConfig()
-    fit = power_lognormal_fit(TOY3, P0, cfg)
-    mu_x, sigma_x = solve_sum_stats(TOY3, P0, cfg)
+    s1 = _PROBES[0]
+    fit = power_lognormal_fit(TOY3, P0)
+    mu_x, sigma_x = solve_sum_stats(TOY3, P0)
 
     def deficit(pdf):
-        g = lambda q: -math.expm1(-cfg.s1 * 10.0 ** ((q - P0) / 10.0)) * pdf(q)
+        g = lambda q: -math.expm1(-s1 * 10.0 ** ((q - P0) / 10.0)) * pdf(q)
         return quad(g, -400.0, 200.0, points=[mu_x, fit.mu_q], limit=400, epsabs=0)[0]
 
     d_q = deficit(lambda q: powln_pdf_db(q, fit))
     d_x = deficit(lambda q: powln_pdf_db(q, PowerLognormalFit(1.0, mu_x, sigma_x**2)))
     assert d_q == pytest.approx(d_x, rel=1e-8)
     # X meets the sum's 12-node target at s1 to the rule's accuracy.
-    target = 1.0 - math.prod(approx_mgf(f.mu - P0, f.sigma2, cfg.s1, cfg) for f in TOY3)
+    target = 1.0 - math.prod(approx_mgf(f.mu - P0, f.sigma2, s1) for f in TOY3)
     assert d_x == pytest.approx(target, rel=1e-2)
 
 
@@ -266,9 +247,17 @@ def test_power_lognormal_lambda_identity():
 
 
 def test_lambda_permutation_invariance():
-    lam = power_lognormal_fit(TOY3, P0).lam
-    lam_rev = power_lognormal_fit(list(reversed(TOY3)), P0).lam
-    assert lam_rev == pytest.approx(lam, rel=1e-12)
+    # The order of the cells does not matter: all six orders of TOY3.
+    base_x = solve_sum_stats(TOY3, P0)
+    base = power_lognormal_fit(TOY3, P0)
+    for order in itertools.permutations(TOY3):
+        mu_x, sigma_x = solve_sum_stats(list(order), P0)
+        fit = power_lognormal_fit(list(order), P0)
+        assert mu_x == pytest.approx(base_x[0], rel=1e-12)
+        assert sigma_x == pytest.approx(base_x[1], rel=1e-12)
+        assert fit.lam == pytest.approx(base.lam, rel=1e-12)
+        assert fit.mu_q == pytest.approx(base.mu_q, rel=1e-12)
+        assert fit.sigma_q2 == pytest.approx(base.sigma_q2, rel=1e-12)
 
 
 def test_lambda_homogeneous_identity():
@@ -309,9 +298,10 @@ def test_linear_regime_probes_raise():
         solve_sum_stats(TOY3, 0.0)
     with pytest.raises(NoConvergence, match="linear regime"):
         power_lognormal_fit([GaussianFit(-94.6, 174.2)], 0.0)
-    # Probes too small for the sum's size are linear against P0 as well.
+    # Probes too small for the sum's size are linear as well: a reference
+    # 60 dB above P0 scales both probes by 1e-6.
     with pytest.raises(NoConvergence, match="linear regime"):
-        solve_sum_stats(TOY3, P0, MgfFitConfig(s1=1e-9, s2=5e-9))
+        solve_sum_stats(TOY3, P0 + 60.0)
 
 
 @pytest.mark.parametrize("p_ref", [-90.0, -76.0, -60.0])

@@ -17,10 +17,10 @@ from ulfit.geometry import (
     effective_region,
     normalize_density,
     region_integral,
-    sample_position,
-    sample_positions,
+    rejection_envelope,
     ue_domain,
 )
+from ulfit.montecarlo import _positions_slice
 
 
 def test_contains_disk():
@@ -274,12 +274,17 @@ def test_empty_intersection_raises_lazily():
         normalize_density(reg, UeDensity("uniform"))
 
 
+def _sample(region, density, seed, n):
+    """n positions from the package's sampler, draw indices [0, n)."""
+    box, floor = rejection_envelope(region, density)
+    return _positions_slice(region, density, box, floor, 0, seed, 0, n)
+
+
 def test_ue_domain_excludes_both_stations():
     serving = (0.015, 0.0)
     victim = (0.0, 0.0)
     dom = ue_domain(Disk(serving, 0.012), serving, victim, 0.005)
-    rng = np.random.default_rng(3)
-    pts = sample_positions(dom, UeDensity("uniform"), rng, 100_000)
+    pts = _sample(dom, UeDensity("uniform"), 3, 100_000)
     d_serv = np.hypot(pts[:, 0] - serving[0], pts[:, 1] - serving[1])
     d_vict = np.hypot(pts[:, 0] - victim[0], pts[:, 1] - victim[1])
     assert d_serv.min() >= 0.005
@@ -288,8 +293,7 @@ def test_ue_domain_excludes_both_stations():
 
 
 def test_sample_uniform_disk_mean():
-    rng = np.random.default_rng(11)
-    pts = sample_positions(Disk((0.5, -0.25), 1.0), UeDensity("uniform"), rng, 1_000_000)
+    pts = _sample(Disk((0.5, -0.25), 1.0), UeDensity("uniform"), 11, 1_000_000)
     # per-coordinate sigma = R/2
     tol = 3.0 * 0.5 / 1000.0
     assert abs(pts[:, 0].mean() - 0.5) < tol
@@ -300,8 +304,7 @@ def test_sample_inverse_radial_radius_cdf_linear():
     # P[rho <= t] = (t - r0)/(R - r0) under W/rho on a centered annulus
     a, b = 0.2, 1.1
     reg = Annulus((0.0, 0.0), a, b)
-    rng = np.random.default_rng(17)
-    pts = sample_positions(reg, UeDensity("inverse_radial", (0.0, 0.0)), rng, 1_000_000)
+    pts = _sample(reg, UeDensity("inverse_radial", (0.0, 0.0)), 17, 1_000_000)
     rho = np.sort(np.hypot(pts[:, 0], pts[:, 1]))
     model = (rho - a) / (b - a)
     emp_hi = np.arange(1, rho.size + 1) / rho.size
@@ -315,30 +318,23 @@ def test_sample_moments_match_quadrature():
     reg = Disk((0.3, 0.0), 1.0)
     den = UeDensity("uniform")
     qmean, qvar, _, _ = density_profile(reg, den, lambda p: p[:, 0])
-    rng = np.random.default_rng(23)
-    pts = sample_positions(reg, den, rng, 1_000_000)
+    pts = _sample(reg, den, 23, 1_000_000)
     se = math.sqrt(qvar / 1_000_000)
     assert abs(pts[:, 0].mean() - qmean) < 5.0 * se
 
 
-def test_sample_position_single():
-    reg = Disk((0.0, 0.0), 0.5)
-    p = sample_position(reg, UeDensity("uniform"), np.random.default_rng(1))
-    assert p.shape == (2,)
-    assert contains(reg, p)
-
-
 def test_sampling_stall():
-    # lens of two nearly-tangent disks: tiny area inside a tall bbox
+    # lens of two nearly-tangent disks: tiny area inside a tall bbox; enough
+    # draws that 2e6 proposals at acceptance below 1e-6 come first
     reg = Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0)))
     with pytest.raises(SamplingStall):
-        sample_positions(reg, UeDensity("uniform"), np.random.default_rng(2), 4)
+        _sample(reg, UeDensity("uniform"), 2, 100_000)
 
 
 def test_inverse_radial_origin_on_region_rejected():
     reg = Disk((0.0, 0.0), 1.0)
     with pytest.raises(DomainError):
-        sample_positions(reg, UeDensity("inverse_radial", (0.0, 0.0)), np.random.default_rng(3), 2)
+        rejection_envelope(reg, UeDensity("inverse_radial", (0.0, 0.0)))
 
 
 def test_density_kind_validation():
@@ -346,3 +342,5 @@ def test_density_kind_validation():
         UeDensity("gaussian")
     with pytest.raises(DomainError):
         UeDensity("inverse_radial")  # origin required
+    with pytest.raises(DomainError):
+        UeDensity("uniform", (0.0, 0.0))  # origin only for inverse_radial

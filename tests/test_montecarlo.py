@@ -180,6 +180,18 @@ def test_aggregate_matches_manual_sum():
     np.testing.assert_array_equal(s.values, expected)
 
 
+def test_aggregate_cell_order_invariance():
+    # The order of the cells does not matter: each cell keeps its own
+    # streams, and only the order of the mW sum changes.
+    lay = build_hotspot_layout(3, 0.01, 2)
+    rev = Scenario(
+        lay.victim_bs, lay.cells[::-1], lay.channel, lay.fading, lay.bound
+    )
+    a = simulate_aggregate(lay, 10_000, 5)
+    b = simulate_aggregate(rev, 10_000, 5)
+    np.testing.assert_allclose(b.values, a.values, rtol=1e-12, atol=0)
+
+
 def test_aggregate_single_cell_equivalence(bread):
     cell = bread.cells[0]
     agg = simulate_aggregate(bread, 400, 9)
@@ -274,19 +286,22 @@ def test_ks_matches_scipy():
     assert mine == pytest.approx(ref, abs=1e-12)
 
 
-def test_ks_scalar_cdf_fallback():
-    vals = np.linspace(-1.0, 2.0, 50)
-    s = SampleSet(vals, 50, 0)
+def test_ks_requires_vectorized_cdf():
+    s = SampleSet(np.linspace(-1.0, 2.0, 50), 50, 0)
+    # A wrong output shape is refused, not retried point by point.
+    with pytest.raises(DomainError):
+        ks_distance(EmpiricalCdf(s), lambda x: 0.5)
+    with pytest.raises(DomainError):
+        ks_distance(EmpiricalCdf(s), lambda x: np.zeros(49))
 
     def scalar_cdf(v):
-        if v < 0.0:
+        if v < 0.0:  # an array here has no truth value: ValueError
             return 0.0
         return min(float(v), 1.0)
 
-    vector_cdf = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    assert ks_distance(EmpiricalCdf(s), scalar_cdf) == ks_distance(
-        EmpiricalCdf(s), vector_cdf
-    )
+    # The CDF's own exception propagates.
+    with pytest.raises(ValueError):
+        ks_distance(EmpiricalCdf(s), scalar_cdf)
 
 
 def test_ks_self_drawn_within_dkw():

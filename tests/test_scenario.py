@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 
 import numpy as np
@@ -345,6 +346,49 @@ def test_schema_scenario_invariants():
     }
     with pytest.raises(SchemaError):
         scenario_from_doc(doc)
+
+
+_NON_FINITE = {
+    "channel.p0_dbm": lambda d: d["channel"].update(p0_dbm=math.nan),
+    "channel.a_db": lambda d: d["channel"].update(a_db=math.inf),
+    # An integer literal too large for a float.
+    "channel.alpha": lambda d: d["channel"].update(alpha=10**400),
+    "bound.k1": lambda d: d["bound"].update(k1=math.inf),
+    "victim_bs": lambda d: d.update(victim_bs=[math.nan, 0.0]),
+    # The canonical region intersects a square, a disk and an ellipse.
+    "cells[0].region.parts[1].radius_km": (
+        lambda d: d["cells"][0]["region"]["parts"][1].update(radius_km=math.inf)
+    ),
+}
+
+
+@pytest.mark.parametrize("path, mutate", _NON_FINITE.items(), ids=list(_NON_FINITE))
+def test_schema_rejects_non_finite(tmp_path, path, mutate):
+    # json accepts NaN and Infinity; the loader must not.
+    doc = _valid_doc()
+    mutate(doc)
+    scen = tmp_path / "scen.json"
+    scen.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_scenario(scen)
+    assert str(err.value).startswith(f"{path}:")
+
+
+def test_save_scenario_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "scen.json"
+    save_scenario(build_single_cell(0.01, "uniform", RAYLEIGH), path)
+    before = path.read_bytes()
+
+    def failing_dump(obj, fh, **kwargs):
+        text = json.dumps(obj, **kwargs)
+        fh.write(text[: len(text) // 2])
+        raise RuntimeError("write interrupted")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(RuntimeError):
+        save_scenario(build_single_cell(0.02, "uniform", RAYLEIGH), path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_load_scenario_parse_error(tmp_path):
