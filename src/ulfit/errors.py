@@ -14,7 +14,7 @@ class EmptyRegion(UlfitError):
 
 
 class QuadratureFailure(UlfitError):
-    """Grid refinement hit its cap without the estimates settling."""
+    """Quadrature refinement hit its node cap without the estimates settling."""
 
 
 class SamplingStall(UlfitError):

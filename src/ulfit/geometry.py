@@ -2,20 +2,38 @@
 
 Coverage areas are built from a small set of primitives (disk, polygon,
 ellipse, annulus) plus intersection. All membership tests are vectorized
-over arrays of points. Integration against a user density uses a masked
-tensor grid over the bounding box with midpoint nodes, refined by doubling
-until successive estimates settle. For sampling, this module provides the
-pieces of the rejection step (the envelope and the accept test of a block
-of proposals); the position sampler itself is montecarlo._positions_slice,
+over arrays of points. For sampling, this module provides the pieces of
+the rejection step (the envelope and the accept test of a block of
+proposals); the position sampler itself is montecarlo._positions_slice,
 which draws the proposals from counter-based streams.
 
-Grid refinement targets a 1e-7 relative change between successive levels.
-Masked boundary cells limit the achievable rate on curved regions, so the
-engine accepts the finest-level estimate when the final change is below
-1e-4 relative and raises QuadratureFailure only beyond that. The ladder is
-deterministic for a given region and density. One ladder serves every
-entry point: it evaluates the integrand once per masked node of each level
-it visits, and the integrand must be vectorized over an (n, 2) block.
+Integration against a user density is polar. Every primitive returns the
+exact radial intervals that rays from a polar origin cut from it (the
+roots of a quadratic for disks, annuli and ellipses, the edge crossings
+for polygons), and an intersection intersects those interval lists. The
+origin is the density's own origin for "inverse_radial", where the kernel
+1/rho cancels the polar Jacobian, and for "uniform" the center of the
+region's first annulus in part order, which in a ue_domain region is the
+serving-station carve (the bounding-box center if there is no annulus).
+
+In theta the circle is cut into panels at the angles where an interval
+endpoint changes the boundary piece that defines it: polygon vertices,
+tangencies and boundary crossings. They are found by bisection between
+neighbouring scan angles whose piece labels differ. The scan is a fixed
+fan plus the direction of every vertex and of every circle or ellipse
+center, so that a piece narrower than the fan is still seen. Inside a
+panel the integrand is smooth in theta except for square-root behaviour
+at a tangency end, which the substitution
+theta = a + (b - a)(3 s^2 - 2 s^3) turns smooth in s.
+
+Each panel is integrated by composite 16-point Gauss-Legendre rules, in s
+and in r on every interval. Both double their pieces until every tracked
+sum changes by less than _REL_TOL of its scale (the integral of its
+absolute value) divided by the panel count; a panel still changing at
+_MAX_PIECES pieces raises QuadratureFailure. The rule is deterministic
+for a given region and density. One engine serves every entry point: it
+evaluates the integrand once per node of each level it visits, and the
+integrand must be vectorized over an (n, 2) block.
 """
 
 from __future__ import annotations
@@ -42,10 +60,19 @@ __all__ = [
     "region_integral",
 ]
 
-_LEVELS = (64, 128, 256, 512, 1024, 2048, 4096)
 _REL_TOL = 1e-7
-_CAP_REL_TOL = 1e-4
-_CHUNK_ROWS = 256
+# Pieces per panel before QuadratureFailure: 256 nodes in theta, and 256
+# in r on each interval. Every cell of the test suite settles at 4 pieces
+# or fewer.
+_MAX_PIECES = 16
+# Scan fan for panel breaks, and bisection steps: a scan gap of at most
+# 2 pi / 1024 halved 48 times is below one ulp of 2 pi.
+_SCAN = 1024
+_BISECT_STEPS = 48
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# Endpoint labels besides the boundary-piece indices (>= 0).
+_EMPTY = -1
+_AT_ORIGIN = -2
 
 
 def _as_point(p, name: str = "point") -> tuple[float, float]:
@@ -53,6 +80,66 @@ def _as_point(p, name: str = "point") -> tuple[float, float]:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"{name}: coordinates must be finite")
     return (x, y)
+
+
+def _roots(b, cc):
+    """Ordered roots of r^2 + 2 b r + cc = 0, (inf, inf) where none are real.
+
+    A double root, a tangent ray, counts as no crossing. The larger root in
+    magnitude is formed first so the other avoids cancellation.
+    """
+    disc = b * b - cc
+    hit = disc > 0
+    q = -(b + np.copysign(np.sqrt(np.where(hit, disc, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        other = cc / q
+    lo = np.where(hit, np.minimum(q, other), np.inf)
+    hi = np.where(hit, np.maximum(q, other), np.inf)
+    return lo, hi
+
+
+def _pack(lo, hi, llo, lhi):
+    """Interval columns per ray; empty ones become (inf, inf) labelled _EMPTY."""
+    lo, hi = np.column_stack(lo), np.column_stack(hi)
+    llo, lhi = np.column_stack(llo), np.column_stack(lhi)
+    empty = ~(lo < hi)
+    lo[empty] = hi[empty] = np.inf
+    llo[empty] = lhi[empty] = _EMPTY
+    return lo, hi, llo, lhi
+
+
+def _convex_span(lo, hi, label):
+    """The one interval of a convex piece from its boundary roots, cut at r = 0."""
+    return _pack(
+        [np.maximum(lo, 0.0)],
+        [hi],
+        [np.where(lo > 0, label, _AT_ORIGIN)],
+        [np.full(hi.shape, label)],
+    )
+
+
+def _meet(a, b):
+    """Per-ray intersection of two interval sets, sorted, empties last.
+
+    Each interval of the result starts at a distinct start of a or b, so
+    ka + kb columns hold it.
+    """
+    alo, ahi, allo, alhi = (x[:, :, None] for x in a)
+    blo, bhi, bllo, blhi = (x[:, None, :] for x in b)
+    n, ka, kb = alo.shape[0], alo.shape[1], blo.shape[2]
+    shape = (n, ka * kb)
+    lo, hi, llo, lhi = _pack(
+        [np.maximum(alo, blo).reshape(shape)],
+        [np.minimum(ahi, bhi).reshape(shape)],
+        [np.where(alo >= blo, allo, bllo).reshape(shape)],
+        [np.where(ahi <= bhi, alhi, blhi).reshape(shape)],
+    )
+    order = np.argsort(lo, axis=1, kind="stable")[:, : min(ka * kb, ka + kb)]
+    return tuple(np.take_along_axis(x, order, axis=1) for x in (lo, hi, llo, lhi))
+
+
+def _direction(o, p):
+    return math.atan2(p[1] - o[1], p[0] - o[0])
 
 
 @dataclass(frozen=True)
@@ -75,6 +162,21 @@ class Disk:
         cx, cy = self.center
         r = self.radius_km
         return (cx - r, cy - r, cx + r, cy + r)
+
+    def _ray(self, o, c, s):
+        px, py = o[0] - self.center[0], o[1] - self.center[1]
+        lo, hi = _roots(c * px + s * py, px * px + py * py - self.radius_km**2)
+        return _convex_span(lo, hi, 0)
+
+    def _pieces(self):
+        return 1
+
+    def _directions(self, o):
+        return [_direction(o, self.center)]
+
+    def _gap(self, o):
+        dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
+        return max(dist - self.radius_km, 0.0)
 
 
 @dataclass(frozen=True)
@@ -101,6 +203,35 @@ class Annulus:
         cx, cy = self.center
         r = self.r_outer
         return (cx - r, cy - r, cx + r, cy + r)
+
+    def _ray(self, o, c, s):
+        # Labels: 0 the inner circle, 1 the outer. The outer disk's interval
+        # [start, ohi] loses the open hole (ilo, ihi): what precedes the hole
+        # and what follows it.
+        px, py = o[0] - self.center[0], o[1] - self.center[1]
+        b, d2 = c * px + s * py, px * px + py * py
+        olo, ohi = _roots(b, d2 - self.r_outer**2)
+        ilo, ihi = _roots(b, d2 - self.r_inner**2)
+        start = np.maximum(olo, 0.0)
+        start_label = np.where(olo > 0, 1, _AT_ORIGIN)
+        return _pack(
+            [start, np.maximum(start, ihi)],
+            [np.minimum(ohi, ilo), ohi],
+            [start_label, np.where(ihi > start, 0, start_label)],
+            [np.where(ilo < ohi, 0, 1), np.full(ohi.shape, 1)],
+        )
+
+    def _pieces(self):
+        return 2
+
+    def _directions(self, o):
+        return [_direction(o, self.center)]
+
+    def _gap(self, o):
+        dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
+        if dist < self.r_inner:
+            return self.r_inner - dist
+        return max(dist - self.r_outer, 0.0)
 
 
 @dataclass(frozen=True)
@@ -133,6 +264,32 @@ class Ellipse:
         ex = math.hypot(self.a_km * c, self.b_km * s)
         ey = math.hypot(self.a_km * s, self.b_km * c)
         return (cx - ex, cy - ey, cx + ex, cy + ey)
+
+    def _unit_map(self):
+        """M with the ellipse = {p : |M (p - center)| <= 1}."""
+        c, s = math.cos(self.rotation_rad), math.sin(self.rotation_rad)
+        return np.array([[c, s], [-s, c]]) / np.array([[self.a_km], [self.b_km]])
+
+    def _ray(self, o, c, s):
+        m = self._unit_map()
+        u0, v0 = m @ (np.asarray(o) - self.center)
+        eu = m[0, 0] * c + m[0, 1] * s
+        ev = m[1, 0] * c + m[1, 1] * s
+        a = eu * eu + ev * ev
+        lo, hi = _roots((u0 * eu + v0 * ev) / a, (u0 * u0 + v0 * v0 - 1.0) / a)
+        return _convex_span(lo, hi, 0)
+
+    def _pieces(self):
+        return 1
+
+    def _directions(self, o):
+        return [_direction(o, self.center)]
+
+    def _gap(self, o):
+        # |M (o - center)| - 1 is the gap in unit-disk coordinates, and M
+        # stretches no distance by more than 1 / min(a, b).
+        p = self._unit_map() @ (np.asarray(o) - self.center)
+        return max(min(self.a_km, self.b_km) * (math.hypot(*p) - 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -205,6 +362,54 @@ class Polygon:
         ys = [v[1] for v in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
 
+    def _ray(self, o, c, s):
+        # Crossing number along each ray. Edge i (label i) crosses the ray's
+        # line when its ends lie strictly on different sides, a vertex on
+        # the line counting as the negative side: a ray through a vertex
+        # then crosses once where the boundary passes and zero or two times
+        # where it only touches. An odd count of crossings at r > 0 puts
+        # the origin inside, and the intervals start at r = 0.
+        v = np.asarray(self.vertices) - o
+        w = np.roll(v, -1, axis=0)
+        side = c[:, None] * v[:, 1] - s[:, None] * v[:, 0]
+        side_next = c[:, None] * w[:, 1] - s[:, None] * w[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = side / (side - side_next)
+            r = c[:, None] * (v[:, 0] + t * (w[:, 0] - v[:, 0])) + s[:, None] * (
+                v[:, 1] + t * (w[:, 1] - v[:, 1])
+            )
+        r = np.where(((side > 0) != (side_next > 0)) & (r > 0), r, np.inf)
+        label = np.argsort(r, axis=1, kind="stable")
+        r = np.take_along_axis(r, label, axis=1)
+        inside = np.isfinite(r).sum(axis=1) % 2 == 1
+        nv = len(self.vertices)
+        ends = np.full((len(c), 2 * ((nv + 2) // 2)), np.inf)
+        labels = np.full(ends.shape, _EMPTY)
+        ends[inside, 0], labels[inside, 0] = 0.0, _AT_ORIGIN
+        ends[inside, 1 : nv + 1], labels[inside, 1 : nv + 1] = r[inside], label[inside]
+        ends[~inside, :nv], labels[~inside, :nv] = r[~inside], label[~inside]
+        return _pack(
+            [ends[:, 0::2]], [ends[:, 1::2]], [labels[:, 0::2]], [labels[:, 1::2]]
+        )
+
+    def _pieces(self):
+        return len(self.vertices)
+
+    def _directions(self, o):
+        return [_direction(o, v) for v in self.vertices]
+
+    def _gap(self, o):
+        if contains(self, o):
+            return 0.0
+        vs = self.vertices
+        best = math.inf
+        for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+            dx, dy = x1 - x0, y1 - y0
+            t = ((o[0] - x0) * dx + (o[1] - y0) * dy) / (dx * dx + dy * dy)
+            t = min(max(t, 0.0), 1.0)
+            best = min(best, math.hypot(o[0] - x0 - t * dx, o[1] - y0 - t * dy))
+        return best
+
 
 @dataclass(frozen=True)
 class Intersection:
@@ -234,6 +439,27 @@ class Intersection:
             raise EmptyRegion("intersection bounding boxes are disjoint")
         return (xmin, ymin, xmax, ymax)
 
+    def _ray(self, o, c, s):
+        out = None
+        base = 0
+        for part in self.parts:
+            lo, hi, llo, lhi = part._ray(o, c, s)
+            # Shift the part's piece labels past those of earlier parts.
+            llo = np.where(llo >= 0, llo + base, llo)
+            lhi = np.where(lhi >= 0, lhi + base, lhi)
+            base += part._pieces()
+            out = (lo, hi, llo, lhi) if out is None else _meet(out, (lo, hi, llo, lhi))
+        return out
+
+    def _pieces(self):
+        return sum(p._pieces() for p in self.parts)
+
+    def _directions(self, o):
+        return [d for p in self.parts for d in p._directions(o)]
+
+    def _gap(self, o):
+        return max(p._gap(o) for p in self.parts)
+
 
 Region = Disk | Polygon | Ellipse | Annulus | Intersection
 
@@ -260,14 +486,6 @@ class UeDensity:
             object.__setattr__(self, "origin", _as_point(self.origin, "origin"))
         elif self.origin is not None:
             raise DomainError("origin: only applies to inverse_radial")
-
-    def _kernel(self, x, y):
-        if self.kind == "uniform":
-            return np.ones(np.shape(x))
-        ox, oy = self.origin
-        rho = np.hypot(x - ox, y - oy)
-        with np.errstate(divide="ignore"):
-            return np.where(rho > 0, 1.0 / rho, np.inf)
 
 
 def contains(region: Region, p) -> bool | np.ndarray:
@@ -332,100 +550,171 @@ def effective_region(region: Region, bs, d_min: float) -> Region:
     return Intersection((region, Annulus(bs, d_min, far)))
 
 
-def _grid_axes(box, m):
-    xmin, ymin, xmax, ymax = box
-    hx = (xmax - xmin) / m
-    hy = (ymax - ymin) / m
-    xs = xmin + (np.arange(m) + 0.5) * hx
-    ys = ymin + (np.arange(m) + 0.5) * hy
-    return xs, ys, hx * hy
+def _first_annulus(region):
+    if isinstance(region, Annulus):
+        return region
+    if isinstance(region, Intersection):
+        for part in region.parts:
+            found = _first_annulus(part)
+            if found is not None:
+                return found
+    return None
 
 
-def _level_sums(region, density, field, profile, m):
-    """Masked midpoint sums at one grid level.
+def _polar_origin(region: Region, density: UeDensity) -> tuple[float, float]:
+    """The polar origin of the quadrature (see the module docstring)."""
+    if density.kind == "inverse_radial":
+        return density.origin
+    carve = _first_annulus(region)
+    if carve is not None:
+        return carve.center
+    xmin, ymin, xmax, ymax = bounding_box(region)
+    return (0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
 
-    Returns (kernel_sum, field_sums, cell_area, any_mass, chunks). The field
-    is evaluated once per masked node. field_sums holds the kernel-weighted
-    sum of its values and, for a profile, of their squares; a profile also
-    keeps each chunk's (kernel weights, field values) in chunks. Rows are
-    processed in fixed-size chunks so peak memory stays flat; chunking does
-    not change the summation order between runs.
+
+def _labels(region, origin, theta):
+    """Per-ray endpoint labels: equal rows share their boundary pieces."""
+    _, _, llo, lhi = region._ray(origin, np.cos(theta), np.sin(theta))
+    return np.concatenate((llo, lhi), axis=1)
+
+
+def _panels(region: Region, origin) -> np.ndarray:
+    """(P, 2) theta panels, consecutive around the circle, cut at label changes.
+
+    Raises:
+        EmptyRegion: if no scan ray meets the region.
     """
-    box = bounding_box(region)
-    xs, ys, dA = _grid_axes(box, m)
-    kernel_sum = 0.0
-    acc = [] if field is None else [0.0 + 0.0j] * (2 if profile else 1)
-    chunks = []
-    any_mass = False
-    for lo in range(0, m, _CHUNK_ROWS):
-        yy = ys[lo : lo + _CHUNK_ROWS]
-        X, Y = np.meshgrid(xs, yy, indexing="xy")
-        mask = region._mask(X, Y)
-        if not mask.any():
-            continue
-        any_mass = True
-        xf = X[mask]
-        yf = Y[mask]
-        w = density._kernel(xf, yf)
-        kernel_sum += float(w.sum())
-        if field is None:
-            continue
-        v = np.asarray(field(np.column_stack((xf, yf))))
+    two_pi = 2.0 * math.pi
+    fan = two_pi * np.arange(_SCAN) / _SCAN
+    scan = np.unique(np.concatenate((fan, np.mod(region._directions(origin), two_pi))))
+    # Midpoints too, so each gap between special directions has a sample.
+    mids = scan + 0.5 * np.diff(scan, append=scan[0] + two_pi)
+    scan = np.unique(np.mod(np.concatenate((scan, mids)), two_pi))
+    labels = _labels(region, origin, scan)
+    if (labels == _EMPTY).all():
+        raise EmptyRegion("no ray from the polar origin meets the region")
+    changed = (labels != np.roll(labels, -1, axis=0)).any(axis=1)
+    a = scan[changed]
+    b = np.append(scan[1:], scan[0] + two_pi)[changed]
+    ref = labels[changed]
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (a + b)
+        same = (_labels(region, origin, mid) == ref).all(axis=1)
+        a, b = np.where(same, mid, a), np.where(same, b, mid)
+    breaks = np.sort(np.mod(b, two_pi))
+    if breaks.size == 0:
+        return np.array([[0.0, two_pi]])
+    return np.column_stack((breaks, np.append(breaks[1:], breaks[0] + two_pi)))
+
+
+def _panel_sums(ids, x, count):
+    if np.iscomplexobj(x):
+        return np.bincount(ids, x.real, count) + 1j * np.bincount(ids, x.imag, count)
+    return np.bincount(ids, x, count)
+
+
+def _composite(pieces):
+    """Composite 16-point Gauss-Legendre rule on [0, 1] with equal pieces."""
+    s = ((np.arange(pieces)[:, None] + 0.5 * (_GL_X + 1.0)) / pieces).ravel()
+    return s, np.tile(_GL_W, pieces) / (2.0 * pieces)
+
+
+def _level(region, density, origin, field, moments, panels, pieces):
+    """One rule level: ``pieces`` pieces in s on each panel and in each interval.
+
+    Returns (sums, scales, weights, values, panel ids). sums[q] holds each
+    panel's integral of kernel * field**q for q < moments, scales[q] that
+    of kernel * |field|**q; weights, values and ids describe the nodes.
+    """
+    s, ws = _composite(pieces)
+    start, width = panels[:, :1], panels[:, 1:] - panels[:, :1]
+    theta = (start + width * (s * s * (3.0 - 2.0 * s))).ravel()
+    wtheta = (width * (6.0 * s * (1.0 - s) * ws)).ravel()
+    panel_of = np.repeat(np.arange(len(panels)), s.size)
+
+    c, sn = np.cos(theta), np.sin(theta)
+    lo, hi, _, _ = region._ray(origin, c, sn)
+    row, col = np.nonzero(lo < hi)
+    lo, length = lo[row, col, None], hi[row, col, None] - lo[row, col, None]
+    r = lo + length * s
+    w = length * ws * wtheta[row, None]
+    if density.kind == "uniform":
+        w = w * r
+    pts = np.column_stack(
+        (
+            (origin[0] + r * c[row, None]).ravel(),
+            (origin[1] + r * sn[row, None]).ravel(),
+        )
+    )
+    w = w.ravel()
+    ids = np.repeat(panel_of[row], s.size)
+
+    v = None
+    if field is not None:
+        v = np.asarray(field(pts)) if w.size else np.zeros(0)
         if v.shape != w.shape:
             raise DomainError(
                 f"integrand returned shape {v.shape} for {w.size} points; "
                 "it must be vectorized over an (n, 2) block"
             )
-        acc[0] += complex(np.sum(w * v))
-        if profile:
-            acc[1] += complex(np.sum(w * v**2))
-            chunks.append((w, v))
-    return kernel_sum, acc, dA, any_mass, chunks
+    count = len(panels)
+    sums = [_panel_sums(ids, w, count).astype(complex)]
+    scales = [sums[0].real]
+    term = w
+    for _ in range(1, moments):
+        term = term * v
+        sums.append(_panel_sums(ids, term, count).astype(complex))
+        scales.append(np.bincount(ids, np.abs(term), count))
+    return np.array(sums), np.array(scales), w, v, ids
 
 
-def _integrate_ladder(region, density, field=None, profile=False):
-    """Doubling-ladder quadrature shared by every integral entry point.
+def _integrate(region, density, field=None, profile=False):
+    """Panel quadrature shared by every integral entry point.
 
     ``field`` maps an (n, 2) block of points to n values and is evaluated
-    once per masked node. Returns (values, mass_integral, chunks): values
-    holds the density average of the field (empty without a field) and,
-    for a profile, of its square; mass_integral is the plain integral of
-    the density kernel (for normalization constants); and, for a profile,
-    chunks are the accepted level's (kernel weights, field values) blocks
-    (empty otherwise).
+    once per node of each level. Returns (values, mass_integral, nodes):
+    values holds the density average of the field (empty without a field)
+    and, for a profile, of its square; mass_integral is the plain integral
+    of the density kernel (for normalization constants); and, for a
+    profile, nodes is (kernel weights, field values) of every panel's
+    accepted level (None otherwise).
     """
-    prev_vals = None
-    prev_mass = None
-    final_rel = math.inf
-    for m in _LEVELS:
-        # Drop the previous level's blocks before building this level's.
-        chunks = None
-        kernel_sum, acc, dA, any_mass, chunks = _level_sums(
-            region, density, field, profile, m
-        )
-        if not any_mass:
-            if m == _LEVELS[-1]:
-                raise EmptyRegion("region has no area at the finest grid")
-            continue
-        vals = [a / kernel_sum for a in acc]
-        mass = kernel_sum * dA
-        if prev_vals is not None:
-            rels = [
-                abs(v - pv) / max(abs(v), 1e-30)
-                for v, pv in zip(vals, prev_vals)
-            ]
-            rels.append(abs(mass - prev_mass) / max(abs(mass), 1e-30))
-            final_rel = max(rels)
-            if final_rel < _REL_TOL:
-                break
-        prev_vals, prev_mass = vals, mass
-    else:
-        if final_rel > _CAP_REL_TOL:
+    origin = _polar_origin(region, density)
+    panels = _panels(region, origin)
+    moments = 1 if field is None else (3 if profile else 2)
+    npan = len(panels)
+    best, best_scale, *_ = _level(region, density, origin, field, moments, panels, 1)
+    active = np.arange(npan)
+    prev = best.copy()
+    kept = []
+    pieces = 1
+    while active.size:
+        pieces *= 2
+        if pieces > _MAX_PIECES:
             raise QuadratureFailure(
-                f"estimates still changing by {final_rel:.3e} relative at the "
-                f"{_LEVELS[-1]}x{_LEVELS[-1]} cap"
+                f"{active.size} of {npan} theta panels still changing at "
+                f"{16 * _MAX_PIECES} nodes; last relative change {rel:.3e}"
             )
-    return vals, mass, chunks
+        cur, scale, w, v, ids = _level(
+            region, density, origin, field, moments, panels[active], pieces
+        )
+        best[:, active], best_scale[:, active] = cur, scale
+        total = best_scale.sum(axis=1, keepdims=True)
+        change = np.abs(cur - prev)
+        done = (change <= _REL_TOL * total / npan).all(axis=0)
+        rel = float((change * npan / np.maximum(total, 1e-300)).max())
+        if profile:
+            keep = done[ids]
+            kept.append((w[keep], v[keep]))
+        active, prev = active[~done], cur[:, ~done]
+    sums = best.sum(axis=1)
+    mass = sums[0].real
+    if not mass > 0:
+        raise EmptyRegion("region carries no mass under the density")
+    nodes = None
+    if profile:
+        nodes = tuple(np.concatenate(x) for x in zip(*kept))
+    return [x / mass for x in sums[1:]], mass, nodes
 
 
 def ue_domain(region: Region, serving_bs, victim_bs, d_min: float) -> Region:
@@ -451,12 +740,11 @@ def density_profile(
 ):
     """Distribution of a scalar field under the density, plus moments.
 
-    Runs the usual convergence ladder on the field's first two moments,
-    evaluating the field once per masked node of each level visited, then
-    reduces the accepted level's nodes, kept from that same pass, to
-    ``nbins`` weight-preserving bins (weighted mean as the representative
-    value, so the first moment of the binned distribution is exact). Peak
-    memory holds one level's kernel weights and field values.
+    Runs the panel quadrature on the field's first two moments, evaluating
+    the field once per node of each level visited, then reduces the
+    accepted level's nodes, kept from that same pass, to ``nbins``
+    weight-preserving bins (weighted mean as the representative value, so
+    the first moment of the binned distribution is exact).
 
     Args:
         region: effective region.
@@ -470,25 +758,18 @@ def density_profile(
     Raises:
         QuadratureFailure, EmptyRegion: as for region_integral.
     """
-    (m1, m2), _, chunks = _integrate_ladder(
-        region, density, value_fn, profile=True
-    )
+    (m1, m2), _, (w, v) = _integrate(region, density, value_fn, profile=True)
     mean = m1.real
     var = max(m2.real - mean * mean, 0.0)
 
     # Bin the accepted level's nodes; their field values are already known.
-    lo = min(float(v.min()) for _, v in chunks)
-    hi = max(float(v.max()) for _, v in chunks)
+    lo, hi = float(v.min()), float(v.max())
     if not hi > lo:
         # Degenerate field: a single bin carries all the mass.
         return mean, var, np.array([1.0]), np.array([mean])
-    width = (hi - lo) / nbins
-    wsum = np.zeros(nbins)
-    vsum = np.zeros(nbins)
-    for w, v in chunks:
-        idx = np.minimum(((v - lo) / width).astype(np.intp), nbins - 1)
-        wsum += np.bincount(idx, weights=w, minlength=nbins)
-        vsum += np.bincount(idx, weights=w * v, minlength=nbins)
+    idx = np.minimum(((v - lo) / ((hi - lo) / nbins)).astype(np.intp), nbins - 1)
+    wsum = np.bincount(idx, weights=w, minlength=nbins)
+    vsum = np.bincount(idx, weights=w * v, minlength=nbins)
     keep = wsum > 0
     weights = wsum[keep]
     values = vsum[keep] / weights
@@ -506,10 +787,10 @@ def normalize_density(region: Region, density: UeDensity) -> float:
         W with unit 1/km^2 (uniform) or 1/km (inverse_radial).
 
     Raises:
-        QuadratureFailure: if the grid ladder does not settle.
-        EmptyRegion: if the region carries no area.
+        QuadratureFailure: if a theta panel does not settle.
+        EmptyRegion: if no ray from the polar origin meets the region.
     """
-    _, mass, _ = _integrate_ladder(region, density)
+    _, mass, _ = _integrate(region, density)
     return 1.0 / mass
 
 
@@ -517,47 +798,17 @@ def region_integral(region: Region, density: UeDensity, integrand) -> complex:
     """Integral of ``integrand`` against the normalized density.
 
     The integrand must be vectorized: it maps an (n, 2) block of points to
-    n values. Evaluated as a ratio of masked-grid sums, so the constant
-    integrand returns exactly 1 at every level.
+    n values. Evaluated as a ratio of quadrature sums over the same nodes,
+    so the constant integrand returns 1 to rounding.
 
     Raises:
         DomainError: if the integrand returns any other shape.
-        QuadratureFailure, EmptyRegion: if the grid ladder does not settle
-            or the region carries no area. Exceptions the integrand raises
-            propagate unchanged.
+        QuadratureFailure, EmptyRegion: if a theta panel does not settle
+            or no ray from the polar origin meets the region. Exceptions
+            the integrand raises propagate unchanged.
     """
-    vals, _, _ = _integrate_ladder(region, density, integrand)
+    vals, _, _ = _integrate(region, density, integrand)
     return vals[0]
-
-
-def _rho_floor(region: Region, origin) -> float:
-    """Lower bound on distance from origin to the region.
-
-    Used to build the rejection envelope for inverse_radial densities. The
-    effective-region pipeline always yields an annulus carve around the
-    origin, which gives the exact bound d_min; other shapes fall back to a
-    conservative grid scan.
-    """
-    ox, oy = origin
-    if isinstance(region, Annulus) and region.center == (ox, oy):
-        return region.r_inner
-    if isinstance(region, Intersection):
-        best = 0.0
-        for part in region.parts:
-            if isinstance(part, Annulus) and part.center == (ox, oy):
-                best = max(best, part.r_inner)
-        if best > 0:
-            return best
-    xmin, ymin, xmax, ymax = bounding_box(region)
-    m = 512
-    xs, ys, _ = _grid_axes((xmin, ymin, xmax, ymax), m)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    mask = region._mask(X, Y)
-    if not mask.any():
-        raise EmptyRegion("region has no area at the envelope scan grid")
-    rho = np.hypot(X[mask] - ox, Y[mask] - oy)
-    diag = math.hypot((xmax - xmin) / m, (ymax - ymin) / m)
-    return max(float(rho.min()) - diag, 0.0)
 
 
 def rejection_envelope(region: Region, density: UeDensity):
@@ -565,13 +816,16 @@ def rejection_envelope(region: Region, density: UeDensity):
 
     Returns (bounding box, rho floor). The floor is the envelope constant's
     denominator for inverse_radial densities (sup density = W / floor) and
-    None for uniform ones. Raises DomainError for an inverse_radial
-    density whose origin touches the region.
+    None for uniform ones. It is a lower bound on the distance from the
+    density origin to the region: exact for disks, annuli and polygons,
+    min(a, b) times the gap in unit-disk coordinates for ellipses, and the
+    largest bound of the parts for intersections. Raises DomainError for an
+    inverse_radial density whose origin touches the region.
     """
     box = bounding_box(region)
     if density.kind != "inverse_radial":
         return box, None
-    floor = _rho_floor(region, density.origin)
+    floor = region._gap(density.origin)
     if floor <= 0:
         raise DomainError(
             "inverse_radial density is unbounded: origin touches the region"

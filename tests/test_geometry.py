@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ulfit.errors import DomainError, EmptyRegion, SamplingStall
+from ulfit.channel import FadingModel
+from ulfit import geometry
+from ulfit.errors import DomainError, EmptyRegion, QuadratureFailure, SamplingStall
 from ulfit.geometry import (
     Annulus,
     Disk,
@@ -20,7 +22,9 @@ from ulfit.geometry import (
     rejection_envelope,
     ue_domain,
 )
+from ulfit.geometry import _integrate
 from ulfit.montecarlo import _positions_slice
+from ulfit.scenario import build_single_cell
 
 
 def test_contains_disk():
@@ -124,14 +128,30 @@ def test_effective_region_offcenter_carve():
 
 def test_normalize_uniform_disk():
     w = normalize_density(Disk((0.3, -0.1), 0.7), UeDensity("uniform"))
-    assert w == pytest.approx(1.0 / (math.pi * 0.7**2), rel=1e-6)
+    assert w == pytest.approx(1.0 / (math.pi * 0.7**2), rel=1e-12)
 
 
 def test_normalize_inverse_radial_annulus():
     # int W/rho over the annulus = W * 2 pi (R - r0)
     reg = Annulus((0.0, 0.0), 0.2, 1.1)
     w = normalize_density(reg, UeDensity("inverse_radial", (0.0, 0.0)))
-    assert w == pytest.approx(1.0 / (2.0 * math.pi * (1.1 - 0.2)), rel=1e-5)
+    assert w == pytest.approx(1.0 / (2.0 * math.pi * (1.1 - 0.2)), rel=1e-12)
+
+
+def test_normalize_uniform_nonconvex_polygon_is_shoelace_area():
+    # Two slanted bars joined on the left, with a spike that puts the
+    # bounding-box center, the polar origin, at (2, 2) in the lower bar.
+    # Rays upward leave the lower bar and re-enter the upper one; the ray
+    # towards the vertex (1, 3) runs on through the vertex (0, 4).
+    vs = (
+        (3.0, 0.0), (4.0, 0.0), (4.0, 2.5), (1.0, 2.3), (1.0, 3.0),
+        (4.0, 3.2), (4.0, 4.0), (0.0, 4.0), (0.0, 1.5), (3.0, 1.6),
+    )
+    area = 0.5 * sum(
+        x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])
+    )
+    w = normalize_density(Polygon(vs), UeDensity("uniform"))
+    assert 1.0 / w == pytest.approx(area, rel=1e-12)
 
 
 def test_normalize_self_consistency_monte_carlo():
@@ -234,38 +254,49 @@ def test_region_integral_rejects_wrong_shape():
 
 
 def test_density_profile_evaluates_each_node_once():
-    # A trigonometric field on its full period: the midpoint sums of the
-    # field and its square are exact from the first level, so the ladder
-    # stops at the second. Every node of the unit square is masked.
+    # From the square's center, its polar origin, the four vertex
+    # directions cut four panels with one radial interval per ray. The
+    # trigonometric field settles at the first comparison: one call on
+    # 4 x 16 x 16 nodes, then one on the 4 x 32 x 32 nodes of the accepted
+    # level.
     square = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
 
     def field(p):
         return np.sin(2 * math.pi * p[:, 0]) * np.cos(2 * math.pi * p[:, 1]) + 2.0
 
-    evaluated = []
+    blocks = []
 
     def counted(p):
-        evaluated.append(len(p))
+        blocks.append(p.copy())
         return field(p)
 
     nbins = 64
     mean, var, wts, vals = density_profile(
         square, UeDensity("uniform"), counted, nbins=nbins
     )
-    assert sum(evaluated) == 64**2 + 128**2
+    assert [len(b) for b in blocks] == [4 * 16 * 16, 4 * 32 * 32]
     assert mean == pytest.approx(2.0, abs=1e-12)
     assert var == pytest.approx(0.25, abs=1e-12)
-    # The bins are those of a plain re-binning of the 128 x 128 level.
-    xs = (np.arange(128) + 0.5) / 128
-    X, Y = np.meshgrid(xs, xs, indexing="xy")
-    v = field(np.column_stack((X.ravel(), Y.ravel())))
+    # The bins are those of a plain re-binning of the accepted level's nodes.
+    _, mass, (w, v) = _integrate(square, UeDensity("uniform"), field, profile=True)
+    assert mass == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_array_equal(v, field(blocks[-1]))
     lo, hi = v.min(), v.max()
     idx = np.minimum(((v - lo) / ((hi - lo) / nbins)).astype(np.intp), nbins - 1)
-    wsum = np.bincount(idx, minlength=nbins).astype(float)
-    vsum = np.bincount(idx, weights=v, minlength=nbins)
+    wsum = np.bincount(idx, weights=w, minlength=nbins)
+    vsum = np.bincount(idx, weights=w * v, minlength=nbins)
     keep = wsum > 0
     np.testing.assert_array_equal(wts, wsum[keep] / wsum[keep].sum())
     np.testing.assert_array_equal(vals, vsum[keep] / wsum[keep])
+
+
+def test_unsettled_panel_raises(monkeypatch):
+    # With no tolerance left no panel settles, and the node cap raises
+    # instead of accepting the last estimate.
+    monkeypatch.setattr(geometry, "_REL_TOL", 0.0)
+    reg = Intersection((Disk((0.0, 0.0), 1.0), Ellipse((0.5, 0.2), 0.9, 0.3, 0.3)))
+    with pytest.raises(QuadratureFailure):
+        normalize_density(reg, UeDensity("uniform"))
 
 
 def test_empty_intersection_raises_lazily():
@@ -335,6 +366,69 @@ def test_inverse_radial_origin_on_region_rejected():
     reg = Disk((0.0, 0.0), 1.0)
     with pytest.raises(DomainError):
         rejection_envelope(reg, UeDensity("inverse_radial", (0.0, 0.0)))
+
+
+def test_rejection_floor_reaches_thin_needle():
+    # A needle from a far square reaches to 0.05 km of the origin. A floor
+    # above 0.05 would accept every proposal in the needle, so draws there
+    # would follow a flat law instead of 1/rho.
+    reg = Polygon(
+        (
+            (0.5, -0.5), (1.5, -0.5), (1.5, 0.5), (0.5, 0.5),
+            (0.5, 0.0005), (0.05, 0.0), (0.5, -0.0005),
+        )
+    )
+    _, floor = rejection_envelope(reg, UeDensity("inverse_radial", (0.0, 0.0)))
+    assert 0.0 < floor <= 0.05
+
+
+@pytest.mark.parametrize(
+    "region, exact",
+    [
+        (Disk((0.3, 0.4), 0.2), 0.3),
+        (Annulus((0.1, 0.0), 0.5, 0.8), 0.4),
+        (Annulus((1.0, 0.0), 0.2, 0.5), 0.5),
+        (Polygon(((0.2, -0.1), (0.6, -0.1), (0.6, 0.3), (0.2, 0.3))), 0.2),
+        (Ellipse((0.8, 0.5), 0.4, 0.1, math.radians(30.0)), None),
+        (
+            Intersection(
+                (
+                    Intersection(
+                        (Disk((0.9, 0.0), 0.8), Annulus((0.0, 0.0), 0.25, 2.0))
+                    ),
+                    Ellipse((0.6, 0.1), 0.7, 0.3, 0.4),
+                )
+            ),
+            None,
+        ),
+    ],
+)
+def test_rejection_floor_is_a_distance_lower_bound(region, exact):
+    # The floor never exceeds the distance to any point of the region, and
+    # equals it for disks, annuli and polygons; a nested intersection takes
+    # the largest bound of its parts (here the annulus's 0.25).
+    _, floor = rejection_envelope(region, UeDensity("inverse_radial", (0.0, 0.0)))
+    xmin, ymin, xmax, ymax = bounding_box(region)
+    u = np.random.default_rng(7).random((200_000, 2))
+    pts = np.column_stack(
+        (xmin + u[:, 0] * (xmax - xmin), ymin + u[:, 1] * (ymax - ymin))
+    )
+    rho = np.hypot(*pts[contains(region, pts)].T)
+    assert 0.0 < floor <= rho.min()
+    if exact is not None:
+        assert floor == pytest.approx(exact, rel=1e-12)
+    if isinstance(region, Intersection):
+        assert floor == 0.25
+
+
+@pytest.mark.parametrize("r", [0.01, 0.02, 0.04])
+def test_inverse_radial_bread_floor_is_d_min(r):
+    # ue_domain nests the serving-station carve inside the victim carve.
+    scen = build_single_cell(r, "inverse_radial", FadingModel("none"))
+    cell = scen.cells[0]
+    dom = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
+    _, floor = rejection_envelope(dom, cell.density)
+    assert floor == scen.channel.d_min_km == 0.005
 
 
 def test_density_kind_validation():
