@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .channel import (
     ChannelParams,
@@ -105,13 +104,6 @@ class BoundReport:
     sigma_l2: float
 
 
-def _erfc(x):
-    """erfc with exact zero beyond argument 30 (values < 1e-392)."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > 30.0, 0.0, special.erfc(np.minimum(x, 30.0)))
-    return float(out) if out.ndim == 0 else out
-
-
 def l_stats(cell, victim_bs, params: ChannelParams) -> LStats:
     """Coupling-gain statistics of one cell against the victim station.
 
@@ -143,13 +135,13 @@ def l_stats(cell, victim_bs, params: ChannelParams) -> LStats:
 
 def delta0(omega: float, p: int, k: float) -> float:
     """Residual bound of the truncated erfc Fourier series at offset k."""
-    lead = (2.0 / (math.sqrt(math.pi) * omega)) * _erfc((2 * p + 1) * omega)
-    return lead + _erfc(math.pi / (2.0 * omega) - k)
+    lead = (2.0 / (math.sqrt(math.pi) * omega)) * math.erfc((2 * p + 1) * omega)
+    return lead + math.erfc(math.pi / (2.0 * omega) - k)
 
 
 def delta1(omega: float, p: int) -> float:
     """Worst-case series residual without the offset cancellation."""
-    lead = (2.0 / (math.sqrt(math.pi) * omega)) * _erfc((2 * p + 1) * omega)
+    lead = (2.0 / (math.sqrt(math.pi) * omega)) * math.erfc((2 * p + 1) * omega)
     return lead + 2.0
 
 
@@ -193,7 +185,7 @@ def epsilon3(k1: float) -> float:
     """Asymptotic-window component; decreasing in k1."""
     if not k1 > 0:
         raise DomainError("k1 must be positive")
-    return 1.0 / k1**2 + 0.5 * _erfc(k1)
+    return 1.0 / k1**2 + 0.5 * math.erfc(k1)
 
 
 def step1_bound(

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
 
 from .channel import FadingModel, ShadowStats, fading_moments
 from .errors import DomainError, NoConvergence, QuadratureFailure
@@ -198,7 +198,8 @@ def solve_sum_stats(fits, p_ref_dbm: float) -> tuple[float, float]:
 
     Raises:
         NoConvergence: when kappa exceeds 1e4 (the probes sit in the
-            linear regime), or when Newton stalls or uses 200 iterations.
+            linear regime), when Newton stalls or uses 200 iterations, or
+            when an iterate's sigma_X^2 overflows.
     """
     if not fits:
         raise DomainError("at least one fit is required")
@@ -217,7 +218,14 @@ def solve_sum_stats(fits, p_ref_dbm: float) -> tuple[float, float]:
     ]
 
     def system(x):
-        sig2 = math.exp(2.0 * x[1])
+        # sigma_X^2 overflows only on a diverging iterate, as when the sum
+        # sits far above P_ref and both deficits are near 1.
+        try:
+            sig2 = math.exp(2.0 * x[1])
+        except OverflowError:
+            raise NoConvergence(
+                f"MGF match diverged: ln sigma_X reached {float(x[1]):.3e}"
+            ) from None
         r = np.empty(2)
         jac = np.empty((2, 2))
         for k, (s, c) in enumerate(zip(_PROBES, targets)):
@@ -361,10 +369,101 @@ def power_lognormal_fit(fits, p_ref_dbm: float) -> PowerLognormalFit:
     return PowerLognormalFit(lam, 0.5 * (lo + hi) + p_ref_dbm, sigma_q2)
 
 
+# Cody (1969, Math. Comp. 23) rational Chebyshev approximations, as in
+# his CALERF: erf(x) = x P(x^2) / Q(x^2) on |x| <= 0.5; erfcx(x) =
+# P(x) / Q(x) on 0.5 < x <= 4; erfcx(x) = (1 / sqrt(pi) - R(1 / x^2) / x^2) / x
+# beyond. Coefficients are listed from the constant term up.
+_ERF_P = (3.209377589138469472562e03, 3.774852376853020208137e02,
+          1.138641541510501556495e02, 3.161123743870565596947e00,
+          1.857777061846031526730e-01)
+_ERF_Q = (2.844236833439170622273e03, 1.282616526077372275645e03,
+          2.440246379344441733056e02, 2.360129095234412093499e01, 1.0)
+_ERFCX_MID_P = (1.23033935479799725272e03, 2.05107837782607146532e03,
+                1.71204761263407058314e03, 8.81952221241769090411e02,
+                2.98635138197400131132e02, 6.61191906371416294775e01,
+                8.88314979438837594118e00, 5.64188496988670089180e-01,
+                2.15311535474403846343e-08)
+_ERFCX_MID_Q = (1.23033935480374942043e03, 3.43936767414372163696e03,
+                4.36261909014324715820e03, 3.29079923573345962678e03,
+                1.62138957456669018874e03, 5.37181101862009857509e02,
+                1.17693950891312499305e02, 1.57449261107098347253e01, 1.0)
+_ERFCX_TAIL_P = (6.58749161529837803157e-04, 1.60837851487422766278e-02,
+                 1.25781726111229246204e-01, 3.60344899949804439429e-01,
+                 3.05326634961232344035e-01, 1.63153871373020978498e-02)
+_ERFCX_TAIL_Q = (2.33520497626869185443e-03, 6.05183413124413191178e-02,
+                 5.27905102951428412248e-01, 1.87295284992346725209e00,
+                 2.56852019228982242072e00, 1.0)
+
+
+def _ratio(x, p, q):
+    """p(x) / q(x) by Horner's rule, in place."""
+    num = np.full_like(x, p[-1])
+    den = np.full_like(x, q[-1])
+    for pk, qk in zip(p[-2::-1], q[-2::-1]):
+        num *= x
+        num += pk
+        den *= x
+        den += qk
+    num /= den
+    return num
+
+
+def _erfcx(x):
+    """exp(x^2) erfc(x) for x >= 0 by Cody's three rational forms."""
+    out = _ratio(np.clip(x, 0.5, 4.0), _ERFCX_MID_P, _ERFCX_MID_Q)
+    small = x <= 0.5
+    if small.any():
+        xs = x[small]
+        out[small] = np.exp(xs * xs) * (1.0 - xs * _ratio(xs * xs, _ERF_P, _ERF_Q))
+    big = x > 4.0
+    if big.any():
+        xb = x[big]
+        inv2 = (1.0 / xb) ** 2
+        tail = inv2 * _ratio(inv2, _ERFCX_TAIL_P, _ERFCX_TAIL_Q)
+        out[big] = (1.0 / math.sqrt(math.pi) - tail) / xb
+    return out
+
+
+# Points per block of _log_ndtr: its dozen temporaries then stay in cache,
+# which makes 1e6 points about 1.5x faster than one pass.
+_NDTR_BLOCK = 1 << 16
+
+
+def _log_ndtr(z):
+    """log Phi(z), vectorized, to about 1e-15 relative.
+
+    With q = erfc(|z| / sqrt 2) / 2 = erfcx(|z| / sqrt 2) exp(-z^2 / 2) / 2,
+    log Phi(z) is log q below 0, which never underflows, and log1p(-q)
+    from 0 up. Rounding z^2 / 2 costs exp(-z^2 / 2) about z^2 / 2 ulps,
+    so for z > 4 the exponential is split at z rounded to 1/16.
+    """
+    flat = np.asarray(z, dtype=float).reshape(-1)
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _NDTR_BLOCK):
+        out[i : i + _NDTR_BLOCK] = _log_ndtr_block(flat[i : i + _NDTR_BLOCK])
+    return out.reshape(np.shape(z))
+
+
+def _log_ndtr_block(z):
+    """_log_ndtr on a 1-D array."""
+    with np.errstate(divide="ignore", over="ignore"):
+        e = _erfcx(np.abs(z) / math.sqrt(2.0))
+        log_q = np.log(0.5 * e) - 0.5 * z * z
+    q = np.exp(log_q)
+    # Past z = 40, q underflows to 0 either way.
+    far = (z > 4.0) & (z < 40.0)
+    if far.any():
+        zf = z[far]
+        zr = np.trunc(16.0 * zf) / 16.0
+        split = np.exp(-0.5 * zr * zr) * np.exp(-0.5 * (zf - zr) * (zf + zr))
+        q[far] = 0.5 * e[far] * split
+    return np.where(z < 0.0, log_q, np.log1p(-q))
+
+
 def powln_cdf_db(q, fit: PowerLognormalFit):
     """CDF at q dBm."""
     z = (np.asarray(q, dtype=float) - fit.mu_q) / fit.sigma_q
-    out = np.exp(fit.lam * log_ndtr(z))
+    out = np.exp(fit.lam * _log_ndtr(z))
     return float(out) if out.ndim == 0 else out
 
 
@@ -375,7 +474,7 @@ def powln_pdf_db(q, fit: PowerLognormalFit):
     # underflows.
     logpdf = (
         math.log(fit.lam)
-        + (fit.lam - 1.0) * log_ndtr(z)
+        + (fit.lam - 1.0) * _log_ndtr(z)
         - 0.5 * z**2
         - 0.5 * math.log(2.0 * math.pi)
         - math.log(fit.sigma_q)
@@ -405,7 +504,7 @@ def tail_slope_diagnostic(fit: PowerLognormalFit, fits) -> dict:
     def slope(q):
         # d/dq Phi^{-1}(F_Q(q)) = f_Q(q) / phi(Phi^{-1}(F_Q(q))).
         f = powln_pdf_db(q, fit)
-        z = ndtri(powln_cdf_db(q, fit))
+        z = NormalDist().inv_cdf(powln_cdf_db(q, fit))
         return f / (math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
 
     upper_q = mu + 6.0 * sig

@@ -19,13 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .channel import (
     ChannelParams,
     FadingModel,
     coupling_gain_L,
     fading_draw_budget,
+    normal_pair,
     sample_fading_db_block,
 )
 from .errors import DomainError, ParseError, SamplingStall
@@ -134,9 +134,11 @@ def _cell_slice(
     )
     coupling = coupling_gain_L(pts, cell.bs, victim_bs, params)
 
+    # The serving and victim links' shadowing: one normal pair per draw.
     u_s = _skipped(seed, cell.id, "shadow", 2 * lo).random((m, 2))
-    s_bb = params.sigma_shad_db * ndtri(u_s[:, 0])
-    s_b1 = params.sigma_shad_db * ndtri(u_s[:, 1])
+    g_bb, g_b1 = normal_pair(u_s)
+    s_bb = params.sigma_shad_db * g_bb
+    s_b1 = params.sigma_shad_db * g_b1
 
     budget = fading_draw_budget(fading)
     gen_f = _skipped(seed, cell.id, "fading", budget * lo)

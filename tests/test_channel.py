@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma as complex_gamma
+from scipy.special import ndtr
 
 from ulfit.bound import BoundParams, epsilon2
 from ulfit.channel import (
     ChannelParams,
     FadingModel,
     _is_progression,
+    _log_i0,
     _nodes,
     coupling_gain_L,
     discrete_char_fn,
@@ -17,6 +19,7 @@ from ulfit.channel import (
     fading_draw_budget,
     fading_gain_db_pdf,
     fading_moments,
+    normal_pair,
     path_loss,
     sample_fading_db_block,
     shadow_stats,
@@ -257,6 +260,35 @@ def test_discrete_char_fn_direct_path():
     zero_d = discrete_char_fn(x, wts, np.array(0.3))
     assert zero_d.shape == (1,)
     assert discrete_char_fn(x, wts, np.array([])).shape == (0,)
+
+
+def test_log_i0_matches_mpmath():
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    # Both sides of the series switch at 1 and of the asymptotic switch
+    # at 700; the Rician pdf's support scan over [-80, 80] dB crosses both
+    # for every gamma above about 0.001.
+    z = np.concatenate(
+        [[0.0, 1e-300, 1e-8, 0.999999, 1.0, 699.999, 700.0, 700.001],
+         np.geomspace(1e-6, 1e4, 601)]
+    )
+    ref = [mp.log(mp.besseli(0, v)) for v in map(mp.mpf, z.tolist())]
+    np.testing.assert_allclose(
+        _log_i0(z), np.array(ref, dtype=float), rtol=1e-14, atol=0
+    )
+
+
+def test_normal_pair_is_two_independent_normals():
+    n = 200_000
+    g0, g1 = normal_pair(np.random.default_rng(2024).random((n, 2)))
+    radius = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))  # DKW at alpha 1e-6
+    for g in (g0, g1):
+        x = np.sort(g)
+        f = ndtr(x)
+        ks = max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+        assert ks <= radius
+    assert abs(np.corrcoef(g0, g1)[0, 1]) < 5.0 / math.sqrt(n)
 
 
 def test_sample_none_always_zero():

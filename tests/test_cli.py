@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,3 +387,23 @@ def test_exit_code_3_numeric(ws):
         ]
     )
     assert rc == 3
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy and the standard library are the only runtime dependencies;
+    # scipy is a test oracle. A fresh interpreter shows what importing
+    # the CLI pulls in.
+    src = str(Path(ulfit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, ulfit.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

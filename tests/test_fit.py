@@ -12,6 +12,7 @@ from ulfit.fit import (
     _GH_NODES,
     _GH_WEIGHTS,
     _PROBES,
+    _log_ndtr,
     ZETA,
     GaussianFit,
     PowerLognormalFit,
@@ -304,6 +305,18 @@ def test_linear_regime_probes_raise():
         solve_sum_stats(TOY3, P0 + 60.0)
 
 
+def test_diverging_match_raises_no_convergence():
+    # The sum sits 30-40 dB above the reference, so both deficits are
+    # near 1; Newton's line search drives sigma_X^2 past the float range.
+    fits = [
+        GaussianFit(-80.0, 200.0),
+        GaussianFit(-85.0, 205.0),
+        GaussianFit(-90.0, 198.0),
+    ]
+    with pytest.raises(NoConvergence):
+        solve_sum_stats(fits, -120.0)
+
+
 @pytest.mark.parametrize("p_ref", [-90.0, -76.0, -60.0])
 def test_power_lognormal_single_cell_is_the_cell(p_ref):
     g = GaussianFit(-97.1, 205.3)
@@ -359,6 +372,29 @@ def test_powln_cdf_shape():
     assert powln_cdf_db(-104.0, PowerLognormalFit(1.0, -104.0, 173.0)) == pytest.approx(
         0.5, rel=1e-14
     )
+
+
+def test_log_ndtr_matches_mpmath():
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    # A grid over the range plus the edges of Cody's three forms
+    # (|z| / sqrt 2 = 0.5 and 4) and of the split (z = 4).
+    z = np.concatenate(
+        [np.linspace(-38.0, 37.0, 1501), [-5.65685, -0.7071, 0.0, 0.7071, 4.0, 5.65686]]
+    )
+    # log Phi(z) for z > 0 is -Phi(-z) to first order; mp.log(ncdf(z))
+    # cancels every digit of it, log1p(-ncdf(-z)) none.
+    ref = [
+        mp.log(mp.ncdf(v)) if v <= 0 else mp.log1p(-mp.ncdf(-v))
+        for v in map(mp.mpf, z.tolist())
+    ]
+    np.testing.assert_allclose(
+        _log_ndtr(z), np.array(ref, dtype=float), rtol=2e-13, atol=0
+    )
+    assert _log_ndtr(np.inf) == 0.0
+    assert _log_ndtr(-np.inf) == -np.inf
+    assert np.isnan(_log_ndtr(np.nan))
 
 
 def test_powln_cdf_mw_change_of_variable():

@@ -118,9 +118,9 @@ def test_simulate_cell_frozen(bread):
     cell = bread.cells[0]
     s = simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 1000, 5)
     assert s.n == 1000 and s.seed == 5
-    assert s.values[0] == pytest.approx(-146.56193133809148, rel=1e-12)
-    assert s.values[-1] == pytest.approx(-48.502734063644326, rel=1e-12)
-    assert s.values.mean() == pytest.approx(-95.287564261600835, rel=1e-12)
+    assert s.values[0] == pytest.approx(-136.363468574677, rel=1e-12)
+    assert s.values[-1] == pytest.approx(-53.65671108883118, rel=1e-12)
+    assert s.values.mean() == pytest.approx(-96.19970513794769, rel=1e-12)
 
 
 def test_simulate_cell_validation(bread):
@@ -162,8 +162,8 @@ def test_same_seed_identical_new_seed_different(bread):
 def test_aggregate_frozen():
     lay5 = build_hotspot_layout(5, 0.01, 7)
     s = simulate_aggregate(lay5, 500, 11)
-    assert s.values[0] == pytest.approx(-123.50765415671496, rel=1e-12)
-    assert s.values.mean() == pytest.approx(-99.444694085771914, rel=1e-12)
+    assert s.values[0] == pytest.approx(-130.36064656849365, rel=1e-12)
+    assert s.values.mean() == pytest.approx(-98.5585019072665, rel=1e-12)
 
 
 def test_aggregate_matches_manual_sum():
