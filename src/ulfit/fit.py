@@ -61,6 +61,8 @@ ZETA = 10.0 / math.log(10.0)
 _PROBES = (0.001, 0.005)
 # 12-node Gauss-Hermite rule of the lognormal MGFs.
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(12)
+# 64-point Gauss-Legendre rule of each _powln_expect panel.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,7 @@ def _powln_expect(fit: PowerLognormalFit, g, rtol: float) -> float:
     """
     mu = fit.mu_q
     half = 12.0 * fit.sigma_q * (1.0 + abs(math.log(fit.lam)))
-    x, w = np.polynomial.legendre.leggauss(64)
+    x, w = _GL_X, _GL_W
     prev = None
     for panels in (8, 16, 32, 64, 128):
         edges = np.linspace(mu - half, mu + half, panels + 1)

@@ -5,7 +5,14 @@ ellipse, annulus) plus intersection. All membership tests are vectorized
 over arrays of points. For sampling, this module provides the pieces of
 the rejection step (the envelope and the accept test of a block of
 proposals); the position sampler itself is montecarlo._positions_slice,
-which draws the proposals from counter-based streams.
+which draws the proposals from counter-based streams. Each proposal
+reads 2 uniforms. For a uniform density it is a point of the region's
+bounding box. For an inverse_radial density it is a (rho, theta) pair
+uniform on [floor, reach] x [0, 2 pi) around the density origin, where
+floor and reach bound the distance from the origin to the region from
+below and above; since the kernel 1/rho cancels the polar Jacobian, that
+proposal already has the density's law, and the accept test is region
+membership alone.
 
 Integration against a user density is polar. Every primitive returns the
 exact radial intervals that rays from a polar origin cut from it (the
@@ -178,6 +185,10 @@ class Disk:
         dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
         return max(dist - self.radius_km, 0.0)
 
+    def _reach(self, o):
+        dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
+        return dist + self.radius_km
+
 
 @dataclass(frozen=True)
 class Annulus:
@@ -232,6 +243,10 @@ class Annulus:
         if dist < self.r_inner:
             return self.r_inner - dist
         return max(dist - self.r_outer, 0.0)
+
+    def _reach(self, o):
+        dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
+        return dist + self.r_outer
 
 
 @dataclass(frozen=True)
@@ -290,6 +305,10 @@ class Ellipse:
         # stretches no distance by more than 1 / min(a, b).
         p = self._unit_map() @ (np.asarray(o) - self.center)
         return max(min(self.a_km, self.b_km) * (math.hypot(*p) - 1.0), 0.0)
+
+    def _reach(self, o):
+        dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
+        return dist + max(self.a_km, self.b_km)
 
 
 @dataclass(frozen=True)
@@ -410,6 +429,9 @@ class Polygon:
             best = min(best, math.hypot(o[0] - x0 - t * dx, o[1] - y0 - t * dy))
         return best
 
+    def _reach(self, o):
+        return max(math.hypot(x - o[0], y - o[1]) for x, y in self.vertices)
+
 
 @dataclass(frozen=True)
 class Intersection:
@@ -459,6 +481,9 @@ class Intersection:
 
     def _gap(self, o):
         return max(p._gap(o) for p in self.parts)
+
+    def _reach(self, o):
+        return min(p._reach(o) for p in self.parts)
 
 
 Region = Disk | Polygon | Ellipse | Annulus | Intersection
@@ -812,40 +837,49 @@ def region_integral(region: Region, density: UeDensity, integrand) -> complex:
 
 
 def rejection_envelope(region: Region, density: UeDensity):
-    """Precomputed pieces of the rejection sampler.
+    """The rejection sampler's envelope: a box (lo, hi) in proposal coordinates.
 
-    Returns (bounding box, rho floor). The floor is the envelope constant's
-    denominator for inverse_radial densities (sup density = W / floor) and
-    None for uniform ones. It is a lower bound on the distance from the
-    density origin to the region: exact for disks, annuli and polygons,
-    min(a, b) times the gap in unit-disk coordinates for ellipses, and the
-    largest bound of the parts for intersections. Raises DomainError for an
-    inverse_radial density whose origin touches the region.
+    For a uniform density the coordinates are (x, y) and the box is the
+    region's bounding box. For an inverse_radial density they are
+    (rho, theta) around the density origin, where the kernel 1/rho cancels
+    the polar Jacobian, so a proposal uniform on
+    [floor, reach] x [0, 2 pi) has exactly the density's law before the
+    region test. The floor is a lower bound on the distance from the origin
+    to the region: exact for disks, annuli and polygons, min(a, b) times
+    the gap in unit-disk coordinates for ellipses, and the largest bound of
+    the parts for intersections. The reach is an upper bound: the center
+    distance plus the radius, r_outer or max(a, b) for disks, annuli and
+    ellipses, the largest vertex distance for polygons, and the smallest
+    bound of the parts for intersections. In both kinds the envelope's
+    kernel mass is (hi[0] - lo[0]) (hi[1] - lo[1]).
+
+    Raises:
+        DomainError: for an inverse_radial density whose origin touches
+            the region.
     """
-    box = bounding_box(region)
     if density.kind != "inverse_radial":
-        return box, None
+        xmin, ymin, xmax, ymax = bounding_box(region)
+        return (xmin, ymin), (xmax, ymax)
     floor = region._gap(density.origin)
     if floor <= 0:
         raise DomainError(
             "inverse_radial density is unbounded: origin touches the region"
         )
-    return box, floor
+    return (floor, 0.0), (region._reach(density.origin), 2.0 * math.pi)
 
 
-def proposal_block(region: Region, density: UeDensity, box, floor, u3):
-    """Map a (n, 3) block of uniforms to proposals and their acceptance.
+def proposal_block(region: Region, density: UeDensity, lo, hi, u):
+    """Map columns 0 and 1 of a block of uniforms to proposals and their acceptance.
 
-    Uniform densities ignore the third coordinate but still consume it, so
-    the draw count per proposal is fixed. Returns (points, accepted mask).
+    Row i is lo + u[i, :2] (hi - lo) in the envelope's coordinates (see
+    rejection_envelope), turned into an (x, y) point, and is accepted when
+    the point lies in the region; nothing else is tested, so each proposal
+    reads exactly 2 variates. Returns (points, accepted mask).
     """
-    xmin, ymin, xmax, ymax = box
-    pts = np.column_stack(
-        (xmin + u3[:, 0] * (xmax - xmin), ymin + u3[:, 1] * (ymax - ymin))
-    )
-    ok = contains(region, pts)
-    if floor is not None:
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    q = lo + u[:, :2] * (hi - lo)
+    if density.kind == "inverse_radial":
+        rho, theta = q[:, 0], q[:, 1]
         ox, oy = density.origin
-        rho = np.hypot(pts[:, 0] - ox, pts[:, 1] - oy)
-        ok &= u3[:, 2] * rho <= floor
-    return pts, ok
+        q = np.column_stack((ox + rho * np.cos(theta), oy + rho * np.sin(theta)))
+    return q, contains(region, q)

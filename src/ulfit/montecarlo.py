@@ -9,10 +9,17 @@ per rejection round ("pos:0", "pos:1", ...) so that an index's proposal
 sequence never depends on how many other indices are still pending.
 _positions_slice is the package's one position sampler; geometry supplies
 its rejection envelope and the accept test of each block of proposals.
+A proposal reads 2 variates: a point uniform in the region's bounding box
+for uniform densities, and for inverse_radial ones a (rho, theta) pair
+uniform on [floor, reach] x [0, 2 pi) around the density origin, which
+has the 1/rho law exactly, so the only test is membership of the region.
+On a hotspot disk cell that envelope is the serving-station annulus
+itself, and nearly every proposal is accepted in the first round.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -45,9 +52,10 @@ __all__ = [
 ]
 
 _SLICE = 250_000
-_MAX_ROUNDS = 100_000
-_STALL_PROPOSALS = 2_000_000
-_STALL_RATE = 1e-6
+# Stall rule of _positions_slice: the pilot block's size, and the smallest
+# share of it that a cell must accept.
+_PILOT = 1 << 16
+_MIN_ACCEPTANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -89,32 +97,54 @@ def _skipped(seed: int, cell_id: int, tag: str, offset: int):
     return gen
 
 
-def _positions_slice(region, density, box, floor, cell_id, seed, lo, m):
+@functools.lru_cache(maxsize=256)
+def _envelope(region, density):
+    """(lo, hi, acceptance) of a region's rejection envelope.
+
+    The acceptance is the accepted share of a fixed pilot block of _PILOT
+    proposals, the same for every cell, seed and slice. Cached by value,
+    since every slice of a cell rebuilds the same region.
+    """
+    lo, hi = rejection_envelope(region, density)
+    pilot = rng_stream(0, 0, "pos:pilot").random((_PILOT, 2))
+    _, ok = proposal_block(region, density, lo, hi, pilot)
+    return lo, hi, float(ok.mean())
+
+
+def _positions_slice(region, density, envelope, cell_id, seed, lo, m):
     """Positions for absolute draw indices [lo, lo+m) by rejection.
 
-    Round k consumes exactly 3 variates per index from stream "pos:k";
-    accepted indices simply stop reading later rounds.
+    ``envelope`` is _envelope(region, density). Round k reads 2 variates
+    for index lo + i at offset 2 (lo + i) of stream "pos:k", and only the
+    span from the first pending index to the last; accepted indices stop
+    reading later rounds.
+
+    Stall rule: a cell whose pilot acceptance p is below _MIN_ACCEPTANCE
+    raises SamplingStall before the first round. Every other slice runs
+    until all its draws are placed. A draw is still pending after k rounds
+    with probability (1 - p)^k, so at p = 1e-3 a full slice is placed
+    within 41,000 rounds except with probability 1e-12. The cells of the
+    benchmark and of the tests accept 0.58 or more, and a full slice of
+    theirs takes at most about 15 rounds.
     """
+    env_lo, env_hi, p = envelope
+    if p < _MIN_ACCEPTANCE:
+        raise SamplingStall(
+            f"cell {cell_id}: rejection acceptance {p:.2e} is below "
+            f"{_MIN_ACCEPTANCE}"
+        )
     pts = np.empty((m, 2))
     pending = np.arange(m)
-    proposed = 0
-    accepted = 0
-    for k in range(_MAX_ROUNDS):
-        if pending.size == 0:
-            return pts
-        gen = _skipped(seed, cell_id, f"pos:{k}", 3 * lo)
-        u = gen.random(3 * m).reshape(m, 3)
-        cand, ok = proposal_block(region, density, box, floor, u[pending])
-        proposed += pending.size
-        accepted += int(ok.sum())
+    k = 0
+    while pending.size:
+        first, last = int(pending[0]), int(pending[-1]) + 1
+        gen = _skipped(seed, cell_id, f"pos:{k}", 2 * (lo + first))
+        u = gen.random((last - first, 2))[pending - first]
+        cand, ok = proposal_block(region, density, env_lo, env_hi, u)
         pts[pending[ok]] = cand[ok]
         pending = pending[~ok]
-        if proposed >= _STALL_PROPOSALS and accepted / proposed < _STALL_RATE:
-            break
-    raise SamplingStall(
-        f"cell {cell_id}: {pending.size} draws unplaced after "
-        f"{proposed} proposals"
-    )
+        k += 1
+    return pts
 
 
 def _cell_slice(
@@ -128,10 +158,8 @@ def _cell_slice(
 ) -> np.ndarray:
     """Unsorted I_b draws for absolute indices [lo, lo+m) of one cell."""
     region = ue_domain(cell.region, cell.bs, victim_bs, params.d_min_km)
-    box, floor = rejection_envelope(region, cell.density)
-    pts = _positions_slice(
-        region, cell.density, box, floor, cell.id, seed, lo, m
-    )
+    envelope = _envelope(region, cell.density)
+    pts = _positions_slice(region, cell.density, envelope, cell.id, seed, lo, m)
     coupling = coupling_gain_L(pts, cell.bs, victim_bs, params)
 
     # The serving and victim links' shadowing: one normal pair per draw.

@@ -23,8 +23,8 @@ from ulfit.geometry import (
     ue_domain,
 )
 from ulfit.geometry import _integrate
-from ulfit.montecarlo import _positions_slice
-from ulfit.scenario import build_single_cell
+from ulfit.montecarlo import _envelope, _positions_slice, dkw_slack
+from ulfit.scenario import build_hotspot_layout, build_single_cell
 
 
 def test_contains_disk():
@@ -307,8 +307,7 @@ def test_empty_intersection_raises_lazily():
 
 def _sample(region, density, seed, n):
     """n positions from the package's sampler, draw indices [0, n)."""
-    box, floor = rejection_envelope(region, density)
-    return _positions_slice(region, density, box, floor, 0, seed, 0, n)
+    return _positions_slice(region, density, _envelope(region, density), 0, seed, 0, n)
 
 
 def test_ue_domain_excludes_both_stations():
@@ -345,6 +344,50 @@ def test_sample_inverse_radial_radius_cdf_linear():
     assert rho.min() >= a and rho.max() <= b
 
 
+@pytest.fixture(scope="module")
+def hotspot84():
+    """Criterion 09's drop: 83 inverse-radial disk cells around a victim."""
+    return build_hotspot_layout(
+        84, 0.01, 1, density_kind="inverse_radial", fading=FadingModel("rayleigh")
+    )
+
+
+def _hotspot_domains(scen):
+    for cell in scen.cells:
+        yield cell, ue_domain(
+            cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km
+        )
+
+
+def test_hotspot_radius_from_serving_station_is_uniform(hotspot84):
+    # W / rho on the annulus d_min <= rho <= R around the serving station
+    # puts rho uniform on [d_min, R] when the victim carve misses the cell.
+    d_min = hotspot84.channel.d_min_km
+    cell, dom = next(
+        (cell, dom)
+        for cell, dom in _hotspot_domains(hotspot84)
+        if math.dist(cell.bs, hotspot84.victim_bs) > cell.region.radius_km + d_min
+    )
+    n = 100_000
+    pts = _sample(dom, cell.density, 29, n)
+    rho = np.sort(np.hypot(pts[:, 0] - cell.bs[0], pts[:, 1] - cell.bs[1]))
+    model = (rho - d_min) / (cell.region.radius_km - d_min)
+    ks = max(
+        (np.arange(1, n + 1) / n - model).max(), (model - np.arange(n) / n).max()
+    )
+    assert ks <= dkw_slack(n)
+
+
+def test_hotspot_seeded_acceptance(hotspot84):
+    # The polar envelope of each criterion-09 cell is its serving-station
+    # annulus, less only what the victim carve cuts.
+    acceptance = [
+        _envelope(dom, cell.density)[2] for cell, dom in _hotspot_domains(hotspot84)
+    ]
+    assert len(acceptance) == 83
+    assert min(acceptance) >= 0.85
+
+
 def test_sample_moments_match_quadrature():
     reg = Disk((0.3, 0.0), 1.0)
     den = UeDensity("uniform")
@@ -378,47 +421,77 @@ def test_rejection_floor_reaches_thin_needle():
             (0.5, 0.0005), (0.05, 0.0), (0.5, -0.0005),
         )
     )
-    _, floor = rejection_envelope(reg, UeDensity("inverse_radial", (0.0, 0.0)))
+    (floor, _), _ = rejection_envelope(reg, UeDensity("inverse_radial", (0.0, 0.0)))
     assert 0.0 < floor <= 0.05
 
 
-@pytest.mark.parametrize(
-    "region, exact",
-    [
-        (Disk((0.3, 0.4), 0.2), 0.3),
-        (Annulus((0.1, 0.0), 0.5, 0.8), 0.4),
-        (Annulus((1.0, 0.0), 0.2, 0.5), 0.5),
-        (Polygon(((0.2, -0.1), (0.6, -0.1), (0.6, 0.3), (0.2, 0.3))), 0.2),
-        (Ellipse((0.8, 0.5), 0.4, 0.1, math.radians(30.0)), None),
-        (
-            Intersection(
-                (
-                    Intersection(
-                        (Disk((0.9, 0.0), 0.8), Annulus((0.0, 0.0), 0.25, 2.0))
-                    ),
-                    Ellipse((0.6, 0.1), 0.7, 0.3, 0.4),
-                )
-            ),
-            None,
+# Regions around the origin with their exact distance floor and reach
+# (None where the envelope only bounds the distance).
+_ENVELOPE_REGIONS = [
+    (Disk((0.3, 0.4), 0.2), 0.3, 0.7),
+    (Annulus((0.1, 0.0), 0.5, 0.8), 0.4, 0.9),
+    (Annulus((1.0, 0.0), 0.2, 0.5), 0.5, 1.5),
+    (
+        Polygon(((0.2, -0.1), (0.6, -0.1), (0.6, 0.3), (0.2, 0.3))),
+        0.2,
+        math.hypot(0.6, 0.3),
+    ),
+    (Ellipse((0.8, 0.5), 0.4, 0.1, math.radians(30.0)), None, None),
+    (
+        Intersection(
+            (
+                Intersection((Disk((0.9, 0.0), 0.8), Annulus((0.0, 0.0), 0.25, 2.0))),
+                Ellipse((0.6, 0.1), 0.7, 0.3, 0.4),
+            )
         ),
-    ],
-)
-def test_rejection_floor_is_a_distance_lower_bound(region, exact):
-    # The floor never exceeds the distance to any point of the region, and
-    # equals it for disks, annuli and polygons; a nested intersection takes
-    # the largest bound of its parts (here the annulus's 0.25).
-    _, floor = rejection_envelope(region, UeDensity("inverse_radial", (0.0, 0.0)))
+        None,
+        None,
+    ),
+]
+
+
+def _envelope_and_rho(region):
+    """The inverse_radial envelope around the origin, and the distances of
+    200,000 bounding-box points that lie in the region."""
+    envelope = rejection_envelope(region, UeDensity("inverse_radial", (0.0, 0.0)))
     xmin, ymin, xmax, ymax = bounding_box(region)
     u = np.random.default_rng(7).random((200_000, 2))
     pts = np.column_stack(
         (xmin + u[:, 0] * (xmax - xmin), ymin + u[:, 1] * (ymax - ymin))
     )
-    rho = np.hypot(*pts[contains(region, pts)].T)
+    return envelope, np.hypot(*pts[contains(region, pts)].T)
+
+
+@pytest.mark.parametrize(
+    "region, exact", [(region, floor) for region, floor, _ in _ENVELOPE_REGIONS]
+)
+def test_rejection_floor_is_a_distance_lower_bound(region, exact):
+    # The floor never exceeds the distance to any point of the region, and
+    # equals it for disks, annuli and polygons; a nested intersection takes
+    # the largest bound of its parts (here the annulus's 0.25).
+    ((floor, _), _), rho = _envelope_and_rho(region)
     assert 0.0 < floor <= rho.min()
     if exact is not None:
         assert floor == pytest.approx(exact, rel=1e-12)
     if isinstance(region, Intersection):
         assert floor == 0.25
+
+
+@pytest.mark.parametrize(
+    "region, exact", [(region, reach) for region, _, reach in _ENVELOPE_REGIONS]
+)
+def test_rejection_reach_is_a_distance_upper_bound(region, exact):
+    # The reach is at least the distance to every point of the region, and
+    # equals the largest one for disks, annuli and polygons; a nested
+    # intersection takes the smallest bound of its parts (here the
+    # ellipse's center distance plus its semi-major axis).
+    (_, (reach, two_pi)), rho = _envelope_and_rho(region)
+    assert two_pi == 2.0 * math.pi
+    assert rho.max() <= reach
+    if exact is not None:
+        assert reach == pytest.approx(exact, rel=1e-12)
+    if isinstance(region, Intersection):
+        assert reach == math.hypot(0.6, 0.1) + 0.7
 
 
 @pytest.mark.parametrize("r", [0.01, 0.02, 0.04])
@@ -427,7 +500,7 @@ def test_inverse_radial_bread_floor_is_d_min(r):
     scen = build_single_cell(r, "inverse_radial", FadingModel("none"))
     cell = scen.cells[0]
     dom = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
-    _, floor = rejection_envelope(dom, cell.density)
+    (floor, _), _ = rejection_envelope(dom, cell.density)
     assert floor == scen.channel.d_min_km == 0.005
 
 

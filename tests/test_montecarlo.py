@@ -49,6 +49,11 @@ def bread():
 
 
 @pytest.fixture(scope="module")
+def bread_ir():
+    return build_single_cell(0.01, "inverse_radial", RAYLEIGH)
+
+
+@pytest.fixture(scope="module")
 def sim1m(bread):
     cell = bread.cells[0]
     return simulate_cell(
@@ -118,9 +123,9 @@ def test_simulate_cell_frozen(bread):
     cell = bread.cells[0]
     s = simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 1000, 5)
     assert s.n == 1000 and s.seed == 5
-    assert s.values[0] == pytest.approx(-136.363468574677, rel=1e-12)
-    assert s.values[-1] == pytest.approx(-53.65671108883118, rel=1e-12)
-    assert s.values.mean() == pytest.approx(-96.19970513794769, rel=1e-12)
+    assert s.values[0] == pytest.approx(-136.4067440315696, rel=1e-12)
+    assert s.values[-1] == pytest.approx(-44.58652353277331, rel=1e-12)
+    assert s.values.mean() == pytest.approx(-96.18249256926012, rel=1e-12)
 
 
 def test_simulate_cell_validation(bread):
@@ -129,25 +134,28 @@ def test_simulate_cell_validation(bread):
         simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 0, 5)
 
 
-def test_slice_prefix_purity(bread):
-    cell = bread.cells[0]
-    for fading in (FadingModel("none"), RAYLEIGH, FadingModel("rician", 5.0)):
-        full = _cell_slice(cell, bread.victim_bs, bread.channel, fading, 3, 0, 1000)
-        head = _cell_slice(cell, bread.victim_bs, bread.channel, fading, 3, 0, 600)
-        tail = _cell_slice(cell, bread.victim_bs, bread.channel, fading, 3, 600, 400)
-        np.testing.assert_array_equal(head, full[:600])
-        np.testing.assert_array_equal(tail, full[600:])
+def test_slice_prefix_purity(bread, bread_ir):
+    # Both envelopes: the box (uniform) and the polar one (inverse_radial).
+    for scen in (bread, bread_ir):
+        cell, ch = scen.cells[0], scen.channel
+        for fading in (FadingModel("none"), RAYLEIGH, FadingModel("rician", 5.0)):
+            full = _cell_slice(cell, scen.victim_bs, ch, fading, 3, 0, 1000)
+            head = _cell_slice(cell, scen.victim_bs, ch, fading, 3, 0, 600)
+            tail = _cell_slice(cell, scen.victim_bs, ch, fading, 3, 600, 400)
+            np.testing.assert_array_equal(head, full[:600])
+            np.testing.assert_array_equal(tail, full[600:])
 
 
-def test_parallel_equals_serial(bread):
-    cell = bread.cells[0]
-    serial = simulate_cell(
-        cell, bread.victim_bs, bread.channel, bread.fading, 600_000, 7, workers=1
-    )
-    threaded = simulate_cell(
-        cell, bread.victim_bs, bread.channel, bread.fading, 600_000, 7, workers=3
-    )
-    np.testing.assert_array_equal(serial.values, threaded.values)
+def test_parallel_equals_serial(bread, bread_ir):
+    for scen in (bread, bread_ir):
+        cell = scen.cells[0]
+        serial = simulate_cell(
+            cell, scen.victim_bs, scen.channel, scen.fading, 600_000, 7, workers=1
+        )
+        threaded = simulate_cell(
+            cell, scen.victim_bs, scen.channel, scen.fading, 600_000, 7, workers=3
+        )
+        np.testing.assert_array_equal(serial.values, threaded.values)
 
 
 def test_same_seed_identical_new_seed_different(bread):
@@ -162,8 +170,8 @@ def test_same_seed_identical_new_seed_different(bread):
 def test_aggregate_frozen():
     lay5 = build_hotspot_layout(5, 0.01, 7)
     s = simulate_aggregate(lay5, 500, 11)
-    assert s.values[0] == pytest.approx(-130.36064656849365, rel=1e-12)
-    assert s.values.mean() == pytest.approx(-98.5585019072665, rel=1e-12)
+    assert s.values[0] == pytest.approx(-129.8886494070371, rel=1e-12)
+    assert s.values.mean() == pytest.approx(-98.60845285369246, rel=1e-12)
 
 
 def test_aggregate_matches_manual_sum():
