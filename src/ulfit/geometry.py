@@ -5,13 +5,17 @@ ellipse, annulus) plus intersection. All membership tests are vectorized
 over arrays of points. For sampling, this module provides the pieces of
 the rejection step (the envelope and the accept test of a block of
 proposals); the position sampler itself is montecarlo._positions_slice,
-which draws the proposals from counter-based streams. Each proposal
-reads 2 uniforms. For a uniform density it is a point of the region's
-bounding box. For an inverse_radial density it is a (rho, theta) pair
-uniform on [floor, reach] x [0, 2 pi) around the density origin, where
-floor and reach bound the distance from the origin to the region from
-below and above; since the kernel 1/rho cancels the polar Jacobian, that
-proposal already has the density's law, and the accept test is region
+which draws the proposals from counter-based streams. The envelope is a
+table of equal tiles, and each proposal reads 2 uniforms: the first
+picks a tile and the offset along its first axis, the second the offset
+along the other. For a uniform density the tiles are the cells of a
+fixed 64 x 64 grid over the region's bounding box that the region's
+distance lower bound (_gap, vectorized over tile centres) cannot rule
+out. For an inverse_radial density there is one tile, a (rho, theta) box
+[floor, reach] x [0, 2 pi) around the density origin, where floor and
+reach bound the distance from the origin to the region from below and
+above; since the kernel 1/rho cancels the polar Jacobian, that proposal
+already has the density's law. In both kinds the accept test is region
 membership alone.
 
 Integration against a user density is polar. Every primitive returns the
@@ -77,6 +81,8 @@ _MAX_PIECES = 16
 _SCAN = 1024
 _BISECT_STEPS = 48
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# Tiles per side of a uniform cell's rejection envelope (rejection_envelope).
+_TILES = 64
 # Endpoint labels besides the boundary-piece indices (>= 0).
 _EMPTY = -1
 _AT_ORIGIN = -2
@@ -89,13 +95,15 @@ def _as_point(p, name: str = "point") -> tuple[float, float]:
     return (x, y)
 
 
-def _roots(b, cc):
+def _roots(b, cc, disc):
     """Ordered roots of r^2 + 2 b r + cc = 0, (inf, inf) where none are real.
 
-    A double root, a tangent ray, counts as no crossing. The larger root in
-    magnitude is formed first so the other avoids cancellation.
+    ``disc`` is the quarter discriminant b^2 - cc, which the caller forms
+    without cancellation: for a circle of radius R it is R^2 minus the
+    squared distance from its center to the ray's line. A double root, a
+    tangent ray, counts as no crossing. The larger root in magnitude is
+    formed first so the other avoids cancellation.
     """
-    disc = b * b - cc
     hit = disc > 0
     q = -(b + np.copysign(np.sqrt(np.where(hit, disc, 0.0)), b))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -149,6 +157,12 @@ def _direction(o, p):
     return math.atan2(p[1] - o[1], p[0] - o[0])
 
 
+def _xy(p):
+    """Coordinate arrays of a point (2,) or of points (..., 2)."""
+    p = np.asarray(p, dtype=float)
+    return p[..., 0], p[..., 1]
+
+
 @dataclass(frozen=True)
 class Disk:
     """Closed disk of radius ``radius_km`` around ``center``."""
@@ -172,7 +186,9 @@ class Disk:
 
     def _ray(self, o, c, s):
         px, py = o[0] - self.center[0], o[1] - self.center[1]
-        lo, hi = _roots(c * px + s * py, px * px + py * py - self.radius_km**2)
+        r2 = self.radius_km**2
+        perp = c * py - s * px
+        lo, hi = _roots(c * px + s * py, px * px + py * py - r2, r2 - perp * perp)
         return _convex_span(lo, hi, 0)
 
     def _pieces(self):
@@ -181,9 +197,10 @@ class Disk:
     def _directions(self, o):
         return [_direction(o, self.center)]
 
-    def _gap(self, o):
-        dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
-        return max(dist - self.radius_km, 0.0)
+    def _gap(self, p):
+        x, y = _xy(p)
+        dist = np.hypot(x - self.center[0], y - self.center[1])
+        return np.maximum(dist - self.radius_km, 0.0)
 
     def _reach(self, o):
         dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
@@ -221,8 +238,10 @@ class Annulus:
         # and what follows it.
         px, py = o[0] - self.center[0], o[1] - self.center[1]
         b, d2 = c * px + s * py, px * px + py * py
-        olo, ohi = _roots(b, d2 - self.r_outer**2)
-        ilo, ihi = _roots(b, d2 - self.r_inner**2)
+        perp2 = (c * py - s * px) ** 2
+        ro2, ri2 = self.r_outer**2, self.r_inner**2
+        olo, ohi = _roots(b, d2 - ro2, ro2 - perp2)
+        ilo, ihi = _roots(b, d2 - ri2, ri2 - perp2)
         start = np.maximum(olo, 0.0)
         start_label = np.where(olo > 0, 1, _AT_ORIGIN)
         return _pack(
@@ -238,11 +257,11 @@ class Annulus:
     def _directions(self, o):
         return [_direction(o, self.center)]
 
-    def _gap(self, o):
-        dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
-        if dist < self.r_inner:
-            return self.r_inner - dist
-        return max(dist - self.r_outer, 0.0)
+    def _gap(self, p):
+        x, y = _xy(p)
+        dist = np.hypot(x - self.center[0], y - self.center[1])
+        outside = np.maximum(dist - self.r_outer, 0.0)
+        return np.where(dist < self.r_inner, self.r_inner - dist, outside)
 
     def _reach(self, o):
         dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
@@ -291,7 +310,13 @@ class Ellipse:
         eu = m[0, 0] * c + m[0, 1] * s
         ev = m[1, 0] * c + m[1, 1] * s
         a = eu * eu + ev * ev
-        lo, hi = _roots((u0 * eu + v0 * ev) / a, (u0 * u0 + v0 * v0 - 1.0) / a)
+        # b^2 - cc = (a - (u0 ev - v0 eu)^2) / a^2 by Lagrange's identity.
+        perp = u0 * ev - v0 * eu
+        lo, hi = _roots(
+            (u0 * eu + v0 * ev) / a,
+            (u0 * u0 + v0 * v0 - 1.0) / a,
+            (a - perp * perp) / (a * a),
+        )
         return _convex_span(lo, hi, 0)
 
     def _pieces(self):
@@ -300,11 +325,14 @@ class Ellipse:
     def _directions(self, o):
         return [_direction(o, self.center)]
 
-    def _gap(self, o):
-        # |M (o - center)| - 1 is the gap in unit-disk coordinates, and M
+    def _gap(self, p):
+        # |M (p - center)| - 1 is the gap in unit-disk coordinates, and M
         # stretches no distance by more than 1 / min(a, b).
-        p = self._unit_map() @ (np.asarray(o) - self.center)
-        return max(min(self.a_km, self.b_km) * (math.hypot(*p) - 1.0), 0.0)
+        x, y = _xy(p)
+        dx, dy = x - self.center[0], y - self.center[1]
+        m = self._unit_map()
+        unit = np.hypot(m[0, 0] * dx + m[0, 1] * dy, m[1, 0] * dx + m[1, 1] * dy)
+        return np.maximum(min(self.a_km, self.b_km) * (unit - 1.0), 0.0)
 
     def _reach(self, o):
         dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
@@ -417,17 +445,15 @@ class Polygon:
     def _directions(self, o):
         return [_direction(o, v) for v in self.vertices]
 
-    def _gap(self, o):
-        if contains(self, o):
-            return 0.0
+    def _gap(self, p):
+        x, y = _xy(p)
         vs = self.vertices
-        best = math.inf
+        best = np.inf
         for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
             dx, dy = x1 - x0, y1 - y0
-            t = ((o[0] - x0) * dx + (o[1] - y0) * dy) / (dx * dx + dy * dy)
-            t = min(max(t, 0.0), 1.0)
-            best = min(best, math.hypot(o[0] - x0 - t * dx, o[1] - y0 - t * dy))
-        return best
+            t = np.clip(((x - x0) * dx + (y - y0) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+            best = np.minimum(best, np.hypot(x - x0 - t * dx, y - y0 - t * dy))
+        return np.where(self._mask(x, y), 0.0, best)
 
     def _reach(self, o):
         return max(math.hypot(x - o[0], y - o[1]) for x, y in self.vertices)
@@ -479,8 +505,8 @@ class Intersection:
     def _directions(self, o):
         return [d for p in self.parts for d in p._directions(o)]
 
-    def _gap(self, o):
-        return max(p._gap(o) for p in self.parts)
+    def _gap(self, p):
+        return np.maximum.reduce([part._gap(p) for part in self.parts])
 
     def _reach(self, o):
         return min(p._reach(o) for p in self.parts)
@@ -837,47 +863,75 @@ def region_integral(region: Region, density: UeDensity, integrand) -> complex:
 
 
 def rejection_envelope(region: Region, density: UeDensity):
-    """The rejection sampler's envelope: a box (lo, hi) in proposal coordinates.
+    """The rejection sampler's envelope: a tile table (corners, size).
 
-    For a uniform density the coordinates are (x, y) and the box is the
-    region's bounding box. For an inverse_radial density they are
-    (rho, theta) around the density origin, where the kernel 1/rho cancels
-    the polar Jacobian, so a proposal uniform on
-    [floor, reach] x [0, 2 pi) has exactly the density's law before the
-    region test. The floor is a lower bound on the distance from the origin
-    to the region: exact for disks, annuli and polygons, min(a, b) times
-    the gap in unit-disk coordinates for ellipses, and the largest bound of
-    the parts for intersections. The reach is an upper bound: the center
-    distance plus the radius, r_outer or max(a, b) for disks, annuli and
-    ellipses, the largest vertex distance for polygons, and the smallest
-    bound of the parts for intersections. In both kinds the envelope's
-    kernel mass is (hi[0] - lo[0]) (hi[1] - lo[1]).
+    ``corners`` is a (K, 2) array of lower tile corners and ``size`` the
+    (2,) size every tile shares, in proposal coordinates; the envelope is
+    the union of the tiles, and its kernel mass is K size[0] size[1].
+
+    For a uniform density the coordinates are (x, y). The bounding box is
+    cut into a fixed _TILES x _TILES grid, and a tile is kept when the
+    region's distance lower bound ``_gap`` at its centre is at most its
+    half-diagonal plus a rounding slack: a tile that meets the region has
+    a region point within its half-diagonal of the centre, so the kept
+    tiles cover the region and the proposal stays exactly uniform on it.
+
+    For an inverse_radial density the coordinates are (rho, theta) around
+    the density origin, and the table holds one tile, the polar box
+    [floor, reach] x [0, 2 pi). The kernel 1/rho cancels the polar
+    Jacobian, so a proposal uniform on it has exactly the density's law
+    before the region test. The floor is the ``_gap`` lower bound on the
+    distance from the origin to the region: exact for disks, annuli and
+    polygons, min(a, b) times the gap in unit-disk coordinates for
+    ellipses, and the largest bound of the parts for intersections. The
+    reach is an upper bound: the center distance plus the radius, r_outer
+    or max(a, b) for disks, annuli and ellipses, the largest vertex
+    distance for polygons, and the smallest bound of the parts for
+    intersections.
 
     Raises:
         DomainError: for an inverse_radial density whose origin touches
             the region.
     """
-    if density.kind != "inverse_radial":
-        xmin, ymin, xmax, ymax = bounding_box(region)
-        return (xmin, ymin), (xmax, ymax)
-    floor = region._gap(density.origin)
-    if floor <= 0:
-        raise DomainError(
-            "inverse_radial density is unbounded: origin touches the region"
-        )
-    return (floor, 0.0), (region._reach(density.origin), 2.0 * math.pi)
+    if density.kind == "inverse_radial":
+        floor = float(region._gap(density.origin))
+        if floor <= 0:
+            raise DomainError(
+                "inverse_radial density is unbounded: origin touches the region"
+            )
+        reach = region._reach(density.origin)
+        return np.array([[floor, 0.0]]), np.array([reach - floor, 2.0 * math.pi])
+    xmin, ymin, xmax, ymax = bounding_box(region)
+    size = np.array([xmax - xmin, ymax - ymin]) / _TILES
+    ix, iy = np.divmod(np.arange(_TILES * _TILES), _TILES)
+    corners = np.column_stack((xmin + ix * size[0], ymin + iy * size[1]))
+    half = 0.5 * math.hypot(size[0], size[1])
+    # The centres' rounding error scales with the coordinates, which can be
+    # far larger than a tile (a 1e-9 km disk 0.03 km from the origin).
+    slack = 1e-12 * (half + max(abs(xmin), abs(ymin), abs(xmax), abs(ymax)))
+    keep = region._gap(corners + 0.5 * size) <= half + slack
+    return corners[keep], size
 
 
-def proposal_block(region: Region, density: UeDensity, lo, hi, u):
+def proposal_block(region: Region, density: UeDensity, corners, size, u):
     """Map columns 0 and 1 of a block of uniforms to proposals and their acceptance.
 
-    Row i is lo + u[i, :2] (hi - lo) in the envelope's coordinates (see
-    rejection_envelope), turned into an (x, y) point, and is accepted when
-    the point lies in the region; nothing else is tested, so each proposal
-    reads exactly 2 variates. Returns (points, accepted mask).
+    ``corners`` and ``size`` are the tile table of rejection_envelope, with
+    K tiles. Row i picks tile j = floor(u[i, 0] K), clamped to K - 1, and
+    the offset (frac(u[i, 0] K), u[i, 1]) times ``size`` inside it, in the
+    envelope's coordinates; a polar proposal is then turned into an (x, y)
+    point. It is accepted when the point lies in the region; nothing else
+    is tested, so each proposal reads exactly 2 variates. Returns
+    (points, accepted mask).
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    q = lo + u[:, :2] * (hi - lo)
+    corners = np.asarray(corners, dtype=float)
+    size = np.asarray(size, dtype=float)
+    k = len(corners)
+    t = u[:, 0] * k
+    j = np.minimum(t.astype(np.intp), k - 1)
+    q = np.empty((len(u), 2))
+    q[:, 0] = corners[j, 0] + (t - j) * size[0]
+    q[:, 1] = corners[j, 1] + u[:, 1] * size[1]
     if density.kind == "inverse_radial":
         rho, theta = q[:, 0], q[:, 1]
         ox, oy = density.origin

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from ulfit.channel import FadingModel
 from ulfit import geometry
@@ -18,6 +19,7 @@ from ulfit.geometry import (
     density_profile,
     effective_region,
     normalize_density,
+    proposal_block,
     region_integral,
     rejection_envelope,
     ue_domain,
@@ -152,6 +154,27 @@ def test_normalize_uniform_nonconvex_polygon_is_shoelace_area():
     )
     w = normalize_density(Polygon(vs), UeDensity("uniform"))
     assert 1.0 / w == pytest.approx(area, rel=1e-12)
+
+
+# A 1e-9 km piece 0.01 km from the polar origin, the serving-station carve
+# of a point-like cell (test_montecarlo::test_deterministic_limit_*).
+_TINY_FAR = {
+    "disk": (Disk((0.03, 0.0), 1e-9), math.pi * 1e-18),
+    "annulus": (Annulus((0.03, 0.0), 5e-10, 1e-9), math.pi * 7.5e-19),
+    "ellipse": (Ellipse((0.03, 0.0), 1e-9, 5e-10, 0.3), math.pi * 5e-19),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TINY_FAR))
+def test_normalize_tiny_far_region(name):
+    # The chord comes from R^2 minus the squared distance from the center
+    # to the ray's line; as b^2 - cc it lost about 1% to cancellation, and
+    # the disk and the ellipse raised QuadratureFailure.
+    region, area = _TINY_FAR[name]
+    dom = ue_domain(region, (0.02, 0.0), (0.0, 0.0), 0.005)
+    assert normalize_density(dom, UeDensity("uniform")) == pytest.approx(
+        1.0 / area, rel=1e-7
+    )
 
 
 def test_normalize_self_consistency_monte_carlo():
@@ -388,6 +411,103 @@ def test_hotspot_seeded_acceptance(hotspot84):
     assert min(acceptance) >= 0.85
 
 
+def _bread_domain(r):
+    scen = build_single_cell(r, "uniform", FadingModel("none"))
+    cell = scen.cells[0]
+    return scen, cell, ue_domain(
+        cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km
+    )
+
+
+# Uniform regions for the tile tests, each with the box its test points
+# are drawn from: the bounding box, or for the lens, whose bounding box is
+# 2 km tall around a 2e-6 km sliver, the part of it that holds the sliver.
+_TILED_REGIONS = {
+    "bread": (_bread_domain(0.01)[2], None),
+    "concave": (
+        Polygon(((0, 0), (2, 0.3), (1.1, 0.9), (1.9, 1.7), (0.2, 1.9))),
+        None,
+    ),
+    "tiny_disk": (
+        ue_domain(_TINY_FAR["disk"][0], (0.02, 0.0), (0.0, 0.0), 0.005),
+        None,
+    ),
+    "lens": (
+        Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0))),
+        ((1.0 - 1e-12, -2e-6), (1.0, 2e-6)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TILED_REGIONS))
+def test_tiles_cover_the_region(name):
+    # Every uniform point of the region lies in a kept tile of the grid.
+    region, box = _TILED_REGIONS[name]
+    corners, size = rejection_envelope(region, UeDensity("uniform"))
+    xmin, ymin, xmax, ymax = bounding_box(region)
+    origin = np.array([xmin, ymin])
+    kept = np.zeros((geometry._TILES, geometry._TILES), dtype=bool)
+    kept[tuple(np.rint((corners - origin) / size).astype(int).T)] = True
+    assert 0 < kept.sum() < kept.size
+    lo, hi = np.array(box if box else ((xmin, ymin), (xmax, ymax)))
+    pts = lo + np.random.default_rng(5).random((200_000, 2)) * (hi - lo)
+    pts = pts[contains(region, pts)]
+    assert len(pts) > 10_000
+    tile = np.minimum(((pts - origin) / size).astype(int), geometry._TILES - 1)
+    assert kept[tile[:, 0], tile[:, 1]].all()
+
+
+def test_last_tile_takes_the_top_variate():
+    # The largest variate below 1 lands inside tile K - 1, and the clamp
+    # keeps even u = 1 there, on its far edge; u = 0 is tile 0's corner.
+    _, cell, dom = _bread_domain(0.01)
+    corners, size = rejection_envelope(dom, cell.density)
+    u = np.array([[np.nextafter(1.0, 0.0), 0.25], [1.0, 0.25], [0.0, 0.0]])
+    pts, _ = proposal_block(dom, cell.density, corners, size, u)
+    assert (corners[-1] <= pts[0]).all() and (pts[0] <= corners[-1] + size).all()
+    assert pts[0, 1] == corners[-1, 1] + 0.25 * size[1]
+    assert pts[1, 0] == corners[-1, 0] + size[0] and pts[1, 1] == pts[0, 1]
+    np.testing.assert_array_equal(pts[2], corners[0])
+
+
+@pytest.mark.parametrize("r", [0.01, 0.02, 0.04])
+def test_uniform_bread_acceptance(r):
+    # The tiled envelope of criterion 06's uniform cells; their bounding
+    # box accepted about 0.6.
+    _, cell, dom = _bread_domain(r)
+    assert _envelope(dom, cell.density)[2] >= 0.9
+
+
+def test_tiled_sampler_matches_box_rejection():
+    # The tiled sampler against an independent reference, uniform in the
+    # bounding box and then the region test, on six coordinates of the
+    # draws: x, y, the distances to both stations, and the offsets inside
+    # a grid tile, which would show a skew too fine for the others. The
+    # two-sample radius at alpha = 1e-6 with n draws on each side is
+    # sqrt(log(2 / alpha) (1/n + 1/n) / 2), dkw_slack(n / 2).
+    scen, cell, dom = _bread_domain(0.01)
+    _, size = rejection_envelope(dom, cell.density)
+    n = 400_000
+    pts = _sample(dom, cell.density, 31, n)
+    xmin, ymin, xmax, ymax = bounding_box(dom)
+    u = np.random.default_rng(41).random((1_000_000, 2))
+    ref = np.column_stack(
+        (xmin + u[:, 0] * (xmax - xmin), ymin + u[:, 1] * (ymax - ymin))
+    )
+    ref = ref[contains(dom, ref)][:n]
+    assert len(ref) == n
+    radius = dkw_slack(n // 2, 1e-6)
+    for f in (
+        lambda p: p[:, 0],
+        lambda p: p[:, 1],
+        lambda p: np.hypot(p[:, 0] - cell.bs[0], p[:, 1] - cell.bs[1]),
+        lambda p: np.hypot(p[:, 0] - scen.victim_bs[0], p[:, 1] - scen.victim_bs[1]),
+        lambda p: np.modf((p[:, 0] - xmin) / size[0])[0],
+        lambda p: np.modf((p[:, 1] - ymin) / size[1])[0],
+    ):
+        assert ks_2samp(f(pts), f(ref)).statistic <= radius
+
+
 def test_sample_moments_match_quadrature():
     reg = Disk((0.3, 0.0), 1.0)
     den = UeDensity("uniform")
@@ -411,6 +531,13 @@ def test_inverse_radial_origin_on_region_rejected():
         rejection_envelope(reg, UeDensity("inverse_radial", (0.0, 0.0)))
 
 
+def _polar_tile(region, density):
+    """(floor, reach, theta span) of the one-tile inverse_radial envelope."""
+    corners, size = rejection_envelope(region, density)
+    assert corners.shape == (1, 2) and corners[0, 1] == 0.0
+    return corners[0, 0], corners[0, 0] + size[0], size[1]
+
+
 def test_rejection_floor_reaches_thin_needle():
     # A needle from a far square reaches to 0.05 km of the origin. A floor
     # above 0.05 would accept every proposal in the needle, so draws there
@@ -421,7 +548,7 @@ def test_rejection_floor_reaches_thin_needle():
             (0.5, 0.0005), (0.05, 0.0), (0.5, -0.0005),
         )
     )
-    (floor, _), _ = rejection_envelope(reg, UeDensity("inverse_radial", (0.0, 0.0)))
+    floor, _, _ = _polar_tile(reg, UeDensity("inverse_radial", (0.0, 0.0)))
     assert 0.0 < floor <= 0.05
 
 
@@ -451,9 +578,9 @@ _ENVELOPE_REGIONS = [
 
 
 def _envelope_and_rho(region):
-    """The inverse_radial envelope around the origin, and the distances of
-    200,000 bounding-box points that lie in the region."""
-    envelope = rejection_envelope(region, UeDensity("inverse_radial", (0.0, 0.0)))
+    """The inverse_radial (floor, reach, theta span) around the origin, and
+    the distances of 200,000 bounding-box points that lie in the region."""
+    envelope = _polar_tile(region, UeDensity("inverse_radial", (0.0, 0.0)))
     xmin, ymin, xmax, ymax = bounding_box(region)
     u = np.random.default_rng(7).random((200_000, 2))
     pts = np.column_stack(
@@ -469,7 +596,7 @@ def test_rejection_floor_is_a_distance_lower_bound(region, exact):
     # The floor never exceeds the distance to any point of the region, and
     # equals it for disks, annuli and polygons; a nested intersection takes
     # the largest bound of its parts (here the annulus's 0.25).
-    ((floor, _), _), rho = _envelope_and_rho(region)
+    (floor, _, _), rho = _envelope_and_rho(region)
     assert 0.0 < floor <= rho.min()
     if exact is not None:
         assert floor == pytest.approx(exact, rel=1e-12)
@@ -485,7 +612,7 @@ def test_rejection_reach_is_a_distance_upper_bound(region, exact):
     # equals the largest one for disks, annuli and polygons; a nested
     # intersection takes the smallest bound of its parts (here the
     # ellipse's center distance plus its semi-major axis).
-    (_, (reach, two_pi)), rho = _envelope_and_rho(region)
+    (_, reach, two_pi), rho = _envelope_and_rho(region)
     assert two_pi == 2.0 * math.pi
     assert rho.max() <= reach
     if exact is not None:
@@ -500,7 +627,7 @@ def test_inverse_radial_bread_floor_is_d_min(r):
     scen = build_single_cell(r, "inverse_radial", FadingModel("none"))
     cell = scen.cells[0]
     dom = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
-    (floor, _), _ = rejection_envelope(dom, cell.density)
+    floor, _, _ = _polar_tile(dom, cell.density)
     assert floor == scen.channel.d_min_km == 0.005
 
 

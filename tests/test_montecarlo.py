@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import kstest
 
+from ulfit import montecarlo
 from ulfit.bound import BoundParams, LStats
 from ulfit.channel import (
     ChannelParams,
@@ -21,6 +22,7 @@ from ulfit.geometry import Disk, UeDensity
 from ulfit.montecarlo import (
     EmpiricalCdf,
     SampleSet,
+    _SLICE,
     _cell_slice,
     _run_slices,
     _skipped,
@@ -101,14 +103,11 @@ def test_stream_draws_are_contiguous():
 
 
 def test_slice_spans():
+    s = _SLICE
     assert _slice_spans(100) == [(0, 100)]
-    assert _slice_spans(250_000) == [(0, 250_000)]
-    assert _slice_spans(250_001) == [(0, 250_000), (250_000, 1)]
-    assert _slice_spans(600_000) == [
-        (0, 250_000),
-        (250_000, 250_000),
-        (500_000, 100_000),
-    ]
+    assert _slice_spans(s) == [(0, s)]
+    assert _slice_spans(s + 1) == [(0, s), (s, 1)]
+    assert _slice_spans(2 * s + 100) == [(0, s), (s, s), (2 * s, 100)]
 
 
 def test_run_slices_merges_by_index():
@@ -123,9 +122,9 @@ def test_simulate_cell_frozen(bread):
     cell = bread.cells[0]
     s = simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 1000, 5)
     assert s.n == 1000 and s.seed == 5
-    assert s.values[0] == pytest.approx(-136.4067440315696, rel=1e-12)
-    assert s.values[-1] == pytest.approx(-44.58652353277331, rel=1e-12)
-    assert s.values.mean() == pytest.approx(-96.18249256926012, rel=1e-12)
+    assert s.values[0] == pytest.approx(-138.2163247661705, rel=1e-12)
+    assert s.values[-1] == pytest.approx(-47.67883039971794, rel=1e-12)
+    assert s.values.mean() == pytest.approx(-96.36740664805201, rel=1e-12)
 
 
 def test_simulate_cell_validation(bread):
@@ -158,6 +157,19 @@ def test_parallel_equals_serial(bread, bread_ir):
         np.testing.assert_array_equal(serial.values, threaded.values)
 
 
+def test_slice_size_invariance(bread, bread_ir, monkeypatch):
+    # Every draw is a function of its index alone, whatever the slicing.
+    for scen in (bread, bread_ir):
+        cell = scen.cells[0]
+        args = (cell, scen.victim_bs, scen.channel, scen.fading, 10_000, 7)
+        default = simulate_cell(*args)
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "_SLICE", 4096)
+            assert len(_slice_spans(10_000)) == 3
+            small = simulate_cell(*args, workers=2)
+        np.testing.assert_array_equal(small.values, default.values)
+
+
 def test_same_seed_identical_new_seed_different(bread):
     cell = bread.cells[0]
     a = simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 500, 5)
@@ -170,8 +182,8 @@ def test_same_seed_identical_new_seed_different(bread):
 def test_aggregate_frozen():
     lay5 = build_hotspot_layout(5, 0.01, 7)
     s = simulate_aggregate(lay5, 500, 11)
-    assert s.values[0] == pytest.approx(-129.8886494070371, rel=1e-12)
-    assert s.values.mean() == pytest.approx(-98.60845285369246, rel=1e-12)
+    assert s.values[0] == pytest.approx(-129.23679765440224, rel=1e-12)
+    assert s.values.mean() == pytest.approx(-98.54093992680826, rel=1e-12)
 
 
 def test_aggregate_matches_manual_sum():
@@ -310,6 +322,18 @@ def test_ks_requires_vectorized_cdf():
     # The CDF's own exception propagates.
     with pytest.raises(ValueError):
         ks_distance(EmpiricalCdf(s), scalar_cdf)
+
+
+def test_ks_blocks(monkeypatch):
+    # Blocks of 7 give the statistic of one block, and a NaN from the CDF
+    # in a later block makes the statistic NaN rather than vanishing.
+    vals = np.sort(np.random.Generator(np.random.Philox(8)).standard_normal(50))
+    ecdf = EmpiricalCdf(SampleSet(vals, 50, 8))
+    whole = ks_distance(ecdf, ndtr)
+    monkeypatch.setattr(montecarlo, "_KS_BLOCK", 7)
+    assert ks_distance(ecdf, ndtr) == whole
+    late_nan = lambda q: np.where(q > vals[40], np.nan, ndtr(q))
+    assert math.isnan(ks_distance(ecdf, late_nan))
 
 
 def test_ks_self_drawn_within_dkw():
