@@ -115,8 +115,9 @@ def l_stats(cell, victim_bs, params: ChannelParams) -> LStats:
     Returns:
         LStats with a vectorized characteristic function of the centered
         gain. The polar quadrature evaluates the gain once per node of
-        each level and reduces the accepted level to a weight-preserving
-        binned law; the characteristic function is that law's, by
+        each level; the gain's law is the discrete law of every panel's
+        accepted nodes, weighted by their normalized quadrature weights,
+        and the characteristic function is that law's, by
         discrete_char_fn.
     """
     dom = ue_domain(cell.region, cell.bs, victim_bs, params.d_min_km)

@@ -222,8 +222,7 @@ def fading_gain_db_pdf(model: FadingModel):
 
 
 @lru_cache(maxsize=32)
-def _support_cached(kind, gamma):
-    model = FadingModel(kind, gamma)
+def _support(model: FadingModel):
     scan = np.linspace(-_DB_WINDOW, _DB_WINDOW, 4001)
     above = _log_pdf_db(model, scan) >= math.log(_PDF_FLOOR)
     if not above.any():
@@ -234,14 +233,12 @@ def _support_cached(kind, gamma):
     return lo, hi
 
 
-def _support(model: FadingModel):
-    return _support_cached(model.kind, model.gamma_ratio)
-
-
 @lru_cache(maxsize=32)
-def _nodes_cached(kind, gamma):
-    """Composite Gauss-Legendre nodes and pdf-weighted quadrature weights."""
-    model = FadingModel(kind, gamma)
+def _nodes(model: FadingModel):
+    """Composite Gauss-Legendre nodes and pdf-weighted quadrature weights.
+
+    The arrays are read-only, since the cache hands them to every caller.
+    """
     lo, hi = _support(model)
     edges = np.linspace(lo, hi, _PANELS + 1)
     x, w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
@@ -256,11 +253,9 @@ def _nodes_cached(kind, gamma):
             f"fading pdf integrates to {total:.8f}, off by more than 1e-6"
         )
     # Renormalize the truncation loss so weights form an exact distribution.
-    return nodes, wts / total
-
-
-def _nodes(model: FadingModel):
-    return _nodes_cached(model.kind, model.gamma_ratio)
+    wts = wts / total
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
 
 
 def fading_moments(model: FadingModel) -> tuple[float, float]:

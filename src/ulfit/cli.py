@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -265,16 +266,16 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
             fit_doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{fit_json}: {exc}") from exc
+    keys = ("lambda", "mu_q_dbm", "sigma_q2_db2", "eps_total")
     try:
-        fit = PowerLognormalFit(
-            float(fit_doc["lambda"]),
-            float(fit_doc["mu_q_dbm"]),
-            float(fit_doc["sigma_q2_db2"]),
-        )
-        eps_total = float(fit_doc["eps_total"])
+        lam, mu_q, sigma_q2, eps_total = (float(fit_doc[k]) for k in keys)
         fit_hash = str(fit_doc["scenario_hash"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{fit_json}: missing or bad field ({exc})") from exc
+    for key, value in zip(keys, (lam, mu_q, sigma_q2, eps_total)):
+        if not math.isfinite(value):
+            raise SchemaError(f"{fit_json}: {key} must be finite")
+    fit = PowerLognormalFit(lam, mu_q, sigma_q2)
     if fit_hash != str(sidecar["scenario_hash"]):
         print(
             f"error: scenario hash mismatch: samples {sidecar['scenario_hash']}"

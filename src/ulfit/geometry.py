@@ -68,7 +68,7 @@ __all__ = [
     "bounding_box",
     "effective_region",
     "normalize_density",
-    "region_integral",
+    "density_profile",
 ]
 
 _REL_TOL = 1e-7
@@ -658,24 +658,19 @@ def _panels(region: Region, origin) -> np.ndarray:
     return np.column_stack((breaks, np.append(breaks[1:], breaks[0] + two_pi)))
 
 
-def _panel_sums(ids, x, count):
-    if np.iscomplexobj(x):
-        return np.bincount(ids, x.real, count) + 1j * np.bincount(ids, x.imag, count)
-    return np.bincount(ids, x, count)
-
-
 def _composite(pieces):
     """Composite 16-point Gauss-Legendre rule on [0, 1] with equal pieces."""
     s = ((np.arange(pieces)[:, None] + 0.5 * (_GL_X + 1.0)) / pieces).ravel()
     return s, np.tile(_GL_W, pieces) / (2.0 * pieces)
 
 
-def _level(region, density, origin, field, moments, panels, pieces):
+def _level(region, density, origin, field, panels, pieces):
     """One rule level: ``pieces`` pieces in s on each panel and in each interval.
 
     Returns (sums, scales, weights, values, panel ids). sums[q] holds each
-    panel's integral of kernel * field**q for q < moments, scales[q] that
-    of kernel * |field|**q; weights, values and ids describe the nodes.
+    panel's integral of kernel * field**q, for q < 3 with a field and q = 0
+    without one, and scales[q] that of kernel * |field|**q; weights, values
+    and ids describe the nodes (values is None without a field).
     """
     s, ws = _composite(pieces)
     start, width = panels[:, :1], panels[:, 1:] - panels[:, :1]
@@ -700,6 +695,9 @@ def _level(region, density, origin, field, moments, panels, pieces):
     w = w.ravel()
     ids = np.repeat(panel_of[row], s.size)
 
+    count = len(panels)
+    sums = [np.bincount(ids, w, count)]
+    scales = [sums[0]]
     v = None
     if field is not None:
         v = np.asarray(field(pts)) if w.size else np.zeros(0)
@@ -708,33 +706,28 @@ def _level(region, density, origin, field, moments, panels, pieces):
                 f"integrand returned shape {v.shape} for {w.size} points; "
                 "it must be vectorized over an (n, 2) block"
             )
-    count = len(panels)
-    sums = [_panel_sums(ids, w, count).astype(complex)]
-    scales = [sums[0].real]
-    term = w
-    for _ in range(1, moments):
-        term = term * v
-        sums.append(_panel_sums(ids, term, count).astype(complex))
-        scales.append(np.bincount(ids, np.abs(term), count))
+        term = w
+        for _ in range(2):
+            term = term * v
+            sums.append(np.bincount(ids, term, count))
+            scales.append(np.bincount(ids, np.abs(term), count))
     return np.array(sums), np.array(scales), w, v, ids
 
 
-def _integrate(region, density, field=None, profile=False):
-    """Panel quadrature shared by every integral entry point.
+def _integrate(region, density, field=None):
+    """Panel quadrature shared by both entry points.
 
-    ``field`` maps an (n, 2) block of points to n values and is evaluated
-    once per node of each level. Returns (values, mass_integral, nodes):
-    values holds the density average of the field (empty without a field)
-    and, for a profile, of its square; mass_integral is the plain integral
-    of the density kernel (for normalization constants); and, for a
-    profile, nodes is (kernel weights, field values) of every panel's
-    accepted level (None otherwise).
+    Returns (mass, moments, nodes). mass is the plain integral of the
+    density kernel. Without a field it is the one tracked sum, and moments
+    and nodes are None. A field maps an (n, 2) block of points to n values
+    and is evaluated once per node of each level; its first two powers
+    are tracked too, moments holds their density averages, and nodes is
+    (kernel weights, field values) of every panel's accepted level.
     """
     origin = _polar_origin(region, density)
     panels = _panels(region, origin)
-    moments = 1 if field is None else (3 if profile else 2)
     npan = len(panels)
-    best, best_scale, *_ = _level(region, density, origin, field, moments, panels, 1)
+    best, best_scale, *_ = _level(region, density, origin, field, panels, 1)
     active = np.arange(npan)
     prev = best.copy()
     kept = []
@@ -747,25 +740,25 @@ def _integrate(region, density, field=None, profile=False):
                 f"{16 * _MAX_PIECES} nodes; last relative change {rel:.3e}"
             )
         cur, scale, w, v, ids = _level(
-            region, density, origin, field, moments, panels[active], pieces
+            region, density, origin, field, panels[active], pieces
         )
         best[:, active], best_scale[:, active] = cur, scale
         total = best_scale.sum(axis=1, keepdims=True)
         change = np.abs(cur - prev)
         done = (change <= _REL_TOL * total / npan).all(axis=0)
         rel = float((change * npan / np.maximum(total, 1e-300)).max())
-        if profile:
+        if field is not None:
             keep = done[ids]
             kept.append((w[keep], v[keep]))
         active, prev = active[~done], cur[:, ~done]
     sums = best.sum(axis=1)
-    mass = sums[0].real
+    mass = sums[0]
     if not mass > 0:
         raise EmptyRegion("region carries no mass under the density")
-    nodes = None
-    if profile:
-        nodes = tuple(np.concatenate(x) for x in zip(*kept))
-    return [x / mass for x in sums[1:]], mass, nodes
+    if field is None:
+        return mass, None, None
+    nodes = tuple(np.concatenate(x) for x in zip(*kept))
+    return mass, sums[1:] / mass, nodes
 
 
 def ue_domain(region: Region, serving_bs, victim_bs, d_min: float) -> Region:
@@ -783,48 +776,31 @@ def ue_domain(region: Region, serving_bs, victim_bs, d_min: float) -> Region:
     return effective_region(eff, victim_bs, d_min)
 
 
-def density_profile(
-    region: Region,
-    density: UeDensity,
-    value_fn,
-    nbins: int = 16384,
-):
-    """Distribution of a scalar field under the density, plus moments.
+def density_profile(region: Region, density: UeDensity, value_fn):
+    """Law of a scalar field under the density, plus its moments.
 
     Runs the panel quadrature on the field's first two moments, evaluating
-    the field once per node of each level visited, then reduces the
-    accepted level's nodes, kept from that same pass, to ``nbins``
-    weight-preserving bins (weighted mean as the representative value, so
-    the first moment of the binned distribution is exact).
+    the field once per node of each level visited. The law is discrete:
+    its atoms are the field values at the nodes of every panel's accepted
+    level, kept from that same pass, and its probabilities their
+    normalized quadrature weights.
 
     Args:
         region: effective region.
         density: user density over the region.
         value_fn: vectorized (n, 2) points -> (n,) field values.
-        nbins: bin budget for the reduction.
 
     Returns:
-        (mean, variance, bin_weights, bin_values); bin_weights sums to 1.
+        (mean, variance, weights, values); weights sums to 1.
 
     Raises:
-        QuadratureFailure, EmptyRegion: as for region_integral.
+        DomainError: if value_fn returns any shape other than (n,).
+        QuadratureFailure, EmptyRegion: if a theta panel does not settle
+            or no ray from the polar origin meets the region. Exceptions
+            value_fn raises propagate unchanged.
     """
-    (m1, m2), _, (w, v) = _integrate(region, density, value_fn, profile=True)
-    mean = m1.real
-    var = max(m2.real - mean * mean, 0.0)
-
-    # Bin the accepted level's nodes; their field values are already known.
-    lo, hi = float(v.min()), float(v.max())
-    if not hi > lo:
-        # Degenerate field: a single bin carries all the mass.
-        return mean, var, np.array([1.0]), np.array([mean])
-    idx = np.minimum(((v - lo) / ((hi - lo) / nbins)).astype(np.intp), nbins - 1)
-    wsum = np.bincount(idx, weights=w, minlength=nbins)
-    vsum = np.bincount(idx, weights=w * v, minlength=nbins)
-    keep = wsum > 0
-    weights = wsum[keep]
-    values = vsum[keep] / weights
-    return mean, var, weights / weights.sum(), values
+    _, (mean, m2), (w, v) = _integrate(region, density, value_fn)
+    return mean, max(m2 - mean * mean, 0.0), w / w.sum(), v
 
 
 def normalize_density(region: Region, density: UeDensity) -> float:
@@ -841,25 +817,8 @@ def normalize_density(region: Region, density: UeDensity) -> float:
         QuadratureFailure: if a theta panel does not settle.
         EmptyRegion: if no ray from the polar origin meets the region.
     """
-    _, mass, _ = _integrate(region, density)
+    mass, _, _ = _integrate(region, density)
     return 1.0 / mass
-
-
-def region_integral(region: Region, density: UeDensity, integrand) -> complex:
-    """Integral of ``integrand`` against the normalized density.
-
-    The integrand must be vectorized: it maps an (n, 2) block of points to
-    n values. Evaluated as a ratio of quadrature sums over the same nodes,
-    so the constant integrand returns 1 to rounding.
-
-    Raises:
-        DomainError: if the integrand returns any other shape.
-        QuadratureFailure, EmptyRegion: if a theta panel does not settle
-            or no ray from the polar origin meets the region. Exceptions
-            the integrand raises propagate unchanged.
-    """
-    vals, _, _ = _integrate(region, density, integrand)
-    return vals[0]
 
 
 def rejection_envelope(region: Region, density: UeDensity):

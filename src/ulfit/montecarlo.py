@@ -85,6 +85,8 @@ class SampleSet:
         object.__setattr__(self, "values", vals)
         if self.n < 1 or vals.shape != (self.n,):
             raise DomainError("sample count must match values and be >= 1")
+        if not np.isfinite(vals).all():
+            raise DomainError("sample values must be finite")
         if np.any(vals[1:] < vals[:-1]):
             raise DomainError("sample values must be sorted ascending")
 
@@ -345,6 +347,8 @@ def load_samples(path) -> tuple[SampleSet, dict]:
         if body != 8 * n:
             raise ParseError(f"{path}: expected {n} values, got {body // 8}")
         values = np.fromfile(fh, dtype="<f8", count=n)
+    if not np.isfinite(values).all():
+        raise ParseError(f"{path}: non-finite sample value")
     try:
         with open(path + ".json", encoding="utf-8") as fh:
             sidecar = json.load(fh)

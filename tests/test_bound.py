@@ -331,7 +331,7 @@ def test_step1_frozen_components():
     cell, victim, stats = bread_stats(0.01, "uniform")
     e1, e2 = step1_bound(cell, victim, DEFAULT_CHANNEL, DEFAULTS, stats=stats)
     assert e1 == pytest.approx(4e-6, abs=1e-12)
-    assert e2 == pytest.approx(0.0015876676412320168, rel=1e-12)
+    assert e2 == pytest.approx(0.0015876676386598293, rel=1e-12)
     # combined step error lands at the small-cell scale
     assert (e1 + e2) < 10 * 3.5e-4
 
@@ -339,7 +339,7 @@ def test_step1_frozen_components():
 def test_step1_wider_cell():
     cell, victim, stats = bread_stats(0.02, "uniform")
     e1, e2 = step1_bound(cell, victim, DEFAULT_CHANNEL, DEFAULTS, stats=stats)
-    assert e1 + e2 == pytest.approx(0.001962836015020147, rel=1e-12)
+    assert e1 + e2 == pytest.approx(0.00196283601034465, rel=1e-12)
     assert 5.2e-4 / 5 < e1 + e2 < 5.2e-4 * 5
 
 
@@ -373,9 +373,9 @@ def test_total_bound_uniform_rayleigh():
         cell, victim, DEFAULT_CHANNEL, FadingModel("rayleigh"), DEFAULTS, stats=stats
     )
     assert isinstance(rep, BoundReport)
-    assert rep.eps2 == pytest.approx(0.0015876676412320168, rel=1e-12)
+    assert rep.eps2 == pytest.approx(0.0015876676386598293, rel=1e-12)
     assert rep.eps2_prime == pytest.approx(0.004064239939802964, rel=1e-12)
-    assert rep.eps_total == pytest.approx(0.00565990758103498, rel=1e-12)
+    assert rep.eps_total == pytest.approx(0.005659907578462793, rel=1e-12)
     assert rep.eps_total == pytest.approx(
         rep.eps1 + rep.eps2 + rep.eps1_prime + rep.eps2_prime, rel=1e-15
     )
@@ -389,9 +389,9 @@ def test_total_bound_inverse_radial_rayleigh():
     rep = total_bound(
         cell, victim, DEFAULT_CHANNEL, FadingModel("rayleigh"), DEFAULTS, stats=stats
     )
-    assert rep.eps2 == pytest.approx(0.0015309919766444402, rel=1e-12)
+    assert rep.eps2 == pytest.approx(0.001530991974163037, rel=1e-12)
     assert rep.eps2_prime == pytest.approx(0.0040754323712293376, rel=1e-12)
-    assert rep.eps_total == pytest.approx(0.005614424347873777, rel=1e-12)
+    assert rep.eps_total == pytest.approx(0.005614424345392379, rel=1e-12)
 
 
 def test_total_bound_components_nonnegative():

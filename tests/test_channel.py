@@ -239,6 +239,16 @@ def test_discrete_char_fn_progression_fading_nodes():
     np.testing.assert_array_equal(fading_char_fn(model, t), got)
 
 
+def test_fading_nodes_cached_read_only():
+    # Equal models share one cache entry, so no caller may write into it.
+    nodes, wts = _nodes(FadingModel("rician", 10.0))
+    again = _nodes(FadingModel("rician", 10.0))
+    assert again[0] is nodes and again[1] is wts
+    for arr in (nodes, wts):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_discrete_char_fn_direct_path():
     model = FadingModel("rayleigh")
     mu, _ = fading_moments(model)

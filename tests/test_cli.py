@@ -361,6 +361,35 @@ def test_non_finite_scenario_exits_2(ws, scen_path, capsys):
     assert list(ws.glob("nan_fit*")) == []
 
 
+def _compare(samples, fit, out):
+    return main(["compare", "--samples", str(samples), "--fit", str(fit), "--out", str(out)])
+
+
+def test_compare_rejects_nan_sample(ws, sim_path, fit_path):
+    # A NaN mid-array compares False and would pass a plain sort check.
+    body = bytearray(sim_path.read_bytes())
+    mid = 8 + 8 * 10_000
+    body[mid : mid + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    nan_samples = ws / "nan_samples.bin"
+    nan_samples.write_bytes(bytes(body))
+    (ws / "nan_samples.bin.json").write_bytes(Path(f"{sim_path}.json").read_bytes())
+    out = ws / "nan_sample_report.json"
+    assert _compare(nan_samples, fit_path, out) == 2
+    assert list(ws.glob("nan_sample_report*")) == []
+
+
+@pytest.mark.parametrize("key", ["lambda", "mu_q_dbm", "sigma_q2_db2", "eps_total"])
+def test_compare_rejects_nan_fit_field(ws, sim_path, fit_path, key, capsys):
+    doc = json.loads(fit_path.read_text())
+    doc[key] = float("nan")
+    nan_fit = ws / f"nan_{key}.json"
+    nan_fit.write_text(json.dumps(doc))
+    out = ws / f"nan_{key}_report.json"
+    assert _compare(sim_path, nan_fit, out) == 2
+    assert key in capsys.readouterr().err
+    assert list(ws.glob(f"nan_{key}_report*")) == []
+
+
 def test_exit_code_3_numeric(ws):
     # Lens of two almost-disjoint disks: valid schema, unusable measure.
     lens = Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0)))

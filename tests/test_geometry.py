@@ -20,7 +20,6 @@ from ulfit.geometry import (
     effective_region,
     normalize_density,
     proposal_block,
-    region_integral,
     rejection_envelope,
     ue_domain,
 )
@@ -201,23 +200,16 @@ def test_normalize_self_consistency_monte_carlo():
 
 
 def test_region_integral_constant():
-    val = region_integral(Disk((0.0, 0.0), 1.0), UeDensity("uniform"), lambda p: np.ones(len(p)))
-    assert abs(val - 1.0) < 1e-12
-
-
-def test_region_integral_zero_frequency():
-    val = region_integral(
-        Disk((0.0, 0.0), 1.0),
-        UeDensity("uniform"),
-        lambda p: np.exp(1j * 0.0 * p[:, 0]),
-    )
+    val = density_profile(
+        Disk((0.0, 0.0), 1.0), UeDensity("uniform"), lambda p: np.ones(len(p))
+    )[0]
     assert abs(val - 1.0) < 1e-12
 
 
 def test_region_integral_centroid():
-    val = region_integral(
+    val = density_profile(
         Disk((0.4, 0.0), 0.9), UeDensity("uniform"), lambda p: p[:, 0]
-    )
+    )[0]
     assert abs(val - 0.4) < 1e-6
 
 
@@ -227,8 +219,8 @@ def test_region_integral_linearity():
     f = lambda p: p[:, 0] ** 2
     g = lambda p: np.sin(p[:, 1])
     a, b = 1.7, -0.3
-    lhs = region_integral(reg, den, lambda p: a * f(p) + b * g(p))
-    rhs = a * region_integral(reg, den, f) + b * region_integral(reg, den, g)
+    lhs = density_profile(reg, den, lambda p: a * f(p) + b * g(p))[0]
+    rhs = a * density_profile(reg, den, f)[0] + b * density_profile(reg, den, g)[0]
     assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
@@ -240,8 +232,9 @@ def test_density_profile_uniform_disk_moments():
     assert mean == pytest.approx(0.3, abs=2e-5)
     assert var == pytest.approx(0.25, rel=5e-4)
     assert wts.sum() == pytest.approx(1.0, abs=1e-12)
-    # binned first moment is preserved exactly
+    # The law's own moments are the tracked ones.
     assert float(wts @ vals) == pytest.approx(mean, abs=1e-12)
+    assert float(wts @ (vals - mean) ** 2) == pytest.approx(var, abs=1e-12)
 
 
 def test_density_profile_inverse_radial_annulus_moments():
@@ -262,7 +255,7 @@ def test_density_profile_inverse_radial_annulus_moments():
 def test_region_integral_propagates_integrand_errors():
     # math.hypot rejects array rows; the error reaches the caller.
     with pytest.raises(TypeError):
-        region_integral(
+        density_profile(
             Disk((0.0, 0.0), 1.0),
             UeDensity("uniform"),
             lambda p: math.hypot(p[0], p[1]),
@@ -273,7 +266,7 @@ def test_region_integral_rejects_wrong_shape():
     reg, den = Disk((0.0, 0.0), 1.0), UeDensity("uniform")
     for bad in (lambda p: 1.0, lambda p: np.ones((len(p), 2)), lambda p: p[:-1, 0]):
         with pytest.raises(DomainError):
-            region_integral(reg, den, bad)
+            density_profile(reg, den, bad)
 
 
 def test_density_profile_evaluates_each_node_once():
@@ -293,24 +286,16 @@ def test_density_profile_evaluates_each_node_once():
         blocks.append(p.copy())
         return field(p)
 
-    nbins = 64
-    mean, var, wts, vals = density_profile(
-        square, UeDensity("uniform"), counted, nbins=nbins
-    )
+    mean, var, wts, vals = density_profile(square, UeDensity("uniform"), counted)
     assert [len(b) for b in blocks] == [4 * 16 * 16, 4 * 32 * 32]
     assert mean == pytest.approx(2.0, abs=1e-12)
     assert var == pytest.approx(0.25, abs=1e-12)
-    # The bins are those of a plain re-binning of the accepted level's nodes.
-    _, mass, (w, v) = _integrate(square, UeDensity("uniform"), field, profile=True)
+    # The law is the accepted level's nodes, with normalized weights.
+    mass, _, (w, v) = _integrate(square, UeDensity("uniform"), field)
     assert mass == pytest.approx(1.0, rel=1e-12)
     np.testing.assert_array_equal(v, field(blocks[-1]))
-    lo, hi = v.min(), v.max()
-    idx = np.minimum(((v - lo) / ((hi - lo) / nbins)).astype(np.intp), nbins - 1)
-    wsum = np.bincount(idx, weights=w, minlength=nbins)
-    vsum = np.bincount(idx, weights=w * v, minlength=nbins)
-    keep = wsum > 0
-    np.testing.assert_array_equal(wts, wsum[keep] / wsum[keep].sum())
-    np.testing.assert_array_equal(vals, vsum[keep] / wsum[keep])
+    np.testing.assert_array_equal(vals, v)
+    np.testing.assert_array_equal(wts, w / w.sum())
 
 
 def test_unsettled_panel_raises(monkeypatch):

@@ -70,6 +70,10 @@ def test_sample_set_validation():
         SampleSet(np.array([1.0, 2.0]), 3, 0)
     with pytest.raises(DomainError):
         SampleSet(np.array([]), 0, 0)
+    # NaN compares False, so a mid-array NaN would pass the sort check.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            SampleSet(np.array([1.0, bad, 3.0]), 3, 0)
 
 
 def test_empirical_cdf_step_values():
@@ -403,4 +407,8 @@ def test_load_samples_error_paths(tmp_path):
 
     sidecar_path.unlink()
     with pytest.raises(ParseError, match="bad sidecar"):
+        load_samples(path)
+
+    path.write_bytes(struct.pack("<Q", 3) + struct.pack("<3d", 1.0, math.nan, 3.0))
+    with pytest.raises(ParseError, match="non-finite"):
         load_samples(path)
