@@ -113,12 +113,13 @@ def l_stats(cell, victim_bs, params: ChannelParams) -> LStats:
         params: channel parameters (eta and d_min are used here).
 
     Returns:
-        LStats with a vectorized characteristic function of the centered
-        gain. The polar quadrature evaluates the gain once per node of
-        each level; the gain's law is the discrete law of every panel's
-        accepted nodes, weighted by their normalized quadrature weights,
-        and the characteristic function is that law's, by
-        discrete_char_fn.
+        LStats with the characteristic function of the centered gain on
+        an evenly spaced 1-D array of frequencies, the only kind that
+        epsilon2 asks for. The polar quadrature evaluates the gain once
+        per node of each level; the gain's law is the discrete law of
+        every panel's accepted nodes, weighted by their normalized
+        quadrature weights, and the characteristic function is that
+        law's, by discrete_char_fn.
     """
     dom = ue_domain(cell.region, cell.bs, victim_bs, params.d_min_km)
 

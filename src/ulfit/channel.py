@@ -7,20 +7,21 @@ H = 10*log10|h|^2 for three models: no fading (point mass at 0), Rayleigh
 (|h|^2 ~ Exp(1)), and Rician with ratio gamma between line-of-sight and
 scattered power, normalized so E[|h|^2] = 1 for every model.
 
-Fading moments and characteristic functions are computed by composite
-Gauss-Legendre quadrature on the support where the dB-domain pdf exceeds
-1e-14, hard-clipped to [-80, 80] dB.
+Fading moments and characteristic functions are exact closed forms. With
+K = gamma (0 for Rayleigh), (K + 1)|h|^2 is a Poisson(K) mixture of
+Gamma(j + 1, 1) laws, so the moments are Poisson averages of digamma and
+trigamma values at integers and the characteristic function is a Poisson
+average of gamma-function ratios; no pdf is tabulated or integrated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureFailure
+from .errors import DomainError
 
 __all__ = [
     "ChannelParams",
@@ -29,7 +30,6 @@ __all__ = [
     "shadow_stats",
     "path_loss",
     "coupling_gain_L",
-    "fading_gain_db_pdf",
     "fading_moments",
     "fading_char_fn",
     "discrete_char_fn",
@@ -38,25 +38,21 @@ __all__ = [
     "fading_draw_budget",
 ]
 
-_LN10_10 = math.log(10.0) / 10.0
-_PDF_FLOOR = 1e-14
-_DB_WINDOW = 80.0
-_PANELS = 300
-_NODES_PER_PANEL = 32
+_ZETA = 10.0 / math.log(10.0)
 # Entries of one (frequencies x atoms) block of exponentials: 16 MB.
 _CHARFN_BLOCK_ENTRIES = 1 << 20
-# log I0 (_log_i0): power-series coefficients 1 / k!^2 in z^2 / 4 for
-# z < 1, truncated below 1e-18 of the first term; the switch to the
-# asymptotic series; and its coefficients ((2k - 1)!!)^2 / (k! 8^k) in
-# 1 / z, whose seventh term is below 1e-20 at z = 700.
-_I0_SERIES = np.array([0.0] + [1.0 / math.factorial(k) ** 2 for k in range(1, 11)])
-_I0_DIRECT = 700.0
-_I0_ASYMPTOTIC = np.array(
-    [0.0]
-    + [
-        math.prod(range(1, 2 * k, 2)) ** 2 / (math.factorial(k) * 8**k)
-        for k in range(1, 7)
-    ]
+# Lanczos coefficients for g = 7, nine terms (_log_gamma).
+_LANCZOS_G = 7.0
+_LANCZOS = (
+    0.99999999999980993,
+    676.5203681218851,
+    -1259.1392167224028,
+    771.32342877765313,
+    -176.61502916214059,
+    12.507343278686905,
+    -0.13857109526572012,
+    9.9843695780195716e-6,
+    1.5056327351493116e-7,
 )
 
 
@@ -166,117 +162,67 @@ def coupling_gain_L(z, serving_bs, victim_bs, params: ChannelParams):
     return float(val[0]) if single else val
 
 
-def _log_i0(z):
-    """log I0(z) for z >= 0, vectorized, to about 1e-15 relative.
+def _log_gamma(z):
+    """Complex log Gamma(z) for Re z >= 1, vectorized.
 
-    Below z = 1, where I0 is within 0.27 of 1 and np.log(np.i0(z)) would
-    lose relative accuracy to the cancellation, the power series
-    sum_k (z^2 / 4)^k / k!^2 goes through log1p. Up to z = 700 np.i0 is
-    used directly; above it, where I0 overflows near 713, the asymptotic
-    series e^z / sqrt(2 pi z) sum_k a_k / z^k.
+    Lanczos (1964) with g = 7 and nine coefficients, about 1e-15 relative
+    on Gamma in the right half-plane: log Gamma(z) = log sqrt(2 pi) +
+    (z - 1/2) log u - u + log A, with u = z + g - 1/2 and
+    A = c_0 + sum_k c_k / (z - 1 + k).
     """
-    z = np.asarray(z, dtype=float)
-    polyval = np.polynomial.polynomial.polyval
-    series = np.log1p(polyval(0.25 * np.minimum(z, 1.0) ** 2, _I0_SERIES))
-    direct = np.log(np.i0(np.clip(z, 1.0, _I0_DIRECT)))
-    zb = np.maximum(z, _I0_DIRECT)
-    tail = np.log1p(polyval(1.0 / zb, _I0_ASYMPTOTIC))
-    asymptotic = zb - 0.5 * np.log(2.0 * math.pi * zb) + tail
-    return np.where(z < 1.0, series, np.where(z > _I0_DIRECT, asymptotic, direct))
+    z = np.asarray(z, dtype=complex) - 1.0
+    a = _LANCZOS[0] + sum(c / (z + k) for k, c in enumerate(_LANCZOS[1:], 1))
+    u = z + (_LANCZOS_G + 0.5)
+    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * np.log(u) - u + np.log(a)
 
 
-def _log_pdf_db(model: FadingModel, h):
-    """Log of the dB-domain fading pdf, vectorized and overflow-safe."""
-    h = np.asarray(h, dtype=float)
-    w = np.power(10.0, h / 10.0)
-    if model.kind == "rayleigh" or (model.kind == "rician" and model.gamma_ratio == 0):
-        return math.log(_LN10_10) + h * _LN10_10 - w
-    if model.kind == "rician":
-        k = model.gamma_ratio
-        z = 2.0 * np.sqrt(k * (k + 1.0) * w)
-        return (
-            math.log(k + 1.0)
-            - k
-            - (k + 1.0) * w
-            + _log_i0(z)
-            + math.log(_LN10_10)
-            + h * _LN10_10
-        )
-    raise DomainError("point-mass fading has no density")
+def _mixture(model: FadingModel):
+    """(K, j, p_j): (K + 1)|h|^2 is the Poisson(K) mixture of Gamma(j + 1, 1).
 
-
-def fading_gain_db_pdf(model: FadingModel):
-    """Density of H = 10*log10|h|^2 and its truncated support.
-
-    Returns:
-        (pdf, (lo, hi)): pdf is a vectorized callable, or None for the
-        "none" model whose gain is a point mass at 0 dB.
+    Rayleigh is K = 0, a single Exp(1) atom. Otherwise j spans
+    K +- (12 sqrt(K) + 40), floored at 0, which leaves out less than 1e-30
+    of the Poisson mass.
     """
-    if model.kind == "none":
-        return None, (0.0, 0.0)
-
-    def pdf(h):
-        return np.exp(_log_pdf_db(model, h))
-
-    return pdf, _support(model)
-
-
-@lru_cache(maxsize=32)
-def _support(model: FadingModel):
-    scan = np.linspace(-_DB_WINDOW, _DB_WINDOW, 4001)
-    above = _log_pdf_db(model, scan) >= math.log(_PDF_FLOOR)
-    if not above.any():
-        raise QuadratureFailure("fading pdf below floor everywhere in the window")
-    step = scan[1] - scan[0]
-    lo = max(float(scan[above][0]) - step, -_DB_WINDOW)
-    hi = min(float(scan[above][-1]) + step, _DB_WINDOW)
-    return lo, hi
-
-
-@lru_cache(maxsize=32)
-def _nodes(model: FadingModel):
-    """Composite Gauss-Legendre nodes and pdf-weighted quadrature weights.
-
-    The arrays are read-only, since the cache hands them to every caller.
-    """
-    lo, hi = _support(model)
-    edges = np.linspace(lo, hi, _PANELS + 1)
-    x, w = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    wts = wts * np.exp(_log_pdf_db(model, nodes))
-    total = float(wts.sum())
-    if abs(total - 1.0) > 1e-6:
-        raise QuadratureFailure(
-            f"fading pdf integrates to {total:.8f}, off by more than 1e-6"
-        )
-    # Renormalize the truncation loss so weights form an exact distribution.
-    wts = wts / total
-    nodes.flags.writeable = wts.flags.writeable = False
-    return nodes, wts
+    k = float(model.gamma_ratio or 0.0)
+    if k == 0:
+        return k, np.zeros(1, dtype=int), np.ones(1)
+    half = 12.0 * math.sqrt(k) + 40.0
+    j = np.arange(max(0, math.floor(k - half)), math.ceil(k + half) + 1)
+    # log(p_j / p_j[0]) by p_j = p_{j-1} K / j, then normalized.
+    log_p = np.concatenate(([0.0], np.cumsum(np.log(k / j[1:]))))
+    p = np.exp(log_p - log_p.max())
+    return k, j, p / p.sum()
 
 
 def fading_moments(model: FadingModel) -> tuple[float, float]:
-    """Mean and variance of the dB-scale gain.
+    """Mean and variance of the dB-scale gain, in closed form.
+
+    With H = zeta ln|h|^2, zeta = 10 / ln 10, and the mixture of _mixture,
+    mu_H = zeta (sum_j p_j psi(j + 1) - ln(K + 1)) and sigma_H^2 =
+    zeta^2 (sum_j p_j psi'(j + 1) + Var_p psi(j + 1)), where
+    psi(j + 1) = H_j - gamma and psi'(j + 1) = pi^2 / 6 - sum_{k <= j} k^-2.
 
     Returns:
         (mu_h, sigma_h2); exactly (0, 0) for the "none" model.
-
-    Raises:
-        QuadratureFailure: if the truncated pdf misses unit mass by > 1e-6.
     """
     if model.kind == "none":
         return 0.0, 0.0
-    nodes, wts = _nodes(model)
-    mu = float(np.sum(wts * nodes))
-    var = float(np.sum(wts * (nodes - mu) ** 2))
-    return mu, var
+    k, j, p = _mixture(model)
+    inv = np.concatenate(([0.0], 1.0 / np.arange(1, j[-1] + 1)))
+    digamma = np.cumsum(inv)[j] - np.euler_gamma
+    trigamma = math.pi**2 / 6.0 - np.cumsum(inv * inv)[j]
+    mean = float(p @ digamma)
+    var = float(p @ trigamma + p @ (digamma - mean) ** 2)
+    return _ZETA * (mean - math.log1p(k)), _ZETA**2 * var
 
 
 def fading_char_fn(model: FadingModel, t):
     """Characteristic function of the centered gain H - mu_H.
+
+    E[e^{itH}] = E[|h|^{2s}] with s = i zeta t, which for the mixture of
+    _mixture is (K + 1)^-s sum_j p_j Gamma(j + 1 + s) / Gamma(j + 1). The
+    first ratio comes from _log_gamma and the rest from the recurrence
+    r_j = r_{j-1} (j + s) / j.
 
     Args:
         t: frequency in 1/dB, scalar or array.
@@ -284,66 +230,53 @@ def fading_char_fn(model: FadingModel, t):
     Returns:
         complex scalar or array matching t.
     """
+    tt = np.asarray(t, dtype=float)
     if model.kind == "none":
-        out = np.ones_like(np.asarray(t, dtype=float), dtype=complex)
-        return complex(out) if np.isscalar(t) else out
-    nodes, wts = _nodes(model)
-    mu, _ = fading_moments(model)
-    return discrete_char_fn(nodes - mu, wts, t)
-
-
-def _is_progression(t: np.ndarray) -> bool:
-    """Whether the 1-D array t is an arithmetic progression.
-
-    Equality is judged within a few ulps of max |t|, the rounding that
-    computing c * n_k leaves on exact multiples of a step c.
-    """
-    if t.ndim != 1 or t.size < 2:
-        return False
-    fitted = np.linspace(t[0], t[-1], t.size)
-    tol = 8.0 * np.finfo(float).eps * float(np.abs(t).max())
-    return bool(np.abs(t - fitted).max() <= tol)
+        out = np.ones_like(tt, dtype=complex)
+    else:
+        k, j, p = _mixture(model)
+        mu, _ = fading_moments(model)
+        s = (1j * _ZETA) * tt
+        r = np.exp(_log_gamma(j[0] + 1.0 + s) - math.lgamma(j[0] + 1.0))
+        out = p[0] * r
+        for jj, pj in zip(j[1:].tolist(), p[1:].tolist()):
+            r *= (jj + s) / jj
+            out += pj * r
+        out *= np.exp(-1j * tt * (_ZETA * math.log1p(k) + mu))
+    return complex(out) if np.isscalar(t) else out
 
 
 def discrete_char_fn(values, weights, t):
     """Characteristic function sum_j weights[j] exp(i t values[j]).
 
-    When t is an arithmetic progression of T frequencies, it is cut into
+    t is an evenly spaced 1-D array of T frequencies. It is cut into
     blocks of B ~ sqrt(T) frequencies, and block b is the first block
     shifted by d_b = t[bB] - t[0]. The shift factors exp(i d_b values)
     act along the atoms, so every block is the first block's exponentials
     times weights * exp(i d_b values): one matrix product, with one complex
     exponential per atom and block instead of one per atom and frequency.
-    Any other t, scalars included, takes the direct formula
-    exp(i t values) @ weights. Either way one block of exponentials holds
-    at most 2**20 entries.
+    One block of exponentials holds at most 2**20 entries.
 
     Args:
         values: atoms of the law, shape (n,).
         weights: their probabilities, shape (n,).
-        t: frequency, scalar or 1-D array.
+        t: evenly spaced frequencies, shape (T,).
 
     Returns:
-        complex scalar for a scalar t, complex array matching t otherwise.
+        complex array, shape (T,).
     """
     x = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
     cap = max(1, _CHARFN_BLOCK_ENTRIES // max(x.size, 1))
-    rows = min(max(1, math.ceil(math.sqrt(tt.size))), cap)
-    if tt.size <= rows or not _is_progression(tt):
-        out = np.empty(tt.shape, dtype=complex)
-        for i in range(0, tt.size, cap):
-            out[i : i + cap] = np.exp(1j * tt[i : i + cap, None] * x[None, :]) @ w
-    else:
-        first = np.exp(1j * tt[:rows, None] * x[None, :])
-        starts = np.arange(0, tt.size, rows)
-        blocks = np.empty((starts.size, rows), dtype=complex)
-        for i in range(0, starts.size, cap):
-            shifts = np.exp(1j * x[:, None] * (tt[starts[i : i + cap]] - tt[0]))
-            blocks[i : i + cap] = (first @ (w[:, None] * shifts)).T
-        out = blocks.ravel()[: tt.size]
-    return complex(out[0]) if np.isscalar(t) else out
+    rows = min(max(1, math.ceil(math.sqrt(t.size))), cap)
+    first = np.exp(1j * t[:rows, None] * x[None, :])
+    starts = np.arange(0, t.size, rows)
+    blocks = np.empty((starts.size, rows), dtype=complex)
+    for i in range(0, starts.size, cap):
+        shifts = np.exp(1j * x[:, None] * (t[starts[i : i + cap]] - t[0]))
+        blocks[i : i + cap] = (first @ (w[:, None] * shifts)).T
+    return blocks.ravel()[: t.size]
 
 
 def fading_draw_budget(model: FadingModel) -> int:

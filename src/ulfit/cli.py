@@ -92,6 +92,8 @@ def parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise SchemaError(f"grid: non-numeric field in {spec!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise SchemaError(f"grid: non-finite field in {spec!r}")
     if not step > 0:
         raise SchemaError("grid: step must be > 0")
     if hi < lo:

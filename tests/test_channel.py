@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import gamma as complex_gamma
 from scipy.special import ndtr
 
@@ -10,14 +9,10 @@ from ulfit.bound import BoundParams, epsilon2
 from ulfit.channel import (
     ChannelParams,
     FadingModel,
-    _is_progression,
-    _log_i0,
-    _nodes,
+    _log_gamma,
     coupling_gain_L,
-    discrete_char_fn,
     fading_char_fn,
     fading_draw_budget,
-    fading_gain_db_pdf,
     fading_moments,
     normal_pair,
     path_loss,
@@ -111,54 +106,30 @@ def test_fading_model_validation():
         FadingModel("rayleigh", 3.0)
 
 
-def test_pdf_none_is_point_mass():
-    pdf, (lo, hi) = fading_gain_db_pdf(FadingModel("none"))
-    assert pdf is None
-    assert (lo, hi) == (0.0, 0.0)
-
-
-def test_pdf_rayleigh_normalization_and_mode():
-    pdf, (lo, hi) = fading_gain_db_pdf(FadingModel("rayleigh"))
-    mass, _ = quad(pdf, lo, hi, limit=200)
-    assert mass == pytest.approx(1.0, abs=1e-6)
-    assert pdf(0.0) == pytest.approx(math.log(10.0) / 10.0 * math.exp(-1.0), rel=1e-12)
-
-
-def test_pdf_rician_zero_matches_rayleigh():
-    ray, _ = fading_gain_db_pdf(FadingModel("rayleigh"))
-    ric, _ = fading_gain_db_pdf(FadingModel("rician", 0.0))
-    h = np.linspace(-40.0, 10.0, 501)
-    np.testing.assert_allclose(ric(h), ray(h), atol=1e-9)
-
-
-def test_unit_mean_power():
-    for model in (FadingModel("rayleigh"), FadingModel("rician", 10.0)):
-        pdf, (lo, hi) = fading_gain_db_pdf(model)
-        mean_w, _ = quad(lambda h: pdf(h) * 10.0 ** (h / 10.0), lo, hi, limit=400)
-        assert mean_w == pytest.approx(1.0, abs=1e-6)
-
-
 def test_moments_none():
     assert fading_moments(FadingModel("none")) == (0.0, 0.0)
 
 
 def test_moments_rayleigh_closed_form():
-    # Quadrature moments, checked against the exact log-exponential values.
+    # The exact log-exponential values: E[ln E] = -gamma, Var[ln E] = pi^2/6.
     mu, var = fading_moments(FadingModel("rayleigh"))
-    assert mu == pytest.approx(-ZETA * np.euler_gamma, abs=1e-3)
-    assert var == pytest.approx(ZETA**2 * math.pi**2 / 6.0, abs=1e-3)
+    assert mu == pytest.approx(-ZETA * np.euler_gamma, rel=1e-12)
+    assert var == pytest.approx(ZETA**2 * math.pi**2 / 6.0, rel=1e-12)
 
 
 def test_moments_rician_zero_degenerates():
-    assert fading_moments(FadingModel("rician", 0.0)) == fading_moments(
-        FadingModel("rayleigh")
-    )
+    # Rician(0) is Rayleigh exactly: moments and characteristic function.
+    ray, ric = FadingModel("rayleigh"), FadingModel("rician", 0.0)
+    assert fading_moments(ric) == fading_moments(ray)
+    t = np.linspace(-2.0, 2.0, 81)
+    np.testing.assert_array_equal(fading_char_fn(ric, t), fading_char_fn(ray, t))
 
 
 def test_moments_rician_ten():
     mu, var = fading_moments(FadingModel("rician", 10.0))
-    assert mu == pytest.approx(-0.41390879767644001, abs=1e-9)
-    assert var == pytest.approx(3.9942923533173436, abs=1e-9)
+    # mpmath quadrature of the Rician dB-domain pdf at 30 digits.
+    assert mu == pytest.approx(-0.41390879809557435, abs=1e-9)
+    assert var == pytest.approx(3.9942923885697614, abs=1e-9)
     assert abs(var - 4.0) < 0.5
 
 
@@ -200,7 +171,7 @@ def test_char_fn_rayleigh_closed_form():
     mu, _ = fading_moments(model)
     t = np.linspace(-2.0, 2.0, 81)
     exact = complex_gamma(1.0 + 1j * t * ZETA) * np.exp(-1j * t * mu)
-    np.testing.assert_allclose(fading_char_fn(model, t), exact, atol=1e-8)
+    np.testing.assert_allclose(fading_char_fn(model, t), exact, atol=1e-13)
 
 
 def test_char_fn_monte_carlo_oracle():
@@ -224,69 +195,38 @@ def eps2_frequencies(sigma_l2, sigma_s2):
     return seen[0]
 
 
-def test_discrete_char_fn_progression_fading_nodes():
-    # Second-step probe of a Rayleigh cell: the fading law against the
-    # gain-plus-shadowing Gaussian (sigma_G^2 = sigma_L^2 + 164 dB^2).
-    model = FadingModel("rayleigh")
-    mu, sigma_h2 = fading_moments(model)
-    t = eps2_frequencies(sigma_h2, 15.357 + 164.0)
-    assert t.size == 2863 and _is_progression(t)
-    nodes, wts = _nodes(model)
-    x = nodes - mu
-    direct = np.exp(1j * np.outer(t, x)) @ wts
-    got = discrete_char_fn(x, wts, t)
-    assert np.abs(got - direct).max() < 1e-13
-    np.testing.assert_array_equal(fading_char_fn(model, t), got)
-
-
-def test_fading_nodes_cached_read_only():
-    # Equal models share one cache entry, so no caller may write into it.
-    nodes, wts = _nodes(FadingModel("rician", 10.0))
-    again = _nodes(FadingModel("rician", 10.0))
-    assert again[0] is nodes and again[1] is wts
-    for arr in (nodes, wts):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-
-
-def test_discrete_char_fn_direct_path():
-    model = FadingModel("rayleigh")
-    mu, _ = fading_moments(model)
-    nodes, wts = _nodes(model)
-    x = nodes - mu
-    t = eps2_frequencies(30.0, 180.0)
-    bent = t.copy()
-    bent[1000] *= 1.0 + 1e-9
-    shuffled = np.random.default_rng(3).permutation(t)
-    for arr in (bent, shuffled, t[[0, 2, 3]]):
-        assert not _is_progression(arr)
-        direct = np.exp(1j * np.outer(arr, x)) @ wts
-        assert np.abs(discrete_char_fn(x, wts, arr) - direct).max() < 1e-13
-    for scalar in (0.3, np.float64(-0.7)):
-        assert not _is_progression(np.atleast_1d(scalar))
-        got = discrete_char_fn(x, wts, scalar)
-        assert isinstance(got, complex)
-        assert abs(got - np.exp(1j * scalar * x) @ wts) < 1e-13
-    zero_d = discrete_char_fn(x, wts, np.array(0.3))
-    assert zero_d.shape == (1,)
-    assert discrete_char_fn(x, wts, np.array([])).shape == (0,)
-
-
-def test_log_i0_matches_mpmath():
+def test_log_gamma_matches_mpmath():
     import mpmath as mp
 
-    mp.mp.dps = 40
-    # Both sides of the series switch at 1 and of the asymptotic switch
-    # at 700; the Rician pdf's support scan over [-80, 80] dB crosses both
-    # for every gamma above about 0.001.
-    z = np.concatenate(
-        [[0.0, 1e-300, 1e-8, 0.999999, 1.0, 699.999, 700.0, 700.001],
-         np.geomspace(1e-6, 1e4, 601)]
-    )
-    ref = [mp.log(mp.besseli(0, v)) for v in map(mp.mpf, z.tolist())]
-    np.testing.assert_allclose(
-        _log_i0(z), np.array(ref, dtype=float), rtol=1e-14, atol=0
-    )
+    z = (np.linspace(1.0, 50.0, 50)[:, None] + 1j * np.linspace(-5.0, 5.0, 21)).ravel()
+    with mp.workdps(30):
+        ref = np.array([complex(mp.loggamma(mp.mpc(v.real, v.imag))) for v in z])
+    np.testing.assert_allclose(_log_gamma(z), ref, rtol=1e-15, atol=1e-14)
+
+
+@pytest.mark.parametrize("gamma_ratio", [None, 3.0, 10.0])
+def test_char_fn_matches_mpmath_on_eps2_frequencies(gamma_ratio):
+    # An independent closed form, Kummer's transformation of the Rician
+    # moments: E[|h|^{2s}] = (K + 1)^-s Gamma(1 + s) 1F1(-s; 1; -K), with
+    # s = i zeta t; mu_H is zeta times the derivative of its log at s = 0.
+    import mpmath as mp
+
+    if gamma_ratio is None:
+        model, k = FadingModel("rayleigh"), 0
+    else:
+        model, k = FadingModel("rician", gamma_ratio), gamma_ratio
+    _, sigma_h2 = fading_moments(model)
+    t = eps2_frequencies(sigma_h2, 15.357 + 164.0)
+    assert t.size == 2863
+    with mp.workdps(20):
+        zeta = 10 / mp.log(10)
+
+        def mgf(s):
+            return mp.power(k + 1, -s) * mp.gamma(1 + s) * mp.hyp1f1(-s, 1, -k)
+
+        mu = zeta * mp.diff(lambda s: mp.log(mgf(s)), 0)
+        ref = [complex(mgf(mp.mpc(0, zeta * v)) * mp.expj(-v * mu)) for v in t.tolist()]
+    assert np.abs(fading_char_fn(model, t) - np.array(ref)).max() < 1e-13
 
 
 def test_normal_pair_is_two_independent_normals():

@@ -100,6 +100,14 @@ def test_parse_grid_rejects():
             parse_grid(bad)
 
 
+@pytest.mark.parametrize("spec", ["nan:0:1", "-inf:0:1", "0:inf:1", "0:1:inf"])
+def test_fit_rejects_non_finite_grid(ws, scen_path, spec):
+    out = ws / "nonfinite.json"
+    rc = main(["fit", "--scenario", str(scen_path), "--out", str(out), "--grid", spec])
+    assert rc == 2
+    assert list(ws.glob("nonfinite.json*")) == []
+
+
 def test_bound_command(ws, scen, scen_path):
     out = ws / "bound.csv"
     rc = main(["bound", "--scenario", str(scen_path), "--out", str(out)])
