@@ -91,23 +91,23 @@ class ChannelParams:
 class FadingModel:
     """Multi-path fading model on the power gain |h|^2.
 
-    kind is one of "none", "rayleigh", "rician". gamma_ratio is the
-    Rician ratio of line-of-sight to scattered power; zero makes it
-    statistically identical to Rayleigh. Error messages call it gamma,
-    its key in a scenario file.
+    kind is one of "none", "rayleigh", "rician". gamma is the Rician
+    ratio of line-of-sight to scattered power, in [0, 1e4]; zero makes it
+    statistically identical to Rayleigh. The cap bounds the Poisson
+    mixture, which spans about 24 sqrt(gamma) + 81 terms.
     """
 
     kind: str
-    gamma_ratio: float | None = None
+    gamma: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("none", "rayleigh", "rician"):
             raise DomainError(f"kind: unknown fading kind {self.kind!r}")
         if self.kind == "rician":
-            g = self.gamma_ratio
-            if g is None or not math.isfinite(g) or g < 0:
-                raise DomainError("gamma: rician fading requires a finite ratio >= 0")
-        elif self.gamma_ratio is not None:
+            g = self.gamma
+            if g is None or not 0 <= g <= 1e4:
+                raise DomainError("gamma: rician fading requires a ratio in [0, 1e4]")
+        elif self.gamma is not None:
             raise DomainError("gamma: only applies to rician fading")
 
 
@@ -183,7 +183,7 @@ def _mixture(model: FadingModel):
     K +- (12 sqrt(K) + 40), floored at 0, which leaves out less than 1e-30
     of the Poisson mass.
     """
-    k = float(model.gamma_ratio or 0.0)
+    k = float(model.gamma or 0.0)
     if k == 0:
         return k, np.zeros(1, dtype=int), np.ones(1)
     half = 12.0 * math.sqrt(k) + 40.0
@@ -283,7 +283,7 @@ def fading_draw_budget(model: FadingModel) -> int:
     """Uniform variates consumed per fading draw (0, 1, or 2)."""
     if model.kind == "none":
         return 0
-    if model.kind == "rayleigh" or model.gamma_ratio == 0:
+    if model.kind == "rayleigh" or model.gamma == 0:
         return 1
     return 2
 
@@ -313,10 +313,10 @@ def sample_fading_db_block(model: FadingModel, rng, n: int) -> np.ndarray:
     """
     if model.kind == "none":
         return np.zeros(n)
-    if model.kind == "rayleigh" or model.gamma_ratio == 0:
+    if model.kind == "rayleigh" or model.gamma == 0:
         e = -np.log1p(-rng.random(n))
         return 10.0 * np.log10(e)
-    k = model.gamma_ratio
+    k = model.gamma
     s = math.sqrt(1.0 / (2.0 * (k + 1.0)))
     nu = math.sqrt(k / (k + 1.0))
     g0, g1 = normal_pair(rng.random((n, 2)))

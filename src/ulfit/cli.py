@@ -46,7 +46,7 @@ from .montecarlo import (
     save_samples,
     simulate_aggregate,
 )
-from .scenario import load_scenario, scenario_hash
+from .scenario import _to_doc, load_scenario, scenario_hash
 
 __all__ = [
     "main",
@@ -125,10 +125,6 @@ def _manifest(command, scen_hash, bound, seed, n, outputs) -> dict:
     }
 
 
-def _bound_doc(bp) -> dict:
-    return {"omega": bp.omega, "p": bp.p, "k1": bp.k1, "k2": bp.k2}
-
-
 def _cell_reports(scenario):
     """(cell, LStats, BoundReport) per cell; errors name the cell."""
     out = []
@@ -168,7 +164,7 @@ def cmd_bound(scenario_path, out_csv) -> int:
     _write_manifest(
         str(out_csv),
         _manifest(
-            "bound", scen_hash, _bound_doc(scenario.bound), None, None, [str(out_csv)]
+            "bound", scen_hash, _to_doc(scenario.bound), None, None, [str(out_csv)]
         ),
     )
     return 0
@@ -208,7 +204,7 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
         "sigma_q2_db2": agg.sigma_q2,
         "scenario_hash": scen_hash,
         "eps_total": max(c["eps_total"] for c in per_cell),
-        "bound": _bound_doc(scenario.bound),
+        "bound": _to_doc(scenario.bound),
         "per_cell": per_cell,
     }
     _write_json(out_json, doc)
@@ -224,7 +220,7 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
         outputs.append(cdf_csv)
     _write_manifest(
         str(out_json),
-        _manifest("fit", scen_hash, _bound_doc(scenario.bound), None, None, outputs),
+        _manifest("fit", scen_hash, _to_doc(scenario.bound), None, None, outputs),
     )
     return 0
 
@@ -240,7 +236,7 @@ def cmd_simulate(scenario_path, n, seed, out_bin, workers=1) -> int:
         _manifest(
             "simulate",
             scen_hash,
-            _bound_doc(scenario.bound),
+            _to_doc(scenario.bound),
             seed,
             n,
             [str(out_bin), f"{out_bin}.json"],

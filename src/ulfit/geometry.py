@@ -50,7 +50,7 @@ integrand must be vectorized over an (n, 2) block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -275,7 +275,8 @@ class Ellipse:
     center: tuple[float, float]
     a_km: float
     b_km: float
-    rotation_rad: float = 0.0
+    # A scenario document may leave the rotation out.
+    rotation_rad: float = field(default=0.0, metadata={"optional": True})
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_point(self.center, "center"))
@@ -463,7 +464,7 @@ class Polygon:
 class Intersection:
     """Intersection of a non-empty list of regions."""
 
-    parts: tuple
+    parts: tuple[Region, ...]
 
     def __post_init__(self):
         parts = tuple(self.parts)

@@ -252,8 +252,6 @@ def simulate_aggregate(
     (the same values simulate_cell would produce); the sum is taken in mW
     and reported in dBm.
     """
-    if not scenario.cells:
-        raise DomainError("scenario has no interfering cells")
     if n < 1:
         raise DomainError("n must be >= 1")
 

@@ -6,20 +6,28 @@ and the bound tuning constants. Two builders cover the standard setups:
 a two-station layout with the canonical intersection region, and a seeded
 random drop of many disk cells in a half-kilometer square.
 
+The dataclasses are the document format. A document key is a field name
+and its JSON type follows the field's annotation; fields whose value is
+None are left out, regions carry a "type" tag, and points are [x, y]
+pairs. Every key is required except those of fields that default to
+None (density.origin, fading.gamma) and ellipse rotation_rad.
+
 Loading validates each input once. The loader checks only the JSON types
 and shapes, and requires every number and point to be finite. The
-constructors (ChannelParams, FadingModel, BoundParams, UeDensity, the
-regions and Scenario) own every range and consistency rule; their
+constructors own every range and consistency rule, among them a Rician
+gamma of at most 1e4, at least one cell, and bound.k1 == bound.k2; their
 messages start with the field they reject, and the loader reports each
 rejection as one SchemaError under the document path, e.g. channel.eta.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -41,6 +49,7 @@ from .geometry import (
     Polygon,
     Region,
     UeDensity,
+    _as_point,
     effective_region,
 )
 
@@ -81,6 +90,9 @@ class Cell:
     region: Region
     density: UeDensity
 
+    def __post_init__(self):
+        object.__setattr__(self, "bs", _as_point(self.bs, "bs"))
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -91,12 +103,19 @@ class Scenario:
     bound: BoundParams
 
     def __post_init__(self):
+        object.__setattr__(self, "victim_bs", _as_point(self.victim_bs, "victim_bs"))
         object.__setattr__(self, "cells", tuple(self.cells))
+        if not self.cells:
+            raise DomainError("cells: must contain at least one cell")
+        if self.bound.k1 != self.bound.k2:
+            # The per-cell step bounds drop the asymptotic-window term,
+            # which vanishes only for equal cutoffs.
+            raise DomainError("bound.k2: must equal bound.k1")
         ids = [c.id for c in self.cells]
         if len(set(ids)) != len(ids):
             raise DomainError("cells: cell ids must be unique")
         for i, c in enumerate(self.cells):
-            if tuple(c.bs) == tuple(self.victim_bs):
+            if c.bs == self.victim_bs:
                 raise DomainError(
                     f"cells[{i}].bs: cell {c.id} sits on the victim station"
                 )
@@ -202,79 +221,53 @@ def build_hotspot_layout(
     return Scenario(victim, tuple(cells), DEFAULT_CHANNEL, fading, BoundParams())
 
 
-def _point_to_doc(p) -> list:
-    return [float(p[0]), float(p[1])]
+# The "type" tag of each region class in a document.
+_REGION_TYPES = {
+    "disk": Disk,
+    "annulus": Annulus,
+    "ellipse": Ellipse,
+    "polygon": Polygon,
+    "intersection": Intersection,
+}
+_REGION_TAGS = {cls: tag for tag, cls in _REGION_TYPES.items()}
 
 
-def _region_to_doc(region: Region) -> dict:
-    if isinstance(region, Disk):
-        return {
-            "type": "disk",
-            "center": _point_to_doc(region.center),
-            "radius_km": region.radius_km,
-        }
-    if isinstance(region, Annulus):
-        return {
-            "type": "annulus",
-            "center": _point_to_doc(region.center),
-            "r_inner": region.r_inner,
-            "r_outer": region.r_outer,
-        }
-    if isinstance(region, Ellipse):
-        return {
-            "type": "ellipse",
-            "center": _point_to_doc(region.center),
-            "a_km": region.a_km,
-            "b_km": region.b_km,
-            "rotation_rad": region.rotation_rad,
-        }
-    if isinstance(region, Polygon):
-        return {
-            "type": "polygon",
-            "vertices": [_point_to_doc(v) for v in region.vertices],
-        }
-    if isinstance(region, Intersection):
-        return {
-            "type": "intersection",
-            "parts": [_region_to_doc(p) for p in region.parts],
-        }
-    raise DomainError(f"unknown region type {type(region).__name__}")
+def _to_doc(obj):
+    """Plain-JSON form of a dataclass tree.
+
+    Each field is written under its own name and None fields are left
+    out; regions carry their "type" tag and tuples become lists.
+    """
+    if is_dataclass(obj):
+        doc = {"type": _REGION_TAGS[type(obj)]} if type(obj) in _REGION_TAGS else {}
+        for f in fields(obj):
+            val = getattr(obj, f.name)
+            if val is not None:
+                doc[f.name] = _to_doc(val)
+        return doc
+    if isinstance(obj, tuple):
+        return [_to_doc(v) for v in obj]
+    return obj
 
 
 def scenario_to_doc(scenario: Scenario) -> dict:
     """Plain-JSON document form of a scenario."""
-    cells = []
-    for c in scenario.cells:
-        density = {"kind": c.density.kind}
-        if c.density.origin is not None:
-            density["origin"] = _point_to_doc(c.density.origin)
-        cells.append(
-            {
-                "id": c.id,
-                "bs": _point_to_doc(c.bs),
-                "region": _region_to_doc(c.region),
-                "density": density,
-            }
-        )
-    ch = scenario.channel
-    fading = {"kind": scenario.fading.kind}
-    if scenario.fading.gamma_ratio is not None:
-        fading["gamma"] = scenario.fading.gamma_ratio
-    bp = scenario.bound
-    return {
-        "victim_bs": _point_to_doc(scenario.victim_bs),
-        "cells": cells,
-        "channel": {
-            "a_db": ch.a_db,
-            "alpha": ch.alpha,
-            "p0_dbm": ch.p0_dbm,
-            "eta": ch.eta,
-            "sigma_shad_db": ch.sigma_shad_db,
-            "d_min_km": ch.d_min_km,
-        },
-        "fading": fading,
-        "bound": {"omega": bp.omega, "p": bp.p, "k1": bp.k1, "k2": bp.k2},
-    }
+    return _to_doc(scenario)
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    """Field annotations of a dataclass, resolved once per class."""
+    return typing.get_type_hints(cls)
+
+
+def _optional(f) -> bool:
+    """A key may be left out when its field defaults to None or is marked so."""
+    return f.default is None or f.metadata.get("optional", False)
+
+
+def _fail(path, message):
+    raise SchemaError(f"{path or 'document'}: {message}")
 
 
 def _finite(val) -> float | None:
@@ -288,192 +281,74 @@ def _finite(val) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _point(val) -> tuple[float, float] | None:
-    """A JSON [x, y] pair of finite numbers as a tuple, None otherwise."""
-    if not isinstance(val, list) or len(val) != 2:
-        return None
-    x, y = _finite(val[0]), _finite(val[1])
-    return None if x is None or y is None else (x, y)
+def _from_doc(tp, val, path=""):
+    """The value of annotation tp read from JSON value val at a dotted path.
 
-
-class _Checker:
-    """Walks a document, raising SchemaError with a dotted field path.
-
-    It checks JSON types and shapes only; numbers and points must be
-    finite. Range and consistency rules belong to the constructors.
+    The JSON types and shapes are checked here, and numbers and points
+    must be finite. Range and consistency rules belong to the
+    constructors: their messages start with the field they reject ("eta:
+    must be in (0, 1]"), so the SchemaError names the full path
+    ("channel.eta").
     """
-
-    def __init__(self, doc, path=""):
-        self.doc = doc
-        self.path = path
-
-    def fail(self, key, message):
-        where = f"{self.path}.{key}" if self.path else key
-        raise SchemaError(f"{where}: {message}")
-
-    def get(self, key, kind, required=True, default=None):
-        if not isinstance(self.doc, dict):
-            raise SchemaError(f"{self.path or 'document'}: expected an object")
-        if key not in self.doc:
-            if required:
-                self.fail(key, "missing required field")
-            return default
-        val = self.doc[key]
-        if kind == "number":
-            x = _finite(val)
-            if x is None:
-                self.fail(key, "expected a finite number")
-            return x
-        if kind == "int":
-            if isinstance(val, bool) or not isinstance(val, int):
-                self.fail(key, "expected an integer")
-            return val
-        if kind == "string":
-            if not isinstance(val, str):
-                self.fail(key, "expected a string")
-            return val
-        if kind == "point":
-            p = _point(val)
-            if p is None:
-                self.fail(key, "expected [x, y] of finite numbers")
-            return p
-        if kind == "list":
-            if not isinstance(val, list):
-                self.fail(key, "expected an array")
-            return val
-        if kind == "object":
-            if not isinstance(val, dict):
-                self.fail(key, "expected an object")
-            return val
-        raise AssertionError(kind)
-
-    def sub(self, key):
-        return _Checker(
-            self.get(key, "object"), f"{self.path}.{key}" if self.path else key
-        )
-
-
-def _build(path, make, *args, **kwargs):
-    """make(*args, **kwargs), its rejection reported under the document path.
-
-    Constructor messages start with the field they reject ("eta: must be
-    in (0, 1]"), so the SchemaError names the full path ("channel.eta").
-    """
-    try:
-        return make(*args, **kwargs)
-    except (DomainError, EmptyRegion) as exc:
-        raise SchemaError(f"{path}.{exc}" if path else str(exc)) from exc
-
-
-def _region_from_doc(doc, path) -> Region:
-    c = _Checker(doc, path)
-    kind = c.get("type", "string")
-    if kind == "disk":
-        return _build(
-            path, Disk, c.get("center", "point"), c.get("radius_km", "number")
-        )
-    if kind == "annulus":
-        return _build(
-            path,
-            Annulus,
-            c.get("center", "point"),
-            c.get("r_inner", "number"),
-            c.get("r_outer", "number"),
-        )
-    if kind == "ellipse":
-        return _build(
-            path,
-            Ellipse,
-            c.get("center", "point"),
-            c.get("a_km", "number"),
-            c.get("b_km", "number"),
-            c.get("rotation_rad", "number", required=False, default=0.0),
-        )
-    if kind == "polygon":
-        verts = c.get("vertices", "list")
-        pts = []
-        for i, v in enumerate(verts):
-            p = _point(v)
-            if p is None:
-                c.fail(f"vertices[{i}]", "expected [x, y] of finite numbers")
-            pts.append(p)
-        return _build(path, Polygon, tuple(pts))
-    if kind == "intersection":
-        parts = c.get("parts", "list")
-        return _build(
-            path,
-            Intersection,
-            tuple(
-                _region_from_doc(p, f"{path}.parts[{i}]")
-                for i, p in enumerate(parts)
-            ),
-        )
-    c.fail("type", f"unknown region type {kind!r}")
+    if tp is float:
+        x = _finite(val)
+        if x is None:
+            _fail(path, "expected a finite number")
+        return x
+    if tp is int:
+        if isinstance(val, bool) or not isinstance(val, int):
+            _fail(path, "expected an integer")
+        return val
+    if tp is str:
+        if not isinstance(val, str):
+            _fail(path, "expected a string")
+        return val
+    if tp is dict:
+        if not isinstance(val, dict):
+            _fail(path, "expected an object")
+        return val
+    if tp is Region:
+        if "type" not in _from_doc(dict, val, path):
+            _fail(f"{path}.type", "missing required field")
+        tag = _from_doc(str, val["type"], f"{path}.type")
+        if tag not in _REGION_TYPES:
+            _fail(f"{path}.type", f"unknown region type {tag!r}")
+        tp = _REGION_TYPES[tag]
+    if is_dataclass(tp):
+        _from_doc(dict, val, path)
+        kwargs = {}
+        for f in fields(tp):
+            where = f"{path}.{f.name}" if path else f.name
+            if f.name in val:
+                kwargs[f.name] = _from_doc(_hints(tp)[f.name], val[f.name], where)
+            elif not _optional(f):
+                _fail(where, "missing required field")
+        try:
+            return tp(**kwargs)
+        except (DomainError, EmptyRegion) as exc:
+            raise SchemaError(f"{path}.{exc}" if path else str(exc)) from exc
+    args = typing.get_args(tp)
+    if type(None) in args:
+        # An optional field may be absent, never null.
+        (tp,) = (a for a in args if a is not type(None))
+        return _from_doc(tp, val, path)
+    if args == (float, float):
+        pt = tuple(map(_finite, val)) if isinstance(val, list) else ()
+        if len(pt) != 2 or None in pt:
+            _fail(path, "expected [x, y] of finite numbers")
+        return pt
+    if not isinstance(val, list):
+        _fail(path, "expected an array")
+    return tuple(_from_doc(args[0], v, f"{path}[{i}]") for i, v in enumerate(val))
 
 
 def scenario_from_doc(doc) -> Scenario:
     """Validated scenario from a plain-JSON document.
 
-    The document's types and shapes are checked here; every range and
-    consistency rule is the constructor's, reported under the path of
-    the object it builds.
-
     Raises:
         SchemaError: naming the offending field by dotted path.
     """
-    root = _Checker(doc)
-    victim = root.get("victim_bs", "point")
-
-    ch = root.sub("channel")
-    channel = _build(
-        "channel",
-        ChannelParams,
-        a_db=ch.get("a_db", "number"),
-        alpha=ch.get("alpha", "number"),
-        p0_dbm=ch.get("p0_dbm", "number"),
-        eta=ch.get("eta", "number"),
-        sigma_shad_db=ch.get("sigma_shad_db", "number"),
-        d_min_km=ch.get("d_min_km", "number"),
-    )
-
-    fd = root.sub("fading")
-    fading = _build(
-        "fading",
-        FadingModel,
-        fd.get("kind", "string"),
-        fd.get("gamma", "number", required=False),
-    )
-
-    bd = root.sub("bound")
-    bound = _build(
-        "bound",
-        BoundParams,
-        omega=bd.get("omega", "number"),
-        p=bd.get("p", "int"),
-        k1=bd.get("k1", "number"),
-        k2=bd.get("k2", "number"),
-    )
-
-    cell_docs = root.get("cells", "list")
-    if not cell_docs:
-        root.fail("cells", "must contain at least one cell")
-    cells = []
-    for i, cdoc in enumerate(cell_docs):
-        path = f"cells[{i}]"
-        cc = _Checker(cdoc, path)
-        cid = cc.get("id", "int")
-        bs = cc.get("bs", "point")
-        region = _region_from_doc(cc.get("region", "object"), f"{path}.region")
-        dd = cc.sub("density")
-        density = _build(
-            f"{path}.density",
-            UeDensity,
-            dd.get("kind", "string"),
-            dd.get("origin", "point", required=False),
-        )
-        cells.append(Cell(cid, bs, region, density))
-
-    return _build("", Scenario, victim, tuple(cells), channel, fading, bound)
+    return _from_doc(Scenario, doc)
 
 
 def load_scenario(path) -> Scenario:

@@ -369,6 +369,27 @@ def test_non_finite_scenario_exits_2(ws, scen_path, capsys):
     assert list(ws.glob("nan_fit*")) == []
 
 
+_INPUT_RULES = {
+    # The Poisson mixture of a Rician law grows as sqrt(gamma).
+    "fading.gamma": lambda d: d.update(fading={"kind": "rician", "gamma": 1e5}),
+    # The per-cell step bounds need equal cutoffs.
+    "bound.k2": lambda d: d["bound"].update(k2=2 * d["bound"]["k1"]),
+}
+
+
+@pytest.mark.parametrize("path, mutate", _INPUT_RULES.items(), ids=list(_INPUT_RULES))
+@pytest.mark.parametrize("command", ["fit", "bound"])
+def test_constructor_rules_exit_2(ws, scen_path, capsys, command, path, mutate):
+    doc = json.loads(scen_path.read_text())
+    mutate(doc)
+    bad = ws / f"rule_{command}_{path}.json"
+    bad.write_text(json.dumps(doc))
+    out = ws / f"rule_{command}_{path}.out"
+    assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+    assert path in capsys.readouterr().err
+    assert list(ws.glob(f"rule_{command}_{path}.out*")) == []
+
+
 def _compare(samples, fit, out):
     return main(["compare", "--samples", str(samples), "--fit", str(fit), "--out", str(out)])
 

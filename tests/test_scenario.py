@@ -8,9 +8,11 @@ import pytest
 from ulfit.bound import BoundParams
 from ulfit.channel import FadingModel
 from ulfit.errors import DomainError, ParseError, PlacementFailure, SchemaError
-from ulfit.geometry import Disk, Intersection, contains
+from ulfit.geometry import Disk, Intersection, UeDensity, contains
 from ulfit.scenario import (
     DEFAULT_CHANNEL,
+    Cell,
+    Scenario,
     build_hotspot_layout,
     build_single_cell,
     load_scenario,
@@ -154,40 +156,64 @@ def test_hash_frozen_values():
     )
 
 
+def test_hash_integer_coordinates():
+    # Points are written as floats, other numbers as given.
+    scen = Scenario(
+        (0, 0),
+        (Cell(2, (1, 0), Disk((1, 0), 1), UeDensity("uniform")),),
+        DEFAULT_CHANNEL,
+        FadingModel("none"),
+        BoundParams(),
+    )
+    assert scen.victim_bs == (0.0, 0.0) and scen.cells[0].bs == (1.0, 0.0)
+    assert (
+        scenario_hash(scen)
+        == "b1070cc24f602ac28da4bcf23c6018d4139796cf82633e2d16377a20fdd788b3"
+    )
+
+
 def test_hash_sensitivity():
     base = scenario_hash(build_single_cell(0.01, "uniform", RAYLEIGH))
     assert scenario_hash(build_single_cell(0.01, "uniform", FadingModel("none"))) != base
     assert scenario_hash(build_single_cell(0.02, "uniform", RAYLEIGH)) != base
 
 
+# One region of each type, around a station at (0.1, 0).
+_REGIONS = [
+    {"type": "disk", "center": [0.1, 0.0], "radius_km": 0.05},
+    {"type": "annulus", "center": [0.1, 0.0], "r_inner": 0.01, "r_outer": 0.05},
+    {
+        "type": "ellipse",
+        "center": [0.1, 0.0],
+        "a_km": 0.05,
+        "b_km": 0.03,
+        "rotation_rad": 0.4,
+    },
+    {
+        "type": "polygon",
+        "vertices": [[0.05, -0.05], [0.15, -0.05], [0.15, 0.05], [0.05, 0.05]],
+    },
+    {
+        "type": "intersection",
+        "parts": [
+            {"type": "disk", "center": [0.1, 0.0], "radius_km": 0.05},
+            {"type": "disk", "center": [0.12, 0.0], "radius_km": 0.05},
+        ],
+    },
+]
+
+
+def _with_region(doc, region):
+    d = copy.deepcopy(doc)
+    d["cells"][0]["bs"] = [0.1, 0.0]
+    d["cells"][0]["region"] = copy.deepcopy(region)
+    return d
+
+
 def test_all_region_types_round_trip():
     doc = scenario_to_doc(build_single_cell(0.01, "uniform", RAYLEIGH))
-    regions = [
-        {"type": "disk", "center": [0.1, 0.0], "radius_km": 0.05},
-        {"type": "annulus", "center": [0.1, 0.0], "r_inner": 0.01, "r_outer": 0.05},
-        {
-            "type": "ellipse",
-            "center": [0.1, 0.0],
-            "a_km": 0.05,
-            "b_km": 0.03,
-            "rotation_rad": 0.4,
-        },
-        {
-            "type": "polygon",
-            "vertices": [[0.05, -0.05], [0.15, -0.05], [0.15, 0.05], [0.05, 0.05]],
-        },
-        {
-            "type": "intersection",
-            "parts": [
-                {"type": "disk", "center": [0.1, 0.0], "radius_km": 0.05},
-                {"type": "disk", "center": [0.12, 0.0], "radius_km": 0.05},
-            ],
-        },
-    ]
-    for region in regions:
-        d = copy.deepcopy(doc)
-        d["cells"][0]["bs"] = [0.1, 0.0]
-        d["cells"][0]["region"] = region
+    for region in _REGIONS:
+        d = _with_region(doc, region)
         scen = scenario_from_doc(d)
         assert scenario_from_doc(scenario_to_doc(scen)) == scen
 
@@ -255,6 +281,17 @@ def test_schema_bad_fading():
     doc = _valid_doc()
     doc["fading"] = {"kind": "rician", "gamma": -2.0}
     _expect_schema_error(doc, "fading.gamma")
+
+
+def test_schema_rician_gamma_cap():
+    doc = _valid_doc()
+    doc["fading"] = {"kind": "rician", "gamma": 1e4}
+    assert scenario_from_doc(doc).fading == FadingModel("rician", 1e4)
+
+    doc["fading"]["gamma"] = 1e5
+    with pytest.raises(SchemaError) as err:
+        scenario_from_doc(doc)
+    assert str(err.value).startswith("fading.gamma:")
 
 
 def test_schema_bad_bound():
@@ -325,6 +362,78 @@ def test_schema_bad_density():
     doc = _valid_doc()
     doc["cells"][0]["density"] = {"kind": "uniform", "origin": [0.0, 0.0]}
     _expect_schema_error(doc, "cells[0].density.origin")
+
+
+def test_schema_unequal_cutoffs():
+    # epsilon1 takes k1 != k2, but the per-cell step bounds need them equal.
+    doc = _valid_doc()
+    doc["bound"]["k2"] = 600.0
+    with pytest.raises(SchemaError) as err:
+        scenario_from_doc(doc)
+    assert str(err.value).startswith("bound.k2:")
+
+
+def test_scenario_constructor_rules():
+    scen = build_single_cell(0.01, "uniform", RAYLEIGH)
+    args = (scen.victim_bs, scen.cells, scen.channel, scen.fading)
+    with pytest.raises(DomainError, match="^bound.k2:"):
+        Scenario(*args, BoundParams(k1=500.0, k2=600.0))
+    with pytest.raises(DomainError, match="^cells:"):
+        Scenario(args[0], (), *args[2:], BoundParams())
+
+
+def _key_paths(doc, where=()):
+    """Key paths, as tuples of keys and list indices, of every object key."""
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            yield where + (key,)
+            yield from _key_paths(val, where + (key,))
+    elif isinstance(doc, list):
+        for i, val in enumerate(doc):
+            yield from _key_paths(val, where + (i,))
+
+
+def _dotted(where):
+    out = ""
+    for k in where:
+        out += f"[{k}]" if isinstance(k, int) else (f".{k}" if out else k)
+    return out
+
+
+_OPTIONAL_KEYS = {"rotation_rad", "origin", "gamma"}
+
+
+def test_schema_sweep_required_keys():
+    base = scenario_to_doc(
+        build_single_cell(0.01, "inverse_radial", FadingModel("rician", 3.0))
+    )
+    docs = [_valid_doc(), base] + [_with_region(base, r) for r in _REGIONS]
+    seen = set()
+    for doc in docs:
+        for where in _key_paths(doc):
+            seen.add(where[-1])
+            if where[-1] in _OPTIONAL_KEYS:
+                continue
+            d = copy.deepcopy(doc)
+            parent = d
+            for k in where[:-1]:
+                parent = parent[k]
+            del parent[where[-1]]
+            with pytest.raises(SchemaError) as err:
+                scenario_from_doc(d)
+            assert str(err.value) == f"{_dotted(where)}: missing required field"
+    assert _OPTIONAL_KEYS <= seen
+
+
+def test_schema_optional_keys():
+    doc = _valid_doc()
+    # Uniform density and Rayleigh fading write no origin and no gamma.
+    assert "origin" not in doc["cells"][0]["density"]
+    assert "gamma" not in doc["fading"]
+    ellipse = doc["cells"][0]["region"]["parts"][2]
+    assert ellipse["type"] == "ellipse"
+    del ellipse["rotation_rad"]
+    assert scenario_from_doc(doc).cells[0].region.parts[2].rotation_rad == 0.0
 
 
 def test_schema_scenario_invariants():
