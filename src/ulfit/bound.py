@@ -32,6 +32,9 @@ from .channel import (
 )
 from .errors import DomainError
 from .geometry import density_profile, ue_domain
+# The scenario defines its bound block, so that loading a scenario does
+# not load this module.
+from .scenario import BoundParams
 
 __all__ = [
     "BoundParams",
@@ -50,30 +53,6 @@ __all__ = [
 ]
 
 _TERM_FLOOR = 1e-18
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Tuning constants of the KS bound.
-
-    omega is the fundamental frequency of the erfc Fourier series, p the
-    number of retained odd harmonics, k1/k2 the tail cutoffs. Defaults
-    keep every tail term at the 1e-6 scale.
-    """
-
-    omega: float = 0.001
-    p: int = 4000
-    k1: float = 500.0
-    k2: float = 500.0
-
-    def __post_init__(self):
-        for name in ("omega", "k1", "k2"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name}: must be positive")
-        if int(self.p) != self.p or self.p < 1:
-            raise DomainError("p: must be a positive integer")
-        if self.p < 2.0 / self.omega:
-            raise DomainError("p: must be at least 2/omega")
 
 
 @dataclass(frozen=True)

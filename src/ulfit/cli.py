@@ -11,6 +11,7 @@ mismatch between compared artifacts.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -18,8 +19,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bound import total_bound, l_stats
-from .channel import shadow_stats
 from .errors import (
     DomainError,
     EmptyRegion,
@@ -31,22 +30,6 @@ from .errors import (
     SchemaError,
 )
 from .fileio import atomic_open
-from .fit import (
-    PowerLognormalFit,
-    gaussian_step1,
-    gaussian_step2,
-    power_lognormal_fit,
-    powln_cdf_db,
-)
-from .montecarlo import (
-    EmpiricalCdf,
-    dkw_slack,
-    ks_distance,
-    load_samples,
-    save_samples,
-    simulate_aggregate,
-)
-from .scenario import _to_doc, load_scenario, scenario_hash
 
 __all__ = [
     "main",
@@ -57,6 +40,50 @@ __all__ = [
     "compare_verdict",
     "parse_grid",
 ]
+
+# The names the commands call, by module. A command binds the modules it
+# runs into this module's namespace on first use (_bind), so each command
+# imports only those modules: compare loads neither the quadrature nor the
+# sampler. A name already bound, by a monkeypatch or a trace hook, wins.
+# Reading a name as a module attribute binds it too (__getattr__).
+_SOURCES = {
+    "bound": ("l_stats", "total_bound"),
+    "channel": ("shadow_stats",),
+    "fit": (
+        "PowerLognormalFit",
+        "gaussian_step1",
+        "gaussian_step2",
+        "power_lognormal_fit",
+        "powln_cdf_db",
+    ),
+    "montecarlo": ("simulate_aggregate",),
+    "samples": (
+        "EmpiricalCdf",
+        "dkw_slack",
+        "ks_distance",
+        "load_samples",
+        "save_samples",
+    ),
+    "scenario": ("_to_doc", "load_scenario", "scenario_hash"),
+}
+
+
+def _bind(*modules) -> None:
+    """Import each module and bind those of its _SOURCES names not bound yet."""
+    scope = globals()
+    for mod in modules:
+        module = importlib.import_module(f".{mod}", __package__)
+        for name in _SOURCES[mod]:
+            scope.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name):
+    for mod, names in _SOURCES.items():
+        if name in names:
+            _bind(mod)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _NUMERIC_ERRORS = (
     DomainError,
@@ -127,6 +154,7 @@ def _manifest(command, scen_hash, bound, seed, n, outputs) -> dict:
 
 def _cell_reports(scenario):
     """(cell, LStats, BoundReport) per cell; errors name the cell."""
+    _bind("bound")
     out = []
     for cell in scenario.cells:
         try:
@@ -147,6 +175,7 @@ def _cell_reports(scenario):
 
 def cmd_bound(scenario_path, out_csv) -> int:
     """Per-cell error-bound CSV with a max summary row."""
+    _bind("scenario")
     scenario = load_scenario(scenario_path)
     scen_hash = scenario_hash(scenario)
     rows = []
@@ -175,6 +204,7 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
 
     With a grid, also writes the analytic CDF to <out_json>.cdf.csv.
     """
+    _bind("scenario", "channel", "fit")
     grid = parse_grid(grid_spec) if grid_spec is not None else None
     scenario = load_scenario(scenario_path)
     scen_hash = scenario_hash(scenario)
@@ -227,6 +257,7 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
 
 def cmd_simulate(scenario_path, n, seed, out_bin, workers=1) -> int:
     """Aggregate-interference sample file plus sidecar and manifest."""
+    _bind("scenario", "montecarlo", "samples")
     scenario = load_scenario(scenario_path)
     scen_hash = scenario_hash(scenario)
     samples = simulate_aggregate(scenario, n, seed, workers=workers)
@@ -247,6 +278,7 @@ def cmd_simulate(scenario_path, n, seed, out_bin, workers=1) -> int:
 
 def compare_verdict(ks: float, eps_total: float, n: int, alpha: float = 0.01) -> dict:
     """Soundness verdict: measured KS against bound plus sampling noise."""
+    _bind("samples")
     slack = dkw_slack(n, alpha)
     return {
         "ks_empirical_vs_fit": ks,
@@ -258,6 +290,7 @@ def compare_verdict(ks: float, eps_total: float, n: int, alpha: float = 0.01) ->
 
 def cmd_compare(samples_path, fit_json, out_report) -> int:
     """KS of empirical samples against a fitted CDF, with verdict."""
+    _bind("samples", "fit")
     samples, sidecar = load_samples(samples_path)
     try:
         with open(fit_json, encoding="utf-8") as fh:

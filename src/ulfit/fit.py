@@ -30,9 +30,9 @@ unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -59,10 +59,32 @@ ZETA = 10.0 / math.log(10.0)
 
 # MGF probes, dimensionless, applied to I / P_ref (see the module docstring).
 _PROBES = (0.001, 0.005)
-# 12-node Gauss-Hermite rule of the lognormal MGFs.
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(12)
-# 64-point Gauss-Legendre rule of each _powln_expect panel.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+
+
+# The Gauss rules are built on first use, so that reading a fit (compare)
+# neither builds them nor imports numpy.polynomial. The cache hands the
+# same arrays to every caller, so they are read-only.
+@functools.cache
+def _gh_rule():
+    """12-node Gauss-Hermite rule (nodes, weights) of the lognormal MGFs."""
+    nodes, weights = np.polynomial.hermite.hermgauss(12)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.cache
+def _gl_rule():
+    """64-point Gauss-Legendre rule (nodes, weights) of each _powln_expect panel."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def __getattr__(name):
+    # The Hermite rule is also readable as _GH_NODES and _GH_WEIGHTS.
+    if name in ("_GH_NODES", "_GH_WEIGHTS"):
+        return _gh_rule()[name == "_GH_WEIGHTS"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +151,9 @@ def _mgf_deficit(mu: float, sigma2: float, s: float):
     Weak cells leave the MGF within 1e-7 of one, so the complementary
     form is what carries the information.
     """
-    w = _GH_WEIGHTS / math.sqrt(math.pi)
-    spread = math.sqrt(2.0 * sigma2) * _GH_NODES
+    nodes, weights = _gh_rule()
+    w = weights / math.sqrt(math.pi)
+    spread = math.sqrt(2.0 * sigma2) * nodes
     log_se = math.log(s) + (spread + mu) / ZETA
     with np.errstate(over="ignore"):
         se = np.exp(log_se)
@@ -282,7 +305,7 @@ def _powln_expect(fit: PowerLognormalFit, g, rtol: float) -> float:
     """
     mu = fit.mu_q
     half = 12.0 * fit.sigma_q * (1.0 + abs(math.log(fit.lam)))
-    x, w = _GL_X, _GL_W
+    x, w = _gl_rule()
     prev = None
     for panels in (8, 16, 32, 64, 128):
         edges = np.linspace(mu - half, mu + half, panels + 1)
@@ -501,6 +524,8 @@ def tail_slope_diagnostic(fit: PowerLognormalFit, fits) -> dict:
     limits 1/sigma_x and sqrt(sum sigma_qb^-2) by construction. Returned
     as a dict of analytic limits and finite-q estimates.
     """
+    from statistics import NormalDist
+
     lam, mu, sig = fit.lam, fit.mu_q, fit.sigma_q
 
     def slope(q):

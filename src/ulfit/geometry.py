@@ -49,6 +49,7 @@ integrand must be vectorized over an (n, 2) block.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -80,7 +81,6 @@ _MAX_PIECES = 16
 # 2 pi / 1024 halved 48 times is below one ulp of 2 pi.
 _SCAN = 1024
 _BISECT_STEPS = 48
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 # Tiles per side of a uniform cell's rejection envelope (rejection_envelope).
 _TILES = 64
 # Endpoint labels besides the boundary-piece indices (>= 0).
@@ -659,10 +659,22 @@ def _panels(region: Region, origin) -> np.ndarray:
     return np.column_stack((breaks, np.append(breaks[1:], breaks[0] + two_pi)))
 
 
+@functools.cache
+def _gl_rule():
+    """16-point Gauss-Legendre rule (nodes, weights), built on first use.
+
+    The cache hands the same arrays to every caller, so they are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _composite(pieces):
     """Composite 16-point Gauss-Legendre rule on [0, 1] with equal pieces."""
-    s = ((np.arange(pieces)[:, None] + 0.5 * (_GL_X + 1.0)) / pieces).ravel()
-    return s, np.tile(_GL_W, pieces) / (2.0 * pieces)
+    x, w = _gl_rule()
+    s = ((np.arange(pieces)[:, None] + 0.5 * (x + 1.0)) / pieces).ravel()
+    return s, np.tile(w, pieces) / (2.0 * pieces)
 
 
 def _level(region, density, origin, field, panels, pieces):

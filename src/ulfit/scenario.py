@@ -10,7 +10,8 @@ The dataclasses are the document format. A document key is a field name
 and its JSON type follows the field's annotation; fields whose value is
 None are left out, regions carry a "type" tag, and points are [x, y]
 pairs. Every key is required except those of fields that default to
-None (density.origin, fading.gamma) and ellipse rotation_rad.
+None (density.origin, fading.gamma) and ellipse rotation_rad, and any
+other key, such as a misspelled one, is an unknown field.
 
 Loading validates each input once. The loader checks only the JSON types
 and shapes, and requires every number and point to be finite. The
@@ -31,7 +32,6 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .bound import BoundParams
 from .channel import ChannelParams, FadingModel
 from .errors import (
     DomainError,
@@ -54,6 +54,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "BoundParams",
     "Cell",
     "Scenario",
     "DEFAULT_CHANNEL",
@@ -79,6 +80,30 @@ DEFAULT_CHANNEL = ChannelParams(
 _HOTSPOT_SIDE_KM = 0.5
 _HOTSPOT_SPACING_FACTOR = 0.8
 _HOTSPOT_MAX_TRIES = 10_000
+
+
+@dataclass(frozen=True)
+class BoundParams:
+    """Tuning constants of the KS bound.
+
+    omega is the fundamental frequency of the erfc Fourier series, p the
+    number of retained odd harmonics, k1/k2 the tail cutoffs. Defaults
+    keep every tail term at the 1e-6 scale.
+    """
+
+    omega: float = 0.001
+    p: int = 4000
+    k1: float = 500.0
+    k2: float = 500.0
+
+    def __post_init__(self):
+        for name in ("omega", "k1", "k2"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name}: must be positive")
+        if int(self.p) != self.p or self.p < 1:
+            raise DomainError("p: must be a positive integer")
+        if self.p < 2.0 / self.omega:
+            raise DomainError("p: must be at least 2/omega")
 
 
 @dataclass(frozen=True)
@@ -316,6 +341,10 @@ def _from_doc(tp, val, path=""):
         tp = _REGION_TYPES[tag]
     if is_dataclass(tp):
         _from_doc(dict, val, path)
+        names = {f.name for f in fields(tp)}
+        for key in val:
+            if key not in names and not (key == "type" and tp in _REGION_TAGS):
+                _fail(f"{path}.{key}" if path else key, "unknown field")
         kwargs = {}
         for f in fields(tp):
             where = f"{path}.{f.name}" if path else f.name

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -390,6 +391,38 @@ def test_constructor_rules_exit_2(ws, scen_path, capsys, command, path, mutate):
     assert list(ws.glob(f"rule_{command}_{path}.out*")) == []
 
 
+def _misspelled_rotation(doc):
+    cell = doc["cells"][0]
+    cell["region"] = {
+        "type": "ellipse",
+        "center": cell["bs"],
+        "a_km": 0.01,
+        "b_km": 0.005,
+        "rotation": 0.5,
+    }
+
+
+_UNKNOWN_FIELDS = {
+    "cells[0].region.rotation": _misspelled_rotation,
+    "bound.kk": lambda d: d["bound"].update(kk=60.0),
+    "cells[0].colour": lambda d: d["cells"][0].update(colour="red"),
+}
+
+
+@pytest.mark.parametrize(
+    "path, mutate", _UNKNOWN_FIELDS.items(), ids=list(_UNKNOWN_FIELDS)
+)
+def test_fit_unknown_field_exits_2(ws, scen_path, capsys, path, mutate):
+    doc = json.loads(scen_path.read_text())
+    mutate(doc)
+    bad = ws / f"unknown_{path}.json"
+    bad.write_text(json.dumps(doc))
+    out = ws / f"unknown_{path}.out"
+    assert main(["fit", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert f"{path}: unknown field" in capsys.readouterr().err
+    assert list(ws.glob(f"unknown_{path}.out*")) == []
+
+
 def _compare(samples, fit, out):
     return main(["compare", "--samples", str(samples), "--fit", str(fit), "--out", str(out)])
 
@@ -465,3 +498,124 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _fresh_interpreter(code, *args):
+    """stdout of code run by a fresh interpreter on the package under test."""
+    src = str(Path(ulfit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout
+
+
+# Modules a command must not load beyond what numpy itself loads.
+_NOT_LOADED = {
+    "import": set(),
+    "bound": set(),
+    "fit": set(),
+    "simulate": {"ulfit.bound", "ulfit.fit"},
+    "compare": {
+        "ulfit.geometry",
+        "ulfit.bound",
+        "ulfit.scenario",
+        "ulfit.montecarlo",
+        "numpy.polynomial",
+        "statistics",
+        "concurrent.futures",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(_NOT_LOADED))
+def test_command_import_set(ws, scen_path, sim_path, fit_path, command):
+    # Each command imports only the modules it runs. numpy and the standard
+    # library are the only runtime dependencies; scipy is a test oracle.
+    argv = {
+        "import": [],
+        "bound": [
+            "bound", "--scenario", str(scen_path), "--out", str(ws / "imp.csv")
+        ],
+        "fit": ["fit", "--scenario", str(scen_path), "--out", str(ws / "imp.json")],
+        "simulate": [
+            "simulate", "--scenario", str(scen_path), "--out", str(ws / "imp.bin"),
+            "--n", "1000",
+        ],
+        "compare": [
+            "compare", "--samples", str(sim_path), "--fit", str(fit_path),
+            "--out", str(ws / "imp_report.json"),
+        ],
+    }[command]
+    code = (
+        "import json, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import ulfit.cli\n"
+        "rc = ulfit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(json.dumps([rc, sorted(set(sys.modules) - before)]))\n"
+    )
+    rc, loaded = json.loads(_fresh_interpreter(code, *argv))
+    assert rc == 0
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert _NOT_LOADED[command].isdisjoint(loaded)
+    if command == "import":
+        own = {m for m in loaded if m == "ulfit" or m.startswith("ulfit.")}
+        assert own == {"ulfit", "ulfit.cli", "ulfit.errors", "ulfit.fileio"}
+
+
+_TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+
+
+def test_traced_cli_names_resolve():
+    # perfbench/traced.py wraps these names of ulfit.cli before a command
+    # runs; on a fresh import each must resolve to a callable.
+    names = re.findall(r'tr\.hook\(cli, "(\w+)"', _TRACED.read_text())
+    assert len(names) >= 12
+    code = (
+        "import sys, ulfit.cli\n"
+        "print(all(callable(getattr(ulfit.cli, n)) for n in sys.argv[1:]))\n"
+    )
+    assert _fresh_interpreter(code, *names).strip() == "True"
+
+
+_SPIED = {
+    "compare": ("load_samples", "ks_distance"),
+    "simulate": ("simulate_aggregate", "save_samples"),
+    "fit": ("l_stats", "power_lognormal_fit"),
+}
+
+
+@pytest.mark.parametrize("command", list(_SPIED))
+def test_commands_call_patched_names(
+    ws, scen_path, sim_path, fit_path, monkeypatch, command
+):
+    # A name patched on ulfit.cli is what the command calls, whether or not
+    # an earlier command bound it already.
+    calls = []
+    for name in _SPIED[command]:
+        monkeypatch.delitem(vars(ulfit.cli), name, raising=False)
+        real = getattr(ulfit.cli, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ulfit.cli, name, spy)
+    argv = {
+        "compare": [
+            "compare", "--samples", str(sim_path), "--fit", str(fit_path),
+            "--out", str(ws / "spy_report.json"),
+        ],
+        "simulate": [
+            "simulate", "--scenario", str(scen_path), "--out", str(ws / "spy.bin"),
+            "--n", "1000",
+        ],
+        "fit": ["fit", "--scenario", str(scen_path), "--out", str(ws / "spy.json")],
+    }[command]
+    assert main(argv) == 0
+    assert set(calls) == set(_SPIED[command])

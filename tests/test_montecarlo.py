@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import kstest
 
-from ulfit import montecarlo
+from ulfit import montecarlo, samples
 from ulfit.bound import BoundParams, LStats
 from ulfit.channel import (
     ChannelParams,
@@ -334,7 +334,7 @@ def test_ks_blocks(monkeypatch):
     vals = np.sort(np.random.Generator(np.random.Philox(8)).standard_normal(50))
     ecdf = EmpiricalCdf(SampleSet(vals, 50, 8))
     whole = ks_distance(ecdf, ndtr)
-    monkeypatch.setattr(montecarlo, "_KS_BLOCK", 7)
+    monkeypatch.setattr(samples, "_KS_BLOCK", 7)
     assert ks_distance(ecdf, ndtr) == whole
     late_nan = lambda q: np.where(q > vals[40], np.nan, ndtr(q))
     assert math.isnan(ks_distance(ecdf, late_nan))

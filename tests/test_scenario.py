@@ -457,6 +457,34 @@ def test_schema_scenario_invariants():
         scenario_from_doc(doc)
 
 
+def _rename_rotation(doc):
+    # The canonical region intersects a square, a disk and an ellipse.
+    ellipse = doc["cells"][0]["region"]["parts"][2]
+    ellipse["rotation"] = ellipse.pop("rotation_rad")
+
+
+_UNKNOWN_FIELDS = {
+    # Read as rotation 0 if it were ignored.
+    "cells[0].region.parts[2].rotation": _rename_rotation,
+    "bound.kk": lambda d: d["bound"].update(kk=500.0),
+    "cells[0].colour": lambda d: d["cells"][0].update(colour="red"),
+    # "type" is a key of regions only.
+    "channel.type": lambda d: d["channel"].update(type="disk"),
+    "version": lambda d: d.update(version=2),
+}
+
+
+@pytest.mark.parametrize(
+    "path, mutate", _UNKNOWN_FIELDS.items(), ids=list(_UNKNOWN_FIELDS)
+)
+def test_schema_rejects_unknown_fields(path, mutate):
+    doc = _valid_doc()
+    mutate(doc)
+    with pytest.raises(SchemaError) as err:
+        scenario_from_doc(doc)
+    assert str(err.value) == f"{path}: unknown field"
+
+
 _NON_FINITE = {
     "channel.p0_dbm": lambda d: d["channel"].update(p0_dbm=math.nan),
     "channel.a_db": lambda d: d["channel"].update(a_db=math.inf),
