@@ -34,6 +34,7 @@ __all__ = [
     "fading_char_fn",
     "discrete_char_fn",
     "normal_pair",
+    "shadow_db_block",
     "sample_fading_db_block",
     "fading_draw_budget",
 ]
@@ -138,11 +139,24 @@ def path_loss(d_km, params: ChannelParams):
     return float(out) if np.isscalar(d_km) else out
 
 
+def _squared_distance(x, y, p, tmp):
+    """(x - p_x)^2 + (y - p_y)^2 as a new array; tmp is scratch of x's size."""
+    q = x - p[0]
+    q *= q
+    np.subtract(y, p[1], out=tmp)
+    tmp *= tmp
+    q += tmp
+    return q
+
+
 def coupling_gain_L(z, serving_bs, victim_bs, params: ChannelParams):
     """Deterministic dB coupling eta * PL(serving) - PL(victim).
 
-    Callers must keep z at least d_min from both stations; that is
-    enforced geometrically upstream, not re-checked here.
+    With q the squared distance to a station, this is
+    (eta - 1) a + (alpha / 2) (eta log10 q_bb - log10 q_b1), evaluated in
+    place on one block. Callers must keep z at least d_min from both
+    stations; that is enforced geometrically upstream, and only a point on
+    a station is refused here.
 
     Args:
         z: position (2,) or block of positions (n, 2).
@@ -152,14 +166,26 @@ def coupling_gain_L(z, serving_bs, victim_bs, params: ChannelParams):
 
     Returns:
         float for a single point, array (n,) for a block.
+
+    Raises:
+        DomainError: when a point lies on either station.
     """
     arr = np.asarray(z, dtype=float)
     single = arr.shape == (2,)
     pts = arr.reshape(1, 2) if single else arr
-    d_bb = np.hypot(pts[:, 0] - serving_bs[0], pts[:, 1] - serving_bs[1])
-    d_b1 = np.hypot(pts[:, 0] - victim_bs[0], pts[:, 1] - victim_bs[1])
-    val = params.eta * path_loss(d_bb, params) - path_loss(d_b1, params)
-    return float(val[0]) if single else val
+    x, y = pts[:, 0], pts[:, 1]
+    tmp = np.empty(len(pts))
+    q_bb = _squared_distance(x, y, serving_bs, tmp)
+    q_b1 = _squared_distance(x, y, victim_bs, tmp)
+    if len(q_bb) and min(q_bb.min(), q_b1.min()) <= 0:
+        raise DomainError("distance must be > 0")
+    np.log10(q_bb, out=q_bb)
+    np.log10(q_b1, out=q_b1)
+    q_bb *= params.eta
+    q_bb -= q_b1
+    q_bb *= 0.5 * params.alpha
+    q_bb += (params.eta - 1.0) * params.a_db
+    return float(q_bb[0]) if single else q_bb
 
 
 def _log_gamma(z):
@@ -300,6 +326,26 @@ def normal_pair(u):
     return r * np.cos(theta), r * np.sin(theta)
 
 
+def shadow_db_block(u, params: ChannelParams) -> np.ndarray:
+    """The combined shadowing eta S_bb - S_b1 in dB, one draw per row of u.
+
+    Row i is the Box-Muller pair of normal_pair, (g0, g1) = r (cos theta,
+    sin theta), with S_bb = sigma g0 and S_b1 = sigma g1. Only the
+    combination is ever used, and it is one cosine:
+    eta S_bb - S_b1 = sigma sqrt(1 + eta^2) r cos(theta + atan2(1, eta)).
+    Reads columns 0 and 1 of u, 2 variates per draw.
+    """
+    out = np.negative(u[:, 0])
+    np.log1p(out, out=out)
+    out *= -2.0 * (1.0 + params.eta**2) * params.sigma_shad_db**2
+    np.sqrt(out, out=out)
+    angle = u[:, 1] * (2.0 * math.pi)
+    angle += math.atan2(1.0, params.eta)
+    np.cos(angle, out=angle)
+    out *= angle
+    return out
+
+
 def sample_fading_db_block(model: FadingModel, rng, n: int) -> np.ndarray:
     """n dB-scale fading draws from one stream.
 
@@ -314,8 +360,13 @@ def sample_fading_db_block(model: FadingModel, rng, n: int) -> np.ndarray:
     if model.kind == "none":
         return np.zeros(n)
     if model.kind == "rayleigh" or model.gamma == 0:
-        e = -np.log1p(-rng.random(n))
-        return 10.0 * np.log10(e)
+        e = rng.random(n)
+        np.negative(e, out=e)
+        np.log1p(e, out=e)
+        np.negative(e, out=e)
+        np.log10(e, out=e)
+        e *= 10.0
+        return e
     k = model.gamma
     s = math.sqrt(1.0 / (2.0 * (k + 1.0)))
     nu = math.sqrt(k / (k + 1.0))

@@ -33,11 +33,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import FadingModel, ShadowStats, fading_moments
 from .errors import DomainError, NoConvergence, QuadratureFailure
+
+if TYPE_CHECKING:
+    from .channel import FadingModel, ShadowStats
 
 __all__ = [
     "ZETA",
@@ -134,6 +137,8 @@ def gaussian_step1(stats, shadow: ShadowStats, p0_dbm: float) -> GaussianFit:
 
 def gaussian_step2(g: GaussianFit, fading: FadingModel) -> GaussianFit:
     """Fold dB-scale fading moments into a step-1 fit."""
+    from .channel import fading_moments
+
     mu_h, sigma_h2 = fading_moments(fading)
     return GaussianFit(g.mu + mu_h, g.sigma2 + sigma_h2)
 

@@ -894,18 +894,33 @@ def proposal_block(region: Region, density: UeDensity, corners, size, u):
     envelope's coordinates; a polar proposal is then turned into an (x, y)
     point. It is accepted when the point lies in the region; nothing else
     is tested, so each proposal reads exactly 2 variates. Returns
-    (points, accepted mask).
+    (points, accepted mask); the (n, 2) points are the transpose of a
+    (2, n) array, so each coordinate column is contiguous.
     """
     corners = np.asarray(corners, dtype=float)
     size = np.asarray(size, dtype=float)
     k = len(corners)
-    t = u[:, 0] * k
-    j = np.minimum(t.astype(np.intp), k - 1)
-    q = np.empty((len(u), 2))
-    q[:, 0] = corners[j, 0] + (t - j) * size[0]
-    q[:, 1] = corners[j, 1] + u[:, 1] * size[1]
+    # Every step runs in place on the contiguous rows x and y of q.
+    q = np.empty((2, len(u)))
+    x, y = q
+    t = np.multiply(u[:, 0], k, out=x)
+    j = t.astype(np.intp)
+    np.minimum(j, k - 1, out=j)
+    t -= j
+    t *= size[0]
+    # j is in [0, K - 1] already, so "clip" changes no index; it only skips
+    # the bounds check and the buffered write of the default mode.
+    tmp = np.empty(len(u))
+    x += corners[:, 0].take(j, out=tmp, mode="clip")
+    np.multiply(u[:, 1], size[1], out=y)
+    y += corners[:, 1].take(j, out=tmp, mode="clip")
     if density.kind == "inverse_radial":
-        rho, theta = q[:, 0], q[:, 1]
+        rho, theta = x, y
         ox, oy = density.origin
-        q = np.column_stack((ox + rho * np.cos(theta), oy + rho * np.sin(theta)))
-    return q, contains(region, q)
+        cos = np.cos(theta, out=tmp)
+        np.sin(theta, out=theta)
+        theta *= rho
+        theta += oy
+        cos *= rho
+        np.add(cos, ox, out=rho)
+    return q.T, region._mask(x, y)

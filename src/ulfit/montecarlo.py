@@ -21,8 +21,11 @@ and nearly every proposal is accepted in the first round.
 
 Work runs in slices of _SLICE draws, small enough that a slice's working
 set stays in a per-core L2 cache, and the sorted output is sorted in
-place. The sample sets, their files, the KS statistic and the DKW slack
-live in ulfit.samples; this module re-exports them.
+place. A slice's arithmetic runs in place on a few slice-sized arrays,
+and every cell's envelope is built in the calling thread before the
+worker pool starts, so no two workers build the same one. The sample
+sets, their files, the KS statistic and the DKW slack live in
+ulfit.samples; this module re-exports them.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .channel import (
     FadingModel,
     coupling_gain_L,
     fading_draw_budget,
-    normal_pair,
     sample_fading_db_block,
+    shadow_db_block,
 )
 from .errors import DomainError, SamplingStall
 from .geometry import proposal_block, rejection_envelope, ue_domain
@@ -99,6 +102,12 @@ def _envelope(region, density):
     return corners, size, float(ok.mean())
 
 
+def _cell_envelope(cell, victim_bs, params: ChannelParams):
+    """(effective region, _envelope of it) of one cell."""
+    region = ue_domain(cell.region, cell.bs, victim_bs, params.d_min_km)
+    return region, _envelope(region, cell.density)
+
+
 def _positions_slice(region, density, envelope, cell_id, seed, lo, m):
     """Positions for absolute draw indices [lo, lo+m) by rejection.
 
@@ -150,22 +159,19 @@ def _cell_slice(
     m: int,
 ) -> np.ndarray:
     """Unsorted I_b draws for absolute indices [lo, lo+m) of one cell."""
-    region = ue_domain(cell.region, cell.bs, victim_bs, params.d_min_km)
-    envelope = _envelope(region, cell.density)
+    region, envelope = _cell_envelope(cell, victim_bs, params)
     pts = _positions_slice(region, cell.density, envelope, cell.id, seed, lo, m)
-    coupling = coupling_gain_L(pts, cell.bs, victim_bs, params)
+    out = coupling_gain_L(pts, cell.bs, victim_bs, params)
+    out += params.p0_dbm
 
     # The serving and victim links' shadowing: one normal pair per draw.
     u_s = _skipped(seed, cell.id, "shadow", 2 * lo).random((m, 2))
-    g_bb, g_b1 = normal_pair(u_s)
-    s_bb = params.sigma_shad_db * g_bb
-    s_b1 = params.sigma_shad_db * g_b1
+    out += shadow_db_block(u_s, params)
 
     budget = fading_draw_budget(fading)
     gen_f = _skipped(seed, cell.id, "fading", budget * lo)
-    h = sample_fading_db_block(fading, gen_f, m)
-
-    return params.p0_dbm + coupling + params.eta * s_bb - s_b1 + h
+    out += sample_fading_db_block(fading, gen_f, m)
+    return out
 
 
 def _slice_spans(n: int):
@@ -203,6 +209,8 @@ def simulate_cell(
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    # Built once here: lru_cache lets concurrent misses each build it.
+    _cell_envelope(cell, victim_bs, params)
     vals = _run_slices(
         lambda lo, m: _cell_slice(cell, victim_bs, params, fading, seed, lo, m),
         n,
@@ -223,6 +231,9 @@ def simulate_aggregate(
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    # Built once here: lru_cache lets concurrent misses each build it.
+    for cell in scenario.cells:
+        _cell_envelope(cell, scenario.victim_bs, scenario.channel)
 
     def agg_slice(lo, m):
         acc = np.zeros(m)
@@ -236,8 +247,11 @@ def simulate_aggregate(
                 lo,
                 m,
             )
-            acc += np.power(10.0, vals / 10.0)
-        return 10.0 * np.log10(acc)
+            vals /= 10.0
+            acc += np.power(10.0, vals, out=vals)
+        np.log10(acc, out=acc)
+        acc *= 10.0
+        return acc
 
     vals = _run_slices(agg_slice, n, workers)
     vals.sort()

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ulfit.channel import (
     normal_pair,
     path_loss,
     sample_fading_db_block,
+    shadow_db_block,
     shadow_stats,
 )
 from ulfit.errors import DomainError
@@ -74,6 +76,54 @@ def test_coupling_block():
     out = coupling_gain_L(pts, (0.0, 0.0), (0.04, 0.0), PARAMS)
     assert out.shape == (2,)
     assert out[0] == pytest.approx(-27.008473090622793, rel=1e-14)
+
+
+def test_coupling_rejects_point_on_station():
+    # Only the distance check inside coupling_gain_L guards a point on a
+    # station: both stations, one point and a block.
+    serving, victim = (0.01, -0.02), (0.04, 0.0)
+    for station in (serving, victim):
+        with pytest.raises(DomainError):
+            coupling_gain_L(station, serving, victim, PARAMS)
+        block = np.array([[0.0, 0.02], station, [-0.01, 0.0]])
+        with pytest.raises(DomainError):
+            coupling_gain_L(block, serving, victim, PARAMS)
+
+
+def test_coupling_matches_path_loss_formula():
+    # The in-place squared-distance form against eta PL(d_bb) - PL(d_b1)
+    # with hypot distances, for points 1e-3 to 10 km from both stations.
+    # The error is measured against the size of the two terms, since the
+    # difference itself can cross zero.
+    rng = np.random.default_rng(77)
+    serving, victim = (0.3, -0.2), (-0.1, 0.05)
+    d = 10.0 ** rng.uniform(-3.0, 1.0, 100_000)
+    phi = rng.uniform(0.0, 2.0 * math.pi, d.size)
+    pts = np.column_stack(
+        (serving[0] + d * np.cos(phi), serving[1] + d * np.sin(phi))
+    )
+    d_bb = np.hypot(pts[:, 0] - serving[0], pts[:, 1] - serving[1])
+    d_b1 = np.hypot(pts[:, 0] - victim[0], pts[:, 1] - victim[1])
+    keep = (d_bb >= 1e-3) & (d_b1 >= 1e-3)
+    pts, d_bb, d_b1 = pts[keep], d_bb[keep], d_b1[keep]
+    assert len(pts) > 90_000
+    pl_bb, pl_b1 = path_loss(d_bb, PARAMS), path_loss(d_b1, PARAMS)
+    ref = PARAMS.eta * pl_bb - pl_b1
+    got = coupling_gain_L(pts, serving, victim, PARAMS)
+    scale = PARAMS.eta * np.abs(pl_bb) + np.abs(pl_b1)
+    assert (np.abs(got - ref) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5, 0.8, 1.0])
+def test_shadow_db_block_matches_normal_pair(eta):
+    # One cosine of the shifted angle against sigma (eta g0 - g1) from the
+    # same Box-Muller rows. ChannelParams refuses eta = 0, so the edge case
+    # runs on a bare record of the two fields read.
+    params = SimpleNamespace(eta=eta, sigma_shad_db=PARAMS.sigma_shad_db)
+    u = np.random.default_rng(2015).random((1 << 16, 2))
+    g0, g1 = normal_pair(u)
+    ref = params.sigma_shad_db * (eta * g0 - g1)
+    np.testing.assert_allclose(shadow_db_block(u, params), ref, rtol=0, atol=1e-12)
 
 
 def test_shadow_stats_combination():

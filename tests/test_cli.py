@@ -521,6 +521,7 @@ _NOT_LOADED = {
     "fit": set(),
     "simulate": {"ulfit.bound", "ulfit.fit"},
     "compare": {
+        "ulfit.channel",
         "ulfit.geometry",
         "ulfit.bound",
         "ulfit.scenario",

@@ -18,12 +18,14 @@ from ulfit.channel import (
 )
 from ulfit.errors import DomainError, ParseError
 from ulfit.fit import gaussian_step1, gaussian_step2
-from ulfit.geometry import Disk, UeDensity
+from ulfit.geometry import Disk, UeDensity, contains, ue_domain
 from ulfit.montecarlo import (
     EmpiricalCdf,
     SampleSet,
     _SLICE,
     _cell_slice,
+    _envelope,
+    _positions_slice,
     _run_slices,
     _skipped,
     _slice_spans,
@@ -172,6 +174,64 @@ def test_slice_size_invariance(bread, bread_ir, monkeypatch):
             assert len(_slice_spans(10_000)) == 3
             small = simulate_cell(*args, workers=2)
         np.testing.assert_array_equal(small.values, default.values)
+
+
+def _reference_proposal_block(region, density, corners, size, u):
+    # The proposal map in plain form: strided (n, 2) columns and a
+    # column_stack of the polar point. The sampler's in-place form may
+    # only reorder commutative operations, so it must match bit for bit.
+    k = len(corners)
+    t = u[:, 0] * k
+    j = np.minimum(t.astype(np.intp), k - 1)
+    q = np.empty((len(u), 2))
+    q[:, 0] = corners[j, 0] + (t - j) * size[0]
+    q[:, 1] = corners[j, 1] + u[:, 1] * size[1]
+    if density.kind == "inverse_radial":
+        rho, theta = q[:, 0], q[:, 1]
+        ox, oy = density.origin
+        q = np.column_stack((ox + rho * np.cos(theta), oy + rho * np.sin(theta)))
+    return q, contains(region, q)
+
+
+def test_positions_match_reference_proposal_math(bread, bread_ir, monkeypatch):
+    # Uniform tiles (bread) and the polar tile (bread_ir), over several
+    # rejection rounds, from an offset that does not start a slice.
+    for scen in (bread, bread_ir):
+        cell = scen.cells[0]
+        region = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
+        args = (region, cell.density, _envelope(region, cell.density), cell.id, 8)
+        got = _positions_slice(*args, 1234, 20_000)
+        with monkeypatch.context() as m:
+            m.setattr(montecarlo, "proposal_block", _reference_proposal_block)
+            ref = _positions_slice(*args, 1234, 20_000)
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_envelopes_built_once_per_cell(monkeypatch):
+    # Envelopes are built in the calling thread before the pool starts; two
+    # workers missing the cache together would each build the same one.
+    lay = build_hotspot_layout(3, 0.01, 2)
+    calls = []
+
+    def counted(region, density):
+        calls.append(region)
+        return real(region, density)
+
+    real = montecarlo.rejection_envelope
+    monkeypatch.setattr(montecarlo, "rejection_envelope", counted)
+    _envelope.cache_clear()
+    try:
+        simulate_aggregate(lay, 2 * _SLICE, 4, workers=2)
+        assert len(calls) == len(lay.cells)
+        calls.clear()
+        _envelope.cache_clear()
+        cell = lay.cells[0]
+        simulate_cell(
+            cell, lay.victim_bs, lay.channel, lay.fading, 2 * _SLICE, 4, workers=2
+        )
+        assert len(calls) == 1
+    finally:
+        _envelope.cache_clear()
 
 
 def test_same_seed_identical_new_seed_different(bread):
