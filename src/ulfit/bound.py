@@ -5,7 +5,8 @@ the deterministic coupling gain and combined shadowing by a Gaussian,
 then the further sum with dB-scale fading by another Gaussian. Each step
 carries a computable Kolmogorov-Smirnov error bound built from erfc tail
 terms and a Fourier-series comparison between the actual and Gaussian
-characteristic functions.
+characteristic functions. total_bound builds each cell's two Gaussians
+and their bounds into one BoundReport, which the fits read.
 
 All Fourier quantities use the fundamental frequency convention in which
 the series for erfc carries exp(-n^2 w^2) and the characteristic function
@@ -28,9 +29,10 @@ from .channel import (
     discrete_char_fn,
     fading_char_fn,
     fading_moments,
-    shadow_stats,
+    shadow_var,
 )
 from .errors import DomainError
+from .fit import GaussianFit
 from .geometry import density_profile, ue_domain
 # The scenario defines its bound block, so that loading a scenario does
 # not load this module.
@@ -70,15 +72,22 @@ class LStats:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound components for one cell, plus the coupling-gain moments."""
+    """One cell's two Gaussian fits and the bound components that certify them.
 
+    step1 is the Gaussian of P0 plus coupling gain plus shadowing, step2
+    that law with the dB fading folded in; eps1 and eps2 certify step1,
+    eps1_prime and eps2_prime certify step2.
+    """
+
+    cell_id: int
+    step1: GaussianFit
+    step2: GaussianFit
     eps1: float
     eps2: float
     eps1_prime: float
     eps2_prime: float
     eps3: float
     eps_total: float
-    params: BoundParams
     mu_l: float
     sigma_l2: float
 
@@ -170,43 +179,34 @@ def epsilon3(k1: float) -> float:
 
 
 def step1_bound(
-    cell,
-    victim_bs,
-    params: ChannelParams,
-    bp: BoundParams,
-    stats: LStats | None = None,
+    stats: LStats, sigma_s2: float, bp: BoundParams
 ) -> tuple[float, float]:
     """KS bound components for the Gaussian fit of gain plus shadowing.
 
     Requires k1 == k2, which removes the asymptotic-window term from the
-    bound. Pass precomputed stats to skip the quadrature.
+    bound.
     """
     if bp.k1 != bp.k2:
         raise DomainError("step bound requires k1 == k2")
-    if stats is None:
-        stats = l_stats(cell, victim_bs, params)
-    sigma_s2 = shadow_stats(params).sigma_s2
     e1 = epsilon1(bp, stats.sigma_l2, sigma_s2)
     e2 = epsilon2(bp, stats.sigma_l2, sigma_s2, stats.char_fn)
     return e1, e2
 
 
 def step2_bound(
-    gaussian_fit_g: tuple[float, float],
-    fading: FadingModel,
-    bp: BoundParams,
+    sigma_g2: float, fading: FadingModel, bp: BoundParams
 ) -> tuple[float, float]:
     """KS bound components for folding dB fading into the Gaussian.
 
-    The first-step roles are swapped: the already-fitted Gaussian plays
-    the shadowing part and the fading gain plays the coupling part. A
-    point-mass fading model changes nothing, so both components are zero.
+    The first-step roles are swapped: the already-fitted Gaussian, of
+    variance sigma_g2, plays the shadowing part and the fading gain plays
+    the coupling part. A point-mass fading model changes nothing, so both
+    components are zero.
     """
     if bp.k1 != bp.k2:
         raise DomainError("step bound requires k1 == k2")
     if fading.kind == "none":
         return 0.0, 0.0
-    _, sigma_g2 = gaussian_fit_g
     _, sigma_h2 = fading_moments(fading)
     e1p = epsilon1(bp, sigma_h2, sigma_g2)
     e2p = epsilon2(bp, sigma_h2, sigma_g2, lambda t: fading_char_fn(fading, t))
@@ -215,28 +215,33 @@ def step2_bound(
 
 def total_bound(
     cell,
-    victim_bs,
+    stats: LStats,
     params: ChannelParams,
     fading: FadingModel,
     bp: BoundParams,
-    stats: LStats | None = None,
 ) -> BoundReport:
-    """Full per-cell report: both steps plus the diagnostic window term."""
-    if stats is None:
-        stats = l_stats(cell, victim_bs, params)
-    e1, e2 = step1_bound(cell, victim_bs, params, bp, stats=stats)
-    sigma_s2 = shadow_stats(params).sigma_s2
-    sigma_g2 = stats.sigma_l2 + sigma_s2
-    mu_g = params.p0_dbm + stats.mu_l
-    e1p, e2p = step2_bound((mu_g, sigma_g2), fading, bp)
+    """A cell's report: both Gaussian fits, their bounds and the window term.
+
+    This is the one place that builds a cell's two Gaussians. stats are
+    the cell's coupling-gain statistics, from l_stats; the report records
+    cell.id.
+    """
+    sigma_s2 = shadow_var(params)
+    step1 = GaussianFit(params.p0_dbm + stats.mu_l, stats.sigma_l2 + sigma_s2)
+    mu_h, sigma_h2 = fading_moments(fading)
+    step2 = GaussianFit(step1.mu + mu_h, step1.sigma2 + sigma_h2)
+    e1, e2 = step1_bound(stats, sigma_s2, bp)
+    e1p, e2p = step2_bound(step1.sigma2, fading, bp)
     return BoundReport(
+        cell_id=cell.id,
+        step1=step1,
+        step2=step2,
         eps1=e1,
         eps2=e2,
         eps1_prime=e1p,
         eps2_prime=e2p,
         eps3=epsilon3(bp.k1),
         eps_total=(e1 + e2) + (e1p + e2p),
-        params=bp,
         mu_l=stats.mu_l,
         sigma_l2=stats.sigma_l2,
     )

@@ -1,4 +1,4 @@
-"""Path loss, power control, shadowing statistics, and dB-scale fading.
+"""Path loss, power control, shadowing variance, and dB-scale fading.
 
 The propagation model is log-distance path loss with fractional power
 control at the serving station. Shadowing terms combine into a single
@@ -26,8 +26,7 @@ from .errors import DomainError
 __all__ = [
     "ChannelParams",
     "FadingModel",
-    "ShadowStats",
-    "shadow_stats",
+    "shadow_var",
     "path_loss",
     "coupling_gain_L",
     "fading_moments",
@@ -112,22 +111,14 @@ class FadingModel:
             raise DomainError("gamma: only applies to rician fading")
 
 
-@dataclass(frozen=True)
-class ShadowStats:
-    """Moments of the combined shadowing term."""
-
-    mu_s: float
-    sigma_s2: float
-
-
-def shadow_stats(params: ChannelParams) -> ShadowStats:
-    """Zero-mean Gaussian statistics of the combined shadowing.
+def shadow_var(params: ChannelParams) -> float:
+    """Variance of the combined zero-mean Gaussian shadowing, in dB^2.
 
     The serving-link shadowing enters scaled by eta through power control
     and the victim-link shadowing enters directly, so the combined
     variance is (1 + eta^2) * sigma_shad^2.
     """
-    return ShadowStats(0.0, (1.0 + params.eta**2) * params.sigma_shad_db**2)
+    return (1.0 + params.eta**2) * params.sigma_shad_db**2
 
 
 def path_loss(d_km, params: ChannelParams):
@@ -337,7 +328,7 @@ def shadow_db_block(u, params: ChannelParams) -> np.ndarray:
     """
     out = np.negative(u[:, 0])
     np.log1p(out, out=out)
-    out *= -2.0 * (1.0 + params.eta**2) * params.sigma_shad_db**2
+    out *= -2.0 * shadow_var(params)
     np.sqrt(out, out=out)
     angle = u[:, 1] * (2.0 * math.pi)
     angle += math.atan2(1.0, params.eta)

@@ -48,14 +48,7 @@ __all__ = [
 # Reading a name as a module attribute binds it too (__getattr__).
 _SOURCES = {
     "bound": ("l_stats", "total_bound"),
-    "channel": ("shadow_stats",),
-    "fit": (
-        "PowerLognormalFit",
-        "gaussian_step1",
-        "gaussian_step2",
-        "power_lognormal_fit",
-        "powln_cdf_db",
-    ),
+    "fit": ("PowerLognormalFit", "power_lognormal_fit", "powln_cdf_db"),
     "montecarlo": ("simulate_aggregate",),
     "samples": (
         "EmpiricalCdf",
@@ -153,23 +146,19 @@ def _manifest(command, scen_hash, bound, seed, n, outputs) -> dict:
 
 
 def _cell_reports(scenario):
-    """(cell, LStats, BoundReport) per cell; errors name the cell."""
+    """BoundReport per cell, in scenario order; errors name the cell."""
     _bind("bound")
     out = []
     for cell in scenario.cells:
         try:
             stats = l_stats(cell, scenario.victim_bs, scenario.channel)
-            report = total_bound(
-                cell,
-                scenario.victim_bs,
-                scenario.channel,
-                scenario.fading,
-                scenario.bound,
-                stats=stats,
+            out.append(
+                total_bound(
+                    cell, stats, scenario.channel, scenario.fading, scenario.bound
+                )
             )
         except _NUMERIC_ERRORS as exc:
             raise type(exc)(f"cell {cell.id}: {exc}") from exc
-        out.append((cell, stats, report))
     return out
 
 
@@ -178,9 +167,10 @@ def cmd_bound(scenario_path, out_csv) -> int:
     _bind("scenario")
     scenario = load_scenario(scenario_path)
     scen_hash = scenario_hash(scenario)
-    rows = []
-    for cell, _, report in _cell_reports(scenario):
-        rows.append([cell.id] + [getattr(report, c) for c in _BOUND_COLUMNS])
+    rows = [
+        [r.cell_id] + [getattr(r, c) for c in _BOUND_COLUMNS]
+        for r in _cell_reports(scenario)
+    ]
     maxima = ["max"] + [
         max(row[i + 1] for row in rows) for i in range(len(_BOUND_COLUMNS))
     ]
@@ -204,30 +194,24 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
 
     With a grid, also writes the analytic CDF to <out_json>.cdf.csv.
     """
-    _bind("scenario", "channel", "fit")
+    _bind("scenario", "fit")
     grid = parse_grid(grid_spec) if grid_spec is not None else None
     scenario = load_scenario(scenario_path)
     scen_hash = scenario_hash(scenario)
-    shadow = shadow_stats(scenario.channel)
-
-    per_cell = []
-    fits = []
-    for cell, stats, report in _cell_reports(scenario):
-        g1 = gaussian_step1(stats, shadow, scenario.channel.p0_dbm)
-        g2 = gaussian_step2(g1, scenario.fading)
-        fits.append(g2)
-        per_cell.append(
-            {
-                "cell_id": cell.id,
-                "mu_g_dbm": g1.mu,
-                "sigma_g2_db2": g1.sigma2,
-                "mu_q_dbm": g2.mu,
-                "sigma_q2_db2": g2.sigma2,
-                **{c: getattr(report, c) for c in _BOUND_COLUMNS[:6]},
-            }
-        )
+    reports = _cell_reports(scenario)
+    per_cell = [
+        {
+            "cell_id": r.cell_id,
+            "mu_g_dbm": r.step1.mu,
+            "sigma_g2_db2": r.step1.sigma2,
+            "mu_q_dbm": r.step2.mu,
+            "sigma_q2_db2": r.step2.sigma2,
+            **{c: getattr(r, c) for c in _BOUND_COLUMNS[:6]},
+        }
+        for r in reports
+    ]
     # The MGF probes are stated against the power-control target P0.
-    agg = power_lognormal_fit(fits, scenario.channel.p0_dbm)
+    agg = power_lognormal_fit([r.step2 for r in reports], scenario.channel.p0_dbm)
     doc = {
         "lambda": agg.lam,
         "mu_q_dbm": agg.mu_q,

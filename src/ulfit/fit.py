@@ -1,9 +1,10 @@
-"""Per-cell Gaussian fits and the aggregate power-lognormal fit.
+"""The aggregate power-lognormal fit of the per-cell Gaussians.
 
 Each interfering cell's dBm interference is approximated by a Gaussian in
-two steps (coupling gain plus shadowing, then fading folded in). The
-linear-scale sum over cells is then fitted by a power lognormal, whose
-CDF is a Gaussian CDF raised to a power lambda:
+two steps (coupling gain plus shadowing, then fading folded in); those
+GaussianFit values come from bound.total_bound, next to the bounds that
+certify them. The linear-scale sum over cells is then fitted by a power
+lognormal, whose CDF is a Gaussian CDF raised to a power lambda:
 
 1. solve_sum_stats matches a lognormal X to the sum's MGF at two probes
    (Mehta et al., IEEE TWC 2007), each lognormal's MGF by a 12-node
@@ -33,21 +34,15 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, QuadratureFailure
 
-if TYPE_CHECKING:
-    from .channel import FadingModel, ShadowStats
-
 __all__ = [
     "ZETA",
     "GaussianFit",
     "PowerLognormalFit",
-    "gaussian_step1",
-    "gaussian_step2",
     "approx_mgf",
     "solve_sum_stats",
     "power_lognormal_fit",
@@ -83,13 +78,6 @@ def _gl_rule():
     return nodes, weights
 
 
-def __getattr__(name):
-    # The Hermite rule is also readable as _GH_NODES and _GH_WEIGHTS.
-    if name in ("_GH_NODES", "_GH_WEIGHTS"):
-        return _gh_rule()[name == "_GH_WEIGHTS"]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class GaussianFit:
     """Gaussian approximation (mu in dBm, sigma2 in dB^2)."""
@@ -120,27 +108,6 @@ class PowerLognormalFit:
     @property
     def sigma_q(self) -> float:
         return math.sqrt(self.sigma_q2)
-
-
-def gaussian_step1(stats, shadow: ShadowStats, p0_dbm: float) -> GaussianFit:
-    """Gaussian fit of coupling gain plus shadowing.
-
-    Args:
-        stats: LStats of the cell (mu_l, sigma_l2 used).
-        shadow: combined shadowing statistics.
-        p0_dbm: power-control target.
-    """
-    return GaussianFit(
-        p0_dbm + stats.mu_l + shadow.mu_s, stats.sigma_l2 + shadow.sigma_s2
-    )
-
-
-def gaussian_step2(g: GaussianFit, fading: FadingModel) -> GaussianFit:
-    """Fold dB-scale fading moments into a step-1 fit."""
-    from .channel import fading_moments
-
-    mu_h, sigma_h2 = fading_moments(fading)
-    return GaussianFit(g.mu + mu_h, g.sigma2 + sigma_h2)
 
 
 def approx_mgf(mu: float, sigma2: float, s: float) -> float:

@@ -24,8 +24,7 @@ set stays in a per-core L2 cache, and the sorted output is sorted in
 place. A slice's arithmetic runs in place on a few slice-sized arrays,
 and every cell's envelope is built in the calling thread before the
 worker pool starts, so no two workers build the same one. The sample
-sets, their files, the KS statistic and the DKW slack live in
-ulfit.samples; this module re-exports them.
+files, the KS statistic and the DKW slack live in ulfit.samples.
 """
 
 from __future__ import annotations
@@ -45,26 +44,10 @@ from .channel import (
 )
 from .errors import DomainError, SamplingStall
 from .geometry import proposal_block, rejection_envelope, ue_domain
-from .samples import (
-    EmpiricalCdf,
-    SampleSet,
-    dkw_slack,
-    ks_distance,
-    load_samples,
-    save_samples,
-)
+from .samples import SampleSet
 from .scenario import Scenario, rng_stream
 
-__all__ = [
-    "SampleSet",
-    "EmpiricalCdf",
-    "simulate_cell",
-    "simulate_aggregate",
-    "ks_distance",
-    "dkw_slack",
-    "save_samples",
-    "load_samples",
-]
+__all__ = ["SampleSet", "simulate_cell", "simulate_aggregate"]
 
 # Draws per slice: a slice's float column is 0.5 MB, so its working set
 # fits a 2 MB per-core L2 cache.

@@ -2,7 +2,7 @@
 
 This is the side of the Monte Carlo that reads and judges samples, kept
 apart from the sampler so that ``compare`` loads neither the geometry nor
-the scenario codec. ``ulfit.montecarlo`` re-exports every name.
+the scenario codec.
 
 Neither the sample file nor the KS statistic makes an n-sized copy:
 save_samples writes the array's own buffer, load_samples reads straight

@@ -26,24 +26,12 @@ from ulfit.bound import (
     l_stats,
     total_bound,
 )
-from ulfit.channel import ChannelParams, FadingModel, fading_moments, shadow_stats
+from ulfit.channel import ChannelParams, FadingModel, fading_moments
 from ulfit.cli import main
-from ulfit.fit import (
-    PowerLognormalFit,
-    gaussian_step1,
-    gaussian_step2,
-    power_lognormal_fit,
-    powln_cdf_db,
-    powln_mean,
-)
+from ulfit.fit import PowerLognormalFit, power_lognormal_fit, powln_cdf_db, powln_mean
 from ulfit.geometry import Disk, UeDensity
-from ulfit.montecarlo import (
-    EmpiricalCdf,
-    dkw_slack,
-    ks_distance,
-    simulate_aggregate,
-    simulate_cell,
-)
+from ulfit.montecarlo import simulate_aggregate, simulate_cell
+from ulfit.samples import EmpiricalCdf, dkw_slack, ks_distance
 from ulfit.scenario import (
     DEFAULT_CHANNEL,
     Cell,
@@ -78,18 +66,9 @@ def sweep():
             scen = build_single_cell(r, kind, FadingModel("none"))
             cell = scen.cells[0]
             stats = l_stats(cell, scen.victim_bs, scen.channel)
-            shadow = shadow_stats(scen.channel)
-            g1 = gaussian_step1(stats, shadow, scen.channel.p0_dbm)
             for name, fading in FADINGS:
-                rep = total_bound(
-                    cell,
-                    scen.victim_bs,
-                    scen.channel,
-                    fading,
-                    scen.bound,
-                    stats=stats,
-                )
-                g2 = gaussian_step2(g1, fading)
+                rep = total_bound(cell, stats, scen.channel, fading, scen.bound)
+                g2 = rep.step2
                 sim = simulate_cell(
                     cell,
                     scen.victim_bs,
@@ -104,7 +83,7 @@ def sweep():
                     EmpiricalCdf(sim),
                     lambda q, m=g2.mu, s=sigma: ndtr((np.asarray(q) - m) / s),
                 )
-                out[(r, kind, name)] = {"rep": rep, "g1": g1, "g2": g2, "ks": ks}
+                out[(r, kind, name)] = {"rep": rep, "g2": g2, "ks": ks}
     return out
 
 
@@ -275,12 +254,11 @@ def hotspot84():
     lay = build_hotspot_layout(
         84, 0.01, 1, density_kind="inverse_radial", fading=FadingModel("rayleigh")
     )
-    shadow = shadow_stats(lay.channel)
     cells = []
     for cell in lay.cells:
         stats = l_stats(cell, lay.victim_bs, lay.channel)
-        g1 = gaussian_step1(stats, shadow, lay.channel.p0_dbm)
-        cells.append((cell, stats, gaussian_step2(g1, lay.fading)))
+        rep = total_bound(cell, stats, lay.channel, lay.fading, lay.bound)
+        cells.append((cell, rep, rep.step2))
     agg_fit = power_lognormal_fit([g for _, _, g in cells], lay.channel.p0_dbm)
     sim = simulate_aggregate(lay, AGG_N, AGG_SEED, workers=2)
     return lay, cells, agg_fit, sim
@@ -316,10 +294,7 @@ def test_criterion_09_hotspot_aggregate(hotspot84):
     total = sum(linear_mean(g) for _, _, g in cells)
     strongest = sorted(cells, key=lambda c: linear_mean(c[2]), reverse=True)[:3]
     certified = []
-    for cell, stats, g in strongest:
-        rep = total_bound(
-            cell, lay.victim_bs, lay.channel, lay.fading, lay.bound, stats=stats
-        )
+    for cell, rep, g in strongest:
         draws = simulate_cell(
             cell, lay.victim_bs, lay.channel, lay.fading, AGG_N, AGG_SEED, workers=2
         )

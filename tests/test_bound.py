@@ -7,6 +7,7 @@ from scipy.special import erfc
 from ulfit.bound import (
     BoundParams,
     BoundReport,
+    LStats,
     delta0,
     delta1,
     epsilon1,
@@ -23,7 +24,7 @@ from ulfit.channel import (
     coupling_gain_L,
     discrete_char_fn,
     fading_char_fn,
-    shadow_stats,
+    shadow_var,
 )
 from ulfit.errors import DomainError
 from ulfit.geometry import (
@@ -303,7 +304,7 @@ def test_l_stats_char_fn_progression_matches_direct():
     mu, _, weights, values = density_profile(dom, cell.density, field)
     assert mu == stats.mu_l
     x = values - mu
-    t = eps2_frequencies(stats.sigma_l2, shadow_stats(DEFAULT_CHANNEL).sigma_s2)
+    t = eps2_frequencies(stats.sigma_l2, shadow_var(DEFAULT_CHANNEL))
     assert t.size == 2863
     got = stats.char_fn(t)
     np.testing.assert_array_equal(got, discrete_char_fn(x, weights, t))
@@ -316,16 +317,16 @@ def test_l_stats_char_fn_progression_matches_direct():
 
 
 def test_step1_requires_matching_cutoffs():
-    cell, victim, stats = bread_stats(0.01, "uniform")
+    _, _, stats = bread_stats(0.01, "uniform")
     with pytest.raises(DomainError):
         step1_bound(
-            cell, victim, DEFAULT_CHANNEL, BoundParams(k1=500.0, k2=600.0), stats=stats
+            stats, shadow_var(DEFAULT_CHANNEL), BoundParams(k1=500.0, k2=600.0)
         )
 
 
 def test_step1_frozen_components():
-    cell, victim, stats = bread_stats(0.01, "uniform")
-    e1, e2 = step1_bound(cell, victim, DEFAULT_CHANNEL, DEFAULTS, stats=stats)
+    _, _, stats = bread_stats(0.01, "uniform")
+    e1, e2 = step1_bound(stats, shadow_var(DEFAULT_CHANNEL), DEFAULTS)
     assert e1 == pytest.approx(4e-6, abs=1e-12)
     assert e2 == pytest.approx(0.0015876676386598293, rel=1e-12)
     # combined step error lands at the small-cell scale
@@ -333,20 +334,20 @@ def test_step1_frozen_components():
 
 
 def test_step1_wider_cell():
-    cell, victim, stats = bread_stats(0.02, "uniform")
-    e1, e2 = step1_bound(cell, victim, DEFAULT_CHANNEL, DEFAULTS, stats=stats)
+    _, _, stats = bread_stats(0.02, "uniform")
+    e1, e2 = step1_bound(stats, shadow_var(DEFAULT_CHANNEL), DEFAULTS)
     assert e1 + e2 == pytest.approx(0.00196283601034465, rel=1e-12)
     assert 5.2e-4 / 5 < e1 + e2 < 5.2e-4 * 5
 
 
 def test_step2_none_is_exact():
-    assert step2_bound((-94.6, 174.2), FadingModel("none"), DEFAULTS) == (0.0, 0.0)
+    assert step2_bound(174.2, FadingModel("none"), DEFAULTS) == (0.0, 0.0)
 
 
 def test_step2_scales():
-    e1p, e2p = step2_bound((-94.6, 174.2), FadingModel("rayleigh"), DEFAULTS)
+    e1p, e2p = step2_bound(174.2, FadingModel("rayleigh"), DEFAULTS)
     assert 4.5e-3 / 2 < e1p + e2p < 4.5e-3 * 2
-    e1p, e2p = step2_bound((-94.6, 174.2), FadingModel("rician", 10.0), DEFAULTS)
+    e1p, e2p = step2_bound(174.2, FadingModel("rician", 10.0), DEFAULTS)
     assert 1.9e-4 / 2 < e1p + e2p < 1.9e-4 * 2
 
 
@@ -356,7 +357,7 @@ def test_step2_is_role_swapped_step1():
     fading = FadingModel("rician", 10.0)
     sigma_g2 = 174.2
     _, sigma_h2 = fading_moments(fading)
-    e1p, e2p = step2_bound((-94.6, sigma_g2), fading, DEFAULTS)
+    e1p, e2p = step2_bound(sigma_g2, fading, DEFAULTS)
     assert e1p == epsilon1(DEFAULTS, sigma_h2, sigma_g2)
     assert e2p == epsilon2(
         DEFAULTS, sigma_h2, sigma_g2, lambda t: fading_char_fn(fading, t)
@@ -364,10 +365,8 @@ def test_step2_is_role_swapped_step1():
 
 
 def test_total_bound_uniform_rayleigh():
-    cell, victim, stats = bread_stats(0.01, "uniform")
-    rep = total_bound(
-        cell, victim, DEFAULT_CHANNEL, FadingModel("rayleigh"), DEFAULTS, stats=stats
-    )
+    cell, _, stats = bread_stats(0.01, "uniform")
+    rep = total_bound(cell, stats, DEFAULT_CHANNEL, FadingModel("rayleigh"), DEFAULTS)
     assert isinstance(rep, BoundReport)
     assert rep.eps2 == pytest.approx(0.0015876676386598293, rel=1e-12)
     assert rep.eps2_prime == pytest.approx(0.004064267359893523, rel=1e-12)
@@ -381,19 +380,63 @@ def test_total_bound_uniform_rayleigh():
 
 
 def test_total_bound_inverse_radial_rayleigh():
-    cell, victim, stats = bread_stats(0.01, "inverse_radial")
-    rep = total_bound(
-        cell, victim, DEFAULT_CHANNEL, FadingModel("rayleigh"), DEFAULTS, stats=stats
-    )
+    cell, _, stats = bread_stats(0.01, "inverse_radial")
+    rep = total_bound(cell, stats, DEFAULT_CHANNEL, FadingModel("rayleigh"), DEFAULTS)
     assert rep.eps2 == pytest.approx(0.001530991974163037, rel=1e-12)
     assert rep.eps2_prime == pytest.approx(0.0040754598394243686, rel=1e-12)
     assert rep.eps_total == pytest.approx(0.005614451813587405, rel=1e-12)
 
 
 def test_total_bound_components_nonnegative():
-    cell, victim, stats = bread_stats(0.01, "uniform")
+    cell, _, stats = bread_stats(0.01, "uniform")
     rep = total_bound(
-        cell, victim, DEFAULT_CHANNEL, FadingModel("rician", 10.0), DEFAULTS, stats=stats
+        cell, stats, DEFAULT_CHANNEL, FadingModel("rician", 10.0), DEFAULTS
     )
     for v in (rep.eps1, rep.eps2, rep.eps1_prime, rep.eps2_prime, rep.eps3):
         assert 0.0 <= v < 2.0
+
+
+# Converged coupling-gain moments (mu_l, sigma_l2) of the r=0.01 uniform
+# reference cell.
+REF_MOMENTS = (-17.578425170507074, 15.356984087035926)
+
+
+def _gaussian_gain_report(mu_l, sigma_l2, fading):
+    """total_bound on a cell whose coupling gain is Gaussian."""
+    stats = LStats(mu_l, sigma_l2, lambda t: np.exp(-0.5 * sigma_l2 * t**2))
+    cell = Cell(7, (0.03, 0.0), Disk((0.03, 0.0), 0.01), UeDensity("uniform"))
+    return total_bound(cell, stats, DEFAULT_CHANNEL, fading, DEFAULTS)
+
+
+def test_report_step1_arithmetic():
+    rep = _gaussian_gain_report(-18.0, 10.0, FadingModel("none"))
+    assert rep.cell_id == 7
+    assert rep.step1.mu == -94.0
+    assert rep.step1.sigma2 == 174.0
+
+
+def test_report_step1_reference_cell():
+    g = _gaussian_gain_report(*REF_MOMENTS, FadingModel("none")).step1
+    assert g.mu == pytest.approx(-93.578425170507074, rel=1e-14)
+    assert g.sigma2 == pytest.approx(179.356984087035926, rel=1e-14)
+    # small-cell published fit for this radius: (-94.6, 174.2)
+    assert abs(g.mu - (-94.6)) < 1.5
+    assert abs(g.sigma2 - 174.2) < 6.0
+
+
+def test_report_step2_none_identity():
+    rep = _gaussian_gain_report(-18.6, 10.2, FadingModel("none"))
+    assert rep.step2 == rep.step1
+
+
+def test_report_step2_rayleigh():
+    # step 1 is (-94.6, 174.2), the small-cell published fit
+    q = _gaussian_gain_report(-18.6, 10.2, FadingModel("rayleigh")).step2
+    assert abs(q.mu - (-97.1)) < 0.1
+    assert abs(q.sigma2 - 205.2) < 0.3
+
+
+def test_report_step2_rician_ten():
+    q = _gaussian_gain_report(-18.6, 10.2, FadingModel("rician", 10.0)).step2
+    assert abs(q.mu - (-95.0)) < 0.2
+    assert abs(q.sigma2 - 178.2) < 0.6

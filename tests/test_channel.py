@@ -19,7 +19,7 @@ from ulfit.channel import (
     path_loss,
     sample_fading_db_block,
     shadow_db_block,
-    shadow_stats,
+    shadow_var,
 )
 from ulfit.errors import DomainError
 
@@ -127,9 +127,7 @@ def test_shadow_db_block_matches_normal_pair(eta):
 
 
 def test_shadow_stats_combination():
-    st = shadow_stats(PARAMS)
-    assert st.mu_s == 0.0
-    assert st.sigma_s2 == 164.0
+    assert shadow_var(PARAMS) == 164.0
 
 
 def test_channel_params_validation():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -17,7 +18,7 @@ from ulfit.cli import main, parse_grid
 from ulfit.errors import SchemaError
 from ulfit.fileio import atomic_open
 from ulfit.geometry import Disk, Intersection, UeDensity
-from ulfit.montecarlo import load_samples
+from ulfit.samples import load_samples
 from ulfit.scenario import Cell, Scenario, save_scenario, scenario_hash
 
 CHANNEL = ChannelParams(103.8, 20.9, -76.0, 0.8, 10.0, 0.005)
@@ -478,6 +479,48 @@ def test_exit_code_3_numeric(ws):
         ]
     )
     assert rc == 3
+
+
+def _fast_scenario_with(*cells):
+    """The fast scenario with these cells, in this order."""
+    return dataclasses.replace(_fast_scenario(), cells=cells)
+
+
+@pytest.mark.parametrize("command", ["fit", "bound"])
+def test_numeric_error_names_the_cell(ws, capsys, command):
+    # The fast disk (cell 2), then the lens of test_exit_code_3_numeric.
+    lens = Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0)))
+    scen = _fast_scenario_with(
+        *_fast_scenario().cells, Cell(5, (1.0, 0.5), lens, UeDensity("uniform"))
+    )
+    path = ws / "lens2.json"
+    save_scenario(scen, path)
+    out = ws / f"lens2_{command}.out"
+    rc = main([command, "--scenario", str(path), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: cell 5:")
+    assert list(ws.glob("lens2_*")) == []
+    assert list(ws.glob("*.tmp")) == []
+
+
+def test_bound_and_fit_report_the_same_cells(ws):
+    disk = Disk((-0.03, 0.0), 0.01)
+    scen = _fast_scenario_with(
+        Cell(4, (-0.03, 0.0), disk, UeDensity("uniform")), *_fast_scenario().cells
+    )
+    path = ws / "two.json"
+    save_scenario(scen, path)
+    csv_out, json_out = ws / "two.csv", ws / "two_fit.json"
+    assert main(["bound", "--scenario", str(path), "--out", str(csv_out)]) == 0
+    assert main(["fit", "--scenario", str(path), "--out", str(json_out)]) == 0
+    with open(csv_out, newline="") as fh:
+        rows = list(csv.DictReader(fh))[:-1]  # the last row is the maxima
+    per_cell = json.loads(json_out.read_text())["per_cell"]
+    assert [r["cell_id"] for r in rows] == ["4", "2"]
+    assert [c["cell_id"] for c in per_cell] == [4, 2]
+    keys = ("eps1", "eps2", "eps1_prime", "eps2_prime", "eps3", "eps_total")
+    for row, cell in zip(rows, per_cell):
+        assert [float(row[k]) for k in keys] == [cell[k] for k in keys]
 
 
 def test_cli_import_loads_no_scipy():

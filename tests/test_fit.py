@@ -5,20 +5,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ulfit.bound import LStats
-from ulfit.channel import ChannelParams, FadingModel, shadow_stats
+from ulfit.channel import ChannelParams
 from ulfit.errors import DomainError, NoConvergence
 from ulfit.fit import (
-    _GH_NODES,
-    _GH_WEIGHTS,
     _PROBES,
+    _gh_rule,
     _log_ndtr,
     ZETA,
     GaussianFit,
     PowerLognormalFit,
     approx_mgf,
-    gaussian_step1,
-    gaussian_step2,
     power_lognormal_fit,
     powln_cdf_db,
     powln_cdf_mw,
@@ -32,9 +28,6 @@ PARAMS = ChannelParams(103.8, 20.9, -76.0, 0.8, 10.0, 0.005)
 
 # reference power of the MGF probes: the power-control target P0
 P0 = PARAMS.p0_dbm
-
-# converged coupling-gain moments of the r=0.01 uniform reference cell
-REF_STATS = LStats(-17.578425170507074, 15.356984087035926, None)
 
 TOY3 = [
     GaussianFit(-95.0, 180.0),
@@ -65,45 +58,13 @@ def test_power_lognormal_fit_validation():
 
 def test_gh_nodes_quadrature_exactness():
     # weights sum to sqrt(pi); rule is exact through degree 23
-    a, w = _GH_NODES, _GH_WEIGHTS
+    a, w = _gh_rule()
     assert w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
     for m in range(1, 12):
         moment = float(np.sum(w * a ** (2 * m))) * 2.0**m / math.sqrt(math.pi)
         exact = float(np.prod(np.arange(1, 2 * m, 2, dtype=float)))
         assert moment == pytest.approx(exact, rel=1e-12)
     assert float(np.sum(w * a**7)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_gaussian_step1_arithmetic():
-    g = gaussian_step1(LStats(-18.0, 10.0, None), shadow_stats(PARAMS), -76.0)
-    assert g.mu == -94.0
-    assert g.sigma2 == 174.0
-
-
-def test_gaussian_step1_reference_cell():
-    g = gaussian_step1(REF_STATS, shadow_stats(PARAMS), -76.0)
-    assert g.mu == pytest.approx(-93.578425170507074, rel=1e-14)
-    assert g.sigma2 == pytest.approx(179.356984087035926, rel=1e-14)
-    # small-cell published fit for this radius: (-94.6, 174.2)
-    assert abs(g.mu - (-94.6)) < 1.5
-    assert abs(g.sigma2 - 174.2) < 6.0
-
-
-def test_gaussian_step2_none_identity():
-    g = GaussianFit(-94.6, 174.2)
-    assert gaussian_step2(g, FadingModel("none")) == g
-
-
-def test_gaussian_step2_rayleigh():
-    q = gaussian_step2(GaussianFit(-94.6, 174.2), FadingModel("rayleigh"))
-    assert abs(q.mu - (-97.1)) < 0.1
-    assert abs(q.sigma2 - 205.2) < 0.3
-
-
-def test_gaussian_step2_rician_ten():
-    q = gaussian_step2(GaussianFit(-94.6, 174.2), FadingModel("rician", 10.0))
-    assert abs(q.mu - (-95.0)) < 0.2
-    assert abs(q.sigma2 - 178.2) < 0.6
 
 
 def test_approx_mgf_degenerate_sigma():

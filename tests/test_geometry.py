@@ -24,7 +24,8 @@ from ulfit.geometry import (
     ue_domain,
 )
 from ulfit.geometry import _integrate
-from ulfit.montecarlo import _envelope, _positions_slice, dkw_slack
+from ulfit.montecarlo import _envelope, _positions_slice
+from ulfit.samples import dkw_slack
 from ulfit.scenario import build_hotspot_layout, build_single_cell
 
 

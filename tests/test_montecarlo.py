@@ -8,20 +8,17 @@ from scipy.special import ndtr
 from scipy.stats import kstest
 
 from ulfit import montecarlo, samples
-from ulfit.bound import BoundParams, LStats
+from ulfit.bound import BoundParams
 from ulfit.channel import (
     ChannelParams,
     FadingModel,
     coupling_gain_L,
     fading_moments,
-    shadow_stats,
+    shadow_var,
 )
 from ulfit.errors import DomainError, ParseError
-from ulfit.fit import gaussian_step1, gaussian_step2
 from ulfit.geometry import Disk, UeDensity, contains, ue_domain
 from ulfit.montecarlo import (
-    EmpiricalCdf,
-    SampleSet,
     _SLICE,
     _cell_slice,
     _envelope,
@@ -29,12 +26,16 @@ from ulfit.montecarlo import (
     _run_slices,
     _skipped,
     _slice_spans,
+    simulate_aggregate,
+    simulate_cell,
+)
+from ulfit.samples import (
+    EmpiricalCdf,
+    SampleSet,
     dkw_slack,
     ks_distance,
     load_samples,
     save_samples,
-    simulate_aggregate,
-    simulate_cell,
 )
 from ulfit.scenario import (
     Cell,
@@ -330,21 +331,18 @@ def test_deterministic_limit_two_cell_aggregate():
 def test_sample_mean_tracks_model_mean(sim1m, bread):
     mu_l, sigma_l2 = -17.578425170507074, 15.356984087035926
     mu_h, sigma_h2 = fading_moments(RAYLEIGH)
-    shadow = shadow_stats(bread.channel)
-    mu_q = bread.channel.p0_dbm + mu_l + shadow.mu_s + mu_h
-    sigma_q = math.sqrt(sigma_l2 + shadow.sigma_s2 + sigma_h2)
+    mu_q = bread.channel.p0_dbm + mu_l + mu_h
+    sigma_q = math.sqrt(sigma_l2 + shadow_var(bread.channel) + sigma_h2)
     band = 3.0 * sigma_q / math.sqrt(sim1m.n)
     assert abs(sim1m.values.mean() - mu_q) < band
 
 
 def test_empirical_ks_within_error_budget(sim1m, bread):
-    stats = LStats(-17.578425170507074, 15.356984087035926, None)
-    g2 = gaussian_step2(
-        gaussian_step1(stats, shadow_stats(bread.channel), bread.channel.p0_dbm),
-        RAYLEIGH,
-    )
-    sigma = math.sqrt(g2.sigma2)
-    d = ks_distance(EmpiricalCdf(sim1m), lambda q: ndtr((q - g2.mu) / sigma))
+    mu_l, sigma_l2 = -17.578425170507074, 15.356984087035926
+    mu_h, sigma_h2 = fading_moments(RAYLEIGH)
+    mu_q = bread.channel.p0_dbm + mu_l + mu_h
+    sigma = math.sqrt(sigma_l2 + shadow_var(bread.channel) + sigma_h2)
+    d = ks_distance(EmpiricalCdf(sim1m), lambda q: ndtr((q - mu_q) / sigma))
     eps_total = 0.0056598957924402808
     assert d <= eps_total + dkw_slack(sim1m.n)
 
