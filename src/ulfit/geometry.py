@@ -630,6 +630,12 @@ def _labels(region, origin, theta):
     return np.concatenate((llo, lhi), axis=1)
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D array without NaN, minus its import of numpy.ma."""
+    a = np.sort(a)
+    return a[np.append(True, a[1:] != a[:-1])]
+
+
 def _panels(region: Region, origin) -> np.ndarray:
     """(P, 2) theta panels, consecutive around the circle, cut at label changes.
 
@@ -638,14 +644,18 @@ def _panels(region: Region, origin) -> np.ndarray:
     """
     two_pi = 2.0 * math.pi
     fan = two_pi * np.arange(_SCAN) / _SCAN
-    scan = np.unique(np.concatenate((fan, np.mod(region._directions(origin), two_pi))))
+    scan = _sorted_unique(
+        np.concatenate((fan, np.mod(region._directions(origin), two_pi)))
+    )
     # Midpoints too, so each gap between special directions has a sample.
     mids = scan + 0.5 * np.diff(scan, append=scan[0] + two_pi)
-    scan = np.unique(np.mod(np.concatenate((scan, mids)), two_pi))
+    scan = _sorted_unique(np.mod(np.concatenate((scan, mids)), two_pi))
     labels = _labels(region, origin, scan)
     if (labels == _EMPTY).all():
         raise EmptyRegion("no ray from the polar origin meets the region")
     changed = (labels != np.roll(labels, -1, axis=0)).any(axis=1)
+    if not changed.any():
+        return np.array([[0.0, two_pi]])
     a = scan[changed]
     b = np.append(scan[1:], scan[0] + two_pi)[changed]
     ref = labels[changed]
@@ -654,8 +664,6 @@ def _panels(region: Region, origin) -> np.ndarray:
         same = (_labels(region, origin, mid) == ref).all(axis=1)
         a, b = np.where(same, mid, a), np.where(same, b, mid)
     breaks = np.sort(np.mod(b, two_pi))
-    if breaks.size == 0:
-        return np.array([[0.0, two_pi]])
     return np.column_stack((breaks, np.append(breaks[1:], breaks[0] + two_pi)))
 
 

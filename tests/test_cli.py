@@ -559,11 +559,12 @@ def _fresh_interpreter(code, *args):
 
 # Modules a command must not load beyond what numpy itself loads.
 _NOT_LOADED = {
-    "import": set(),
-    "bound": set(),
-    "fit": set(),
-    "simulate": {"ulfit.bound", "ulfit.fit"},
+    "import": {"numpy.ma"},
+    "bound": {"numpy.ma"},
+    "fit": {"numpy.ma"},
+    "simulate": {"ulfit.bound", "ulfit.fit", "numpy.ma"},
     "compare": {
+        "numpy.ma",
         "ulfit.channel",
         "ulfit.geometry",
         "ulfit.bound",

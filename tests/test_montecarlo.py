@@ -17,6 +17,7 @@ from ulfit.channel import (
     shadow_var,
 )
 from ulfit.errors import DomainError, ParseError
+from ulfit.fit import PowerLognormalFit, powln_cdf_db
 from ulfit.geometry import Disk, UeDensity, contains, ue_domain
 from ulfit.montecarlo import (
     _SLICE,
@@ -387,15 +388,91 @@ def test_ks_requires_vectorized_cdf():
 
 
 def test_ks_blocks(monkeypatch):
-    # Blocks of 7 give the statistic of one block, and a NaN from the CDF
-    # in a later block makes the statistic NaN rather than vanishing.
+    # Strides of 7 give the statistic of strides of 64, and a NaN from the
+    # CDF at a later sample makes the statistic NaN rather than vanishing.
     vals = np.sort(np.random.Generator(np.random.Philox(8)).standard_normal(50))
     ecdf = EmpiricalCdf(SampleSet(vals, 50, 8))
     whole = ks_distance(ecdf, ndtr)
-    monkeypatch.setattr(samples, "_KS_BLOCK", 7)
+    monkeypatch.setattr(samples, "_KS_STRIDE", 7)
     assert ks_distance(ecdf, ndtr) == whole
     late_nan = lambda q: np.where(q > vals[40], np.nan, ndtr(q))
     assert math.isnan(ks_distance(ecdf, late_nan))
+
+
+def _ks_full(x, cdf):
+    """The KS statistic from the model CDF at every sample: the oracle."""
+    n = x.size
+    f = np.asarray(cdf(x), dtype=float)
+    i = np.arange(n)
+    return float(max(((i + 1) / n - f).max(), (f - i / n).max()))
+
+
+_MODEL_CDFS = {
+    "gaussian": ndtr,
+    "clipped_linear": lambda q: np.clip((q + 2.0) / 4.0, 0.0, 1.0),
+    "step": lambda q: np.floor(np.clip(2.0 * (q + 2.0), 0.0, 8.0)) / 8.0,
+    **{
+        f"powln_{lam}": (
+            lambda q, fit=PowerLognormalFit(lam, 0.2, 1.5): powln_cdf_db(q, fit)
+        )
+        for lam in (0.3, 1.0, 30.0)
+    },
+}
+
+
+@pytest.mark.parametrize("model", list(_MODEL_CDFS))
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1000, 100003])
+def test_ks_equals_full_pass(n, tied, model):
+    # The pruned search returns the float of the full pass, bit for bit.
+    x = np.sort(np.random.Generator(np.random.Philox(n)).standard_normal(n))
+    if tied:
+        x = np.round(x, 1)
+        x[1:2] = x[0]
+    cdf = _MODEL_CDFS[model]
+    assert ks_distance(EmpiricalCdf(SampleSet(x, n, 0)), cdf) == _ks_full(x, cdf)
+
+
+def _uniform_grid(n):
+    return EmpiricalCdf(SampleSet((np.arange(n) + 0.5) / n, n, 0))
+
+
+def test_ks_checks_refined_points():
+    # Every gap is 0.5/n, so every stride is refined, and the CDF's value at
+    # sample 100 (inside the stride 64..128) is read.
+    ecdf = _uniform_grid(1000)
+    x = ecdf.samples.values
+
+    def at_100(value):
+        return lambda q: np.where(q == x[100], value, np.clip(q, 0.0, 1.0))
+
+    with pytest.raises(DomainError):
+        ks_distance(ecdf, at_100(0.9))
+    assert math.isnan(ks_distance(ecdf, at_100(np.nan)))
+    # A drop below the rounding slack is not a decreasing CDF.
+    dip = at_100(x[99] - 1e-13)
+    assert ks_distance(ecdf, dip) == _ks_full(x, dip)
+
+
+def test_ks_rejects_decreasing_cdf():
+    with pytest.raises(DomainError):
+        ks_distance(_uniform_grid(1000), lambda q: 1.0 - q)
+
+
+def test_ks_evaluates_few_points():
+    # The model CDF is evaluated at a small share of 10^6 samples, so a
+    # return to a full pass fails here without any timing.
+    n = 1_000_000
+    x = np.sort(np.random.Generator(np.random.Philox(1)).standard_normal(n))
+    evaluated = []
+
+    def counted(q):
+        evaluated.append(q.size)
+        return ndtr(q)
+
+    d = ks_distance(EmpiricalCdf(SampleSet(x, n, 1)), counted)
+    assert sum(evaluated) <= n // 16
+    assert d == _ks_full(x, ndtr)
 
 
 def test_ks_self_drawn_within_dkw():
