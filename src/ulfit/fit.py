@@ -43,13 +43,11 @@ __all__ = [
     "ZETA",
     "GaussianFit",
     "PowerLognormalFit",
-    "approx_mgf",
     "solve_sum_stats",
     "power_lognormal_fit",
     "powln_mean",
     "powln_cdf_db",
     "powln_pdf_db",
-    "powln_cdf_mw",
     "tail_slope_diagnostic",
 ]
 
@@ -110,15 +108,11 @@ class PowerLognormalFit:
         return math.sqrt(self.sigma_q2)
 
 
-def approx_mgf(mu: float, sigma2: float, s: float) -> float:
-    """12-node Gauss-Hermite approximation of E[exp(-s 10^(X/10))], X Gaussian."""
-    if not s > 0:
-        raise DomainError("s must be > 0")
-    return 1.0 - _mgf_deficit(mu, sigma2, s)[0]
-
-
 def _mgf_deficit(mu: float, sigma2: float, s: float):
-    """1 - approx_mgf without cancellation, and its gradient in (mu, ln sigma).
+    """1 - M(s) and its gradient in (mu, ln sigma), without cancellation.
+
+    M(s) is the 12-node Gauss-Hermite approximation of
+    E[exp(-s 10^(X/10))] for X ~ N(mu, sigma2).
 
     Weak cells leave the MGF within 1e-7 of one, so the complementary
     form is what carries the information.
@@ -478,14 +472,6 @@ def powln_pdf_db(q, fit: PowerLognormalFit):
     )
     out = np.exp(logpdf)
     return float(out) if out.ndim == 0 else out
-
-
-def powln_cdf_mw(v, fit: PowerLognormalFit):
-    """CDF of the linear-scale power at v mW; v must be positive."""
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("linear-scale power must be > 0")
-    return powln_cdf_db(ZETA * np.log(arr), fit)
 
 
 def tail_slope_diagnostic(fit: PowerLognormalFit, fits) -> dict:

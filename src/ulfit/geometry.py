@@ -931,4 +931,6 @@ def proposal_block(region: Region, density: UeDensity, corners, size, u):
         theta += oy
         cos *= rho
         np.add(cos, ox, out=rho)
+    # The region test holds its own temporaries; free the indices first.
+    del j, tmp
     return q.T, region._mask(x, y)

@@ -19,12 +19,16 @@ inverse_radial ones the one tile is the (rho, theta) box
 hotspot disk cell that envelope is the serving-station annulus itself,
 and nearly every proposal is accepted in the first round.
 
-Work runs in slices of _SLICE draws, small enough that a slice's working
-set stays in a per-core L2 cache, and the sorted output is sorted in
-place. A slice's arithmetic runs in place on a few slice-sized arrays,
-and every cell's envelope is built in the calling thread before the
-worker pool starts, so no two workers build the same one. The sample
-files, the KS statistic and the DKW slack live in ulfit.samples.
+Work runs in slices of _SLICE = 2^15 draws, and the sorted output is
+sorted in place. A slice's arithmetic runs in place on a few slice-sized
+arrays. Its working set, the tracemalloc peak of one _cell_slice, is
+2.5 MiB on the bread cell, most of it the region test of the first
+rejection round, and 1.8 MiB on a hotspot disk cell: about a 2 MB
+per-core L2 cache. Every cell's envelope
+is built in the calling thread before the worker pool starts, so no two
+workers build the same one, and its pilot runs in slice-sized blocks of
+one stream, so no step of the sampler holds more than a slice. The
+sample files, the KS statistic and the DKW slack live in ulfit.samples.
 """
 
 from __future__ import annotations
@@ -49,9 +53,11 @@ from .scenario import Scenario, rng_stream
 
 __all__ = ["SampleSet", "simulate_cell", "simulate_aggregate"]
 
-# Draws per slice: a slice's float column is 0.5 MB, so its working set
-# fits a 2 MB per-core L2 cache.
-_SLICE = 1 << 16
+# Draws per slice: a float column is 256 KiB, and a whole slice's working
+# set peaks at 2.5 MiB on the bread cell and 1.8 MiB on a hotspot disk
+# cell, near a 2 MB per-core L2 cache. At 2^14 draws the per-slice
+# overhead made single_cell's two-worker simulate a third slower.
+_SLICE = 1 << 15
 # Stall rule of _positions_slice: the pilot block's size, and the smallest
 # share of it that a cell must accept.
 _PILOT = 1 << 16
@@ -74,15 +80,18 @@ def _envelope(region, density):
 
     The tile table is rejection_envelope's, made read-only since the cache
     hands it to every caller. The acceptance is the accepted share of a
-    fixed pilot block of _PILOT proposals, the same for every cell, seed
-    and slice. Cached by value, since every slice of a cell rebuilds the
-    same region.
+    fixed pilot of _PILOT proposals from one stream, the same for every
+    cell, seed and slice, proposed in blocks of at most _SLICE. Cached by
+    value, since every slice of a cell rebuilds the same region.
     """
     corners, size = rejection_envelope(region, density)
     corners.flags.writeable = size.flags.writeable = False
-    pilot = rng_stream(0, 0, "pos:pilot").random((_PILOT, 2))
-    _, ok = proposal_block(region, density, corners, size, pilot)
-    return corners, size, float(ok.mean())
+    gen = rng_stream(0, 0, "pos:pilot")
+    accepted = 0
+    for _, m in _slice_spans(_PILOT):
+        _, ok = proposal_block(region, density, corners, size, gen.random((m, 2)))
+        accepted += int(np.count_nonzero(ok))
+    return corners, size, accepted / _PILOT
 
 
 def _cell_envelope(cell, victim_bs, params: ChannelParams):
@@ -106,10 +115,10 @@ def _positions_slice(region, density, envelope, cell_id, seed, lo, m):
     with probability (1 - p)^k, so at p = 1e-3 a full slice is placed
     within 39,000 rounds except with probability 1e-12. In the benchmark
     and the tests, uniform cells accept 0.92 or more under the tiled
-    envelope, and a full slice takes 4 to 6 rounds (7 in about one slice
-    of 200); hotspot disk cells accept 0.9 or more under the polar one, in
-    1 round; the inverse_radial bread cells accept 0.62-0.72, in up to 13
-    rounds.
+    envelope, and a full slice of 2^15 draws takes 4 or 5 rounds (6 in
+    about one slice of 30); hotspot disk cells accept 0.9 or more under
+    the polar one, in 1 round; the inverse_radial bread cells accept
+    0.62-0.72, in 9 to 16 rounds.
     """
     corners, size, p = envelope
     if p < _MIN_ACCEPTANCE:

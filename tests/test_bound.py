@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
+from ulfit import channel
 from ulfit.bound import (
     BoundParams,
     BoundReport,
@@ -314,6 +316,39 @@ def test_l_stats_char_fn_progression_matches_direct():
         got = stats.char_fn(head)
         assert got.shape == head.shape
         assert np.abs(got - direct_char_fn(x, weights, head)).max() < 1e-13
+
+
+def test_discrete_char_fn_chunk_boundaries(monkeypatch):
+    # A small entry budget puts chunk edges at every atom count of interest.
+    monkeypatch.setattr(channel, "_CHARFN_CHUNK_ENTRIES", 512)
+    rng = np.random.default_rng(5)
+    t_all = eps2_frequencies(14.0, shadow_var(DEFAULT_CHANNEL))
+    assert t_all.size == 2863
+    for size in (1, 2, 3, 2863):
+        t = t_all[:size]
+        chunk = 512 // math.ceil(math.sqrt(size))
+        for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            x = rng.normal(0.0, 4.0, n)
+            w = rng.dirichlet(np.ones(n))
+            got = discrete_char_fn(x, w, t)
+            assert got.shape == t.shape
+            assert np.abs(got - direct_char_fn(x, w, t)).max() < 1e-13
+
+
+def test_discrete_char_fn_memory_is_bounded():
+    # The working set is a fixed budget of chunks, whatever the atom count.
+    rng = np.random.default_rng(6)
+    x = rng.normal(0.0, 4.0, 1 << 16)
+    w = np.full(x.size, 1.0 / x.size)
+    t = eps2_frequencies(14.0, shadow_var(DEFAULT_CHANNEL))
+    discrete_char_fn(x, w, t[:4])
+    tracemalloc.start()
+    try:
+        discrete_char_fn(x, w, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_step1_requires_matching_cutoffs():

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ulfit.channel import (
 )
 from ulfit.errors import DomainError, ParseError
 from ulfit.fit import PowerLognormalFit, powln_cdf_db
-from ulfit.geometry import Disk, UeDensity, contains, ue_domain
+from ulfit.geometry import Disk, UeDensity, contains, proposal_block, ue_domain
 from ulfit.montecarlo import (
     _SLICE,
     _cell_slice,
@@ -151,6 +152,31 @@ def test_slice_prefix_purity(bread, bread_ir):
             tail = _cell_slice(cell, scen.victim_bs, ch, fading, 3, 600, 400)
             np.testing.assert_array_equal(head, full[:600])
             np.testing.assert_array_equal(tail, full[600:])
+
+
+def test_slice_memory_is_bounded(bread):
+    # One slice's working set stays near a per-core L2 cache.
+    args = (bread.cells[0], bread.victim_bs, bread.channel, bread.fading, 3)
+    _cell_slice(*args, 0, _SLICE)
+    tracemalloc.start()
+    try:
+        _cell_slice(*args, _SLICE, _SLICE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+
+
+def test_pilot_reads_one_stream(bread, bread_ir):
+    # The pilot proposes in slice-sized blocks of one stream: the same
+    # proposals, and so the same acceptance, as one block of _PILOT.
+    for scen in (bread, bread_ir):
+        cell = scen.cells[0]
+        region = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
+        corners, size, p = _envelope(region, cell.density)
+        u = rng_stream(0, 0, "pos:pilot").random((montecarlo._PILOT, 2))
+        _, ok = proposal_block(region, cell.density, corners, size, u)
+        assert p == ok.mean()
 
 
 def test_parallel_equals_serial(bread, bread_ir):
