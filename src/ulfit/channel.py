@@ -27,7 +27,6 @@ __all__ = [
     "ChannelParams",
     "FadingModel",
     "shadow_var",
-    "path_loss",
     "coupling_gain_L",
     "fading_moments",
     "fading_char_fn",
@@ -120,15 +119,6 @@ def shadow_var(params: ChannelParams) -> float:
     variance is (1 + eta^2) * sigma_shad^2.
     """
     return (1.0 + params.eta**2) * params.sigma_shad_db**2
-
-
-def path_loss(d_km, params: ChannelParams):
-    """Log-distance path loss in dB; raises DomainError for d <= 0."""
-    d = np.asarray(d_km, dtype=float)
-    if np.any(d <= 0):
-        raise DomainError("distance must be > 0")
-    out = params.a_db + params.alpha * np.log10(d)
-    return float(out) if np.isscalar(d_km) else out
 
 
 def _squared_distance(x, y, p, tmp):

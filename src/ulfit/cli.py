@@ -51,7 +51,6 @@ _SOURCES = {
     "fit": ("PowerLognormalFit", "power_lognormal_fit", "powln_cdf_db"),
     "montecarlo": ("simulate_aggregate",),
     "samples": (
-        "EmpiricalCdf",
         "dkw_slack",
         "ks_distance",
         "load_samples",
@@ -99,6 +98,10 @@ _BOUND_COLUMNS = (
 )
 
 
+# Most rows a --grid may ask for; a larger grid is an input error.
+_MAX_GRID_ROWS = 10**6
+
+
 def _g17(x) -> str:
     return format(float(x), ".17g")
 
@@ -118,8 +121,21 @@ def parse_grid(spec: str) -> np.ndarray:
         raise SchemaError("grid: step must be > 0")
     if hi < lo:
         raise SchemaError("grid: hi must be >= lo")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    count = np.floor((hi - lo) / step + 1e-9) + 1
+    if not count <= _MAX_GRID_ROWS:
+        raise SchemaError(f"grid: {spec!r} has more than {_MAX_GRID_ROWS} rows")
+    return lo + step * np.arange(int(count))
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _write_manifest(out_path: str, doc: dict) -> None:
@@ -298,7 +314,7 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
             file=sys.stderr,
         )
         return 4
-    ks = ks_distance(EmpiricalCdf(samples), lambda q: powln_cdf_db(q, fit))
+    ks = ks_distance(samples, lambda q: powln_cdf_db(q, fit))
     verdict = compare_verdict(ks, eps_total, samples.n)
     _write_json(out_report, verdict)
     _write_manifest(
@@ -334,9 +350,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="aggregate-interference samples")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=1_000_000)
+    p.add_argument("--n", type=_positive_int, default=1_000_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("compare", help="KS verdict of samples vs a fit")
     p.add_argument("--samples", required=True)

@@ -45,10 +45,8 @@ __all__ = [
     "PowerLognormalFit",
     "solve_sum_stats",
     "power_lognormal_fit",
-    "powln_mean",
     "powln_cdf_db",
     "powln_pdf_db",
-    "tail_slope_diagnostic",
 ]
 
 ZETA = 10.0 / math.log(10.0)
@@ -188,16 +186,17 @@ def solve_sum_stats(fits, p_ref_dbm: float) -> tuple[float, float]:
         (mu_x in dBm, sigma_x in dB), sigma_x >= 0.
 
     Raises:
+        DomainError: when fits is empty or any cell is deterministic
+            (sigma2 == 0): the power lognormal's lower tail slope needs
+            sigma2 > 0 for every cell.
         NoConvergence: when kappa exceeds 1e4 (the probes sit in the
             linear regime), when Newton stalls or uses 200 iterations, or
             when an iterate's sigma_X^2 overflows.
     """
     if not fits:
         raise DomainError("at least one fit is required")
-    if all(f.sigma2 == 0 for f in fits):
-        # Deterministic sum: the MGF match is exact with sigma = 0.
-        total = sum(10.0 ** (f.mu / 10.0) for f in fits)
-        return 10.0 * math.log10(total), 0.0
+    if any(f.sigma2 == 0 for f in fits):
+        raise DomainError("tail matching requires sigma2 > 0 for every cell")
 
     # Work in dB relative to P_ref, where the probes are stated.
     rel = [GaussianFit(f.mu - p_ref_dbm, f.sigma2) for f in fits]
@@ -285,11 +284,6 @@ def _powln_expect(fit: PowerLognormalFit, g, rtol: float) -> float:
     raise QuadratureFailure("integral did not settle at 128 panels")
 
 
-def powln_mean(fit: PowerLognormalFit) -> float:
-    """Mean of the power lognormal in dBm, settled to 1e-8 relative."""
-    return _powln_expect(fit, lambda q: q, 1e-8)
-
-
 def power_lognormal_fit(fits, p_ref_dbm: float) -> PowerLognormalFit:
     """Fit the aggregate law from per-cell Gaussian fits.
 
@@ -321,16 +315,10 @@ def power_lognormal_fit(fits, p_ref_dbm: float) -> PowerLognormalFit:
     Raises:
         NoConvergence: from the MGF match or if the location bracket
             mu_X +- 20 sigma_X fails to contain the root.
-        DomainError: when any input cell is deterministic (the tail
-            match needs sigma_qb > 0 for every cell).
+        DomainError: from the MGF match, when fits is empty or any cell
+            is deterministic.
     """
-    if not fits:
-        raise DomainError("at least one fit is required")
-    if any(f.sigma2 == 0 for f in fits):
-        raise DomainError("tail matching requires sigma2 > 0 for every cell")
     mu_x, sigma_x = solve_sum_stats(fits, p_ref_dbm)
-    if sigma_x <= 0:
-        raise NoConvergence("matched lognormal collapsed to zero spread")
     sigma_q2 = sigma_x**2
     lam = sigma_q2 * sum(1.0 / f.sigma2 for f in fits)
 
@@ -472,32 +460,3 @@ def powln_pdf_db(q, fit: PowerLognormalFit):
     )
     out = np.exp(logpdf)
     return float(out) if out.ndim == 0 else out
-
-
-def tail_slope_diagnostic(fit: PowerLognormalFit, fits) -> dict:
-    """Numerical check of the two tail-slope limits.
-
-    The upper slope of d/dq Phi^{-1}(F_Q(q)) must approach 1/sigma_q and
-    the lower slope sqrt(lambda)/sigma_q, which equal the matched-sum
-    limits 1/sigma_x and sqrt(sum sigma_qb^-2) by construction. Returned
-    as a dict of analytic limits and finite-q estimates.
-    """
-    from statistics import NormalDist
-
-    lam, mu, sig = fit.lam, fit.mu_q, fit.sigma_q
-
-    def slope(q):
-        # d/dq Phi^{-1}(F_Q(q)) = f_Q(q) / phi(Phi^{-1}(F_Q(q))).
-        f = powln_pdf_db(q, fit)
-        z = NormalDist().inv_cdf(powln_cdf_db(q, fit))
-        return f / (math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
-
-    upper_q = mu + 6.0 * sig
-    lower_q = mu - 4.0 * sig + sig * math.log(lam) / 2.0
-    return {
-        "upper_limit": 1.0 / sig,
-        "upper_slope": slope(upper_q),
-        "lower_limit": math.sqrt(lam) / sig,
-        "lower_slope": slope(lower_q),
-        "lower_limit_sum": math.sqrt(sum(1.0 / f.sigma2 for f in fits)),
-    }

@@ -42,9 +42,9 @@ and in r on every interval. Both double their pieces until every tracked
 sum changes by less than _REL_TOL of its scale (the integral of its
 absolute value) divided by the panel count; a panel still changing at
 _MAX_PIECES pieces raises QuadratureFailure. The rule is deterministic
-for a given region and density. One engine serves every entry point: it
-evaluates the integrand once per node of each level it visits, and the
-integrand must be vectorized over an (n, 2) block.
+for a given region and density. The engine evaluates the integrand once
+per node of each level it visits, and the integrand must be vectorized
+over an (n, 2) block.
 """
 
 from __future__ import annotations
@@ -65,10 +65,8 @@ __all__ = [
     "Intersection",
     "Region",
     "UeDensity",
-    "contains",
     "bounding_box",
     "effective_region",
-    "normalize_density",
     "density_profile",
 ]
 
@@ -540,24 +538,6 @@ class UeDensity:
             raise DomainError("origin: only applies to inverse_radial")
 
 
-def contains(region: Region, p) -> bool | np.ndarray:
-    """Closed-region membership test.
-
-    Args:
-        region: any region primitive or intersection.
-        p: a single (x, y) pair, or an array of shape (n, 2).
-
-    Returns:
-        bool for a single point, boolean array of shape (n,) otherwise.
-    """
-    arr = np.asarray(p, dtype=float)
-    if arr.shape == (2,):
-        return bool(region._mask(arr[0], arr[1]))
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DomainError("points must have shape (2,) or (n, 2)")
-    return region._mask(arr[:, 0], arr[:, 1])
-
-
 def bounding_box(region: Region) -> tuple[float, float, float, float]:
     """Axis-aligned (xmin, ymin, xmax, ymax) containing the region."""
     return region._bbox()
@@ -689,9 +669,8 @@ def _level(region, density, origin, field, panels, pieces):
     """One rule level: ``pieces`` pieces in s on each panel and in each interval.
 
     Returns (sums, scales, weights, values, panel ids). sums[q] holds each
-    panel's integral of kernel * field**q, for q < 3 with a field and q = 0
-    without one, and scales[q] that of kernel * |field|**q; weights, values
-    and ids describe the nodes (values is None without a field).
+    panel's integral of kernel * field**q for q < 3, and scales[q] that of
+    kernel * |field|**q; weights, values and ids describe the nodes.
     """
     s, ws = _composite(pieces)
     start, width = panels[:, :1], panels[:, 1:] - panels[:, :1]
@@ -719,31 +698,29 @@ def _level(region, density, origin, field, panels, pieces):
     count = len(panels)
     sums = [np.bincount(ids, w, count)]
     scales = [sums[0]]
-    v = None
-    if field is not None:
-        v = np.asarray(field(pts)) if w.size else np.zeros(0)
-        if v.shape != w.shape:
-            raise DomainError(
-                f"integrand returned shape {v.shape} for {w.size} points; "
-                "it must be vectorized over an (n, 2) block"
-            )
-        term = w
-        for _ in range(2):
-            term = term * v
-            sums.append(np.bincount(ids, term, count))
-            scales.append(np.bincount(ids, np.abs(term), count))
+    v = np.asarray(field(pts)) if w.size else np.zeros(0)
+    if v.shape != w.shape:
+        raise DomainError(
+            f"integrand returned shape {v.shape} for {w.size} points; "
+            "it must be vectorized over an (n, 2) block"
+        )
+    term = w
+    for _ in range(2):
+        term = term * v
+        sums.append(np.bincount(ids, term, count))
+        scales.append(np.bincount(ids, np.abs(term), count))
     return np.array(sums), np.array(scales), w, v, ids
 
 
-def _integrate(region, density, field=None):
-    """Panel quadrature shared by both entry points.
+def _integrate(region, density, field):
+    """The panel quadrature of density_profile.
 
     Returns (mass, moments, nodes). mass is the plain integral of the
-    density kernel. Without a field it is the one tracked sum, and moments
-    and nodes are None. A field maps an (n, 2) block of points to n values
+    density kernel. The field maps an (n, 2) block of points to n values
     and is evaluated once per node of each level; its first two powers
-    are tracked too, moments holds their density averages, and nodes is
-    (kernel weights, field values) of every panel's accepted level.
+    are tracked with the mass, moments holds their density averages, and
+    nodes is (kernel weights, field values) of every panel's accepted
+    level.
     """
     origin = _polar_origin(region, density)
     panels = _panels(region, origin)
@@ -768,16 +745,13 @@ def _integrate(region, density, field=None):
         change = np.abs(cur - prev)
         done = (change <= _REL_TOL * total / npan).all(axis=0)
         rel = float((change * npan / np.maximum(total, 1e-300)).max())
-        if field is not None:
-            keep = done[ids]
-            kept.append((w[keep], v[keep]))
+        keep = done[ids]
+        kept.append((w[keep], v[keep]))
         active, prev = active[~done], cur[:, ~done]
     sums = best.sum(axis=1)
     mass = sums[0]
     if not mass > 0:
         raise EmptyRegion("region carries no mass under the density")
-    if field is None:
-        return mass, None, None
     nodes = tuple(np.concatenate(x) for x in zip(*kept))
     return mass, sums[1:] / mass, nodes
 
@@ -822,24 +796,6 @@ def density_profile(region: Region, density: UeDensity, value_fn):
     """
     _, (mean, m2), (w, v) = _integrate(region, density, value_fn)
     return mean, max(m2 - mean * mean, 0.0), w / w.sum(), v
-
-
-def normalize_density(region: Region, density: UeDensity) -> float:
-    """Normalization constant W making the density integrate to one.
-
-    Args:
-        region: effective region (exclusion disk already applied).
-        density: density whose kernel is integrated.
-
-    Returns:
-        W with unit 1/km^2 (uniform) or 1/km (inverse_radial).
-
-    Raises:
-        QuadratureFailure: if a theta panel does not settle.
-        EmptyRegion: if no ray from the polar origin meets the region.
-    """
-    mass, _, _ = _integrate(region, density)
-    return 1.0 / mass
 
 
 def rejection_envelope(region: Region, density: UeDensity):

@@ -1,4 +1,4 @@
-"""Exact Monte Carlo simulation of per-cell and aggregate interference.
+"""Exact Monte Carlo simulation of the aggregate interference, cell by cell.
 
 Every random draw comes from a counter-based stream keyed by
 (seed, cell id, purpose tag), and every draw index owns a fixed span of
@@ -51,7 +51,7 @@ from .geometry import proposal_block, rejection_envelope, ue_domain
 from .samples import SampleSet
 from .scenario import Scenario, rng_stream
 
-__all__ = ["SampleSet", "simulate_cell", "simulate_aggregate"]
+__all__ = ["simulate_aggregate"]
 
 # Draws per slice: a float column is 256 KiB, and a whole slice's working
 # set peaks at 2.5 MiB on the bread cell and 1.8 MiB on a hotspot disk
@@ -184,42 +184,16 @@ def _run_slices(fn, n: int, workers: int) -> np.ndarray:
     return out
 
 
-def simulate_cell(
-    cell,
-    victim_bs,
-    params: ChannelParams,
-    fading: FadingModel,
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> SampleSet:
-    """n draws of one cell's received interference I_b, in dBm, sorted.
-
-    I_b = P0 + (eta PL_bb - PL_b1) + (eta S_bb - S_b1) + H, with the user
-    position drawn from the cell's density over its effective region.
-    Output is identical for any worker count.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    # Built once here: lru_cache lets concurrent misses each build it.
-    _cell_envelope(cell, victim_bs, params)
-    vals = _run_slices(
-        lambda lo, m: _cell_slice(cell, victim_bs, params, fading, seed, lo, m),
-        n,
-        workers,
-    )
-    vals.sort()
-    return SampleSet(vals, n, seed)
-
-
 def simulate_aggregate(
     scenario: Scenario, n: int, seed: int, workers: int = 1
 ) -> SampleSet:
     """n draws of the aggregate interference at the victim, dBm, sorted.
 
-    Per draw index, each cell contributes one I_b from its own streams
-    (the same values simulate_cell would produce); the sum is taken in mW
-    and reported in dBm.
+    Per draw index, each cell contributes one I_b from its own streams:
+    I_b = P0 + (eta PL_bb - PL_b1) + (eta S_bb - S_b1) + H, with the user
+    position drawn from the cell's density over its effective region. The
+    sum is taken in mW and reported in dBm. Output is identical for any
+    worker count.
     """
     if n < 1:
         raise DomainError("n must be >= 1")

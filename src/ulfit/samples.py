@@ -29,7 +29,6 @@ from .fileio import atomic_open
 
 __all__ = [
     "SampleSet",
-    "EmpiricalCdf",
     "ks_distance",
     "dkw_slack",
     "save_samples",
@@ -63,18 +62,6 @@ class SampleSet:
             raise DomainError("sample values must be sorted ascending")
 
 
-class EmpiricalCdf:
-    """Right-continuous step CDF backed by a SampleSet."""
-
-    def __init__(self, samples: SampleSet):
-        self.samples = samples
-
-    def __call__(self, q):
-        ranks = np.searchsorted(self.samples.values, q, side="right")
-        out = ranks / self.samples.n
-        return float(out) if np.isscalar(q) else out
-
-
 def _model_cdf(cdf, x: np.ndarray) -> np.ndarray:
     f = np.asarray(cdf(x), dtype=float)
     if f.shape != x.shape:
@@ -94,14 +81,13 @@ def _decreasing(f: np.ndarray) -> bool:
     return bool((np.diff(f, axis=-1) < -_KS_SLACK).any())
 
 
-def ks_distance(ecdf: EmpiricalCdf, cdf) -> float:
-    """Exact one-sample KS statistic between a step CDF and a model CDF.
+def ks_distance(samples: SampleSet, cdf) -> float:
+    """Exact one-sample KS statistic between the samples and a model CDF.
 
     The statistic is the sup over the sample points of the larger
-    one-sided gap, using the step function's value just before and at
-    each point. The model CDF must be vectorized, mapping a 1-D array of
-    samples to as many values, and non-decreasing; an EmpiricalCdf is
-    one. ks_distance evaluates it at every _KS_STRIDE-th sorted sample,
+    one-sided gap, using the samples' empirical step CDF just before and
+    at each point. The model CDF must be vectorized, mapping a 1-D array
+    of samples to as many values, and non-decreasing. ks_distance evaluates it at every _KS_STRIDE-th sorted sample,
     the first and last included. Because the CDF is non-decreasing, the
     gaps inside a stride from index lo to hi are at most
     max(hi/n - F(x_lo), F(x_hi) - (lo+1)/n). Strides are then evaluated
@@ -120,8 +106,8 @@ def ks_distance(ecdf: EmpiricalCdf, cdf) -> float:
             evaluated values decrease by more than _KS_SLACK. Exceptions
             the CDF raises propagate unchanged.
     """
-    x = ecdf.samples.values
-    n = ecdf.samples.n
+    x = samples.values
+    n = samples.n
     lo = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
     f_lo = _model_cdf(cdf, x[lo])
     if np.isnan(f_lo).any():

@@ -8,6 +8,7 @@ by the paper's certificate, which covers single-cell interference only.
 Exact values are checked at tight tolerance.
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -28,10 +29,10 @@ from ulfit.bound import (
 )
 from ulfit.channel import ChannelParams, FadingModel, fading_moments
 from ulfit.cli import main
-from ulfit.fit import PowerLognormalFit, power_lognormal_fit, powln_cdf_db, powln_mean
+from ulfit.fit import PowerLognormalFit, _powln_expect, power_lognormal_fit, powln_cdf_db
 from ulfit.geometry import Disk, UeDensity
-from ulfit.montecarlo import simulate_aggregate, simulate_cell
-from ulfit.samples import EmpiricalCdf, dkw_slack, ks_distance
+from ulfit.montecarlo import simulate_aggregate
+from ulfit.samples import dkw_slack, ks_distance
 from ulfit.scenario import (
     DEFAULT_CHANNEL,
     Cell,
@@ -69,19 +70,15 @@ def sweep():
             for name, fading in FADINGS:
                 rep = total_bound(cell, stats, scen.channel, fading, scen.bound)
                 g2 = rep.step2
-                sim = simulate_cell(
-                    cell,
-                    scen.victim_bs,
-                    scen.channel,
-                    fading,
+                sim = simulate_aggregate(
+                    dataclasses.replace(scen, fading=fading),
                     1_000_000,
                     101,
                     workers=2,
                 )
                 sigma = math.sqrt(g2.sigma2)
                 ks = ks_distance(
-                    EmpiricalCdf(sim),
-                    lambda q, m=g2.mu, s=sigma: ndtr((np.asarray(q) - m) / s),
+                    sim, lambda q, m=g2.mu, s=sigma: ndtr((np.asarray(q) - m) / s)
                 )
                 out[(r, kind, name)] = {"rep": rep, "g2": g2, "ks": ks}
     return out
@@ -239,7 +236,7 @@ def test_criterion_08_power_lognormal_degeneracy(sweep):
     sigma = math.sqrt(g.sigma2)
     q = np.linspace(g.mu - 10.0 * sigma, g.mu + 10.0 * sigma, 20001)
     gap = float(np.max(np.abs(powln_cdf_db(q, fit) - ndtr((q - g.mu) / sigma))))
-    mean2 = powln_mean(PowerLognormalFit(2.0, 0.0, 1.0))
+    mean2 = _powln_expect(PowerLognormalFit(2.0, 0.0, 1.0), lambda q: q, 1e-8)
     ok = 0.98 <= fit.lam <= 1.02 and gap < 0.01 and abs(mean2 - 0.5642) <= 1e-4
     _verdict(8, ok, f"lambda={fit.lam:.4f}, cdf gap {gap:.2e}, mean2={mean2:.6f}")
 
@@ -274,8 +271,8 @@ def test_criterion_09_hotspot_aggregate(hotspot84):
     KS 0.035 of the aggregate, so the aggregate KS is printed with its
     DKW slack and not judged. What is asserted besides the bands is the
     certificate on the draws that the aggregate sums: for the three
-    strongest interferers, simulate_cell at the aggregate's seed and n
-    (the same per-cell terms as simulate_aggregate) lies within
+    strongest interferers, the cell alone simulated at the aggregate's seed
+    and n (the same per-cell terms that the aggregate sums) lies within
     eps_total + dkw_slack of the cell's Gaussian fit.
     """
     lay, cells, agg_fit, sim = hotspot84
@@ -295,13 +292,12 @@ def test_criterion_09_hotspot_aggregate(hotspot84):
     strongest = sorted(cells, key=lambda c: linear_mean(c[2]), reverse=True)[:3]
     certified = []
     for cell, rep, g in strongest:
-        draws = simulate_cell(
-            cell, lay.victim_bs, lay.channel, lay.fading, AGG_N, AGG_SEED, workers=2
+        draws = simulate_aggregate(
+            dataclasses.replace(lay, cells=(cell,)), AGG_N, AGG_SEED, workers=2
         )
         sigma = math.sqrt(g.sigma2)
         ks_cell = ks_distance(
-            EmpiricalCdf(draws),
-            lambda q, m=g.mu, s=sigma: ndtr((np.asarray(q) - m) / s),
+            draws, lambda q, m=g.mu, s=sigma: ndtr((np.asarray(q) - m) / s)
         )
         share = linear_mean(g) / total
         certified.append(
@@ -311,7 +307,7 @@ def test_criterion_09_hotspot_aggregate(hotspot84):
         if not ks_cell <= rep.eps_total + slack:
             problems.append(f"cell {cell.id}: ks {ks_cell:.4f} exceeds its bound")
 
-    ks = ks_distance(EmpiricalCdf(sim), lambda q: powln_cdf_db(q, agg_fit))
+    ks = ks_distance(sim, lambda q: powln_cdf_db(q, agg_fit))
     detail = (
         f"lambda={agg_fit.lam:.2f}, mu={agg_fit.mu_q:.2f},"
         f" var={agg_fit.sigma_q2:.2f}; {'; '.join(certified)};"

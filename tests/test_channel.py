@@ -16,7 +16,6 @@ from ulfit.channel import (
     fading_draw_budget,
     fading_moments,
     normal_pair,
-    path_loss,
     sample_fading_db_block,
     shadow_db_block,
     shadow_var,
@@ -29,28 +28,44 @@ PARAMS = ChannelParams(
 
 ZETA = 10.0 / math.log(10.0)
 
+# A serving station that is also the victim: the coupling gain there is
+# (eta - 1) PL(d), the log-distance path loss PL(d) = a + alpha log10 d
+# scaled.
+ORIGIN = (0.0, 0.0)
+SCALE = PARAMS.eta - 1.0
+
+
+def _path_loss(d):
+    """The log-distance path loss in dB, the reference formula."""
+    return PARAMS.a_db + PARAMS.alpha * np.log10(d)
+
 
 def test_path_loss_reference_distance():
-    assert path_loss(1.0, PARAMS) == 103.8
-    assert path_loss(0.1, PARAMS) == pytest.approx(103.8 - 20.9, rel=1e-14)
+    assert coupling_gain_L((1.0, 0.0), ORIGIN, ORIGIN, PARAMS) == SCALE * 103.8
+    assert coupling_gain_L((0.1, 0.0), ORIGIN, ORIGIN, PARAMS) == pytest.approx(
+        SCALE * (103.8 - 20.9), rel=1e-14
+    )
 
 
 def test_path_loss_short_range():
-    assert path_loss(0.005, PARAMS) == pytest.approx(55.70847309062279, rel=1e-14)
+    assert coupling_gain_L((0.005, 0.0), ORIGIN, ORIGIN, PARAMS) == pytest.approx(
+        SCALE * 55.70847309062279, rel=1e-14
+    )
 
 
 def test_path_loss_vectorized_and_increasing():
     d = np.array([0.001, 0.01, 0.1, 1.0, 10.0])
-    pl = path_loss(d, PARAMS)
+    pts = np.column_stack((d, np.zeros_like(d)))
+    pl = coupling_gain_L(pts, ORIGIN, ORIGIN, PARAMS) / SCALE
     assert pl.shape == d.shape
     assert (np.diff(pl) > 0).all()
 
 
 def test_path_loss_rejects_nonpositive():
     with pytest.raises(DomainError):
-        path_loss(0.0, PARAMS)
+        coupling_gain_L(ORIGIN, ORIGIN, ORIGIN, PARAMS)
     with pytest.raises(DomainError):
-        path_loss(np.array([0.5, -1.0]), PARAMS)
+        coupling_gain_L(np.array([[0.5, 0.0], ORIGIN]), ORIGIN, ORIGIN, PARAMS)
 
 
 def test_coupling_symmetry_eta_one():
@@ -68,7 +83,7 @@ def test_coupling_off_balance():
 def test_coupling_equidistant_collapse():
     d = 0.02
     val = coupling_gain_L((0.0, d), (0.0, 0.0), (0.0, 0.0), PARAMS)
-    assert val == pytest.approx(-0.2 * path_loss(d, PARAMS), rel=1e-12)
+    assert val == pytest.approx(-0.2 * _path_loss(d), rel=1e-12)
 
 
 def test_coupling_block():
@@ -107,7 +122,7 @@ def test_coupling_matches_path_loss_formula():
     keep = (d_bb >= 1e-3) & (d_b1 >= 1e-3)
     pts, d_bb, d_b1 = pts[keep], d_bb[keep], d_b1[keep]
     assert len(pts) > 90_000
-    pl_bb, pl_b1 = path_loss(d_bb, PARAMS), path_loss(d_b1, PARAMS)
+    pl_bb, pl_b1 = _path_loss(d_bb), _path_loss(d_b1)
     ref = PARAMS.eta * pl_bb - pl_b1
     got = coupling_gain_L(pts, serving, victim, PARAMS)
     scale = PARAMS.eta * np.abs(pl_bb) + np.abs(pl_b1)

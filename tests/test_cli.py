@@ -97,12 +97,19 @@ def test_parse_grid_values():
 
 
 def test_parse_grid_rejects():
-    for bad in ("1:2", "1:2:3:4", "a:2:1", "1:2:0", "1:2:-1", "2:1:1"):
+    # The last two ask for 1e600 and 2e18 rows: past the row cap.
+    for bad in (
+        "1:2", "1:2:3:4", "a:2:1", "1:2:0", "1:2:-1", "2:1:1",
+        "0:1e300:1e-300", "-1e9:1e9:1e-9",
+    ):
         with pytest.raises(SchemaError):
             parse_grid(bad)
 
 
-@pytest.mark.parametrize("spec", ["nan:0:1", "-inf:0:1", "0:inf:1", "0:1:inf"])
+@pytest.mark.parametrize(
+    "spec",
+    ["nan:0:1", "-inf:0:1", "0:inf:1", "0:1:inf", "0:1e300:1e-300", "-1e9:1e9:1e-9"],
+)
 def test_fit_rejects_non_finite_grid(ws, scen_path, spec):
     out = ws / "nonfinite.json"
     rc = main(["fit", "--scenario", str(scen_path), "--out", str(out), "--grid", spec])
@@ -322,6 +329,14 @@ def test_exit_code_2_paths(ws, scen_path, sim_path):
         ]
     )
     assert rc == 2
+
+    # Draw and worker counts below 1 are refused by the argument parser.
+    out = ws / "bad_count.bin"
+    for flag, value in (("--n", "0"), ("--workers", "-3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", str(scen_path), "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert list(ws.glob("bad_count.bin*")) == []
 
     corrupt_fit = ws / "corrupt_fit.json"
     corrupt_fit.write_text("[not a fit")

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import norm
 
 from ulfit.channel import ChannelParams
 from ulfit.errors import DomainError, NoConvergence
@@ -12,15 +13,14 @@ from ulfit.fit import (
     _gh_rule,
     _mgf_deficit,
     _log_ndtr,
+    _powln_expect,
     ZETA,
     GaussianFit,
     PowerLognormalFit,
     power_lognormal_fit,
     powln_cdf_db,
-    powln_mean,
     powln_pdf_db,
     solve_sum_stats,
-    tail_slope_diagnostic,
 )
 
 PARAMS = ChannelParams(103.8, 20.9, -76.0, 0.8, 10.0, 0.005)
@@ -99,14 +99,6 @@ def test_solve_sum_stats_single_fit_self_match():
     mu_x, sigma_x = solve_sum_stats([GaussianFit(-94.6, 174.2)], P0)
     assert abs(mu_x - (-94.6)) < 0.05
     assert abs(sigma_x - math.sqrt(174.2)) < 0.005 * math.sqrt(174.2)
-
-
-def test_solve_sum_stats_deterministic_pair():
-    mu_x, sigma_x = solve_sum_stats(
-        [GaussianFit(-90.0, 0.0), GaussianFit(-90.0, 0.0)], P0
-    )
-    assert mu_x == pytest.approx(-86.98970004336019, rel=1e-14)
-    assert sigma_x == 0.0
 
 
 def test_solve_sum_stats_three_cells():
@@ -289,27 +281,42 @@ def test_power_lognormal_single_cell_is_the_cell(p_ref):
     assert fit.sigma_q2 == pytest.approx(g.sigma2, rel=1e-12)
 
 
-def test_power_lognormal_rejects_deterministic_cell():
-    with pytest.raises(DomainError):
-        power_lognormal_fit([GaussianFit(-95.0, 180.0), GaussianFit(-90.0, 0.0)], P0)
+# A sum with a deterministic cell has no lower tail slope; both steps of
+# the fit refuse it, whether every cell or only one is deterministic.
+_DETERMINISTIC = {
+    "pair": [GaussianFit(-90.0, 0.0), GaussianFit(-90.0, 0.0)],
+    "one_of_two": [GaussianFit(-95.0, 180.0), GaussianFit(-90.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("fits", _DETERMINISTIC.values(), ids=list(_DETERMINISTIC))
+@pytest.mark.parametrize("fit_fn", [solve_sum_stats, power_lognormal_fit])
+def test_deterministic_cell_rejected(fit_fn, fits):
+    with pytest.raises(DomainError, match="sigma2 > 0"):
+        fit_fn(fits, P0)
+
+
+def _powln_mean(fit):
+    """The dB mean by the quadrature that power_lognormal_fit runs."""
+    return _powln_expect(fit, lambda q: q, 1e-8)
 
 
 def test_powln_mean_identity_lambda_one():
-    assert powln_mean(PowerLognormalFit(1.0, -104.0, 173.0)) == pytest.approx(
+    assert _powln_mean(PowerLognormalFit(1.0, -104.0, 173.0)) == pytest.approx(
         -104.0, abs=1e-6
     )
 
 
 def test_powln_mean_two_normals():
     # max of two standard normals has mean 1/sqrt(pi)
-    assert powln_mean(PowerLognormalFit(2.0, 0.0, 1.0)) == pytest.approx(
+    assert _powln_mean(PowerLognormalFit(2.0, 0.0, 1.0)) == pytest.approx(
         1.0 / math.sqrt(math.pi), abs=1e-8
     )
 
 
 def test_powln_mean_large_lambda():
     fit = PowerLognormalFit(48.9, -99.7, 116.2)
-    val = powln_mean(fit)
+    val = _powln_mean(fit)
     assert val == pytest.approx(-75.549456074655623, rel=1e-10)
 
     import mpmath as mp
@@ -387,11 +394,21 @@ def test_powln_pdf_integrates_to_one():
 
 
 def test_tail_slope_diagnostic():
+    # The slope d/dq Phi^-1(F_Q(q)) = f_Q(q) / phi(Phi^-1(F_Q(q))) tends to
+    # 1 / sigma_q in the upper tail and to sqrt(lambda) / sigma_q in the
+    # lower one, which is the sum's sqrt(sum_b 1 / sigma_b^2).
     fit = power_lognormal_fit(TOY3, P0)
-    diag = tail_slope_diagnostic(fit, TOY3)
-    assert diag["lower_limit"] == pytest.approx(diag["lower_limit_sum"], rel=1e-12)
-    assert diag["upper_slope"] == pytest.approx(diag["upper_limit"], rel=0.05)
-    assert diag["lower_slope"] == pytest.approx(diag["lower_limit"], rel=0.05)
+    lam, mu, sig = fit.lam, fit.mu_q, fit.sigma_q
+
+    def slope(q):
+        return powln_pdf_db(q, fit) / norm.pdf(norm.ppf(powln_cdf_db(q, fit)))
+
+    lower_limit = math.sqrt(lam) / sig
+    lower_limit_sum = math.sqrt(sum(1.0 / f.sigma2 for f in TOY3))
+    assert lower_limit == pytest.approx(lower_limit_sum, rel=1e-12)
+    assert slope(mu + 6.0 * sig) == pytest.approx(1.0 / sig, rel=0.05)
+    lower_q = mu - 4.0 * sig + sig * math.log(lam) / 2.0
+    assert slope(lower_q) == pytest.approx(lower_limit, rel=0.05)
 
 
 def test_zeta_constant():

@@ -15,10 +15,8 @@ from ulfit.geometry import (
     Polygon,
     UeDensity,
     bounding_box,
-    contains,
     density_profile,
     effective_region,
-    normalize_density,
     proposal_block,
     rejection_envelope,
     ue_domain,
@@ -29,38 +27,42 @@ from ulfit.samples import dkw_slack
 from ulfit.scenario import build_hotspot_layout, build_single_cell
 
 
+def _one(p):
+    """A constant field: the quadrature's mass is then the kernel mass."""
+    return np.ones(len(p))
+
+
 def test_contains_disk():
     d = Disk((0.0, 0.0), 1.0)
-    assert contains(d, (0.0, 0.0))
-    assert not contains(d, (2.0, 0.0))
-    assert contains(d, (1.0, 0.0))  # closed boundary
+    assert d._mask(0.0, 0.0)
+    assert not d._mask(2.0, 0.0)
+    assert d._mask(1.0, 0.0)  # closed boundary
 
 
 def test_contains_intersection_is_conjunction():
     square = Polygon(((-1, -1), (1, -1), (1, 1), (-1, 1)))
     disk = Disk((0.0, 0.0), 1.5)
     ellipse = Ellipse((0.0, 0.0), 1.4, 1.0)
-    p = (0.9, 0.9)
+    p = np.array([0.9, 0.9])
     # By hand: inside square, |p| = 1.273 < 1.5 inside disk,
     # (0.9/1.4)^2 + (0.9/1.0)^2 = 1.223 > 1 outside ellipse.
-    assert contains(square, p)
-    assert contains(disk, p)
-    assert not contains(ellipse, p)
-    both = contains(square, p) and contains(disk, p) and contains(ellipse, p)
-    assert contains(Intersection((square, disk, ellipse)), p) == both
+    assert square._mask(*p)
+    assert disk._mask(*p)
+    assert not ellipse._mask(*p)
+    both = square._mask(*p) and disk._mask(*p) and ellipse._mask(*p)
+    assert Intersection((square, disk, ellipse))._mask(*p) == both
 
 
 def test_contains_concave_polygon():
     ell = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
-    assert contains(ell, (0.5, 1.5))
-    assert contains(ell, (1.5, 0.5))
-    assert not contains(ell, (1.5, 1.5))
+    x, y = np.array([[0.5, 1.5], [1.5, 0.5], [1.5, 1.5]]).T
+    np.testing.assert_array_equal(ell._mask(x, y), [True, True, False])
 
 
 def test_contains_batch():
     d = Disk((0.0, 0.0), 1.0)
     pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.5, 0.5]])
-    np.testing.assert_array_equal(contains(d, pts), [True, False, True])
+    np.testing.assert_array_equal(d._mask(*pts.T), [True, False, True])
 
 
 def test_polygon_rejects_clockwise():
@@ -123,20 +125,20 @@ def test_effective_region_empty():
 
 def test_effective_region_offcenter_carve():
     eff = effective_region(Disk((0.0, 0.0), 0.04), (0.01, 0.0), 0.005)
-    assert not contains(eff, (0.01, 0.0))
-    assert not contains(eff, (0.012, 0.0))
-    assert contains(eff, (0.02, 0.0))
+    assert not eff._mask(0.01, 0.0)
+    assert not eff._mask(0.012, 0.0)
+    assert eff._mask(0.02, 0.0)
 
 
 def test_normalize_uniform_disk():
-    w = normalize_density(Disk((0.3, -0.1), 0.7), UeDensity("uniform"))
+    w = 1.0 / _integrate(Disk((0.3, -0.1), 0.7), UeDensity("uniform"), _one)[0]
     assert w == pytest.approx(1.0 / (math.pi * 0.7**2), rel=1e-12)
 
 
 def test_normalize_inverse_radial_annulus():
     # int W/rho over the annulus = W * 2 pi (R - r0)
     reg = Annulus((0.0, 0.0), 0.2, 1.1)
-    w = normalize_density(reg, UeDensity("inverse_radial", (0.0, 0.0)))
+    w = 1.0 / _integrate(reg, UeDensity("inverse_radial", (0.0, 0.0)), _one)[0]
     assert w == pytest.approx(1.0 / (2.0 * math.pi * (1.1 - 0.2)), rel=1e-12)
 
 
@@ -152,7 +154,7 @@ def test_normalize_uniform_nonconvex_polygon_is_shoelace_area():
     area = 0.5 * sum(
         x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])
     )
-    w = normalize_density(Polygon(vs), UeDensity("uniform"))
+    w = 1.0 / _integrate(Polygon(vs), UeDensity("uniform"), _one)[0]
     assert 1.0 / w == pytest.approx(area, rel=1e-12)
 
 
@@ -172,9 +174,8 @@ def test_normalize_tiny_far_region(name):
     # the disk and the ellipse raised QuadratureFailure.
     region, area = _TINY_FAR[name]
     dom = ue_domain(region, (0.02, 0.0), (0.0, 0.0), 0.005)
-    assert normalize_density(dom, UeDensity("uniform")) == pytest.approx(
-        1.0 / area, rel=1e-7
-    )
+    w = 1.0 / _integrate(dom, UeDensity("uniform"), _one)[0]
+    assert w == pytest.approx(1.0 / area, rel=1e-7)
 
 
 def test_normalize_self_consistency_monte_carlo():
@@ -187,12 +188,12 @@ def test_normalize_self_consistency_monte_carlo():
         )
     )
     density = UeDensity("inverse_radial", (-1.5, 0.0))
-    w = normalize_density(reg, density)
+    w = 1.0 / _integrate(reg, density, _one)[0]
     rng = np.random.default_rng(42)
     xmin, ymin, xmax, ymax = bounding_box(reg)
     n = 4_000_000
     pts = rng.random((n, 2)) * (xmax - xmin, ymax - ymin) + (xmin, ymin)
-    inside = contains(reg, pts)
+    inside = reg._mask(*pts.T)
     rho = np.hypot(pts[:, 0] + 1.5, pts[:, 1])
     vals = np.where(inside, w / rho, 0.0)
     est = vals.mean() * (xmax - xmin) * (ymax - ymin)
@@ -305,13 +306,13 @@ def test_unsettled_panel_raises(monkeypatch):
     monkeypatch.setattr(geometry, "_REL_TOL", 0.0)
     reg = Intersection((Disk((0.0, 0.0), 1.0), Ellipse((0.5, 0.2), 0.9, 0.3, 0.3)))
     with pytest.raises(QuadratureFailure):
-        normalize_density(reg, UeDensity("uniform"))
+        density_profile(reg, UeDensity("uniform"), _one)
 
 
 def test_empty_intersection_raises_lazily():
     reg = Intersection((Disk((-0.6, 0.0), 0.5), Disk((0.6, 0.0), 0.5)))
     with pytest.raises(EmptyRegion):
-        normalize_density(reg, UeDensity("uniform"))
+        density_profile(reg, UeDensity("uniform"), _one)
 
 
 def _sample(region, density, seed, n):
@@ -328,7 +329,7 @@ def test_ue_domain_excludes_both_stations():
     d_vict = np.hypot(pts[:, 0] - victim[0], pts[:, 1] - victim[1])
     assert d_serv.min() >= 0.005
     assert d_vict.min() >= 0.005
-    assert contains(dom, pts).all()
+    assert dom._mask(*pts.T).all()
 
 
 def test_sample_uniform_disk_mean():
@@ -437,7 +438,7 @@ def test_tiles_cover_the_region(name):
     assert 0 < kept.sum() < kept.size
     lo, hi = np.array(box if box else ((xmin, ymin), (xmax, ymax)))
     pts = lo + np.random.default_rng(5).random((200_000, 2)) * (hi - lo)
-    pts = pts[contains(region, pts)]
+    pts = pts[region._mask(*pts.T)]
     assert len(pts) > 10_000
     tile = np.minimum(((pts - origin) / size).astype(int), geometry._TILES - 1)
     assert kept[tile[:, 0], tile[:, 1]].all()
@@ -480,7 +481,7 @@ def test_tiled_sampler_matches_box_rejection():
     ref = np.column_stack(
         (xmin + u[:, 0] * (xmax - xmin), ymin + u[:, 1] * (ymax - ymin))
     )
-    ref = ref[contains(dom, ref)][:n]
+    ref = ref[dom._mask(*ref.T)][:n]
     assert len(ref) == n
     radius = dkw_slack(n // 2, 1e-6)
     for f in (
@@ -572,7 +573,7 @@ def _envelope_and_rho(region):
     pts = np.column_stack(
         (xmin + u[:, 0] * (xmax - xmin), ymin + u[:, 1] * (ymax - ymin))
     )
-    return envelope, np.hypot(*pts[contains(region, pts)].T)
+    return envelope, np.hypot(*pts[region._mask(*pts.T)].T)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -19,7 +20,7 @@ from ulfit.channel import (
 )
 from ulfit.errors import DomainError, ParseError
 from ulfit.fit import PowerLognormalFit, powln_cdf_db
-from ulfit.geometry import Disk, UeDensity, contains, proposal_block, ue_domain
+from ulfit.geometry import Disk, UeDensity, proposal_block, ue_domain
 from ulfit.montecarlo import (
     _SLICE,
     _cell_slice,
@@ -29,10 +30,8 @@ from ulfit.montecarlo import (
     _skipped,
     _slice_spans,
     simulate_aggregate,
-    simulate_cell,
 )
 from ulfit.samples import (
-    EmpiricalCdf,
     SampleSet,
     dkw_slack,
     ks_distance,
@@ -62,10 +61,7 @@ def bread_ir():
 
 @pytest.fixture(scope="module")
 def sim1m(bread):
-    cell = bread.cells[0]
-    return simulate_cell(
-        cell, bread.victim_bs, bread.channel, bread.fading, 1_000_000, 13, workers=2
-    )
+    return simulate_aggregate(bread, 1_000_000, 13, workers=2)
 
 
 def test_sample_set_validation():
@@ -79,20 +75,6 @@ def test_sample_set_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError, match="finite"):
             SampleSet(np.array([1.0, bad, 3.0]), 3, 0)
-
-
-def test_empirical_cdf_step_values():
-    ecdf = EmpiricalCdf(SampleSet(np.array([1.0, 2.0, 2.0, 3.0]), 4, 0))
-    assert ecdf(0.0) == 0.0
-    assert ecdf(1.0) == 0.25
-    assert ecdf(1.5) == 0.25
-    assert ecdf(2.0) == 0.75
-    assert ecdf(3.0) == 1.0
-    assert ecdf(99.0) == 1.0
-    assert isinstance(ecdf(1.0), float)
-    np.testing.assert_array_equal(
-        ecdf(np.array([0.0, 2.0, 5.0])), np.array([0.0, 0.75, 1.0])
-    )
 
 
 def test_stream_offset_positioning():
@@ -128,8 +110,7 @@ def test_run_slices_merges_by_index():
 
 
 def test_simulate_cell_frozen(bread):
-    cell = bread.cells[0]
-    s = simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 1000, 5)
+    s = simulate_aggregate(bread, 1000, 5)
     assert s.n == 1000 and s.seed == 5
     assert s.values[0] == pytest.approx(-138.2163247661705, rel=1e-12)
     assert s.values[-1] == pytest.approx(-47.67883039971794, rel=1e-12)
@@ -137,9 +118,8 @@ def test_simulate_cell_frozen(bread):
 
 
 def test_simulate_cell_validation(bread):
-    cell = bread.cells[0]
     with pytest.raises(DomainError):
-        simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 0, 5)
+        simulate_aggregate(bread, 0, 5, workers=2)
 
 
 def test_slice_prefix_purity(bread, bread_ir):
@@ -181,26 +161,19 @@ def test_pilot_reads_one_stream(bread, bread_ir):
 
 def test_parallel_equals_serial(bread, bread_ir):
     for scen in (bread, bread_ir):
-        cell = scen.cells[0]
-        serial = simulate_cell(
-            cell, scen.victim_bs, scen.channel, scen.fading, 600_000, 7, workers=1
-        )
-        threaded = simulate_cell(
-            cell, scen.victim_bs, scen.channel, scen.fading, 600_000, 7, workers=3
-        )
+        serial = simulate_aggregate(scen, 600_000, 7, workers=1)
+        threaded = simulate_aggregate(scen, 600_000, 7, workers=3)
         np.testing.assert_array_equal(serial.values, threaded.values)
 
 
 def test_slice_size_invariance(bread, bread_ir, monkeypatch):
     # Every draw is a function of its index alone, whatever the slicing.
     for scen in (bread, bread_ir):
-        cell = scen.cells[0]
-        args = (cell, scen.victim_bs, scen.channel, scen.fading, 10_000, 7)
-        default = simulate_cell(*args)
+        default = simulate_aggregate(scen, 10_000, 7)
         with monkeypatch.context() as m:
             m.setattr(montecarlo, "_SLICE", 4096)
             assert len(_slice_spans(10_000)) == 3
-            small = simulate_cell(*args, workers=2)
+            small = simulate_aggregate(scen, 10_000, 7, workers=2)
         np.testing.assert_array_equal(small.values, default.values)
 
 
@@ -218,7 +191,7 @@ def _reference_proposal_block(region, density, corners, size, u):
         rho, theta = q[:, 0], q[:, 1]
         ox, oy = density.origin
         q = np.column_stack((ox + rho * np.cos(theta), oy + rho * np.sin(theta)))
-    return q, contains(region, q)
+    return q, region._mask(*q.T)
 
 
 def test_positions_match_reference_proposal_math(bread, bread_ir, monkeypatch):
@@ -253,20 +226,17 @@ def test_envelopes_built_once_per_cell(monkeypatch):
         assert len(calls) == len(lay.cells)
         calls.clear()
         _envelope.cache_clear()
-        cell = lay.cells[0]
-        simulate_cell(
-            cell, lay.victim_bs, lay.channel, lay.fading, 2 * _SLICE, 4, workers=2
-        )
+        one = dataclasses.replace(lay, cells=lay.cells[:1])
+        simulate_aggregate(one, 2 * _SLICE, 4, workers=2)
         assert len(calls) == 1
     finally:
         _envelope.cache_clear()
 
 
 def test_same_seed_identical_new_seed_different(bread):
-    cell = bread.cells[0]
-    a = simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 500, 5)
-    b = simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 500, 5)
-    c = simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 500, 6)
+    a = simulate_aggregate(bread, 500, 5)
+    b = simulate_aggregate(bread, 500, 5)
+    c = simulate_aggregate(bread, 500, 6)
     np.testing.assert_array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
 
@@ -304,13 +274,6 @@ def test_aggregate_cell_order_invariance():
     np.testing.assert_allclose(b.values, a.values, rtol=1e-12, atol=0)
 
 
-def test_aggregate_single_cell_equivalence(bread):
-    cell = bread.cells[0]
-    agg = simulate_aggregate(bread, 400, 9)
-    one = simulate_cell(cell, bread.victim_bs, bread.channel, bread.fading, 400, 9)
-    np.testing.assert_allclose(agg.values, one.values, rtol=0, atol=1e-10)
-
-
 def test_aggregate_validation(bread):
     with pytest.raises(DomainError):
         simulate_aggregate(bread, 0, 1)
@@ -327,7 +290,8 @@ def _near_deterministic_channel(p0_dbm):
 def test_deterministic_limit_single_cell():
     ch = _near_deterministic_channel(-76.0)
     cell = _point_like_cell(2, (0.02, 0.0), (0.03, 0.0))
-    s = simulate_cell(cell, (0.0, 0.0), ch, FadingModel("none"), 200, 3)
+    scen = Scenario((0.0, 0.0), (cell,), ch, FadingModel("none"), BoundParams())
+    s = simulate_aggregate(scen, 200, 3)
     coupling = float(
         coupling_gain_L(np.array([[0.03, 0.0]]), cell.bs, (0.0, 0.0), ch)[0]
     )
@@ -369,28 +333,30 @@ def test_empirical_ks_within_error_budget(sim1m, bread):
     mu_h, sigma_h2 = fading_moments(RAYLEIGH)
     mu_q = bread.channel.p0_dbm + mu_l + mu_h
     sigma = math.sqrt(sigma_l2 + shadow_var(bread.channel) + sigma_h2)
-    d = ks_distance(EmpiricalCdf(sim1m), lambda q: ndtr((q - mu_q) / sigma))
+    d = ks_distance(sim1m, lambda q: ndtr((q - mu_q) / sigma))
     eps_total = 0.0056598957924402808
     assert d <= eps_total + dkw_slack(sim1m.n)
 
 
 def test_ks_hand_case():
     s = SampleSet(np.array([1.0, 2.0, 3.0, 4.0]), 4, 0)
-    assert ks_distance(EmpiricalCdf(s), lambda x: np.asarray(x) / 5.0) == pytest.approx(
+    assert ks_distance(s, lambda x: np.asarray(x) / 5.0) == pytest.approx(
         0.2, abs=1e-15
     )
 
 
 def test_ks_self_comparison_is_one_over_n():
     s = SampleSet(np.array([0.5, 1.5, 2.5, 10.0]), 4, 0)
-    ecdf = EmpiricalCdf(s)
-    assert ks_distance(ecdf, ecdf) == pytest.approx(0.25, abs=1e-15)
+    # The samples' own step CDF as the model.
+    v = s.values
+    step = lambda q: np.searchsorted(v, q, "right") / s.n
+    assert ks_distance(s, step) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_ks_matches_scipy():
     vals = np.sort(np.random.Generator(np.random.Philox(3)).standard_normal(1000))
     s = SampleSet(vals, 1000, 3)
-    mine = ks_distance(EmpiricalCdf(s), ndtr)
+    mine = ks_distance(s, ndtr)
     ref = kstest(vals, "norm").statistic
     assert mine == pytest.approx(ref, abs=1e-12)
 
@@ -399,9 +365,9 @@ def test_ks_requires_vectorized_cdf():
     s = SampleSet(np.linspace(-1.0, 2.0, 50), 50, 0)
     # A wrong output shape is refused, not retried point by point.
     with pytest.raises(DomainError):
-        ks_distance(EmpiricalCdf(s), lambda x: 0.5)
+        ks_distance(s, lambda x: 0.5)
     with pytest.raises(DomainError):
-        ks_distance(EmpiricalCdf(s), lambda x: np.zeros(49))
+        ks_distance(s, lambda x: np.zeros(49))
 
     def scalar_cdf(v):
         if v < 0.0:  # an array here has no truth value: ValueError
@@ -410,19 +376,19 @@ def test_ks_requires_vectorized_cdf():
 
     # The CDF's own exception propagates.
     with pytest.raises(ValueError):
-        ks_distance(EmpiricalCdf(s), scalar_cdf)
+        ks_distance(s, scalar_cdf)
 
 
 def test_ks_blocks(monkeypatch):
     # Strides of 7 give the statistic of strides of 64, and a NaN from the
     # CDF at a later sample makes the statistic NaN rather than vanishing.
     vals = np.sort(np.random.Generator(np.random.Philox(8)).standard_normal(50))
-    ecdf = EmpiricalCdf(SampleSet(vals, 50, 8))
-    whole = ks_distance(ecdf, ndtr)
+    s = SampleSet(vals, 50, 8)
+    whole = ks_distance(s, ndtr)
     monkeypatch.setattr(samples, "_KS_STRIDE", 7)
-    assert ks_distance(ecdf, ndtr) == whole
+    assert ks_distance(s, ndtr) == whole
     late_nan = lambda q: np.where(q > vals[40], np.nan, ndtr(q))
-    assert math.isnan(ks_distance(ecdf, late_nan))
+    assert math.isnan(ks_distance(s, late_nan))
 
 
 def _ks_full(x, cdf):
@@ -456,28 +422,28 @@ def test_ks_equals_full_pass(n, tied, model):
         x = np.round(x, 1)
         x[1:2] = x[0]
     cdf = _MODEL_CDFS[model]
-    assert ks_distance(EmpiricalCdf(SampleSet(x, n, 0)), cdf) == _ks_full(x, cdf)
+    assert ks_distance(SampleSet(x, n, 0), cdf) == _ks_full(x, cdf)
 
 
 def _uniform_grid(n):
-    return EmpiricalCdf(SampleSet((np.arange(n) + 0.5) / n, n, 0))
+    return SampleSet((np.arange(n) + 0.5) / n, n, 0)
 
 
 def test_ks_checks_refined_points():
     # Every gap is 0.5/n, so every stride is refined, and the CDF's value at
     # sample 100 (inside the stride 64..128) is read.
-    ecdf = _uniform_grid(1000)
-    x = ecdf.samples.values
+    s = _uniform_grid(1000)
+    x = s.values
 
     def at_100(value):
         return lambda q: np.where(q == x[100], value, np.clip(q, 0.0, 1.0))
 
     with pytest.raises(DomainError):
-        ks_distance(ecdf, at_100(0.9))
-    assert math.isnan(ks_distance(ecdf, at_100(np.nan)))
+        ks_distance(s, at_100(0.9))
+    assert math.isnan(ks_distance(s, at_100(np.nan)))
     # A drop below the rounding slack is not a decreasing CDF.
     dip = at_100(x[99] - 1e-13)
-    assert ks_distance(ecdf, dip) == _ks_full(x, dip)
+    assert ks_distance(s, dip) == _ks_full(x, dip)
 
 
 def test_ks_rejects_decreasing_cdf():
@@ -496,7 +462,7 @@ def test_ks_evaluates_few_points():
         evaluated.append(q.size)
         return ndtr(q)
 
-    d = ks_distance(EmpiricalCdf(SampleSet(x, n, 1)), counted)
+    d = ks_distance(SampleSet(x, n, 1), counted)
     assert sum(evaluated) <= n // 16
     assert d == _ks_full(x, ndtr)
 
@@ -504,7 +470,7 @@ def test_ks_evaluates_few_points():
 def test_ks_self_drawn_within_dkw():
     u = np.sort(np.random.Generator(np.random.Philox(21)).random(1_000_000))
     s = SampleSet(u, 1_000_000, 21)
-    d = ks_distance(EmpiricalCdf(s), lambda q: np.clip(q, 0.0, 1.0))
+    d = ks_distance(s, lambda q: np.clip(q, 0.0, 1.0))
     assert d <= 0.002
 
 
