@@ -306,7 +306,10 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
     for key, value in zip(keys, (lam, mu_q, sigma_q2, eps_total)):
         if not math.isfinite(value):
             raise SchemaError(f"{fit_json}: {key} must be finite")
-    fit = PowerLognormalFit(lam, mu_q, sigma_q2)
+    try:
+        fit = PowerLognormalFit(lam, mu_q, sigma_q2)
+    except DomainError as exc:
+        raise SchemaError(f"{fit_json}: {exc}") from exc
     if fit_hash != str(sidecar["scenario_hash"]):
         print(
             f"error: scenario hash mismatch: samples {sidecar['scenario_hash']}"

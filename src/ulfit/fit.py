@@ -56,12 +56,14 @@ _PROBES = (0.001, 0.005)
 
 
 # The Gauss rules are built on first use, so that reading a fit (compare)
-# neither builds them nor imports numpy.polynomial. The cache hands the
-# same arrays to every caller, so they are read-only.
+# neither builds them nor imports ulfit.gauss. The cache hands the same
+# arrays to every caller, so they are read-only.
 @functools.cache
 def _gh_rule():
     """12-node Gauss-Hermite rule (nodes, weights) of the lognormal MGFs."""
-    nodes, weights = np.polynomial.hermite.hermgauss(12)
+    from .gauss import gauss_rule
+
+    nodes, weights = gauss_rule("hermite", 12)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -69,7 +71,9 @@ def _gh_rule():
 @functools.cache
 def _gl_rule():
     """64-point Gauss-Legendre rule (nodes, weights) of each _powln_expect panel."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    from .gauss import gauss_rule
+
+    nodes, weights = gauss_rule("legendre", 64)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -284,6 +288,12 @@ def _powln_expect(fit: PowerLognormalFit, g, rtol: float) -> float:
     raise QuadratureFailure("integral did not settle at 128 panels")
 
 
+# The location solve stops once a step or the bracket is this small, in
+# dB, and gives up after _LOCATION_STEPS secant steps.
+_LOCATION_TOL = 1e-12
+_LOCATION_STEPS = 64
+
+
 def power_lognormal_fit(fits, p_ref_dbm: float) -> PowerLognormalFit:
     """Fit the aggregate law from per-cell Gaussian fits.
 
@@ -296,7 +306,8 @@ def power_lognormal_fit(fits, p_ref_dbm: float) -> PowerLognormalFit:
     - mu_q solves D_Q(s1) = D_X(s1): the power lognormal keeps the MGF
       deficit at the first probe (stated against P_ref) that X matched
       to the sum. Both sides use the same Gauss-Legendre quadrature,
-      settled to 1e-10 relative, and bisection finds the root to 1e-9 dB.
+      settled to 1e-10 relative. A bracketed secant with the Illinois
+      rule solves it from mu_X, to a step or bracket of 1e-12 dB.
 
     The tail slopes leave one location condition. Taking it from the
     MGF match keeps every equation an equation on the sum: two slopes and
@@ -313,8 +324,9 @@ def power_lognormal_fit(fits, p_ref_dbm: float) -> PowerLognormalFit:
         p_ref_dbm: reference power of the MGF probes, the scenario's P0.
 
     Raises:
-        NoConvergence: from the MGF match or if the location bracket
-            mu_X +- 20 sigma_X fails to contain the root.
+        NoConvergence: from the MGF match, if the location bracket
+            mu_X +- 20 sigma_X fails to contain the root, or if the
+            secant has not settled after 64 steps.
         DomainError: from the MGF match, when fits is empty or any cell
             is deterministic.
     """
@@ -337,15 +349,35 @@ def power_lognormal_fit(fits, p_ref_dbm: float) -> PowerLognormalFit:
 
     lo = mu_xr - 20.0 * sigma_x
     hi = mu_xr + 20.0 * sigma_x
-    if not gap(lo) < 0.0 < gap(hi):
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if not gap_lo < 0.0 < gap_hi:
         raise NoConvergence("location bracket does not contain the root")
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
+    # Bracketed secant with the Illinois rule, from mu_X: the new point
+    # replaces the bracket end of its sign, and an end kept twice in a row
+    # has its gap halved, so both ends close in on the root.
+    mu_q, side = mu_xr, 0
+    for _ in range(_LOCATION_STEPS):
+        g = gap(mu_q)
+        if g == 0.0:
+            break
+        if g < 0.0:
+            if side < 0:
+                gap_hi *= 0.5
+            lo, gap_lo, side = mu_q, g, -1
         else:
-            hi = mid
-    return PowerLognormalFit(lam, 0.5 * (lo + hi) + p_ref_dbm, sigma_q2)
+            if side > 0:
+                gap_lo *= 0.5
+            hi, gap_hi, side = mu_q, g, 1
+        step = hi - gap_hi * (hi - lo) / (gap_hi - gap_lo) - mu_q
+        mu_q += step
+        if abs(step) <= _LOCATION_TOL or hi - lo <= _LOCATION_TOL:
+            break
+    else:
+        raise NoConvergence(
+            f"location solve did not settle in {_LOCATION_STEPS} steps;"
+            f" bracket [{lo:.6g}, {hi:.6g}] dB"
+        )
+    return PowerLognormalFit(lam, mu_q + p_ref_dbm, sigma_q2)
 
 
 # Cody (1969, Math. Comp. 23) rational Chebyshev approximations, as in

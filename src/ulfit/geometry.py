@@ -29,13 +29,15 @@ serving-station carve (the bounding-box center if there is no annulus).
 
 In theta the circle is cut into panels at the angles where an interval
 endpoint changes the boundary piece that defines it: polygon vertices,
-tangencies and boundary crossings. They are found by bisection between
-neighbouring scan angles whose piece labels differ. The scan is a fixed
-fan plus the direction of every vertex and of every circle or ellipse
-center, so that a piece narrower than the fan is still seen. Inside a
-panel the integrand is smooth in theta except for square-root behaviour
-at a tangency end, which the substitution
-theta = a + (b - a)(3 s^2 - 2 s^3) turns smooth in s.
+tangencies and boundary crossings. Neighbouring scan angles whose piece
+labels differ bracket them, and a search that splits every bracket 16
+ways per round narrows each bracket to an ulp; its first rounds keep
+every sub-bracket whose labels change, so a scan gap that holds two
+changes yields both. The scan is a fixed fan plus the direction of every
+vertex and of every circle or ellipse center, so that a piece narrower
+than the fan is still seen. Inside a panel the integrand is smooth in
+theta except for square-root behaviour at a tangency end, which the
+substitution theta = a + (b - a)(3 s^2 - 2 s^3) turns smooth in s.
 
 Each panel is integrated by composite 16-point Gauss-Legendre rules, in s
 and in r on every interval. Both double their pieces until every tracked
@@ -75,10 +77,16 @@ _REL_TOL = 1e-7
 # in r on each interval. Every cell of the test suite settles at 4 pieces
 # or fewer.
 _MAX_PIECES = 16
-# Scan fan for panel breaks, and bisection steps: a scan gap of at most
-# 2 pi / 1024 halved 48 times is below one ulp of 2 pi.
+# Scan fan for panel breaks, and the search that refines them: _ROUNDS
+# rounds of a _WAYS-way split cut a scan gap of at most 2 pi / 2048 by
+# 16^12 = 2^48, below one ulp of 2 pi. The first _SPLIT_ROUNDS rounds
+# keep every changed sub-bracket, down to about 1e-6 rad; later ones
+# follow one change per bracket, because at a tangency the labels flicker
+# with rounding over about sqrt(eps) rad.
 _SCAN = 1024
-_BISECT_STEPS = 48
+_WAYS = 16
+_ROUNDS = 12
+_SPLIT_ROUNDS = 3
 # Tiles per side of a uniform cell's rejection envelope (rejection_envelope).
 _TILES = 64
 # Endpoint labels besides the boundary-piece indices (>= 0).
@@ -619,6 +627,17 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 def _panels(region: Region, origin) -> np.ndarray:
     """(P, 2) theta panels, consecutive around the circle, cut at label changes.
 
+    Every neighbouring pair of scan angles whose labels differ is a bracket.
+    A round of the search cuts each bracket into 16 equal sub-brackets by
+    nested halving and labels their 15 interior points in one _labels
+    call. The first _SPLIT_ROUNDS rounds keep every sub-bracket whose end
+    labels differ; later rounds keep the one that bisection on the lower
+    label would reach. The points are the floats that bisection would
+    visit, so a bracket that holds one change ends at bisection's final
+    bracket, bit for bit, and changes more than about 1e-6 rad apart each
+    end a bracket of their own. A panel break is the upper end of a final
+    bracket.
+
     Raises:
         EmptyRegion: if no scan ray meets the region.
     """
@@ -633,17 +652,44 @@ def _panels(region: Region, origin) -> np.ndarray:
     labels = _labels(region, origin, scan)
     if (labels == _EMPTY).all():
         raise EmptyRegion("no ray from the polar origin meets the region")
-    changed = (labels != np.roll(labels, -1, axis=0)).any(axis=1)
+    after = np.roll(labels, -1, axis=0)
+    changed = (labels != after).any(axis=1)
     if not changed.any():
         return np.array([[0.0, two_pi]])
-    a = scan[changed]
-    b = np.append(scan[1:], scan[0] + two_pi)[changed]
-    ref = labels[changed]
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        same = (_labels(region, origin, mid) == ref).all(axis=1)
-        a, b = np.where(same, mid, a), np.where(same, b, mid)
-    breaks = np.sort(np.mod(b, two_pi))
+    lo = scan[changed]
+    hi = np.append(scan[1:], scan[0] + two_pi)[changed]
+    lo_labels, hi_labels = labels[changed], after[changed]
+    for round_ in range(_ROUNDS):
+        ends = np.empty((len(lo), _WAYS + 1))
+        ends[:, 0], ends[:, -1] = lo, hi
+        step = _WAYS // 2
+        while step:
+            ends[:, step::2 * step] = 0.5 * (
+                ends[:, : -step : 2 * step] + ends[:, 2 * step :: 2 * step]
+            )
+            step //= 2
+        inner = _labels(region, origin, ends[:, 1:-1].ravel())
+        lab = np.concatenate(
+            (
+                lo_labels[:, None],
+                inner.reshape(len(lo), _WAYS - 1, -1),
+                hi_labels[:, None],
+            ),
+            axis=1,
+        )
+        if round_ < _SPLIT_ROUNDS:
+            row, k = np.nonzero((lab[:, 1:] != lab[:, :-1]).any(axis=2))
+        else:
+            # Bisection's path: step right while the point keeps the lower label.
+            same = (lab == lab[:, :1]).all(axis=2)
+            row, k = np.arange(len(lo)), np.zeros(len(lo), dtype=np.intp)
+            step = _WAYS // 2
+            while step:
+                k += step * same[row, k + step]
+                step //= 2
+        lo, hi = ends[row, k], ends[row, k + 1]
+        lo_labels, hi_labels = lab[row, k], lab[row, k + 1]
+    breaks = np.sort(np.mod(hi, two_pi))
     return np.column_stack((breaks, np.append(breaks[1:], breaks[0] + two_pi)))
 
 
@@ -652,8 +698,11 @@ def _gl_rule():
     """16-point Gauss-Legendre rule (nodes, weights), built on first use.
 
     The cache hands the same arrays to every caller, so they are read-only.
+    The sampler never integrates, so simulate does not import ulfit.gauss.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    from .gauss import gauss_rule
+
+    nodes, weights = gauss_rule("legendre", 16)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

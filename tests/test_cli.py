@@ -19,7 +19,13 @@ from ulfit.errors import SchemaError
 from ulfit.fileio import atomic_open
 from ulfit.geometry import Disk, Intersection, UeDensity
 from ulfit.samples import load_samples
-from ulfit.scenario import Cell, Scenario, save_scenario, scenario_hash
+from ulfit.scenario import (
+    Cell,
+    Scenario,
+    build_single_cell,
+    save_scenario,
+    scenario_hash,
+)
 
 CHANNEL = ChannelParams(103.8, 20.9, -76.0, 0.8, 10.0, 0.005)
 
@@ -468,6 +474,33 @@ def test_compare_rejects_nan_fit_field(ws, sim_path, fit_path, key, capsys):
     assert list(ws.glob(f"nan_{key}_report*")) == []
 
 
+@pytest.mark.parametrize(
+    "key, value", [("lambda", -1.0), ("lambda", 0.0), ("sigma_q2_db2", 0.0)]
+)
+def test_compare_rejects_out_of_range_fit_field(
+    ws, sim_path, fit_path, key, value, capsys
+):
+    # A finite field outside the law's domain is a bad document too.
+    doc = json.loads(fit_path.read_text())
+    doc[key] = value
+    bad_fit = ws / f"bad_{key}_{value:g}.json"
+    bad_fit.write_text(json.dumps(doc))
+    out = ws / f"bad_{key}_{value:g}_report.json"
+    assert _compare(sim_path, bad_fit, out) == 2
+    assert "must be > 0" in capsys.readouterr().err
+    assert list(ws.glob(f"bad_{key}_{value:g}_report*")) == []
+
+
+def test_fit_dmin_cell(ws):
+    # The canonical cell at r = d_min, whose scan gaps hold two label
+    # changes each, settles.
+    path = ws / "dmin_cell.json"
+    save_scenario(build_single_cell(0.005, "uniform", FadingModel("rayleigh")), path)
+    out = ws / "dmin_fit.json"
+    assert main(["fit", "--scenario", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lambda"] > 0
+
+
 def test_exit_code_3_numeric(ws):
     # Lens of two almost-disjoint disks: valid schema, unusable measure.
     lens = Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0)))
@@ -575,11 +608,12 @@ def _fresh_interpreter(code, *args):
 # Modules a command must not load beyond what numpy itself loads.
 _NOT_LOADED = {
     "import": {"numpy.ma"},
-    "bound": {"numpy.ma"},
-    "fit": {"numpy.ma"},
-    "simulate": {"ulfit.bound", "ulfit.fit", "numpy.ma"},
+    "bound": {"numpy.ma", "numpy.polynomial"},
+    "fit": {"numpy.ma", "numpy.polynomial"},
+    "simulate": {"ulfit.bound", "ulfit.fit", "ulfit.gauss", "numpy.ma"},
     "compare": {
         "numpy.ma",
+        "ulfit.gauss",
         "ulfit.channel",
         "ulfit.geometry",
         "ulfit.bound",

@@ -6,11 +6,16 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from ulfit.channel import ChannelParams
+from ulfit import fit as fit_module
+from ulfit import geometry
+from ulfit.bound import l_stats, total_bound
+from ulfit.channel import ChannelParams, FadingModel
 from ulfit.errors import DomainError, NoConvergence
+from ulfit.scenario import Scenario, build_hotspot_layout, build_single_cell
 from ulfit.fit import (
     _PROBES,
     _gh_rule,
+    _gl_rule,
     _mgf_deficit,
     _log_ndtr,
     _powln_expect,
@@ -64,6 +69,19 @@ def test_gh_nodes_quadrature_exactness():
         exact = float(np.prod(np.arange(1, 2 * m, 2, dtype=float)))
         assert moment == pytest.approx(exact, rel=1e-12)
     assert float(np.sum(w * a**7)) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rule, kind, n",
+    [(geometry._gl_rule, "leg", 16), (_gl_rule, "leg", 64), (_gh_rule, "herm", 12)],
+)
+def test_gauss_rules_match_numpy_polynomial(rule, kind, n):
+    from numpy.polynomial import hermite, legendre
+
+    expect = legendre.leggauss(n) if kind == "leg" else hermite.hermgauss(n)
+    nodes, weights = rule()
+    assert np.array_equal(nodes, expect[0])
+    assert np.array_equal(weights, expect[1])
 
 
 def approx_mgf(mu, sigma2, s):
@@ -279,6 +297,51 @@ def test_power_lognormal_single_cell_is_the_cell(p_ref):
     assert fit.lam == pytest.approx(1.0, rel=1e-12)
     assert fit.mu_q == pytest.approx(g.mu, abs=1e-8)
     assert fit.sigma_q2 == pytest.approx(g.sigma2, rel=1e-12)
+
+
+def test_location_solve_starts_at_the_root_for_lambda_one(monkeypatch):
+    # sigma_X^2 = 4 and one cell of variance 4 make lambda exactly 1, so
+    # the power lognormal is X and mu_X, the secant's start, is the root.
+    monkeypatch.setattr(fit_module, "solve_sum_stats", lambda fits, p: (-97.3, 2.0))
+    fit = power_lognormal_fit([GaussianFit(-97.3, 4.0)], P0)
+    assert fit.lam == 1.0
+    assert abs(fit.mu_q - -97.3) <= 1e-12
+
+
+def _benchmark_fits():
+    """Step-2 fits of the canonical single cell and of the first two drop cells."""
+    rayleigh = FadingModel("rayleigh")
+    drop = build_hotspot_layout(84, 0.01, 1, "inverse_radial", rayleigh)
+    for scen in (
+        build_single_cell(0.01, "uniform", rayleigh),
+        Scenario(drop.victim_bs, drop.cells[:2], drop.channel, drop.fading, drop.bound),
+    ):
+        yield scen.channel.p0_dbm, [
+            total_bound(
+                cell,
+                l_stats(cell, scen.victim_bs, scen.channel),
+                scen.channel,
+                scen.fading,
+                scen.bound,
+            ).step2
+            for cell in scen.cells
+        ]
+
+
+def test_location_solve_quadrature_count(monkeypatch):
+    # The target, the two bracket ends and the secant steps: bisection to
+    # 1e-9 dB took 42-43 of these quadratures.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _powln_expect(*args)
+
+    monkeypatch.setattr(fit_module, "_powln_expect", counted)
+    for p0, fits in _benchmark_fits():
+        calls.clear()
+        power_lognormal_fit(fits, p0)
+        assert 0 < len(calls) <= 16
 
 
 # A sum with a deterministic cell has no lower tail slope; both steps of

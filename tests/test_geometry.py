@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from ulfit.bound import l_stats
 from ulfit.channel import FadingModel
 from ulfit import geometry
 from ulfit.errors import DomainError, EmptyRegion, QuadratureFailure, SamplingStall
@@ -396,6 +397,129 @@ def test_hotspot_seeded_acceptance(hotspot84):
     ]
     assert len(acceptance) == 83
     assert min(acceptance) >= 0.85
+
+
+def _bisect_panels(region, origin):
+    """The panel search by 48 bisection steps per changed scan gap.
+
+    The reference for geometry._panels: it follows one label change per
+    scan gap, the one whose lower label it keeps, and reads the fan size
+    from geometry._SCAN.
+    """
+    two_pi = 2.0 * math.pi
+    fan = two_pi * np.arange(geometry._SCAN) / geometry._SCAN
+    scan = geometry._sorted_unique(
+        np.concatenate((fan, np.mod(region._directions(origin), two_pi)))
+    )
+    mids = scan + 0.5 * np.diff(scan, append=scan[0] + two_pi)
+    scan = geometry._sorted_unique(np.mod(np.concatenate((scan, mids)), two_pi))
+    labels = geometry._labels(region, origin, scan)
+    changed = (labels != np.roll(labels, -1, axis=0)).any(axis=1)
+    if not changed.any():
+        return np.array([[0.0, two_pi]])
+    a = scan[changed]
+    b = np.append(scan[1:], scan[0] + two_pi)[changed]
+    ref = labels[changed]
+    for _ in range(48):
+        mid = 0.5 * (a + b)
+        same = (geometry._labels(region, origin, mid) == ref).all(axis=1)
+        a, b = np.where(same, mid, a), np.where(same, b, mid)
+    breaks = np.sort(np.mod(b, two_pi))
+    return np.column_stack((breaks, np.append(breaks[1:], breaks[0] + two_pi)))
+
+
+def _single_cell_domain(r, kind):
+    scen = build_single_cell(r, kind, FadingModel("rayleigh"))
+    cell = scen.cells[0]
+    dom = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
+    return dom, cell.density
+
+
+def _panel_pair(dom, density):
+    origin = geometry._polar_origin(dom, density)
+    return geometry._panels(dom, origin), _bisect_panels(dom, origin)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "inverse_radial"])
+@pytest.mark.parametrize("r", [0.01, 0.02, 0.04])
+def test_panels_match_bisection_on_sweep(r, kind):
+    # One label change per scan gap: the search ends where bisection does.
+    new, old = _panel_pair(*_single_cell_domain(r, kind))
+    assert np.array_equal(new, old)
+
+
+def test_panels_match_bisection_on_drop(hotspot84):
+    for cell, dom in _hotspot_domains(hotspot84):
+        new, old = _panel_pair(dom, cell.density)
+        assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "inverse_radial"])
+@pytest.mark.parametrize("r", [0.005, 0.004])
+def test_dmin_cell_matches_fine_scan(monkeypatch, r, kind):
+    # At r = d_min a scan gap of the 1024-ray fan holds two label changes.
+    # The search finds both, so l_stats equals bisection on a fan 64 times
+    # finer, which gives each change a gap of its own.
+    scen = build_single_cell(r, kind, FadingModel("rayleigh"))
+    cell = scen.cells[0]
+    stats = l_stats(cell, scen.victim_bs, scen.channel)
+    monkeypatch.setattr(geometry, "_SCAN", 65536)
+    monkeypatch.setattr(geometry, "_panels", _bisect_panels)
+    fine = l_stats(cell, scen.victim_bs, scen.channel)
+    assert stats.mu_l == pytest.approx(fine.mu_l, rel=1e-12)
+    assert stats.sigma_l2 == pytest.approx(fine.sigma_l2, rel=1e-12)
+
+
+def _carved_cell(rng, i, delta):
+    """A disk cell whose victim carve is ``delta`` cell radii from tangency.
+
+    Case i cycles through the carve circle touching the cell's rim from
+    outside, from inside, and touching the serving-station carve.
+    """
+    r, d_min, bs = 0.01, 0.001, (0.3, 0.2)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    if i % 3 == 0:
+        dist = rng.uniform(1.2, 2.0) * r
+        tangent = dist - r
+    elif i % 3 == 1:
+        dist = rng.uniform(0.4, 0.7) * r
+        tangent = r - dist
+    else:
+        dist = rng.uniform(0.6, 0.9) * r
+        tangent = dist - d_min
+    victim = (bs[0] + dist * math.cos(phi), bs[1] + dist * math.sin(phi))
+    carve = Annulus(victim, tangent + delta * r, dist + 2.0 * r)
+    region = Intersection((Annulus(bs, d_min, r), carve))
+    density = UeDensity("inverse_radial", bs) if i % 2 else UeDensity("uniform")
+    return region, density, victim
+
+
+def test_near_tangent_carves_settle():
+    rng = np.random.default_rng(20261019)
+    for i in range(30):
+        delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -2.0)
+        region, density, victim = _carved_cell(rng, i, delta)
+        new, old = _panel_pair(region, density)
+        assert set(old[:, 0]) <= set(new[:, 0])
+        def dist(p):
+            return np.hypot(p[:, 0] - victim[0], p[:, 1] - victim[1])
+
+        mean, var, _, _ = density_profile(region, density, dist)
+        assert math.isfinite(mean) and var >= 0.0
+
+
+def test_tangent_carve_keeps_few_panels():
+    # At an exact tangency the labels flicker with rounding over about
+    # sqrt(eps) of angle. Splitting every changed sub-bracket down to an
+    # ulp would turn that into thousands of panels (up to 70,582 on
+    # these cases); past the first rounds the search follows one change
+    # per bracket, as bisection does.
+    rng = np.random.default_rng(3)
+    for i in range(12):
+        region, density, _ = _carved_cell(rng, i, 0.0)
+        new, old = _panel_pair(region, density)
+        assert set(old[:, 0]) <= set(new[:, 0])
+        assert len(new) <= len(old) + 4
 
 
 def _bread_domain(r):
