@@ -29,7 +29,7 @@ from .errors import (
     SamplingStall,
     SchemaError,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, write_json
 
 __all__ = [
     "main",
@@ -37,7 +37,6 @@ __all__ = [
     "cmd_fit",
     "cmd_simulate",
     "cmd_compare",
-    "compare_verdict",
     "parse_grid",
 ]
 
@@ -138,27 +137,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _write_manifest(out_path: str, doc: dict) -> None:
-    """Atomic manifest write next to an output file."""
-    _write_json(f"{out_path}.manifest.json", doc)
-
-
-def _write_json(path, doc: dict) -> None:
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _manifest(command, scen_hash, bound, seed, n, outputs) -> dict:
-    return {
+def _write_manifest(command, scen_hash, bound, seed, n, outputs) -> None:
+    """Write the manifest of a command's outputs at <outputs[0]>.manifest.json."""
+    outputs = [str(p) for p in outputs]
+    doc = {
         "command": command,
         "scenario_hash": scen_hash,
         "bound": bound,
         "seed": seed,
         "n": n,
         "tool_version": __version__,
-        "outputs": list(outputs),
+        "outputs": outputs,
     }
+    write_json(f"{outputs[0]}.manifest.json", doc)
 
 
 def _cell_reports(scenario):
@@ -197,10 +188,7 @@ def cmd_bound(scenario_path, out_csv) -> int:
                 str(row[0]) + "," + ",".join(_g17(v) for v in row[1:]) + "\n"
             )
     _write_manifest(
-        str(out_csv),
-        _manifest(
-            "bound", scen_hash, _to_doc(scenario.bound), None, None, [str(out_csv)]
-        ),
+        "bound", scen_hash, _to_doc(scenario.bound), None, None, [out_csv]
     )
     return 0
 
@@ -237,8 +225,8 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
         "bound": _to_doc(scenario.bound),
         "per_cell": per_cell,
     }
-    _write_json(out_json, doc)
-    outputs = [str(out_json)]
+    write_json(out_json, doc)
+    outputs = [out_json]
     if grid is not None:
         cdf_csv = f"{out_json}.cdf.csv"
         vals = powln_cdf_db(grid, agg)
@@ -248,10 +236,7 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
             for q, v in zip(grid, vals):
                 fh.write(f"{_g17(q)},{_g17(v)}\n")
         outputs.append(cdf_csv)
-    _write_manifest(
-        str(out_json),
-        _manifest("fit", scen_hash, _to_doc(scenario.bound), None, None, outputs),
-    )
+    _write_manifest("fit", scen_hash, _to_doc(scenario.bound), None, None, outputs)
     return 0
 
 
@@ -263,33 +248,22 @@ def cmd_simulate(scenario_path, n, seed, out_bin, workers=1) -> int:
     samples = simulate_aggregate(scenario, n, seed, workers=workers)
     save_samples(samples, out_bin, scen_hash)
     _write_manifest(
-        str(out_bin),
-        _manifest(
-            "simulate",
-            scen_hash,
-            _to_doc(scenario.bound),
-            seed,
-            n,
-            [str(out_bin), f"{out_bin}.json"],
-        ),
+        "simulate",
+        scen_hash,
+        _to_doc(scenario.bound),
+        seed,
+        n,
+        [out_bin, f"{out_bin}.json"],
     )
     return 0
 
 
-def compare_verdict(ks: float, eps_total: float, n: int, alpha: float = 0.01) -> dict:
-    """Soundness verdict: measured KS against bound plus sampling noise."""
-    _bind("samples")
-    slack = dkw_slack(n, alpha)
-    return {
-        "ks_empirical_vs_fit": ks,
-        "eps_total": eps_total,
-        "dkw_slack": slack,
-        "pass": bool(ks <= eps_total + slack),
-    }
-
-
 def cmd_compare(samples_path, fit_json, out_report) -> int:
-    """KS of empirical samples against a fitted CDF, with verdict."""
+    """KS of empirical samples against a fitted CDF, with verdict.
+
+    The verdict passes when the KS distance is at most the fit's bound
+    plus the DKW sampling slack at 99% confidence.
+    """
     _bind("samples", "fit")
     samples, sidecar = load_samples(samples_path)
     try:
@@ -318,18 +292,21 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
         )
         return 4
     ks = ks_distance(samples, lambda q: powln_cdf_db(q, fit))
-    verdict = compare_verdict(ks, eps_total, samples.n)
-    _write_json(out_report, verdict)
+    slack = dkw_slack(samples.n)
+    verdict = {
+        "ks_empirical_vs_fit": ks,
+        "eps_total": eps_total,
+        "dkw_slack": slack,
+        "pass": bool(ks <= eps_total + slack),
+    }
+    write_json(out_report, verdict)
     _write_manifest(
-        str(out_report),
-        _manifest(
-            "compare",
-            fit_hash,
-            fit_doc.get("bound"),
-            samples.seed,
-            samples.n,
-            [str(out_report)],
-        ),
+        "compare",
+        fit_hash,
+        fit_doc.get("bound"),
+        samples.seed,
+        samples.n,
+        [out_report],
     )
     return 0
 

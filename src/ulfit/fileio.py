@@ -3,15 +3,17 @@
 Every file the command line writes goes through ``atomic_open``: the
 content is written to ``<path>.tmp`` and moved over ``path`` with
 ``os.replace`` only once the write has finished, so a failure part way
-leaves the previous file intact and no temporary file behind.
+leaves the previous file intact and no temporary file behind. Every JSON
+file goes through ``write_json``, which fixes its layout.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 
-__all__ = ["atomic_open"]
+__all__ = ["atomic_open", "write_json"]
 
 
 @contextmanager
@@ -38,3 +40,10 @@ def atomic_open(path, mode: str = "w"):
         except FileNotFoundError:
             pass
         raise
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` atomically as JSON: indent 2, sorted keys, final newline."""
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -31,7 +31,6 @@ unchanged.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -53,29 +52,6 @@ ZETA = 10.0 / math.log(10.0)
 
 # MGF probes, dimensionless, applied to I / P_ref (see the module docstring).
 _PROBES = (0.001, 0.005)
-
-
-# The Gauss rules are built on first use, so that reading a fit (compare)
-# neither builds them nor imports ulfit.gauss. The cache hands the same
-# arrays to every caller, so they are read-only.
-@functools.cache
-def _gh_rule():
-    """12-node Gauss-Hermite rule (nodes, weights) of the lognormal MGFs."""
-    from .gauss import gauss_rule
-
-    nodes, weights = gauss_rule("hermite", 12)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-@functools.cache
-def _gl_rule():
-    """64-point Gauss-Legendre rule (nodes, weights) of each _powln_expect panel."""
-    from .gauss import gauss_rule
-
-    nodes, weights = gauss_rule("legendre", 64)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -119,7 +95,10 @@ def _mgf_deficit(mu: float, sigma2: float, s: float):
     Weak cells leave the MGF within 1e-7 of one, so the complementary
     form is what carries the information.
     """
-    nodes, weights = _gh_rule()
+    # Imported here, so that reading a fit (compare) does not load it.
+    from .gauss import gauss_rule
+
+    nodes, weights = gauss_rule("hermite", 12)
     w = weights / math.sqrt(math.pi)
     spread = math.sqrt(2.0 * sigma2) * nodes
     log_se = math.log(s) + (spread + mu) / ZETA
@@ -272,9 +251,11 @@ def _powln_expect(fit: PowerLognormalFit, g, rtol: float) -> float:
     mu_q +- 12 sigma (1 + |ln lambda|), doubling panel counts until the
     estimate moves by less than rtol relative.
     """
+    from .gauss import gauss_rule
+
     mu = fit.mu_q
     half = 12.0 * fit.sigma_q * (1.0 + abs(math.log(fit.lam)))
-    x, w = _gl_rule()
+    x, w = gauss_rule("legendre", 64)
     prev = None
     for panels in (8, 16, 32, 64, 128):
         edges = np.linspace(mu - half, mu + half, panels + 1)

@@ -11,6 +11,8 @@ bit-identical to numpy's. Importing numpy.polynomial costs a process about
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["gauss_rule"]
@@ -55,11 +57,13 @@ def _hermite_normed(x, n):
     return c0 + c1 * x * np.sqrt(2)
 
 
+@functools.cache
 def gauss_rule(kind: str, n: int):
-    """The n-point Gauss rule (nodes, weights), n >= 2.
+    """The n-point Gauss rule (nodes, weights), n >= 2, built once per process.
 
     kind "legendre" integrates over [-1, 1] with weight 1, and "hermite"
-    over the real line with weight exp(-x^2).
+    over the real line with weight exp(-x^2). Every caller gets the same
+    arrays, so they are read-only.
     """
     k = np.arange(1, n)
     if kind == "legendre":
@@ -94,4 +98,5 @@ def gauss_rule(kind: str, n: int):
     w = (w + w[::-1]) / 2
     x = (x - x[::-1]) / 2
     w *= mass / w.sum()
+    x.flags.writeable = w.flags.writeable = False
     return x, w

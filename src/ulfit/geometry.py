@@ -51,7 +51,6 @@ over an (n, 2) block.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -197,9 +196,6 @@ class Disk:
         lo, hi = _roots(c * px + s * py, px * px + py * py - r2, r2 - perp * perp)
         return _convex_span(lo, hi, 0)
 
-    def _pieces(self):
-        return 1
-
     def _directions(self, o):
         return [_direction(o, self.center)]
 
@@ -256,9 +252,6 @@ class Annulus:
             [start_label, np.where(ihi > start, 0, start_label)],
             [np.where(ilo < ohi, 0, 1), np.full(ohi.shape, 1)],
         )
-
-    def _pieces(self):
-        return 2
 
     def _directions(self, o):
         return [_direction(o, self.center)]
@@ -326,9 +319,6 @@ class Ellipse:
         )
         return _convex_span(lo, hi, 0)
 
-    def _pieces(self):
-        return 1
-
     def _directions(self, o):
         return [_direction(o, self.center)]
 
@@ -364,6 +354,8 @@ class Polygon:
         object.__setattr__(self, "vertices", vs)
         if len(vs) < 3:
             raise DomainError("vertices: a polygon needs at least 3")
+        if any(v == w for v, w in zip(vs, vs[1:] + vs[:1])):
+            raise DomainError("vertices: consecutive vertices must differ")
         if self._signed_area() <= 0:
             raise DomainError("vertices: must be counterclockwise")
         if not self._is_simple():
@@ -446,9 +438,6 @@ class Polygon:
             [ends[:, 0::2]], [ends[:, 1::2]], [labels[:, 0::2]], [labels[:, 1::2]]
         )
 
-    def _pieces(self):
-        return len(self.vertices)
-
     def _directions(self, o):
         return [_direction(o, v) for v in self.vertices]
 
@@ -496,18 +485,14 @@ class Intersection:
 
     def _ray(self, o, c, s):
         out = None
-        base = 0
-        for part in self.parts:
+        k = len(self.parts)
+        for i, part in enumerate(self.parts):
             lo, hi, llo, lhi = part._ray(o, c, s)
-            # Shift the part's piece labels past those of earlier parts.
-            llo = np.where(llo >= 0, llo + base, llo)
-            lhi = np.where(lhi >= 0, lhi + base, lhi)
-            base += part._pieces()
+            # Piece j of part i becomes j k + i: distinct across parts.
+            llo = np.where(llo >= 0, llo * k + i, llo)
+            lhi = np.where(lhi >= 0, lhi * k + i, lhi)
             out = (lo, hi, llo, lhi) if out is None else _meet(out, (lo, hi, llo, lhi))
         return out
-
-    def _pieces(self):
-        return sum(p._pieces() for p in self.parts)
 
     def _directions(self, o):
         return [d for p in self.parts for d in p._directions(o)]
@@ -693,23 +678,12 @@ def _panels(region: Region, origin) -> np.ndarray:
     return np.column_stack((breaks, np.append(breaks[1:], breaks[0] + two_pi)))
 
 
-@functools.cache
-def _gl_rule():
-    """16-point Gauss-Legendre rule (nodes, weights), built on first use.
-
-    The cache hands the same arrays to every caller, so they are read-only.
-    The sampler never integrates, so simulate does not import ulfit.gauss.
-    """
-    from .gauss import gauss_rule
-
-    nodes, weights = gauss_rule("legendre", 16)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def _composite(pieces):
     """Composite 16-point Gauss-Legendre rule on [0, 1] with equal pieces."""
-    x, w = _gl_rule()
+    # Imported here, so that simulate, which never integrates, does not load it.
+    from .gauss import gauss_rule
+
+    x, w = gauss_rule("legendre", 16)
     s = ((np.arange(pieces)[:, None] + 0.5 * (x + 1.0)) / pieces).ravel()
     return s, np.tile(w, pieces) / (2.0 * pieces)
 

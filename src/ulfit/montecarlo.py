@@ -24,23 +24,20 @@ sorted in place. A slice's arithmetic runs in place on a few slice-sized
 arrays. Its working set, the tracemalloc peak of one _cell_slice, is
 2.5 MiB on the bread cell, most of it the region test of the first
 rejection round, and 1.8 MiB on a hotspot disk cell: about a 2 MB
-per-core L2 cache. Every cell's envelope
-is built in the calling thread before the worker pool starts, so no two
-workers build the same one, and its pilot runs in slice-sized blocks of
-one stream, so no step of the sampler holds more than a slice. The
-sample files, the KS statistic and the DKW slack live in ulfit.samples.
+per-core L2 cache. simulate_aggregate builds each cell's user domain and
+envelope once per call, in the calling thread, for all of its slices.
+The envelope's pilot runs in slice-sized blocks of one stream, so no
+step of the sampler holds more than a slice. The sample files, the KS
+statistic and the DKW slack live in ulfit.samples.
 """
 
 from __future__ import annotations
 
-import functools
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .channel import (
-    ChannelParams,
-    FadingModel,
     coupling_gain_L,
     fading_draw_budget,
     sample_fading_db_block,
@@ -74,30 +71,20 @@ def _skipped(seed: int, cell_id: int, tag: str, offset: int):
     return gen
 
 
-@functools.lru_cache(maxsize=256)
 def _envelope(region, density):
     """(corners, size, acceptance) of a region's rejection envelope.
 
-    The tile table is rejection_envelope's, made read-only since the cache
-    hands it to every caller. The acceptance is the accepted share of a
-    fixed pilot of _PILOT proposals from one stream, the same for every
-    cell, seed and slice, proposed in blocks of at most _SLICE. Cached by
-    value, since every slice of a cell rebuilds the same region.
+    The tile table is rejection_envelope's. The acceptance is the accepted
+    share of a fixed pilot of _PILOT proposals from one stream, the same
+    for every cell, seed and slice, proposed in blocks of at most _SLICE.
     """
     corners, size = rejection_envelope(region, density)
-    corners.flags.writeable = size.flags.writeable = False
     gen = rng_stream(0, 0, "pos:pilot")
     accepted = 0
     for _, m in _slice_spans(_PILOT):
         _, ok = proposal_block(region, density, corners, size, gen.random((m, 2)))
         accepted += int(np.count_nonzero(ok))
     return corners, size, accepted / _PILOT
-
-
-def _cell_envelope(cell, victim_bs, params: ChannelParams):
-    """(effective region, _envelope of it) of one cell."""
-    region = ue_domain(cell.region, cell.bs, victim_bs, params.d_min_km)
-    return region, _envelope(region, cell.density)
 
 
 def _positions_slice(region, density, envelope, cell_id, seed, lo, m):
@@ -142,27 +129,24 @@ def _positions_slice(region, density, envelope, cell_id, seed, lo, m):
 
 
 def _cell_slice(
-    cell,
-    victim_bs,
-    params: ChannelParams,
-    fading: FadingModel,
-    seed: int,
-    lo: int,
-    m: int,
+    cell, region, envelope, scenario: Scenario, seed: int, lo: int, m: int
 ) -> np.ndarray:
-    """Unsorted I_b draws for absolute indices [lo, lo+m) of one cell."""
-    region, envelope = _cell_envelope(cell, victim_bs, params)
+    """Unsorted I_b draws for absolute indices [lo, lo+m) of one cell.
+
+    ``region`` is the cell's ue_domain and ``envelope`` _envelope of it.
+    """
+    params = scenario.channel
     pts = _positions_slice(region, cell.density, envelope, cell.id, seed, lo, m)
-    out = coupling_gain_L(pts, cell.bs, victim_bs, params)
+    out = coupling_gain_L(pts, cell.bs, scenario.victim_bs, params)
     out += params.p0_dbm
 
     # The serving and victim links' shadowing: one normal pair per draw.
     u_s = _skipped(seed, cell.id, "shadow", 2 * lo).random((m, 2))
     out += shadow_db_block(u_s, params)
 
-    budget = fading_draw_budget(fading)
+    budget = fading_draw_budget(scenario.fading)
     gen_f = _skipped(seed, cell.id, "fading", budget * lo)
-    out += sample_fading_db_block(fading, gen_f, m)
+    out += sample_fading_db_block(scenario.fading, gen_f, m)
     return out
 
 
@@ -174,10 +158,6 @@ def _run_slices(fn, n: int, workers: int) -> np.ndarray:
     """Execute fn(lo, m) -> (m,) over fixed slices, merged by index."""
     out = np.empty(n)
     spans = _slice_spans(n)
-    if workers <= 1 or len(spans) <= 1:
-        for lo, m in spans:
-            out[lo : lo + m] = fn(lo, m)
-        return out
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for (lo, m), vals in zip(spans, pool.map(lambda s: fn(*s), spans)):
             out[lo : lo + m] = vals
@@ -197,22 +177,18 @@ def simulate_aggregate(
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    # Built once here: lru_cache lets concurrent misses each build it.
+    if workers < 1:
+        raise DomainError("workers must be >= 1")
+    d_min = scenario.channel.d_min_km
+    states = []
     for cell in scenario.cells:
-        _cell_envelope(cell, scenario.victim_bs, scenario.channel)
+        region = ue_domain(cell.region, cell.bs, scenario.victim_bs, d_min)
+        states.append((cell, region, _envelope(region, cell.density)))
 
     def agg_slice(lo, m):
         acc = np.zeros(m)
-        for cell in scenario.cells:
-            vals = _cell_slice(
-                cell,
-                scenario.victim_bs,
-                scenario.channel,
-                scenario.fading,
-                seed,
-                lo,
-                m,
-            )
+        for cell, region, envelope in states:
+            vals = _cell_slice(cell, region, envelope, scenario, seed, lo, m)
             vals /= 10.0
             acc += np.power(10.0, vals, out=vals)
         np.log10(acc, out=acc)

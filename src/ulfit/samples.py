@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .fileio import atomic_open
+from .fileio import atomic_open, write_json
 
 __all__ = [
     "SampleSet",
@@ -162,14 +162,8 @@ def save_samples(samples: SampleSet, path, scenario_hash: str) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<Q", samples.n))
         fh.write(samples.values.astype("<f8", copy=False))
-    sidecar = {
-        "seed": samples.seed,
-        "n": samples.n,
-        "scenario_hash": scenario_hash,
-    }
-    with atomic_open(path + ".json") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sidecar = {"seed": samples.seed, "n": samples.n, "scenario_hash": scenario_hash}
+    write_json(path + ".json", sidecar)
 
 
 def load_samples(path) -> tuple[SampleSet, dict]:
@@ -197,4 +191,7 @@ def load_samples(path) -> tuple[SampleSet, dict]:
         raise
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"{path}.json: bad sidecar ({exc})") from exc
-    return SampleSet(values, n, seed), sidecar
+    try:
+        return SampleSet(values, n, seed), sidecar
+    except DomainError as exc:
+        raise ParseError(f"{path}: {exc}") from exc

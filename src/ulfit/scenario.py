@@ -40,7 +40,7 @@ from .errors import (
     PlacementFailure,
     SchemaError,
 )
-from .fileio import atomic_open
+from .fileio import write_json
 from .geometry import (
     Annulus,
     Disk,
@@ -50,7 +50,7 @@ from .geometry import (
     Region,
     UeDensity,
     _as_point,
-    effective_region,
+    ue_domain,
 )
 
 __all__ = [
@@ -145,7 +145,7 @@ class Scenario:
                     f"cells[{i}].bs: cell {c.id} sits on the victim station"
                 )
             try:
-                effective_region(c.region, c.bs, self.channel.d_min_km)
+                ue_domain(c.region, c.bs, self.victim_bs, self.channel.d_min_km)
             except EmptyRegion as exc:
                 raise EmptyRegion(f"cells[{i}].region: {exc}") from exc
 
@@ -393,9 +393,7 @@ def load_scenario(path) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     """Write a scenario as indented UTF-8 JSON, atomically."""
-    with atomic_open(path) as fh:
-        json.dump(scenario_to_doc(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, scenario_to_doc(scenario))
 
 
 def scenario_hash(scenario: Scenario) -> str:

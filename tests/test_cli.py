@@ -445,8 +445,73 @@ def test_fit_unknown_field_exits_2(ws, scen_path, capsys, path, mutate):
     assert list(ws.glob(f"unknown_{path}.out*")) == []
 
 
+_SQUARE = [[0.02, -0.01], [0.04, -0.01], [0.04, 0.01], [0.02, 0.01]]
+_REGION_RULES = {
+    "repeated_vertex": (
+        {"type": "polygon", "vertices": _SQUARE[:2] + _SQUARE[1:]},
+        "cells[0].region.vertices: consecutive vertices must differ",
+    ),
+    "closing_vertex": (
+        {"type": "polygon", "vertices": _SQUARE + _SQUARE[:1]},
+        "cells[0].region.vertices: consecutive vertices must differ",
+    ),
+    # Clear of the serving station's carve, inside the victim's.
+    "victim_carve": (
+        {"type": "disk", "center": [0.001, 0.0], "radius_km": 0.001},
+        "cells[0].region: exclusion disk covers the whole region",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_REGION_RULES))
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_region_rules_exit_2(ws, scen_path, capsys, command, name):
+    region, message = _REGION_RULES[name]
+    doc = json.loads(scen_path.read_text())
+    doc["cells"][0]["region"] = region
+    bad = ws / f"region_{name}.json"
+    bad.write_text(json.dumps(doc))
+    out = ws / f"region_{name}_{command}.out"
+    argv = [command, "--scenario", str(bad), "--out", str(out)]
+    assert main(argv + (["--n", "100"] if command == "simulate" else [])) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(ws.glob(f"region_{name}_{command}.out*")) == []
+
+
+def test_json_outputs_are_canonical(ws, scen_path, fit_path, sim_path):
+    # Every JSON file is written one way: indent 2, sorted keys, final newline.
+    bound_csv = ws / "canonical.csv"
+    report = ws / "canonical_report.json"
+    assert main(["bound", "--scenario", str(scen_path), "--out", str(bound_csv)]) == 0
+    assert _compare(sim_path, fit_path, report) == 0
+    outputs = (bound_csv, fit_path, sim_path, report)
+    paths = [scen_path, fit_path, f"{sim_path}.json", report]
+    paths += [f"{p}.manifest.json" for p in outputs]
+    for path in paths:
+        text = Path(path).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def _compare(samples, fit, out):
     return main(["compare", "--samples", str(samples), "--fit", str(fit), "--out", str(out)])
+
+
+# Well-formed sample files whose values are no sample set.
+_BAD_SAMPLES = {"empty": [], "unsorted": [3.0, 1.0, 2.0]}
+
+
+@pytest.mark.parametrize("name", list(_BAD_SAMPLES))
+def test_compare_rejects_bad_sample_file(ws, fit_path, capsys, name):
+    bad = ws / f"{name}_samples.bin"
+    values = _BAD_SAMPLES[name]
+    n = len(values)
+    bad.write_bytes(n.to_bytes(8, "little") + np.array(values, dtype="<f8").tobytes())
+    sidecar = {"seed": 1, "n": n, "scenario_hash": "h"}
+    Path(f"{bad}.json").write_text(json.dumps(sidecar))
+    out = ws / f"{name}_samples_report.json"
+    assert _compare(bad, fit_path, out) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: sample")
+    assert list(ws.glob(f"{name}_samples_report*")) == []
 
 
 def test_compare_rejects_nan_sample(ws, sim_path, fit_path):

@@ -7,15 +7,13 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from ulfit import fit as fit_module
-from ulfit import geometry
 from ulfit.bound import l_stats, total_bound
 from ulfit.channel import ChannelParams, FadingModel
 from ulfit.errors import DomainError, NoConvergence
+from ulfit.gauss import gauss_rule
 from ulfit.scenario import Scenario, build_hotspot_layout, build_single_cell
 from ulfit.fit import (
     _PROBES,
-    _gh_rule,
-    _gl_rule,
     _mgf_deficit,
     _log_ndtr,
     _powln_expect,
@@ -62,7 +60,7 @@ def test_power_lognormal_fit_validation():
 
 def test_gh_nodes_quadrature_exactness():
     # weights sum to sqrt(pi); rule is exact through degree 23
-    a, w = _gh_rule()
+    a, w = gauss_rule("hermite", 12)
     assert w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-13)
     for m in range(1, 12):
         moment = float(np.sum(w * a ** (2 * m))) * 2.0**m / math.sqrt(math.pi)
@@ -71,17 +69,31 @@ def test_gh_nodes_quadrature_exactness():
     assert float(np.sum(w * a**7)) == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "rule, kind, n",
-    [(geometry._gl_rule, "leg", 16), (_gl_rule, "leg", 64), (_gh_rule, "herm", 12)],
-)
-def test_gauss_rules_match_numpy_polynomial(rule, kind, n):
+# The (kind, n) of every rule the package uses: geometry._composite,
+# _powln_expect and _mgf_deficit.
+_RULES = [("legendre", 16), ("legendre", 64), ("hermite", 12)]
+
+
+@pytest.mark.parametrize("kind, n", _RULES)
+def test_gauss_rules_match_numpy_polynomial(kind, n):
     from numpy.polynomial import hermite, legendre
 
-    expect = legendre.leggauss(n) if kind == "leg" else hermite.hermgauss(n)
-    nodes, weights = rule()
+    expect = legendre.leggauss(n) if kind == "legendre" else hermite.hermgauss(n)
+    nodes, weights = gauss_rule(kind, n)
     assert np.array_equal(nodes, expect[0])
     assert np.array_equal(weights, expect[1])
+
+
+@pytest.mark.parametrize("kind, n", _RULES)
+def test_gauss_rules_built_once_and_read_only(kind, n):
+    # One cached pair of arrays for every caller, which none may change.
+    nodes, weights = gauss_rule(kind, n)
+    again = gauss_rule(kind, n)
+    assert again[0] is nodes and again[1] is weights
+    for arr in (nodes, weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def approx_mgf(mu, sigma2, s):

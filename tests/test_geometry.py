@@ -76,6 +76,53 @@ def test_polygon_rejects_self_intersection():
         Polygon(((0, 0), (1, 1), (1, 0), (0, 1)))
 
 
+def test_polygon_rejects_repeated_vertex():
+    # A zero-length edge has no direction: _gap would divide 0 by 0 on it.
+    for vs in (((0, 0), (1, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (0, 1), (0, 0))):
+        with pytest.raises(DomainError, match="^vertices: consecutive vertices"):
+            Polygon(vs)
+
+
+def _leaves(region):
+    if isinstance(region, Intersection):
+        return [leaf for part in region.parts for leaf in _leaves(part)]
+    return [region]
+
+
+_SQUARE = Polygon(((-0.6, -0.6), (0.6, -0.6), (0.6, 0.6), (-0.6, 0.6)))
+_LENS = Intersection((Disk((-0.3, 0.0), 1.0), Disk((0.3, 0.0), 1.0)))
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        Intersection((_SQUARE, Disk((0.2, 0.0), 0.75), Annulus((0.0, 0.0), 0.1, 0.8))),
+        Intersection((_LENS, _SQUARE)),
+    ],
+    ids=["flat", "nested"],
+)
+def test_intersection_labels_distinct_across_parts(region):
+    # Each labelled endpoint is an endpoint of exactly one leaf region on
+    # its ray; no label may be shared by endpoints of two leaves. The scan
+    # meets every piece of every leaf, so a relabel that lets two parts
+    # share a value shows here.
+    theta = 2.0 * math.pi * np.arange(4096) / 4096
+    c, s = np.cos(theta), np.sin(theta)
+    lo, hi, llo, lhi = region._ray((0.0, 0.0), c, s)
+    leaf_ends = [
+        np.concatenate(leaf._ray((0.0, 0.0), c, s)[:2], axis=1)
+        for leaf in _leaves(region)
+    ]
+    owners = {}
+    for ends, labels in ((lo, llo), (hi, lhi)):
+        for row, col in zip(*np.nonzero(labels >= 0)):
+            hits = [k for k, e in enumerate(leaf_ends) if (e[row] == ends[row, col]).any()]
+            if len(hits) == 1:
+                owners.setdefault(int(labels[row, col]), set()).add(hits[0])
+    assert set().union(*owners.values()) == set(range(len(leaf_ends)))
+    assert all(len(leaves) == 1 for leaves in owners.values())
+
+
 def test_region_validation():
     with pytest.raises(EmptyRegion):
         Disk((0.0, 0.0), 0.0)

@@ -120,23 +120,34 @@ def test_simulate_cell_frozen(bread):
 def test_simulate_cell_validation(bread):
     with pytest.raises(DomainError):
         simulate_aggregate(bread, 0, 5, workers=2)
+    with pytest.raises(DomainError, match="workers"):
+        simulate_aggregate(bread, 10, 5, workers=0)
+
+
+def _sampler_state(scen, cell):
+    """(region, envelope) of a cell, as simulate_aggregate builds them."""
+    region = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
+    return region, _envelope(region, cell.density)
 
 
 def test_slice_prefix_purity(bread, bread_ir):
     # Both envelopes: the box (uniform) and the polar one (inverse_radial).
     for scen in (bread, bread_ir):
-        cell, ch = scen.cells[0], scen.channel
+        cell = scen.cells[0]
+        state = _sampler_state(scen, cell)
         for fading in (FadingModel("none"), RAYLEIGH, FadingModel("rician", 5.0)):
-            full = _cell_slice(cell, scen.victim_bs, ch, fading, 3, 0, 1000)
-            head = _cell_slice(cell, scen.victim_bs, ch, fading, 3, 0, 600)
-            tail = _cell_slice(cell, scen.victim_bs, ch, fading, 3, 600, 400)
+            faded = dataclasses.replace(scen, fading=fading)
+            full = _cell_slice(cell, *state, faded, 3, 0, 1000)
+            head = _cell_slice(cell, *state, faded, 3, 0, 600)
+            tail = _cell_slice(cell, *state, faded, 3, 600, 400)
             np.testing.assert_array_equal(head, full[:600])
             np.testing.assert_array_equal(tail, full[600:])
 
 
 def test_slice_memory_is_bounded(bread):
     # One slice's working set stays near a per-core L2 cache.
-    args = (bread.cells[0], bread.victim_bs, bread.channel, bread.fading, 3)
+    cell = bread.cells[0]
+    args = (cell, *_sampler_state(bread, cell), bread, 3)
     _cell_slice(*args, 0, _SLICE)
     tracemalloc.start()
     try:
@@ -152,8 +163,7 @@ def test_pilot_reads_one_stream(bread, bread_ir):
     # proposals, and so the same acceptance, as one block of _PILOT.
     for scen in (bread, bread_ir):
         cell = scen.cells[0]
-        region = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
-        corners, size, p = _envelope(region, cell.density)
+        region, (corners, size, p) = _sampler_state(scen, cell)
         u = rng_stream(0, 0, "pos:pilot").random((montecarlo._PILOT, 2))
         _, ok = proposal_block(region, cell.density, corners, size, u)
         assert p == ok.mean()
@@ -199,8 +209,8 @@ def test_positions_match_reference_proposal_math(bread, bread_ir, monkeypatch):
     # rejection rounds, from an offset that does not start a slice.
     for scen in (bread, bread_ir):
         cell = scen.cells[0]
-        region = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
-        args = (region, cell.density, _envelope(region, cell.density), cell.id, 8)
+        region, envelope = _sampler_state(scen, cell)
+        args = (region, cell.density, envelope, cell.id, 8)
         got = _positions_slice(*args, 1234, 20_000)
         with monkeypatch.context() as m:
             m.setattr(montecarlo, "proposal_block", _reference_proposal_block)
@@ -209,8 +219,8 @@ def test_positions_match_reference_proposal_math(bread, bread_ir, monkeypatch):
 
 
 def test_envelopes_built_once_per_cell(monkeypatch):
-    # Envelopes are built in the calling thread before the pool starts; two
-    # workers missing the cache together would each build the same one.
+    # Envelopes are built once per call in the calling thread, not once per
+    # slice or per worker.
     lay = build_hotspot_layout(3, 0.01, 2)
     calls = []
 
@@ -220,17 +230,12 @@ def test_envelopes_built_once_per_cell(monkeypatch):
 
     real = montecarlo.rejection_envelope
     monkeypatch.setattr(montecarlo, "rejection_envelope", counted)
-    _envelope.cache_clear()
-    try:
-        simulate_aggregate(lay, 2 * _SLICE, 4, workers=2)
-        assert len(calls) == len(lay.cells)
-        calls.clear()
-        _envelope.cache_clear()
-        one = dataclasses.replace(lay, cells=lay.cells[:1])
-        simulate_aggregate(one, 2 * _SLICE, 4, workers=2)
-        assert len(calls) == 1
-    finally:
-        _envelope.cache_clear()
+    simulate_aggregate(lay, 2 * _SLICE, 4, workers=2)
+    assert len(calls) == len(lay.cells)
+    calls.clear()
+    one = dataclasses.replace(lay, cells=lay.cells[:1])
+    simulate_aggregate(one, 2 * _SLICE, 4, workers=2)
+    assert len(calls) == 1
 
 
 def test_same_seed_identical_new_seed_different(bread):
@@ -253,9 +258,7 @@ def test_aggregate_matches_manual_sum():
     n, seed = 300, 4
     acc = np.zeros(n)
     for cell in lay.cells:
-        vals = _cell_slice(
-            cell, lay.victim_bs, lay.channel, lay.fading, seed, 0, n
-        )
+        vals = _cell_slice(cell, *_sampler_state(lay, cell), lay, seed, 0, n)
         acc += np.power(10.0, vals / 10.0)
     expected = np.sort(10.0 * np.log10(acc))
     s = simulate_aggregate(lay, n, seed)
@@ -539,3 +542,11 @@ def test_load_samples_error_paths(tmp_path):
     path.write_bytes(struct.pack("<Q", 3) + struct.pack("<3d", 1.0, math.nan, 3.0))
     with pytest.raises(ParseError, match="non-finite"):
         load_samples(path)
+
+    # Well-formed files whose samples SampleSet refuses: none, or unsorted.
+    for n, vals in ((0, ()), (3, (3.0, 1.0, 2.0))):
+        path.write_bytes(struct.pack("<Q", n) + struct.pack(f"<{n}d", *vals))
+        sidecar_path.write_text(json.dumps({"seed": 1, "n": n, "scenario_hash": "h"}))
+        with pytest.raises(ParseError, match="sample") as err:
+            load_samples(path)
+        assert str(err.value).startswith(f"{path}: ")

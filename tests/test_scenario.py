@@ -456,6 +456,12 @@ def test_schema_scenario_invariants():
     with pytest.raises(SchemaError):
         scenario_from_doc(doc)
 
+    doc = _valid_doc()
+    # coverage entirely inside the victim's exclusion disk, which the
+    # commands' user domain carves too
+    doc["cells"][0]["region"] = {"type": "disk", "center": [0.001, 0.0], "radius_km": 0.001}
+    _expect_schema_error(doc, "cells[0].region: exclusion disk")
+
 
 def _rename_rotation(doc):
     # The canonical region intersects a square, a disk and an ellipse.
