@@ -66,7 +66,7 @@ class ChannelParams:
         p0_dbm: power-control target at the serving station.
         eta: fractional power-control compensation factor, in (0, 1].
         sigma_shad_db: shadowing standard deviation per link.
-        d_min_km: minimum station-to-user distance.
+        d_min_km: minimum station-to-user distance, > 0.
     """
 
     a_db: float
@@ -83,8 +83,8 @@ class ChannelParams:
             raise DomainError("eta: must be in (0, 1]")
         if not self.sigma_shad_db > 0:
             raise DomainError("sigma_shad_db: must be > 0")
-        if self.d_min_km < 0:
-            raise DomainError("d_min_km: must be >= 0")
+        if not self.d_min_km > 0:
+            raise DomainError("d_min_km: must be > 0")
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Outputs are plain CSV/JSON plus a small manifest next to each output, so
 any result can be audited and reproduced. Every file is written atomically
 (temporary file, then os.replace), so a failed command never leaves a
-half-written output. Exit codes:
-0 success, 2 input/schema problem, 3 numeric failure, 4 scenario-hash
-mismatch between compared artifacts.
+half-written output. Exit codes: 0 success, 2 an input problem (a
+SchemaError, a ParseError or an OSError), 3 any other package error (a
+numeric failure), 4 scenario-hash mismatch between compared artifacts.
 """
 
 from __future__ import annotations
@@ -19,16 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DomainError,
-    EmptyRegion,
-    NoConvergence,
-    ParseError,
-    PlacementFailure,
-    QuadratureFailure,
-    SamplingStall,
-    SchemaError,
-)
+from .errors import DomainError, ParseError, SchemaError, UlfitError
 from .fileio import atomic_open, write_json
 
 __all__ = [
@@ -75,15 +66,6 @@ def __getattr__(name):
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-_NUMERIC_ERRORS = (
-    DomainError,
-    EmptyRegion,
-    QuadratureFailure,
-    NoConvergence,
-    SamplingStall,
-    PlacementFailure,
-)
 
 _BOUND_COLUMNS = (
     "eps1",
@@ -164,7 +146,7 @@ def _cell_reports(scenario):
                     cell, stats, scenario.channel, scenario.fading, scenario.bound
                 )
             )
-        except _NUMERIC_ERRORS as exc:
+        except UlfitError as exc:
             raise type(exc)(f"cell {cell.id}: {exc}") from exc
     return out
 
@@ -230,7 +212,6 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
     if grid is not None:
         cdf_csv = f"{out_json}.cdf.csv"
         vals = powln_cdf_db(grid, agg)
-        vals = np.atleast_1d(vals)
         with atomic_open(cdf_csv) as fh:
             fh.write("q_dbm,cdf\n")
             for q, v in zip(grid, vals):
@@ -274,9 +255,11 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
     keys = ("lambda", "mu_q_dbm", "sigma_q2_db2", "eps_total")
     try:
         lam, mu_q, sigma_q2, eps_total = (float(fit_doc[k]) for k in keys)
-        fit_hash = str(fit_doc["scenario_hash"])
+        fit_hash = fit_doc["scenario_hash"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{fit_json}: missing or bad field ({exc})") from exc
+    if not isinstance(fit_hash, str):
+        raise SchemaError(f"{fit_json}: scenario_hash must be a string")
     for key, value in zip(keys, (lam, mu_q, sigma_q2, eps_total)):
         if not math.isfinite(value):
             raise SchemaError(f"{fit_json}: {key} must be finite")
@@ -284,7 +267,7 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
         fit = PowerLognormalFit(lam, mu_q, sigma_q2)
     except DomainError as exc:
         raise SchemaError(f"{fit_json}: {exc}") from exc
-    if fit_hash != str(sidecar["scenario_hash"]):
+    if fit_hash != sidecar["scenario_hash"]:
         print(
             f"error: scenario hash mismatch: samples {sidecar['scenario_hash']}"
             f" vs fit {fit_hash}",
@@ -362,15 +345,12 @@ def main(argv=None) -> int:
                 args.scenario, args.n, args.seed, args.out, workers=args.workers
             )
         return cmd_compare(args.samples, args.fit, args.out)
-    except (SchemaError, ParseError) as exc:
+    except (SchemaError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except UlfitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -512,9 +512,10 @@ class UeDensity:
     """User position density over a region.
 
     kind "uniform" is constant over the region. kind "inverse_radial"
-    falls off as 1/distance from ``origin``, which only that kind takes;
-    the normalization constant is always computed from the region, never
-    user-supplied.
+    falls off as 1/distance from ``origin``, which only that kind takes
+    and which may lie anywhere, inside the region too: 1/rho cancels the
+    polar Jacobian, so the density stays integrable. The normalization
+    constant is always computed from the region, never user-supplied.
     """
 
     kind: str
@@ -541,37 +542,31 @@ def effective_region(region: Region, bs, d_min: float) -> Region:
 
     The returned region is what density normalization, integration, and
     sampling all operate on, so a minimum distance to the base station is
-    enforced once, geometrically.
+    enforced once, geometrically: a disk centred on ``bs`` becomes the
+    annulus d_min <= rho <= radius, and any other region is intersected
+    with the annulus from d_min to the farthest bounding-box corner.
 
     Args:
         region: raw coverage region.
         bs: base-station position (x, y).
-        d_min: exclusion radius in km, >= 0.
+        d_min: exclusion radius in km, > 0.
 
     Returns:
-        The restricted region; the input region unchanged when d_min is 0.
+        The restricted region.
 
     Raises:
-        EmptyRegion: if the removal provably leaves zero area.
+        EmptyRegion: if the region lies within d_min of ``bs``, judged by
+            the farthest bounding-box corner and by the region's reach
+            (its distance upper bound from ``bs``).
     """
-    if d_min < 0:
-        raise DomainError("d_min must be >= 0")
-    if d_min == 0:
-        return region
     bs = _as_point(bs, "bs")
-    if isinstance(region, Disk) and region.center == bs:
-        if d_min >= region.radius_km:
-            raise EmptyRegion("exclusion disk covers the whole region")
-        return Annulus(bs, d_min, region.radius_km)
-    if isinstance(region, Annulus) and region.center == bs:
-        if d_min >= region.r_outer:
-            raise EmptyRegion("exclusion disk covers the whole region")
-        return Annulus(bs, max(d_min, region.r_inner), region.r_outer)
     xmin, ymin, xmax, ymax = bounding_box(region)
     corners = ((xmin, ymin), (xmin, ymax), (xmax, ymin), (xmax, ymax))
     far = max(math.hypot(cx - bs[0], cy - bs[1]) for cx, cy in corners)
-    if far <= d_min:
+    if min(far, region._reach(bs)) <= d_min:
         raise EmptyRegion("exclusion disk covers the whole region")
+    if isinstance(region, Disk) and region.center == bs:
+        return Annulus(bs, d_min, region.radius_km)
     return Intersection((region, Annulus(bs, d_min, far)))
 
 
@@ -846,18 +841,11 @@ def rejection_envelope(region: Region, density: UeDensity):
     reach is an upper bound: the center distance plus the radius, r_outer
     or max(a, b) for disks, annuli and ellipses, the largest vertex
     distance for polygons, and the smallest bound of the parts for
-    intersections.
-
-    Raises:
-        DomainError: for an inverse_radial density whose origin touches
-            the region.
+    intersections. The floor is 0 when the origin lies in the region; the
+    box then starts at the origin and still has the 1/rho law.
     """
     if density.kind == "inverse_radial":
         floor = float(region._gap(density.origin))
-        if floor <= 0:
-            raise DomainError(
-                "inverse_radial density is unbounded: origin touches the region"
-            )
         reach = region._reach(density.origin)
         return np.array([[floor, 0.0]]), np.array([reach - floor, 2.0 * math.pi])
     xmin, ymin, xmax, ymax = bounding_box(region)

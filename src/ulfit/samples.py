@@ -167,7 +167,12 @@ def save_samples(samples: SampleSet, path, scenario_hash: str) -> None:
 
 
 def load_samples(path) -> tuple[SampleSet, dict]:
-    """Read a sample file and its sidecar; returns (samples, sidecar)."""
+    """Read a sample file and its sidecar; returns (samples, sidecar).
+
+    The sidecar's seed and n must be JSON integers and its scenario_hash a
+    string, and the values must make a SampleSet; anything else raises
+    ParseError.
+    """
     path = str(path)
     with open(path, "rb") as fh:
         header = fh.read(8)
@@ -178,19 +183,19 @@ def load_samples(path) -> tuple[SampleSet, dict]:
         if body != 8 * n:
             raise ParseError(f"{path}: expected {n} values, got {body // 8}")
         values = np.fromfile(fh, dtype="<f8", count=n)
-    if not np.isfinite(values).all():
-        raise ParseError(f"{path}: non-finite sample value")
     try:
         with open(path + ".json", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        seed = int(sidecar["seed"])
-        if int(sidecar["n"]) != n:
-            raise ParseError(f"{path}.json: sidecar n disagrees with header")
-        str(sidecar["scenario_hash"])
-    except ParseError:
-        raise
+        seed, count, scen_hash = (sidecar[k] for k in ("seed", "n", "scenario_hash"))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"{path}.json: bad sidecar ({exc})") from exc
+    for key, val in (("seed", seed), ("n", count)):
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ParseError(f"{path}.json: bad sidecar ({key}: expected an integer)")
+    if not isinstance(scen_hash, str):
+        raise ParseError(f"{path}.json: bad sidecar (scenario_hash: expected a string)")
+    if count != n:
+        raise ParseError(f"{path}.json: sidecar n disagrees with header")
     try:
         return SampleSet(values, n, seed), sidecar
     except DomainError as exc:

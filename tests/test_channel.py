@@ -156,6 +156,8 @@ def test_channel_params_validation():
         ChannelParams(103.8, 20.9, -76.0, 0.8, 0.0, 0.005)
     with pytest.raises(DomainError):
         ChannelParams(103.8, 20.9, -76.0, 0.8, 10.0, -0.001)
+    with pytest.raises(DomainError, match="^d_min_km: must be > 0$"):
+        ChannelParams(103.8, 20.9, -76.0, 0.8, 10.0, 0.0)
 
 
 def test_fading_model_validation():

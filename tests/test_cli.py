@@ -25,6 +25,7 @@ from ulfit.scenario import (
     build_single_cell,
     save_scenario,
     scenario_hash,
+    scenario_to_doc,
 )
 
 CHANNEL = ChannelParams(103.8, 20.9, -76.0, 0.8, 10.0, 0.005)
@@ -460,6 +461,15 @@ _REGION_RULES = {
         {"type": "disk", "center": [0.001, 0.0], "radius_km": 0.001},
         "cells[0].region: exclusion disk covers the whole region",
     ),
+    # Within d_min of its station, although its bounding box reaches past.
+    "disk_within_d_min": (
+        {"type": "disk", "center": [0.0315, 0.0], "radius_km": 0.0034},
+        "cells[0].region: exclusion disk covers the whole region",
+    ),
+    "concentric_annulus": (
+        {"type": "annulus", "center": [0.03, 0.0], "r_inner": 0.001, "r_outer": 0.004},
+        "cells[0].region: exclusion disk covers the whole region",
+    ),
 }
 
 
@@ -476,6 +486,79 @@ def test_region_rules_exit_2(ws, scen_path, capsys, command, name):
     assert main(argv + (["--n", "100"] if command == "simulate" else [])) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(ws.glob(f"region_{name}_{command}.out*")) == []
+
+
+def _set_region(**region):
+    return lambda doc: doc["cells"][0].update(region=region)
+
+
+_D_MIN_0 = "channel.d_min_km: must be > 0"
+_COVERED = "cells[0].region: exclusion disk covers the whole region"
+# Edits of the bread cell's document (r = 0.01, station at (0.015, 0)):
+# density kind, edit, and the exit code that fit and simulate both give,
+# with the error message of a refused document.
+_EXIT_TABLE = {
+    # Inside the user domain: the polar proposal starts at distance 0.
+    "origin_inside": (
+        "inverse_radial",
+        lambda doc: doc["cells"][0]["density"].update(origin=[0.022, 0.0]),
+        0,
+        None,
+    ),
+    "d_min_0_uniform": (
+        "uniform", lambda doc: doc["channel"].update(d_min_km=0.0), 2, _D_MIN_0
+    ),
+    "d_min_0_inverse_radial": (
+        "inverse_radial", lambda doc: doc["channel"].update(d_min_km=0.0), 2, _D_MIN_0
+    ),
+    # Within d_min of its station, although its bounding box reaches past.
+    "disk_within_d_min": (
+        "uniform",
+        _set_region(type="disk", center=[0.0165, 0.0], radius_km=0.0034),
+        2,
+        _COVERED,
+    ),
+    "concentric_annulus": (
+        "uniform",
+        _set_region(type="annulus", center=[0.015, 0.0], r_inner=0.001, r_outer=0.004),
+        2,
+        _COVERED,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXIT_TABLE))
+def test_fit_and_simulate_accept_the_same_scenarios(ws, capsys, name):
+    kind, edit, rc, message = _EXIT_TABLE[name]
+    doc = scenario_to_doc(build_single_cell(0.01, kind, FadingModel("rayleigh")))
+    edit(doc)
+    path = ws / f"table_{name}.json"
+    path.write_text(json.dumps(doc))
+    fit_out, sim_out = ws / f"table_{name}_fit.json", ws / f"table_{name}_sim.bin"
+    argv = ["--scenario", str(path), "--out"]
+    assert main(["fit", *argv, str(fit_out)]) == rc
+    assert main(["simulate", *argv, str(sim_out), "--n", "200000", "--seed", "1"]) == rc
+    if message is not None:
+        assert capsys.readouterr().err == f"error: {message}\n" * 2
+        assert list(ws.glob(f"table_{name}_*")) == []
+    else:
+        report = ws / f"table_{name}_report.json"
+        assert _compare(sim_out, fit_out, report) == 0
+        assert json.loads(report.read_text())["pass"] is True
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_scenario_runs(ws):
+    # The README states the scenario rules next to its one example document.
+    text = _README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```json\n(.*?)^```", text, re.S | re.M)
+    path = ws / "readme.json"
+    path.write_text(block)
+    for command in ("bound", "fit"):
+        out = ws / f"readme_{command}.out"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
 
 
 def test_json_outputs_are_canonical(ws, scen_path, fit_path, sim_path):
@@ -512,6 +595,43 @@ def test_compare_rejects_bad_sample_file(ws, fit_path, capsys, name):
     assert _compare(bad, fit_path, out) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: sample")
     assert list(ws.glob(f"{name}_samples_report*")) == []
+
+
+# Sidecar fields of the wrong JSON type; a cast would read each as a number.
+_BAD_SIDECARS = {
+    "seed_float": ("seed", 1.7),
+    "seed_bool": ("seed", True),
+    "seed_str": ("seed", "3"),
+    "n_float": ("n", 20000.0),
+    "n_str": ("n", "20000"),
+    "hash_number": ("scenario_hash", 7),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_SIDECARS))
+def test_compare_rejects_mistyped_sidecar(ws, sim_path, fit_path, capsys, name):
+    key, value = _BAD_SIDECARS[name]
+    bad = ws / f"typed_{name}.bin"
+    bad.write_bytes(sim_path.read_bytes())
+    sidecar = json.loads(Path(f"{sim_path}.json").read_text())
+    sidecar[key] = value
+    Path(f"{bad}.json").write_text(json.dumps(sidecar))
+    out = ws / f"typed_{name}_report.json"
+    assert _compare(bad, fit_path, out) == 2
+    assert f"bad sidecar ({key}: expected" in capsys.readouterr().err
+    assert list(ws.glob(f"typed_{name}_report*")) == []
+
+
+@pytest.mark.parametrize("value", [7, None, ["h"]])
+def test_compare_rejects_non_string_fit_hash(ws, sim_path, fit_path, capsys, value):
+    doc = json.loads(fit_path.read_text())
+    doc["scenario_hash"] = value
+    bad_fit = ws / "hash_fit.json"
+    bad_fit.write_text(json.dumps(doc))
+    out = ws / "hash_fit_report.json"
+    assert _compare(sim_path, bad_fit, out) == 2
+    assert "scenario_hash must be a string" in capsys.readouterr().err
+    assert list(ws.glob("hash_fit_report*")) == []
 
 
 def test_compare_rejects_nan_sample(ws, sim_path, fit_path):

@@ -161,11 +161,6 @@ def test_effective_region_concentric_disk():
     assert eff.r_outer == 0.04
 
 
-def test_effective_region_identity_at_zero():
-    d = Disk((0.0, 0.0), 0.04)
-    assert effective_region(d, (0.0, 0.0), 0.0) is d
-
-
 def test_effective_region_empty():
     with pytest.raises(EmptyRegion):
         effective_region(Disk((0.0, 0.0), 0.004), (0.0, 0.0), 0.005)
@@ -389,17 +384,19 @@ def test_sample_uniform_disk_mean():
 
 
 def test_sample_inverse_radial_radius_cdf_linear():
-    # P[rho <= t] = (t - r0)/(R - r0) under W/rho on a centered annulus
-    a, b = 0.2, 1.1
-    reg = Annulus((0.0, 0.0), a, b)
-    pts = _sample(reg, UeDensity("inverse_radial", (0.0, 0.0)), 17, 1_000_000)
-    rho = np.sort(np.hypot(pts[:, 0], pts[:, 1]))
-    model = (rho - a) / (b - a)
-    emp_hi = np.arange(1, rho.size + 1) / rho.size
-    emp_lo = np.arange(0, rho.size) / rho.size
-    ks = max((emp_hi - model).max(), (model - emp_lo).max())
-    assert ks < 0.002
-    assert rho.min() >= a and rho.max() <= b
+    # P[rho <= t] = (t - r0)/(R - r0) under W/rho on a centered annulus;
+    # at r0 = 0 (a disk around the origin) the polar box starts at rho = 0.
+    b = 1.1
+    for a in (0.2, 0.0):
+        reg = Annulus((0.0, 0.0), a, b)
+        pts = _sample(reg, UeDensity("inverse_radial", (0.0, 0.0)), 17, 1_000_000)
+        rho = np.sort(np.hypot(pts[:, 0], pts[:, 1]))
+        model = (rho - a) / (b - a)
+        emp_hi = np.arange(1, rho.size + 1) / rho.size
+        emp_lo = np.arange(0, rho.size) / rho.size
+        ks = max((emp_hi - model).max(), (model - emp_lo).max())
+        assert ks < 0.002
+        assert rho.min() >= a and rho.max() <= b
 
 
 @pytest.fixture(scope="module")
@@ -681,12 +678,6 @@ def test_sampling_stall():
     reg = Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0)))
     with pytest.raises(SamplingStall):
         _sample(reg, UeDensity("uniform"), 2, 100_000)
-
-
-def test_inverse_radial_origin_on_region_rejected():
-    reg = Disk((0.0, 0.0), 1.0)
-    with pytest.raises(DomainError):
-        rejection_envelope(reg, UeDensity("inverse_radial", (0.0, 0.0)))
 
 
 def _polar_tile(region, density):

@@ -535,12 +535,23 @@ def test_load_samples_error_paths(tmp_path):
     with pytest.raises(ParseError, match="bad sidecar"):
         load_samples(path)
 
+    # Sidecar fields read by their JSON type: integers, not floats, bools
+    # or strings, and a string hash.
+    for key, value in (
+        ("seed", 1.7), ("seed", True), ("seed", "3"), ("n", 8.0), ("n", "8"),
+        ("scenario_hash", 7), ("scenario_hash", None),
+    ):
+        sidecar_path.write_text(json.dumps({**doc, "seed": 6, key: value}))
+        with pytest.raises(ParseError, match=f"bad sidecar \\({key}: expected"):
+            load_samples(path)
+
     sidecar_path.unlink()
     with pytest.raises(ParseError, match="bad sidecar"):
         load_samples(path)
 
     path.write_bytes(struct.pack("<Q", 3) + struct.pack("<3d", 1.0, math.nan, 3.0))
-    with pytest.raises(ParseError, match="non-finite"):
+    sidecar_path.write_text(json.dumps({"seed": 1, "n": 3, "scenario_hash": "h"}))
+    with pytest.raises(ParseError, match="sample values must be finite"):
         load_samples(path)
 
     # Well-formed files whose samples SampleSet refuses: none, or unsorted.

@@ -260,9 +260,10 @@ def test_schema_bad_channel_values():
     doc["channel"]["sigma_shad_db"] = "10"
     _expect_schema_error(doc, "channel.sigma_shad_db")
 
-    doc = _valid_doc()
-    doc["channel"]["d_min_km"] = -0.1
-    _expect_schema_error(doc, "channel.d_min_km")
+    for d_min in (-0.1, 0.0):
+        doc = _valid_doc()
+        doc["channel"]["d_min_km"] = d_min
+        _expect_schema_error(doc, "channel.d_min_km")
 
 
 def test_schema_bad_fading():
