@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .geometry import _half_angle_cos_sin
 
 __all__ = [
     "ChannelParams",
@@ -308,12 +309,17 @@ def normal_pair(u):
     """Two independent N(0, 1) arrays from an (n, 2) block of uniforms.
 
     Box & Muller (1958): row i maps to radius sqrt(-2 ln(1 - u_i0)) and
-    angle 2 pi u_i1, and the pair is the point's two coordinates. Each
-    output pair depends on its own row alone.
+    angle theta = 2 pi u_i1, and the pair is the point's two coordinates.
+    The cosine and sine come from tan(theta / 2), with theta / 2 = pi u_i1
+    in [0, pi) (geometry._half_angle_cos_sin). Each output pair depends on
+    its own row alone.
     """
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    theta = (2.0 * math.pi) * u[:, 1]
-    return r * np.cos(theta), r * np.sin(theta)
+    half = np.multiply(u[:, 1], math.pi)
+    cos, sin = _half_angle_cos_sin(half, np.empty_like(half))
+    cos *= r
+    sin *= r
+    return cos, sin
 
 
 def shadow_db_block(u, params: ChannelParams) -> np.ndarray:
@@ -323,16 +329,19 @@ def shadow_db_block(u, params: ChannelParams) -> np.ndarray:
     sin theta), with S_bb = sigma g0 and S_b1 = sigma g1. Only the
     combination is ever used, and it is one cosine:
     eta S_bb - S_b1 = sigma sqrt(1 + eta^2) r cos(theta + atan2(1, eta)).
-    Reads columns 0 and 1 of u, 2 variates per draw.
+    The cosine comes from the tangent of the half angle
+    pi u_i1 + atan2(1, eta) / 2 (geometry._half_angle_cos_sin). Reads
+    columns 0 and 1 of u, 2 variates per draw.
     """
-    out = np.negative(u[:, 0])
-    np.log1p(out, out=out)
-    out *= -2.0 * shadow_var(params)
-    np.sqrt(out, out=out)
-    angle = u[:, 1] * (2.0 * math.pi)
-    angle += math.atan2(1.0, params.eta)
-    np.cos(angle, out=angle)
-    out *= angle
+    half = np.multiply(u[:, 1], math.pi)
+    half += 0.5 * math.atan2(1.0, params.eta)
+    out, r = _half_angle_cos_sin(half, np.empty_like(half))
+    # The sines are not used; their array takes the radius.
+    np.negative(u[:, 0], out=r)
+    np.log1p(r, out=r)
+    r *= -2.0 * shadow_var(params)
+    np.sqrt(r, out=r)
+    out *= r
     return out
 
 

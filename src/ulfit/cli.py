@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, ParseError, SchemaError, UlfitError
-from .fileio import atomic_open, write_json
+from .fileio import atomic_open, finite_number, write_json
 
 __all__ = [
     "main",
@@ -254,15 +254,16 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
         raise ParseError(f"{fit_json}: {exc}") from exc
     keys = ("lambda", "mu_q_dbm", "sigma_q2_db2", "eps_total")
     try:
-        lam, mu_q, sigma_q2, eps_total = (float(fit_doc[k]) for k in keys)
+        values = [finite_number(fit_doc[k]) for k in keys]
         fit_hash = fit_doc["scenario_hash"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SchemaError(f"{fit_json}: missing or bad field ({exc})") from exc
     if not isinstance(fit_hash, str):
         raise SchemaError(f"{fit_json}: scenario_hash must be a string")
-    for key, value in zip(keys, (lam, mu_q, sigma_q2, eps_total)):
-        if not math.isfinite(value):
-            raise SchemaError(f"{fit_json}: {key} must be finite")
+    for key, value in zip(keys, values):
+        if value is None:
+            raise SchemaError(f"{fit_json}: {key} must be a finite number")
+    lam, mu_q, sigma_q2, eps_total = values
     try:
         fit = PowerLognormalFit(lam, mu_q, sigma_q2)
     except DomainError as exc:

@@ -1,19 +1,22 @@
-"""Atomic output files.
+"""Atomic output files, and the rule for numbers read from JSON.
 
 Every file the command line writes goes through ``atomic_open``: the
 content is written to ``<path>.tmp`` and moved over ``path`` with
 ``os.replace`` only once the write has finished, so a failure part way
 leaves the previous file intact and no temporary file behind. Every JSON
-file goes through ``write_json``, which fixes its layout.
+file goes through ``write_json``, which fixes its layout. Every number
+read from a JSON document, a scenario's or a fit's, goes through
+``finite_number``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 
-__all__ = ["atomic_open", "write_json"]
+__all__ = ["atomic_open", "write_json", "finite_number"]
 
 
 @contextmanager
@@ -47,3 +50,18 @@ def write_json(path, doc) -> None:
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def finite_number(val) -> float | None:
+    """A JSON number as a finite float, None for anything else.
+
+    Strings, booleans and integers too large for a float are not numbers
+    here, so no document value is coerced.
+    """
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        x = float(val)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None

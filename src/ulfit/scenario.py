@@ -40,7 +40,7 @@ from .errors import (
     PlacementFailure,
     SchemaError,
 )
-from .fileio import write_json
+from .fileio import finite_number, write_json
 from .geometry import (
     Annulus,
     Disk,
@@ -295,17 +295,6 @@ def _fail(path, message):
     raise SchemaError(f"{path or 'document'}: {message}")
 
 
-def _finite(val) -> float | None:
-    """A JSON number as a finite float, None for anything else."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        return None
-    try:
-        x = float(val)
-    except OverflowError:
-        return None
-    return x if math.isfinite(x) else None
-
-
 def _from_doc(tp, val, path=""):
     """The value of annotation tp read from JSON value val at a dotted path.
 
@@ -316,7 +305,7 @@ def _from_doc(tp, val, path=""):
     ("channel.eta").
     """
     if tp is float:
-        x = _finite(val)
+        x = finite_number(val)
         if x is None:
             _fail(path, "expected a finite number")
         return x
@@ -362,7 +351,7 @@ def _from_doc(tp, val, path=""):
         (tp,) = (a for a in args if a is not type(None))
         return _from_doc(tp, val, path)
     if args == (float, float):
-        pt = tuple(map(_finite, val)) if isinstance(val, list) else ()
+        pt = tuple(map(finite_number, val)) if isinstance(val, list) else ()
         if len(pt) != 2 or None in pt:
             _fail(path, "expected [x, y] of finite numbers")
         return pt

@@ -660,6 +660,26 @@ def test_compare_rejects_nan_fit_field(ws, sim_path, fit_path, key, capsys):
 
 
 @pytest.mark.parametrize(
+    "name, value",
+    [("str", "2.5"), ("bool", True), ("huge_int", 10**400)],
+    ids=["str", "bool", "huge_int"],
+)
+def test_compare_rejects_non_number_fit_field(
+    ws, sim_path, fit_path, name, value, capsys
+):
+    # A string, a boolean or an integer beyond float range is not coerced:
+    # the scenario codec's number rule holds for fit documents too.
+    doc = json.loads(fit_path.read_text())
+    doc["lambda"] = value
+    bad_fit = ws / f"typed_lambda_{name}.json"
+    bad_fit.write_text(json.dumps(doc))
+    out = ws / f"typed_lambda_{name}_report.json"
+    assert _compare(sim_path, bad_fit, out) == 2
+    assert "lambda must be a finite number" in capsys.readouterr().err
+    assert list(ws.glob(f"typed_lambda_{name}_report*")) == []
+
+
+@pytest.mark.parametrize(
     "key, value", [("lambda", -1.0), ("lambda", 0.0), ("sigma_q2_db2", 0.0)]
 )
 def test_compare_rejects_out_of_range_fit_field(

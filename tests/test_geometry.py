@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -623,6 +624,36 @@ def test_last_tile_takes_the_top_variate():
     assert pts[0, 1] == corners[-1, 1] + 0.25 * size[1]
     assert pts[1, 0] == corners[-1, 0] + size[0] and pts[1, 1] == pts[0, 1]
     np.testing.assert_array_equal(pts[2], corners[0])
+
+
+# Edge variates of the half angle pi u: the ends of [0, 1), the quarter
+# turns, and the floats on both sides of the tan pole at u = 0.5.
+_EDGE_U = [
+    0.0, 0.25, 0.5, 0.75,
+    np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("eta", [None, 0.0, 0.8, 1.0])
+def test_half_angle_cos_sin_matches_mpmath(eta):
+    # The half angle pi u of the polar proposals and of normal_pair
+    # (eta None), and the shadow's shifted pi u + atan2(1, eta) / 2, against
+    # 34-digit cos and sin of twice the same float.
+    import mpmath as mp
+
+    u = np.concatenate((np.random.default_rng(25).random(2000), _EDGE_U))
+    half = u * math.pi
+    if eta is not None:
+        half += 0.5 * math.atan2(1.0, eta)
+    angles = [mp.mpf(2.0 * h) for h in half.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cos, sin = geometry._half_angle_cos_sin(half, np.empty_like(half))
+    with mp.workdps(34):
+        err_cos = max(abs(c - mp.cos(a)) for c, a in zip(cos.tolist(), angles))
+        err_sin = max(abs(s - mp.sin(a)) for s, a in zip(sin.tolist(), angles))
+    assert err_cos <= 4.5e-16 and err_sin <= 4.5e-16
+    assert np.abs(cos * cos + sin * sin - 1.0).max() <= 1e-15
 
 
 @pytest.mark.parametrize("r", [0.01, 0.02, 0.04])

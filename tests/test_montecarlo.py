@@ -144,18 +144,21 @@ def test_slice_prefix_purity(bread, bread_ir):
             np.testing.assert_array_equal(tail, full[600:])
 
 
-def test_slice_memory_is_bounded(bread):
-    # One slice's working set stays near a per-core L2 cache.
-    cell = bread.cells[0]
-    args = (cell, *_sampler_state(bread, cell), bread, 3)
-    _cell_slice(*args, 0, _SLICE)
-    tracemalloc.start()
-    try:
-        _cell_slice(*args, _SLICE, _SLICE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4e6
+def test_slice_memory_is_bounded(bread, bread_ir):
+    # One slice's working set stays near a per-core L2 cache, on the tiled
+    # envelope (bread) and on the polar one (bread_ir, a hotspot disk cell).
+    hotspot = build_hotspot_layout(3, 0.01, 2, density_kind="inverse_radial")
+    for scen in (bread, bread_ir, hotspot):
+        cell = scen.cells[0]
+        args = (cell, *_sampler_state(scen, cell), scen, 3)
+        _cell_slice(*args, 0, _SLICE)
+        tracemalloc.start()
+        try:
+            _cell_slice(*args, _SLICE, _SLICE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 def test_pilot_reads_one_stream(bread, bread_ir):
@@ -189,8 +192,10 @@ def test_slice_size_invariance(bread, bread_ir, monkeypatch):
 
 def _reference_proposal_block(region, density, corners, size, u):
     # The proposal map in plain form: strided (n, 2) columns and a
-    # column_stack of the polar point. The sampler's in-place form may
-    # only reorder commutative operations, so it must match bit for bit.
+    # column_stack of the polar point, whose cosine and sine come from
+    # t = tan(theta / 2) as 2 / (1 + t^2) - 1 and 2 t / (1 + t^2). The
+    # sampler's in-place form may only reorder commutative operations, so
+    # it must match bit for bit.
     k = len(corners)
     t = u[:, 0] * k
     j = np.minimum(t.astype(np.intp), k - 1)
@@ -200,7 +205,9 @@ def _reference_proposal_block(region, density, corners, size, u):
     if density.kind == "inverse_radial":
         rho, theta = q[:, 0], q[:, 1]
         ox, oy = density.origin
-        q = np.column_stack((ox + rho * np.cos(theta), oy + rho * np.sin(theta)))
+        t = np.tan(theta / 2.0)
+        w = 2.0 / (1.0 + t * t)
+        q = np.column_stack((ox + rho * (w - 1.0), oy + rho * (t * w)))
     return q, region._mask(*q.T)
 
 
@@ -259,7 +266,7 @@ def test_aggregate_matches_manual_sum():
     acc = np.zeros(n)
     for cell in lay.cells:
         vals = _cell_slice(cell, *_sampler_state(lay, cell), lay, seed, 0, n)
-        acc += np.power(10.0, vals / 10.0)
+        acc += np.exp(vals * (math.log(10.0) / 10.0))
     expected = np.sort(10.0 * np.log10(acc))
     s = simulate_aggregate(lay, n, seed)
     np.testing.assert_array_equal(s.values, expected)
