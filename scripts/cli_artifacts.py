@@ -1,4 +1,4 @@
-"""Run the CLI chain on four scenarios and keep every artifact in one tree.
+"""Run the CLI chain on five scenarios and keep every artifact in one tree.
 
     python3 scripts/cli_artifacts.py SRC OUT
 
@@ -12,7 +12,10 @@ empty when every artifact, sidecar and manifest is byte-identical.
 Scenarios: the two benchmark workloads of perfbench/scenarios.py, the
 84-station inverse-radial Rayleigh drop, and three cells that take the
 user-domain carves: a uniform and an inverse-radial annulus, each centred
-on its station, and an annulus-polygon intersection. On each scenario the
+on its station, and an annulus-polygon intersection; and three cells that
+put every kind of panel break in the quadrature: two crossing ellipses,
+two crossing polygons, and an inverse-radial disk whose density origin
+lies on its rim. On each scenario the
 chain runs bound, fit with a grid, simulate with one and with two
 workers, and compare. The exit status is 0 when every command exits 0,
 and otherwise the first failing command's.
@@ -35,7 +38,14 @@ def _scenarios():
     """(name, Scenario) pairs, built by the ulfit package on sys.path."""
     from scenarios import HOTSPOT_LAYOUT_SEED, HOTSPOT_RADIUS_KM, build
     from ulfit.channel import FadingModel
-    from ulfit.geometry import Annulus, Intersection, Polygon, UeDensity
+    from ulfit.geometry import (
+        Annulus,
+        Disk,
+        Ellipse,
+        Intersection,
+        Polygon,
+        UeDensity,
+    )
     from ulfit.scenario import (
         DEFAULT_CHANNEL,
         BoundParams,
@@ -62,6 +72,30 @@ def _scenarios():
         rayleigh,
         BoundParams(),
     )
+    # Ellipse-ellipse and polygon-polygon crossings, and the tangent line at
+    # a density origin on the rim, (0.01, 0.042) on the disk's east side.
+    lens = Intersection(
+        (Ellipse(east, 0.012, 0.006, 0.3), Ellipse((0.034, 0.002), 0.01, 0.005, 1.2))
+    )
+    box = Polygon(
+        ((-0.042, -0.012), (-0.018, -0.012), (-0.018, 0.012), (-0.042, 0.012))
+    )
+    diamond = Polygon(
+        ((-0.028, -0.01), (-0.014, 0.004), (-0.028, 0.018), (-0.042, 0.004))
+    )
+    kite = Intersection((box, diamond))
+    rim = UeDensity("inverse_radial", (0.01, 0.042))
+    events = Scenario(
+        (0.0, 0.0),
+        (
+            Cell(2, east, lens, uniform),
+            Cell(3, west, kite, radial),
+            Cell(4, north, Disk((0.0, 0.042), 0.01), rim),
+        ),
+        DEFAULT_CHANNEL,
+        rayleigh,
+        BoundParams(),
+    )
     drop = build_hotspot_layout(
         84, HOTSPOT_RADIUS_KM, HOTSPOT_LAYOUT_SEED, "inverse_radial", rayleigh
     )
@@ -70,6 +104,7 @@ def _scenarios():
         ("hotspot_fit", build("hotspot_fit")),
         ("hotspot84", drop),
         ("carves", carves),
+        ("events", events),
     ]
 
 

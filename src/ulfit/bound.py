@@ -51,7 +51,6 @@ __all__ = [
     "step1_bound",
     "step2_bound",
     "total_bound",
-    "erfc_fourier",
 ]
 
 _TERM_FLOOR = 1e-18
@@ -246,14 +245,3 @@ def total_bound(
         sigma_l2=stats.sigma_l2,
     )
 
-
-def erfc_fourier(x: float, omega: float, p: int) -> float:
-    """Truncated Fourier-series evaluation of erfc, for validation only.
-
-    Valid on the principal period |x| < pi/(2 omega).
-    """
-    if abs(x) >= math.pi / (2.0 * omega):
-        raise DomainError("x outside the principal period")
-    n = np.arange(1, 2 * p, 2, dtype=float)
-    terms = np.exp(-(n**2) * omega**2) / n * np.sin(2.0 * n * omega * x)
-    return 1.0 - (4.0 / math.pi) * float(terms.sum())

@@ -27,17 +27,14 @@ origin is the density's own origin for "inverse_radial", where the kernel
 region's first annulus in part order, which in a ue_domain region is the
 serving-station carve (the bounding-box center if there is no annulus).
 
-In theta the circle is cut into panels at the angles where an interval
-endpoint changes the boundary piece that defines it: polygon vertices,
-tangencies and boundary crossings. Neighbouring scan angles whose piece
-labels differ bracket them, and a search that splits every bracket 16
-ways per round narrows each bracket to an ulp; its first rounds keep
-every sub-bracket whose labels change, so a scan gap that holds two
-changes yields both. The scan is a fixed fan plus the direction of every
-vertex and of every circle or ellipse center, so that a piece narrower
-than the fan is still seen. Inside a panel the integrand is smooth in
-theta except for square-root behaviour at a tangency end, which the
-substitution theta = a + (b - a)(3 s^2 - 2 s^3) turns smooth in s.
+In theta the circle is cut into panels at the event angles, where an
+interval endpoint changes the boundary piece that defines it. The pieces
+are conics {p : |M (p - c)| = 1} and polygon edges; the events, in closed
+form, are the polygon vertices, the tangents from the origin to each conic
+and the crossings of pieces of different parts. Inside a panel the
+integrand is smooth in theta except for square-root behaviour at a
+tangency end, which the substitution theta = a + (b - a)(3 s^2 - 2 s^3)
+turns smooth in s.
 
 Each panel is integrated by composite 16-point Gauss-Legendre rules, in s
 and in r on every interval. Both double their pieces until every tracked
@@ -76,21 +73,10 @@ _REL_TOL = 1e-7
 # in r on each interval. Every cell of the test suite settles at 4 pieces
 # or fewer.
 _MAX_PIECES = 16
-# Scan fan for panel breaks, and the search that refines them: _ROUNDS
-# rounds of a _WAYS-way split cut a scan gap of at most 2 pi / 2048 by
-# 16^12 = 2^48, below one ulp of 2 pi. The first _SPLIT_ROUNDS rounds
-# keep every changed sub-bracket, down to about 1e-6 rad; later ones
-# follow one change per bracket, because at a tangency the labels flicker
-# with rounding over about sqrt(eps) rad.
-_SCAN = 1024
-_WAYS = 16
-_ROUNDS = 12
-_SPLIT_ROUNDS = 3
+# Relative tolerance of a panel break's point and angle (_panels).
+_EVENT_TOL = 1e-12
 # Tiles per side of a uniform cell's rejection envelope (rejection_envelope).
 _TILES = 64
-# Endpoint labels besides the boundary-piece indices (>= 0).
-_EMPTY = -1
-_AT_ORIGIN = -2
 
 
 def _as_point(p, name: str = "point") -> tuple[float, float]:
@@ -118,24 +104,12 @@ def _roots(b, cc, disc):
     return lo, hi
 
 
-def _pack(lo, hi, llo, lhi):
-    """Interval columns per ray; empty ones become (inf, inf) labelled _EMPTY."""
+def _pack(lo, hi):
+    """Interval columns per ray; empty ones become (inf, inf)."""
     lo, hi = np.column_stack(lo), np.column_stack(hi)
-    llo, lhi = np.column_stack(llo), np.column_stack(lhi)
     empty = ~(lo < hi)
     lo[empty] = hi[empty] = np.inf
-    llo[empty] = lhi[empty] = _EMPTY
-    return lo, hi, llo, lhi
-
-
-def _convex_span(lo, hi, label):
-    """The one interval of a convex piece from its boundary roots, cut at r = 0."""
-    return _pack(
-        [np.maximum(lo, 0.0)],
-        [hi],
-        [np.where(lo > 0, label, _AT_ORIGIN)],
-        [np.full(hi.shape, label)],
-    )
+    return lo, hi
 
 
 def _meet(a, b):
@@ -144,22 +118,20 @@ def _meet(a, b):
     Each interval of the result starts at a distinct start of a or b, so
     ka + kb columns hold it.
     """
-    alo, ahi, allo, alhi = (x[:, :, None] for x in a)
-    blo, bhi, bllo, blhi = (x[:, None, :] for x in b)
+    alo, ahi = (x[:, :, None] for x in a)
+    blo, bhi = (x[:, None, :] for x in b)
     n, ka, kb = alo.shape[0], alo.shape[1], blo.shape[2]
     shape = (n, ka * kb)
-    lo, hi, llo, lhi = _pack(
-        [np.maximum(alo, blo).reshape(shape)],
-        [np.minimum(ahi, bhi).reshape(shape)],
-        [np.where(alo >= blo, allo, bllo).reshape(shape)],
-        [np.where(ahi <= bhi, alhi, blhi).reshape(shape)],
+    lo, hi = _pack(
+        [np.maximum(alo, blo).reshape(shape)], [np.minimum(ahi, bhi).reshape(shape)]
     )
     order = np.argsort(lo, axis=1, kind="stable")[:, : min(ka * kb, ka + kb)]
-    return tuple(np.take_along_axis(x, order, axis=1) for x in (lo, hi, llo, lhi))
+    return np.take_along_axis(lo, order, axis=1), np.take_along_axis(hi, order, axis=1)
 
 
-def _direction(o, p):
-    return math.atan2(p[1] - o[1], p[0] - o[0])
+def _circle(leaf, center, radius):
+    """A circle as a conic piece of ``leaf`` (see _pieces)."""
+    return (leaf, np.asarray(center), np.eye(2) / radius, radius)
 
 
 def _xy(p):
@@ -194,10 +166,10 @@ class Disk:
         r2 = self.radius_km**2
         perp = c * py - s * px
         lo, hi = _roots(c * px + s * py, px * px + py * py - r2, r2 - perp * perp)
-        return _convex_span(lo, hi, 0)
+        return _pack([np.maximum(lo, 0.0)], [hi])
 
-    def _directions(self, o):
-        return [_direction(o, self.center)]
+    def _pieces(self):
+        return [_circle(self, self.center, self.radius_km)], []
 
     def _gap(self, p):
         x, y = _xy(p)
@@ -235,9 +207,8 @@ class Annulus:
         return (cx - r, cy - r, cx + r, cy + r)
 
     def _ray(self, o, c, s):
-        # Labels: 0 the inner circle, 1 the outer. The outer disk's interval
-        # [start, ohi] loses the open hole (ilo, ihi): what precedes the hole
-        # and what follows it.
+        # The outer disk's interval [start, ohi] loses the open hole
+        # (ilo, ihi): what precedes the hole and what follows it.
         px, py = o[0] - self.center[0], o[1] - self.center[1]
         b, d2 = c * px + s * py, px * px + py * py
         perp2 = (c * py - s * px) ** 2
@@ -245,16 +216,11 @@ class Annulus:
         olo, ohi = _roots(b, d2 - ro2, ro2 - perp2)
         ilo, ihi = _roots(b, d2 - ri2, ri2 - perp2)
         start = np.maximum(olo, 0.0)
-        start_label = np.where(olo > 0, 1, _AT_ORIGIN)
-        return _pack(
-            [start, np.maximum(start, ihi)],
-            [np.minimum(ohi, ilo), ohi],
-            [start_label, np.where(ihi > start, 0, start_label)],
-            [np.where(ilo < ohi, 0, 1), np.full(ohi.shape, 1)],
-        )
+        return _pack([start, np.maximum(start, ihi)], [np.minimum(ohi, ilo), ohi])
 
-    def _directions(self, o):
-        return [_direction(o, self.center)]
+    def _pieces(self):
+        radii = (self.r_inner, self.r_outer) if self.r_inner > 0 else (self.r_outer,)
+        return [_circle(self, self.center, r) for r in radii], []
 
     def _gap(self, p):
         x, y = _xy(p)
@@ -317,10 +283,11 @@ class Ellipse:
             (u0 * u0 + v0 * v0 - 1.0) / a,
             (a - perp * perp) / (a * a),
         )
-        return _convex_span(lo, hi, 0)
+        return _pack([np.maximum(lo, 0.0)], [hi])
 
-    def _directions(self, o):
-        return [_direction(o, self.center)]
+    def _pieces(self):
+        size = min(self.a_km, self.b_km)
+        return [(self, np.asarray(self.center), self._unit_map(), size)], []
 
     def _gap(self, p):
         # |M (p - center)| - 1 is the gap in unit-disk coordinates, and M
@@ -369,25 +336,15 @@ class Polygon:
         return 0.5 * acc
 
     def _is_simple(self) -> bool:
-        vs = self.vertices
-        n = len(vs)
-        edges = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
-
-        def _proper_cross(a, b, c, d):
-            def orient(p, q, r):
-                return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-            o1, o2 = orient(a, b, c), orient(a, b, d)
-            o3, o4 = orient(c, d, a), orient(c, d, b)
-            return (o1 * o2 < 0) and (o3 * o4 < 0)
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                if _proper_cross(*edges[i], *edges[j]):
-                    return False
-        return True
+        # No two edges cross properly, each with its ends strictly on both
+        # sides of the other's line. Edges that share a vertex never do: the
+        # shared end's side is exactly 0.
+        a = np.asarray(self.vertices)
+        b = np.roll(a, -1, axis=0)
+        ends = np.stack((a, b), axis=1)
+        side = _cross((b - a)[:, None, None], ends - a[:, None, None])
+        straddles = side[..., 0] * side[..., 1] < 0
+        return not (straddles & straddles.T).any()
 
     def _mask(self, x, y):
         # Crossing-number test, vectorized over flat coordinate arrays.
@@ -409,12 +366,12 @@ class Polygon:
         return (min(xs), min(ys), max(xs), max(ys))
 
     def _ray(self, o, c, s):
-        # Crossing number along each ray. Edge i (label i) crosses the ray's
-        # line when its ends lie strictly on different sides, a vertex on
-        # the line counting as the negative side: a ray through a vertex
-        # then crosses once where the boundary passes and zero or two times
-        # where it only touches. An odd count of crossings at r > 0 puts
-        # the origin inside, and the intervals start at r = 0.
+        # Crossing number along each ray. An edge crosses the ray's line when
+        # its ends lie strictly on different sides, a vertex on the line
+        # counting as the negative side: a ray through a vertex then crosses
+        # once where the boundary passes and zero or two times where it
+        # only touches. An odd count of crossings at r > 0 puts the origin
+        # inside, and the intervals start at r = 0.
         v = np.asarray(self.vertices) - o
         w = np.roll(v, -1, axis=0)
         side = c[:, None] * v[:, 1] - s[:, None] * v[:, 0]
@@ -425,21 +382,14 @@ class Polygon:
                 v[:, 1] + t * (w[:, 1] - v[:, 1])
             )
         r = np.where(((side > 0) != (side_next > 0)) & (r > 0), r, np.inf)
-        label = np.argsort(r, axis=1, kind="stable")
-        r = np.take_along_axis(r, label, axis=1)
-        inside = np.isfinite(r).sum(axis=1) % 2 == 1
-        nv = len(self.vertices)
-        ends = np.full((len(c), 2 * ((nv + 2) // 2)), np.inf)
-        labels = np.full(ends.shape, _EMPTY)
-        ends[inside, 0], labels[inside, 0] = 0.0, _AT_ORIGIN
-        ends[inside, 1 : nv + 1], labels[inside, 1 : nv + 1] = r[inside], label[inside]
-        ends[~inside, :nv], labels[~inside, :nv] = r[~inside], label[~inside]
-        return _pack(
-            [ends[:, 0::2]], [ends[:, 1::2]], [labels[:, 0::2]], [labels[:, 1::2]]
-        )
+        start = np.where(np.isfinite(r).sum(axis=1) % 2 == 1, 0.0, np.inf)
+        ends = np.full((len(c), 2 * ((len(v) + 2) // 2)), np.inf)
+        ends[:, : len(v) + 1] = np.sort(np.column_stack((start, r)), axis=1)
+        return _pack([ends[:, 0::2]], [ends[:, 1::2]])
 
-    def _directions(self, o):
-        return [_direction(o, v) for v in self.vertices]
+    def _pieces(self):
+        vs = np.asarray(self.vertices)
+        return [], [(self, vs, np.roll(vs, -1, axis=0))]
 
     def _gap(self, p):
         x, y = _xy(p)
@@ -484,18 +434,14 @@ class Intersection:
         return (xmin, ymin, xmax, ymax)
 
     def _ray(self, o, c, s):
-        out = None
-        k = len(self.parts)
-        for i, part in enumerate(self.parts):
-            lo, hi, llo, lhi = part._ray(o, c, s)
-            # Piece j of part i becomes j k + i: distinct across parts.
-            llo = np.where(llo >= 0, llo * k + i, llo)
-            lhi = np.where(lhi >= 0, lhi * k + i, lhi)
-            out = (lo, hi, llo, lhi) if out is None else _meet(out, (lo, hi, llo, lhi))
+        out = self.parts[0]._ray(o, c, s)
+        for part in self.parts[1:]:
+            out = _meet(out, part._ray(o, c, s))
         return out
 
-    def _directions(self, o):
-        return [d for p in self.parts for d in p._directions(o)]
+    def _pieces(self):
+        pieces = [part._pieces() for part in self.parts]
+        return [c for cs, _ in pieces for c in cs], [e for _, es in pieces for e in es]
 
     def _gap(self, p):
         return np.maximum.reduce([part._gap(p) for part in self.parts])
@@ -592,84 +538,137 @@ def _polar_origin(region: Region, density: UeDensity) -> tuple[float, float]:
     return (0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
 
 
-def _labels(region, origin, theta):
-    """Per-ray endpoint labels: equal rows share their boundary pieces."""
-    _, _, llo, lhi = region._ray(origin, np.cos(theta), np.sin(theta))
-    return np.concatenate((llo, lhi), axis=1)
+def _cross(u, v):
+    """z-component of u x v over the last axis."""
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique of a 1-D array without NaN, minus its import of numpy.ma."""
-    a = np.sort(a)
-    return a[np.append(True, a[1:] != a[:-1])]
+def _off(conic, p):
+    """Distance lower bound from points p (n, 2) to a conic piece's curve."""
+    _, c, m, size = conic
+    return size * np.abs(np.hypot(*(m @ (p - c).T)) - 1.0)
+
+
+def _tangents(conic, o):
+    """The two tangent rays from o to a conic: (directions, touch points).
+
+    With u = M (o - c), d^2 = |u|^2 and J the quarter turn, they leave along
+    M^-1 (-sqrt(d^2 - 1) u +- J u) and touch at c + M^-1 (u +- sqrt(d^2 - 1)
+    J u) / d^2; at d = 1, o on the curve, they are the tangent line at o.
+    For d < 1 the "touch points" lie off the curve, at 1 / d.
+    """
+    _, c, m, _ = conic
+    back = np.linalg.inv(m)
+    u = m @ (o - c)
+    d2 = u @ u
+    s = math.sqrt(max(d2 - 1.0, 0.0))
+    ju = np.array([-u[1], u[0]])
+    sign = np.array([[1.0], [-1.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        touch = c + (u + sign * s * ju) @ back.T / d2
+    return (sign * ju - s * u) @ back.T, touch
+
+
+def _conic_crossings(a, b):
+    """Candidate points where conic a's curve meets conic b's.
+
+    On a's curve p = c_a + M_a^-1 e(phi), e = (cos phi, sin phi), b's
+    equation |w + K e|^2 = 1, with w = M_b (c_a - c_b) and K = M_b M_a^-1,
+    is a quartic in tau = tan(phi / 2). Newton steps in phi polish its
+    roots and phi = pi (tau = inf); the real part of a complex root may
+    come back off b's curve, for the caller to drop.
+    """
+    _, ca, ma, _ = a
+    _, cb, mb, _ = b
+    back = np.linalg.inv(ma)
+    k, w = mb @ back, mb @ (ca - cb)
+    g, h = k.T @ k, 2.0 * (k.T @ w)
+    # |w + K e|^2 - 1 = a0 + h . e + a2 cos 2 phi + g01 sin 2 phi.
+    a0 = w @ w - 1.0 + 0.5 * (g[0, 0] + g[1, 1])
+    a2 = 0.5 * (g[0, 0] - g[1, 1])
+    c4, c2, c0 = a0 - h[0] + a2, 2.0 * a0 - 6.0 * a2, a0 + h[0] + a2
+    c3, c1 = 2.0 * h[1] - 4.0 * g[0, 1], 2.0 * h[1] + 4.0 * g[0, 1]
+    tau = np.roots([c4, c3, c2, c1, c0])
+    phi = start = np.append(2.0 * np.arctan(tau.real), math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(8):
+            e = np.array([np.cos(phi), np.sin(phi)])
+            q = w[:, None] + k @ e
+            slope = 2.0 * (q * (k @ np.array([-e[1], e[0]]))).sum(axis=0)
+            phi = phi - ((q * q).sum(axis=0) - 1.0) / slope
+        # A start that moved far has left its root, or had none to polish.
+        phi = phi[np.abs(phi - start) <= 1e-6]
+        return ca + np.column_stack((np.cos(phi), np.sin(phi))) @ back.T
+
+
+def _conic_segments(conic, a, b):
+    """Points where a conic's curve crosses the segments a[i] -> b[i]."""
+    _, c, m, _ = conic
+    u, v = (a - c) @ m.T, (b - a) @ m.T
+    vv = (v * v).sum(axis=1)
+    # |u + t v|^2 = 1 in the segment parameter t, its quarter discriminant
+    # by Lagrange's identity.
+    lo, hi = _roots(
+        (u * v).sum(axis=1) / vv,
+        ((u * u).sum(axis=1) - 1.0) / vv,
+        (vv - _cross(u, v) ** 2) / (vv * vv),
+    )
+    t = np.concatenate((lo, hi))
+    hit = (t >= 0.0) & (t <= 1.0)
+    a, b = np.concatenate((a, a))[hit], np.concatenate((b, b))[hit]
+    return a + t[hit, None] * (b - a)
+
+
+def _segment_crossings(a1, b1, a2, b2):
+    """Points where a segment a1[i] -> b1[i] crosses a segment a2[j] -> b2[j]."""
+    d1, d2, e = (b1 - a1)[:, None], (b2 - a2)[None], a2[None] - a1[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _cross(e, d2) / _cross(d1, d2)
+        s = _cross(e, d1) / _cross(d1, d2)
+    i, j = np.nonzero((t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0))
+    return a1[i] + t[i, j, None] * d1[i, 0]
 
 
 def _panels(region: Region, origin) -> np.ndarray:
-    """(P, 2) theta panels, consecutive around the circle, cut at label changes.
+    """(P, 2) theta panels, consecutive around the circle, cut at the events.
 
-    Every neighbouring pair of scan angles whose labels differ is a bracket.
-    A round of the search cuts each bracket into 16 equal sub-brackets by
-    nested halving and labels their 15 interior points in one _labels
-    call. The first _SPLIT_ROUNDS rounds keep every sub-bracket whose end
-    labels differ; later rounds keep the one that bisection on the lower
-    label would reach. The points are the floats that bisection would
-    visit, so a bracket that holds one change ends at bisection's final
-    bracket, bit for bit, and changes more than about 1e-6 rad apart each
-    end a bracket of their own. A panel break is the upper end of a final
-    bracket.
-
-    Raises:
-        EmptyRegion: if no scan ray meets the region.
+    The candidate events are the polygon vertices, the touch points of the
+    tangents from the origin to every curve, and the crossings of pieces of
+    different parts. A candidate counts when it lies on its curves and in
+    the closure of every part, both within _EVENT_TOL times the coordinate
+    scale; its break is the angle of its ray, and breaks within _EVENT_TOL
+    rad of each other are one.
     """
+    o = np.asarray(origin, dtype=float)
+    tol = _EVENT_TOL * max(*map(abs, region._bbox()), *map(abs, o))
+    conics, polygons = region._pieces()
+    # (ray directions, points on them) per kind of candidate.
+    found = [(a - o, a) for _, a, _ in polygons]
+    for i, conic in enumerate(conics):
+        ray, touch = _tangents(conic, o)
+        on = _off(conic, touch) <= tol
+        found.append((ray[on], touch[on]))
+        for other in conics[i + 1 :]:
+            if other[0] is not conic[0]:
+                p = _conic_crossings(conic, other)
+                p = p[_off(other, p) <= tol]
+                found.append((p - o, p))
+        for leaf, a, b in polygons:
+            if leaf is not conic[0]:
+                p = _conic_segments(conic, a, b)
+                found.append((p - o, p))
+    for i, (leaf, a1, b1) in enumerate(polygons):
+        for other, a2, b2 in polygons[i + 1 :]:
+            if other is not leaf:
+                p = _segment_crossings(a1, b1, a2, b2)
+                found.append((p - o, p))
+    ray, p = (np.concatenate(x) for x in zip(*found))
+    ray = ray[region._gap(p) <= tol]
     two_pi = 2.0 * math.pi
-    fan = two_pi * np.arange(_SCAN) / _SCAN
-    scan = _sorted_unique(
-        np.concatenate((fan, np.mod(region._directions(origin), two_pi)))
-    )
-    # Midpoints too, so each gap between special directions has a sample.
-    mids = scan + 0.5 * np.diff(scan, append=scan[0] + two_pi)
-    scan = _sorted_unique(np.mod(np.concatenate((scan, mids)), two_pi))
-    labels = _labels(region, origin, scan)
-    if (labels == _EMPTY).all():
-        raise EmptyRegion("no ray from the polar origin meets the region")
-    after = np.roll(labels, -1, axis=0)
-    changed = (labels != after).any(axis=1)
-    if not changed.any():
+    breaks = np.sort(np.mod(np.arctan2(ray[:, 1], ray[:, 0]), two_pi))
+    if not breaks.size:
         return np.array([[0.0, two_pi]])
-    lo = scan[changed]
-    hi = np.append(scan[1:], scan[0] + two_pi)[changed]
-    lo_labels, hi_labels = labels[changed], after[changed]
-    for round_ in range(_ROUNDS):
-        ends = np.empty((len(lo), _WAYS + 1))
-        ends[:, 0], ends[:, -1] = lo, hi
-        step = _WAYS // 2
-        while step:
-            ends[:, step::2 * step] = 0.5 * (
-                ends[:, : -step : 2 * step] + ends[:, 2 * step :: 2 * step]
-            )
-            step //= 2
-        inner = _labels(region, origin, ends[:, 1:-1].ravel())
-        lab = np.concatenate(
-            (
-                lo_labels[:, None],
-                inner.reshape(len(lo), _WAYS - 1, -1),
-                hi_labels[:, None],
-            ),
-            axis=1,
-        )
-        if round_ < _SPLIT_ROUNDS:
-            row, k = np.nonzero((lab[:, 1:] != lab[:, :-1]).any(axis=2))
-        else:
-            # Bisection's path: step right while the point keeps the lower label.
-            same = (lab == lab[:, :1]).all(axis=2)
-            row, k = np.arange(len(lo)), np.zeros(len(lo), dtype=np.intp)
-            step = _WAYS // 2
-            while step:
-                k += step * same[row, k + step]
-                step //= 2
-        lo, hi = ends[row, k], ends[row, k + 1]
-        lo_labels, hi_labels = lab[row, k], lab[row, k + 1]
-    breaks = np.sort(np.mod(hi, two_pi))
+    breaks = breaks[np.diff(breaks, prepend=breaks[-1] - two_pi) > _EVENT_TOL]
     return np.column_stack((breaks, np.append(breaks[1:], breaks[0] + two_pi)))
 
 
@@ -697,7 +696,7 @@ def _level(region, density, origin, field, panels, pieces):
     panel_of = np.repeat(np.arange(len(panels)), s.size)
 
     c, sn = np.cos(theta), np.sin(theta)
-    lo, hi, _, _ = region._ray(origin, c, sn)
+    lo, hi = region._ray(origin, c, sn)
     row, col = np.nonzero(lo < hi)
     lo, length = lo[row, col, None], hi[row, col, None] - lo[row, col, None]
     r = lo + length * s
@@ -808,9 +807,9 @@ def density_profile(region: Region, density: UeDensity, value_fn):
 
     Raises:
         DomainError: if value_fn returns any shape other than (n,).
-        QuadratureFailure, EmptyRegion: if a theta panel does not settle
-            or no ray from the polar origin meets the region. Exceptions
-            value_fn raises propagate unchanged.
+        QuadratureFailure: if a theta panel does not settle.
+        EmptyRegion: if the region carries no mass under the density.
+            Exceptions value_fn raises propagate unchanged.
     """
     _, (mean, m2), (w, v) = _integrate(region, density, value_fn)
     return mean, max(m2 - mean * mean, 0.0), w / w.sum(), v

