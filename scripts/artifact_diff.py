@@ -10,8 +10,13 @@ column, and the float64 values of a sample file (8-byte little-endian
 count, then the values). The relative move of a pair (a, b) is
 |a - b| / max(|a|, |b|). Anything else that changed, a string, a boolean
 such as a verdict, a shape or a file present on one side only, is listed
-after it. The exit status is 0 when the trees are byte-identical, 1 when
-any file differs, and 2 on a usage error.
+after it. Then come the numbers that moved, grouped by name: the last
+key of a JSON path (list indices skipped, so every entry of per_cell
+shares "eps2"), a CSV column's header, or "sample" for a sample file,
+each group with its largest relative and absolute move, largest first;
+a sample file also gives the index of its largest move. The exit status
+is 0 when the trees are byte-identical, 1 when any file differs, and 2
+on a usage error.
 """
 
 from __future__ import annotations
@@ -28,16 +33,17 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _json_pairs(a, b, path, pairs, other):
-    """Collect the number pairs of two JSON values, and what else differs."""
+def _json_pairs(a, b, path, pairs, other, name=""):
+    """Collect the (name, a, b) number triples of two JSON values, and what
+    else differs; ``name`` is the last key on the path."""
     if _is_number(a) and _is_number(b):
-        pairs.append((a, b))
+        pairs.append((name, a, b))
     elif isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for key in a:
-            _json_pairs(a[key], b[key], f"{path}/{key}", pairs, other)
+            _json_pairs(a[key], b[key], f"{path}/{key}", pairs, other, key)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
-            _json_pairs(x, y, f"{path}/{i}", pairs, other)
+            _json_pairs(x, y, f"{path}/{i}", pairs, other, name)
     elif a != b:
         other.append(f"{path or '/'}: {json.dumps(a)} -> {json.dumps(b)}")
 
@@ -55,11 +61,13 @@ def _csv_pairs(a: Path, b: Path, pairs, other):
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         other.append(f"shape {len(rows_a)} rows -> {len(rows_b)} rows")
         return
+    header = rows_a[0] if rows_a else []
     for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         for j, (x, y) in enumerate(zip(ra, rb)):
             u, v = _number(x), _number(y)
             if u is not None and v is not None:
-                pairs.append((u, v))
+                name = header[j] if j < len(header) else f"column {j}"
+                pairs.append((name, u, v))
             elif x != y:
                 other.append(f"row {i} column {j}: {x!r} -> {y!r}")
 
@@ -78,12 +86,19 @@ def _bin_pairs(a: Path, b: Path, pairs, other):
     if len(va) != len(vb):
         other.append(f"count {len(va)} -> {len(vb)}")
         return
-    pairs.extend(zip(va, vb))
+    pairs.extend(("sample", x, y) for x, y in zip(va, vb))
+
+
+def _moves(pairs):
+    """(relative, absolute) move of each (name, a, b) triple."""
+    for _, x, y in pairs:
+        move, scale = abs(x - y), max(abs(x), abs(y))
+        yield (move / scale if scale else 0.0), move
 
 
 def compare(a: Path, b: Path):
     """(largest absolute move, largest relative move, number count, other
-    changes) of two files of the same name."""
+    changes, per-name lines) of two files of the same name."""
     pairs, other = [], []
     if a.suffix == ".json":
         docs = json.loads(a.read_text()), json.loads(b.read_text())
@@ -94,13 +109,22 @@ def compare(a: Path, b: Path):
         _bin_pairs(a, b, pairs, other)
     else:
         other.append("not a JSON, CSV or sample file")
-    worst_abs = worst_rel = 0.0
-    for x, y in pairs:
-        move = abs(x - y)
-        scale = max(abs(x), abs(y))
-        worst_abs = max(worst_abs, move)
-        worst_rel = max(worst_rel, move / scale if scale else 0.0)
-    return worst_abs, worst_rel, len(pairs), other
+    moves = list(_moves(pairs))
+    worst_rel = max((rel for rel, _ in moves), default=0.0)
+    worst_abs = max((move for _, move in moves), default=0.0)
+    by_name = {}
+    for (name, _, _), (rel, move) in zip(pairs, moves):
+        if move:
+            old = by_name.get(name, (0.0, 0.0))
+            by_name[name] = (max(old[0], rel), max(old[1], move))
+    lines = [
+        f"{name}: max rel {rel:.3e}, max abs {move:.3e}"
+        for name, (rel, move) in sorted(by_name.items(), key=lambda kv: -kv[1][0])
+    ]
+    if a.suffix == ".bin" and by_name:
+        worst = max(range(len(moves)), key=lambda i: moves[i])
+        lines.append(f"largest move at index {worst}")
+    return worst_abs, worst_rel, len(pairs), other, lines
 
 
 def main(argv) -> int:
@@ -121,12 +145,12 @@ def main(argv) -> int:
         if a.read_bytes() == b.read_bytes():
             continue
         status = 1
-        worst_abs, worst_rel, count, other = compare(a, b)
+        worst_abs, worst_rel, count, other, lines = compare(a, b)
         print(
             f"{name}: max abs {worst_abs:.3e}, max rel {worst_rel:.3e} "
             f"over {count} numbers"
         )
-        for line in other:
+        for line in other + lines:
             print(f"  {line}")
     return status
 

@@ -1,4 +1,4 @@
-"""Run the CLI chain on five scenarios and keep every artifact in one tree.
+"""Run the CLI chain on seven scenarios and keep every artifact in one tree.
 
     python3 scripts/cli_artifacts.py SRC OUT
 
@@ -15,7 +15,9 @@ user-domain carves: a uniform and an inverse-radial annulus, each centred
 on its station, and an annulus-polygon intersection; and three cells that
 put every kind of panel break in the quadrature: two crossing ellipses,
 two crossing polygons, and an inverse-radial disk whose density origin
-lies on its rim. On each scenario the
+lies on its rim; and the bread cell of the single-cell sweep under the
+other two fading kinds, uniform with Rician fading (gamma 5) and
+inverse-radial with none. On each scenario the
 chain runs bound, fit with a grid, simulate with one and with two
 workers, and compare. The exit status is 0 when every command exits 0,
 and otherwise the first failing command's.
@@ -52,6 +54,7 @@ def _scenarios():
         Cell,
         Scenario,
         build_hotspot_layout,
+        build_single_cell,
     )
 
     rayleigh = FadingModel("rayleigh")
@@ -105,6 +108,8 @@ def _scenarios():
         ("hotspot84", drop),
         ("carves", carves),
         ("events", events),
+        ("rician", build_single_cell(0.01, "uniform", FadingModel("rician", 5.0))),
+        ("nofading", build_single_cell(0.01, "inverse_radial", FadingModel("none"))),
     ]
 
 

@@ -18,23 +18,25 @@ above; since the kernel 1/rho cancels the polar Jacobian, that proposal
 already has the density's law. In both kinds the accept test is region
 membership alone.
 
-Integration against a user density is polar. Every primitive returns the
-exact radial intervals that rays from a polar origin cut from it (the
-roots of a quadratic for disks, annuli and ellipses, the edge crossings
-for polygons), and an intersection intersects those interval lists. The
-origin is the density's own origin for "inverse_radial", where the kernel
-1/rho cancels the polar Jacobian, and for "uniform" the center of the
-region's first annulus in part order, which in a ue_domain region is the
-serving-station carve (the bounding-box center if there is no annulus).
+Integration against a user density is polar. A region's boundary is a
+set of pieces, conics {p : |M (p - c)| = 1} and polygon edges, and one
+clipper serves every shape and every nesting of intersections: each ray
+from the polar origin is cut at the origin and where it crosses a piece
+(the roots of a quadratic, or a 2 x 2 solve), and the stretches between
+consecutive cuts whose midpoints lie in the region are its exact radial
+intervals. The origin is the density's own origin for "inverse_radial",
+where the kernel 1/rho cancels the polar Jacobian, and for "uniform" the
+center of the region's first annulus in part order, which in a ue_domain
+region is the serving-station carve (the bounding-box center if there is
+no annulus).
 
 In theta the circle is cut into panels at the event angles, where an
-interval endpoint changes the boundary piece that defines it. The pieces
-are conics {p : |M (p - c)| = 1} and polygon edges; the events, in closed
-form, are the polygon vertices, the tangents from the origin to each conic
-and the crossings of pieces of different parts. Inside a panel the
-integrand is smooth in theta except for square-root behaviour at a
-tangency end, which the substitution theta = a + (b - a)(3 s^2 - 2 s^3)
-turns smooth in s.
+interval endpoint changes the boundary piece that defines it. The events,
+in closed form, are the polygon vertices, the tangents from the origin to
+each conic and the crossings of pieces of different parts. Inside a
+panel the integrand is smooth in theta except for square-root behaviour
+at a tangency end, which the substitution
+theta = a + (b - a)(3 s^2 - 2 s^3) turns smooth in s.
 
 Each panel is integrated by composite 16-point Gauss-Legendre rules, in s
 and in r on every interval. Both double their pieces until every tracked
@@ -90,9 +92,10 @@ def _roots(b, cc, disc):
     """Ordered roots of r^2 + 2 b r + cc = 0, (inf, inf) where none are real.
 
     ``disc`` is the quarter discriminant b^2 - cc, which the caller forms
-    without cancellation: for a circle of radius R it is R^2 minus the
-    squared distance from its center to the ray's line. A double root, a
-    tangent ray, counts as no crossing. The larger root in magnitude is
+    without cancellation: where a line p + r v meets a conic
+    |M (x - c)| = 1, with u = M (p - c) and w = M v, Lagrange's identity
+    gives it as (|w|^2 - (u x w)^2) / |w|^4. A double root, a tangent
+    line, counts as no crossing. The larger root in magnitude is
     formed first so the other avoids cancellation.
     """
     hit = disc > 0
@@ -102,31 +105,6 @@ def _roots(b, cc, disc):
     lo = np.where(hit, np.minimum(q, other), np.inf)
     hi = np.where(hit, np.maximum(q, other), np.inf)
     return lo, hi
-
-
-def _pack(lo, hi):
-    """Interval columns per ray; empty ones become (inf, inf)."""
-    lo, hi = np.column_stack(lo), np.column_stack(hi)
-    empty = ~(lo < hi)
-    lo[empty] = hi[empty] = np.inf
-    return lo, hi
-
-
-def _meet(a, b):
-    """Per-ray intersection of two interval sets, sorted, empties last.
-
-    Each interval of the result starts at a distinct start of a or b, so
-    ka + kb columns hold it.
-    """
-    alo, ahi = (x[:, :, None] for x in a)
-    blo, bhi = (x[:, None, :] for x in b)
-    n, ka, kb = alo.shape[0], alo.shape[1], blo.shape[2]
-    shape = (n, ka * kb)
-    lo, hi = _pack(
-        [np.maximum(alo, blo).reshape(shape)], [np.minimum(ahi, bhi).reshape(shape)]
-    )
-    order = np.argsort(lo, axis=1, kind="stable")[:, : min(ka * kb, ka + kb)]
-    return np.take_along_axis(lo, order, axis=1), np.take_along_axis(hi, order, axis=1)
 
 
 def _circle(leaf, center, radius):
@@ -160,13 +138,6 @@ class Disk:
         cx, cy = self.center
         r = self.radius_km
         return (cx - r, cy - r, cx + r, cy + r)
-
-    def _ray(self, o, c, s):
-        px, py = o[0] - self.center[0], o[1] - self.center[1]
-        r2 = self.radius_km**2
-        perp = c * py - s * px
-        lo, hi = _roots(c * px + s * py, px * px + py * py - r2, r2 - perp * perp)
-        return _pack([np.maximum(lo, 0.0)], [hi])
 
     def _pieces(self):
         return [_circle(self, self.center, self.radius_km)], []
@@ -205,18 +176,6 @@ class Annulus:
         cx, cy = self.center
         r = self.r_outer
         return (cx - r, cy - r, cx + r, cy + r)
-
-    def _ray(self, o, c, s):
-        # The outer disk's interval [start, ohi] loses the open hole
-        # (ilo, ihi): what precedes the hole and what follows it.
-        px, py = o[0] - self.center[0], o[1] - self.center[1]
-        b, d2 = c * px + s * py, px * px + py * py
-        perp2 = (c * py - s * px) ** 2
-        ro2, ri2 = self.r_outer**2, self.r_inner**2
-        olo, ohi = _roots(b, d2 - ro2, ro2 - perp2)
-        ilo, ihi = _roots(b, d2 - ri2, ri2 - perp2)
-        start = np.maximum(olo, 0.0)
-        return _pack([start, np.maximum(start, ihi)], [np.minimum(ohi, ilo), ohi])
 
     def _pieces(self):
         radii = (self.r_inner, self.r_outer) if self.r_inner > 0 else (self.r_outer,)
@@ -269,21 +228,6 @@ class Ellipse:
         """M with the ellipse = {p : |M (p - center)| <= 1}."""
         c, s = math.cos(self.rotation_rad), math.sin(self.rotation_rad)
         return np.array([[c, s], [-s, c]]) / np.array([[self.a_km], [self.b_km]])
-
-    def _ray(self, o, c, s):
-        m = self._unit_map()
-        u0, v0 = m @ (np.asarray(o) - self.center)
-        eu = m[0, 0] * c + m[0, 1] * s
-        ev = m[1, 0] * c + m[1, 1] * s
-        a = eu * eu + ev * ev
-        # b^2 - cc = (a - (u0 ev - v0 eu)^2) / a^2 by Lagrange's identity.
-        perp = u0 * ev - v0 * eu
-        lo, hi = _roots(
-            (u0 * eu + v0 * ev) / a,
-            (u0 * u0 + v0 * v0 - 1.0) / a,
-            (a - perp * perp) / (a * a),
-        )
-        return _pack([np.maximum(lo, 0.0)], [hi])
 
     def _pieces(self):
         size = min(self.a_km, self.b_km)
@@ -365,28 +309,6 @@ class Polygon:
         ys = [v[1] for v in self.vertices]
         return (min(xs), min(ys), max(xs), max(ys))
 
-    def _ray(self, o, c, s):
-        # Crossing number along each ray. An edge crosses the ray's line when
-        # its ends lie strictly on different sides, a vertex on the line
-        # counting as the negative side: a ray through a vertex then crosses
-        # once where the boundary passes and zero or two times where it
-        # only touches. An odd count of crossings at r > 0 puts the origin
-        # inside, and the intervals start at r = 0.
-        v = np.asarray(self.vertices) - o
-        w = np.roll(v, -1, axis=0)
-        side = c[:, None] * v[:, 1] - s[:, None] * v[:, 0]
-        side_next = c[:, None] * w[:, 1] - s[:, None] * w[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = side / (side - side_next)
-            r = c[:, None] * (v[:, 0] + t * (w[:, 0] - v[:, 0])) + s[:, None] * (
-                v[:, 1] + t * (w[:, 1] - v[:, 1])
-            )
-        r = np.where(((side > 0) != (side_next > 0)) & (r > 0), r, np.inf)
-        start = np.where(np.isfinite(r).sum(axis=1) % 2 == 1, 0.0, np.inf)
-        ends = np.full((len(c), 2 * ((len(v) + 2) // 2)), np.inf)
-        ends[:, : len(v) + 1] = np.sort(np.column_stack((start, r)), axis=1)
-        return _pack([ends[:, 0::2]], [ends[:, 1::2]])
-
     def _pieces(self):
         vs = np.asarray(self.vertices)
         return [], [(self, vs, np.roll(vs, -1, axis=0))]
@@ -432,12 +354,6 @@ class Intersection:
         if not (xmax > xmin and ymax > ymin):
             raise EmptyRegion("intersection bounding boxes are disjoint")
         return (xmin, ymin, xmax, ymax)
-
-    def _ray(self, o, c, s):
-        out = self.parts[0]._ray(o, c, s)
-        for part in self.parts[1:]:
-            out = _meet(out, part._ray(o, c, s))
-        return out
 
     def _pieces(self):
         pieces = [part._pieces() for part in self.parts]
@@ -601,19 +517,38 @@ def _conic_crossings(a, b):
         return ca + np.column_stack((np.cos(phi), np.sin(phi))) @ back.T
 
 
+def _same_curve(a, b, tol):
+    """Whether conics a and b trace one curve: the same c and M^T M.
+
+    The centres must agree within ``tol`` and M^T M within _EVENT_TOL of
+    its size. Every point of such a pair lies on both curves, so
+    _conic_crossings would return rounding noise.
+    """
+    _, ca, ma, _ = a
+    _, cb, mb, _ = b
+    ga, gb = ma.T @ ma, mb.T @ mb
+    return (
+        np.abs(ca - cb).max() <= tol
+        and np.abs(ga - gb).max() <= _EVENT_TOL * np.abs(ga).max()
+    )
+
+
+def _conic_line(conic, p, v):
+    """Ordered parameters t where the lines p + t v cross a conic's curve."""
+    _, c, m, _ = conic
+    (ux, uy), (wx, wy) = _xy((p - c) @ m.T), _xy(v @ m.T)
+    ww = wx * wx + wy * wy
+    # |u + t w|^2 = 1, its quarter discriminant by Lagrange's identity.
+    return _roots(
+        (ux * wx + uy * wy) / ww,
+        (ux * ux + uy * uy - 1.0) / ww,
+        (ww - (ux * wy - uy * wx) ** 2) / (ww * ww),
+    )
+
+
 def _conic_segments(conic, a, b):
     """Points where a conic's curve crosses the segments a[i] -> b[i]."""
-    _, c, m, _ = conic
-    u, v = (a - c) @ m.T, (b - a) @ m.T
-    vv = (v * v).sum(axis=1)
-    # |u + t v|^2 = 1 in the segment parameter t, its quarter discriminant
-    # by Lagrange's identity.
-    lo, hi = _roots(
-        (u * v).sum(axis=1) / vv,
-        ((u * u).sum(axis=1) - 1.0) / vv,
-        (vv - _cross(u, v) ** 2) / (vv * vv),
-    )
-    t = np.concatenate((lo, hi))
+    t = np.concatenate(_conic_line(conic, a, b - a))
     hit = (t >= 0.0) & (t <= 1.0)
     a, b = np.concatenate((a, a))[hit], np.concatenate((b, b))[hit]
     return a + t[hit, None] * (b - a)
@@ -627,6 +562,39 @@ def _segment_crossings(a1, b1, a2, b2):
         s = _cross(e, d1) / _cross(d1, d2)
     i, j = np.nonzero((t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0))
     return a1[i] + t[i, j, None] * d1[i, 0]
+
+
+def _clip(region, o, c, s):
+    """Radial intervals that the rays o + r (c, s), r >= 0, cut from a region.
+
+    Each ray is cut at r = 0 and where it crosses one of the region's
+    pieces (_pieces), crossings behind o counting as 0. A cut lies on a
+    piece's curve, never in the region's interior, so each stretch between
+    consecutive cuts lies wholly inside or wholly outside the region, and
+    its midpoint tells which. Returns (ray, lo, hi) of the stretches
+    inside, by ray and then by r.
+    """
+    conics, polygons = region._pieces()
+    o, ray = np.asarray(o, dtype=float), np.column_stack((c, s))
+    cuts = [np.zeros_like(c)]
+    for conic in conics:
+        cuts.extend(_conic_line(conic, o, ray))
+    for _, a, b in polygons:
+        # o + r (c, s) = a + t (b - a), solved from each end's side of the
+        # ray's line. Edges that meet at a vertex share its side, so a ray
+        # through a vertex cannot slip between them; an edge parallel to
+        # the ray gives no t in [0, 1].
+        sa, sb = _cross(ray[:, None], a - o), _cross(ray[:, None], b - o)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t, r = sa / (sa - sb), _cross(a - o, b - a) / (sb - sa)
+        cuts.append(np.where((t >= 0.0) & (t <= 1.0), r, np.inf))
+    cuts = np.sort(np.maximum(np.column_stack(cuts), 0.0), axis=1)
+    lo, hi = cuts[:, :-1], cuts[:, 1:]
+    row, col = np.nonzero((lo < hi) & (hi < np.inf))
+    lo, hi = lo[row, col], hi[row, col]
+    mid = 0.5 * (lo + hi)
+    inside = region._mask(o[0] + mid * c[row], o[1] + mid * s[row])
+    return row[inside], lo[inside], hi[inside]
 
 
 def _panels(region: Region, origin) -> np.ndarray:
@@ -649,7 +617,7 @@ def _panels(region: Region, origin) -> np.ndarray:
         on = _off(conic, touch) <= tol
         found.append((ray[on], touch[on]))
         for other in conics[i + 1 :]:
-            if other[0] is not conic[0]:
+            if other[0] is not conic[0] and not _same_curve(conic, other, tol):
                 p = _conic_crossings(conic, other)
                 p = p[_off(other, p) <= tol]
                 found.append((p - o, p))
@@ -696,9 +664,8 @@ def _level(region, density, origin, field, panels, pieces):
     panel_of = np.repeat(np.arange(len(panels)), s.size)
 
     c, sn = np.cos(theta), np.sin(theta)
-    lo, hi = region._ray(origin, c, sn)
-    row, col = np.nonzero(lo < hi)
-    lo, length = lo[row, col, None], hi[row, col, None] - lo[row, col, None]
+    row, lo, hi = _clip(region, origin, c, sn)
+    lo, length = lo[:, None], (hi - lo)[:, None]
     r = lo + length * s
     w = length * ws * wtheta[row, None]
     if density.kind == "uniform":

@@ -619,6 +619,155 @@ def test_panels_match_bisection_on_random_intersections(monkeypatch):
         checked += 1
 
 
+def _clip_matches_scan(region, origin, theta, n=4096):
+    """Check geometry._clip on rays from ``origin`` against a scan of the mask.
+
+    Each ray is sampled at the midpoints of n equal steps from the origin
+    to past the region's bounding box. A scan transition lies midway
+    between two samples that the region's mask tells apart, and at 0 when
+    the first sample is inside. Stretches of _clip that touch are one
+    interval. Every transition must lie within one step of an interval
+    end, and every end within one step of a transition, unless the
+    interval or the gap that the end bounds is narrower than a step and so
+    may fall between two samples (a ray that grazes a curve or a vertex).
+    """
+    o = np.asarray(origin, dtype=float)
+    xmin, ymin, xmax, ymax = region._bbox()
+    reach = 1.01 * max(
+        math.hypot(x - o[0], y - o[1]) for x in (xmin, xmax) for y in (ymin, ymax)
+    )
+    step = reach / n
+    r = (np.arange(n) + 0.5) * step
+    c, s = np.cos(theta), np.sin(theta)
+    inside = region._mask(o[0] + np.outer(c, r), o[1] + np.outer(s, r))
+    flip = np.diff(inside.astype(int), axis=1, prepend=0) != 0
+    ray, lo, hi = geometry._clip(region, o, c, s)
+    assert (np.diff(ray) >= 0).all()
+    for i in range(len(theta)):
+        k = np.nonzero(flip[i])[0]
+        scan = np.where(k > 0, r[k] - 0.5 * step, 0.0)
+        a, b = lo[ray == i], hi[ray == i]
+        assert (a < b).all() and (b[:-1] <= a[1:]).all()
+        a, b = np.setdiff1d(a, b), np.setdiff1d(b, a)
+        ends = np.concatenate((a, b))
+        # What each end bounds: its interval, and the gap on its other side.
+        gaps = a[1:] - b[:-1]
+        width = np.concatenate(
+            (
+                np.minimum(b - a, np.append(np.inf, gaps)),
+                np.minimum(b - a, np.append(gaps, np.inf)),
+            )
+        )
+        to_scan = np.abs(ends[:, None] - scan[None, :]).min(axis=1, initial=np.inf)
+        to_end = np.abs(scan[:, None] - ends[None, :]).min(axis=1, initial=np.inf)
+        assert ((to_scan <= step) | (width < step)).all(), (i, ends, scan)
+        assert (to_end <= step).all(), (i, ends, scan)
+
+
+def _ray_angles(region, origin, rng, count=32):
+    """Random angles, and the rays through every vertex and every tangent."""
+    o = np.asarray(origin, dtype=float)
+    conics, polygons = region._pieces()
+    rays = [a - o for _, a, _ in polygons]
+    rays += [geometry._tangents(conic, o)[0] for conic in conics]
+    rays = np.concatenate(rays) if rays else np.zeros((0, 2))
+    special = np.arctan2(rays[:, 1], rays[:, 0])
+    return np.concatenate((rng.uniform(0.0, 2.0 * math.pi, count), special))
+
+
+def test_clip_matches_scan_on_random_intersections():
+    # The 100 non-empty intersections of
+    # test_panels_match_bisection_on_random_intersections, drawn from the
+    # same stream, with rays from their polar origins.
+    rng = np.random.default_rng(26)
+    angles = np.random.default_rng(28)
+    checked = 0
+    while checked < 100:
+        parts = tuple(_random_part(rng) for _ in range(rng.integers(2, 4)))
+        region = Intersection(parts)
+        if rng.random() < 0.5:
+            density = UeDensity("uniform")
+        else:
+            density = UeDensity("inverse_radial", tuple(rng.uniform(-0.8, 0.8, 2)))
+        try:
+            _integrate(region, density, _one)
+        except EmptyRegion:
+            continue
+        origin = geometry._polar_origin(region, density)
+        _clip_matches_scan(region, origin, _ray_angles(region, origin, angles))
+        checked += 1
+
+
+# An L: its edges lie on the grid lines, so that the mask tells the points
+# of a ray along an edge alike, and the scan has an answer there.
+_ELL = Polygon(
+    ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0))
+)
+# (region, origin): origins on a disk rim and on polygon vertices, convex
+# and reflex, and inside and outside a non-convex polygon and a ring.
+_CLIP_CASES = {
+    "disk rim": (Disk((0.3, -0.1), 0.7), (1.0, -0.1)),
+    "square vertex": (_SQUARE, (0.0, 0.0)),
+    "L reflex vertex": (_ELL, (1.0, 1.0)),
+    "L inside": (_ELL, (1.0, 0.5)),
+    "L outside": (_ELL, (-0.5, 2.7)),
+    "ring": (Annulus((0.0, 1.0), 1.0, 3.0), (-2.0, 0.0)),
+    "ring in square": (
+        Intersection((Annulus((0.5, 0.5), 0.2, 0.6), _SQUARE)),
+        (0.5, 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLIP_CASES))
+def test_clip_matches_scan_through_vertices_and_tangents(name):
+    region, origin = _CLIP_CASES[name]
+    theta = _ray_angles(region, origin, np.random.default_rng(5), count=64)
+    _clip_matches_scan(region, origin, theta)
+
+
+def test_clip_exact_tangents():
+    # The line y = 0 touches the circle, the ellipse and the inner circle of
+    # the ring at (0, 0), and the double root cuts nothing: no interval for
+    # the disk and the ellipse, and the ring's interval runs on through.
+    zero, one = np.array([0.0]), np.array([1.0])
+    for region in (Disk((0.0, 1.0), 1.0), Ellipse((0.0, 1.0), 2.0, 1.0)):
+        ray, _, _ = geometry._clip(region, (-3.0, 0.0), one, zero)
+        assert ray.size == 0
+    ring = Annulus((0.0, 1.0), 1.0, 3.0)
+    _, lo, hi = geometry._clip(ring, (-2.0, 0.0), one, zero)
+    assert lo.tolist() == [0.0]
+    assert hi == pytest.approx([2.0 + math.sqrt(8.0)], rel=1e-15)
+
+
+def test_clip_rays_along_edges():
+    # From a corner, rays along the square's edges divide by zero in the
+    # edge solve, silently (a RuntimeWarning fails the suite); the mask
+    # counts those edges in, and the rays keep their unit length.
+    theta = np.array([0.0, 0.5 * math.pi, 0.25 * math.pi, math.pi])
+    ray, lo, hi = geometry._clip(_SQUARE, (0.0, 0.0), np.cos(theta), np.sin(theta))
+    length = np.bincount(ray, hi - lo, minlength=len(theta))
+    assert length == pytest.approx([1.0, 1.0, math.sqrt(2.0), 0.0], abs=1e-15)
+
+
+def test_same_curve_conics_keep_one_panel():
+    # An ellipse and the same ellipse turned by pi share every point, and
+    # their quartic is rounding noise; the pair is skipped, so the panels
+    # are the lone ellipse's. Identical disks, whose quartic is all zero,
+    # keep one panel as well.
+    ellipse = Ellipse((0.0, 0.0), 2.0, 1.0, 0.3)
+    turned = Ellipse((0.0, 0.0), 2.0, 1.0, 0.3 + math.pi)
+    origin = (0.5, 0.2)
+    lone = geometry._panels(ellipse, origin)
+    assert len(lone) == 1
+    assert geometry._panels(Intersection((ellipse, turned)), origin).tolist() == (
+        lone.tolist()
+    )
+    disk = Disk((0.1, 0.2), 1.0)
+    pair = Intersection((disk, Disk((0.1, 0.2), 1.0)))
+    assert len(geometry._panels(pair, origin)) == 1
+
+
 def _bread_domain(r):
     scen = build_single_cell(r, "uniform", FadingModel("none"))
     cell = scen.cells[0]
