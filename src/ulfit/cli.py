@@ -250,7 +250,7 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
     try:
         with open(fit_json, encoding="utf-8") as fh:
             fit_doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ParseError(f"{fit_json}: {exc}") from exc
     keys = ("lambda", "mu_q_dbm", "sigma_q2_db2", "eps_total")
     try:

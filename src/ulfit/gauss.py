@@ -1,102 +1,25 @@
-"""Gauss-Legendre and Gauss-Hermite rules, built without numpy.polynomial.
+"""Gauss-Legendre and Gauss-Hermite rules, numpy.polynomial's own.
 
-gauss_rule follows numpy.polynomial's leggauss and hermgauss step by
-step: the eigenvalues of the symmetric companion matrix, one Newton step
-by numpy's own recurrences (Clenshaw's for the Legendre series, the
-normalized three-term recurrence for Hermite), then symmetrized nodes and
-weights scaled to the weight function's mass. On numpy 2.x the rules are
-bit-identical to numpy's. Importing numpy.polynomial costs a process about
-12 ms, more than building every rule the package uses.
+Every fit number rests on three fixed rules, so gauss_rule builds each
+once per process and hands every caller the same arrays, read-only so
+that no caller can change another's rule. Only bound and fit import this
+module, and with it numpy.polynomial; simulate and compare load neither.
 """
 
 from __future__ import annotations
 
 import functools
 
-import numpy as np
+from numpy.polynomial import hermite, legendre
 
 __all__ = ["gauss_rule"]
 
 
-def _legval(x, c):
-    """Legendre series sum_k c[k] L_k(x) by Clenshaw's recurrence, as numpy.legval."""
-    c0, c1 = c[-2], c[-1]
-    nd = len(c)
-    for ck in c[-3::-1]:
-        tmp = c0
-        nd -= 1
-        c0 = ck - c1 * ((nd - 1) / nd)
-        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-def _legder(c):
-    """Coefficients of the derivative of a Legendre series, as numpy.legder."""
-    c = list(c)
-    n = len(c) - 1
-    der = [0.0] * n
-    for j in range(n, 2, -1):
-        der[j - 1] = (2 * j - 1) * c[j]
-        c[j - 2] += c[j]
-    if n > 1:
-        der[1] = 3 * c[2]
-    der[0] = c[1]
-    return der
-
-
-def _hermite_normed(x, n):
-    """Hermite function H_n(x) / sqrt(2^n n! sqrt(pi)), as numpy's recurrence."""
-    c0 = 0.0
-    c1 = 1.0 / np.sqrt(np.sqrt(np.pi))
-    nd = float(n)
-    for _ in range(n - 1):
-        tmp = c0
-        c0 = -c1 * np.sqrt((nd - 1.0) / nd)
-        c1 = tmp + c1 * x * np.sqrt(2.0 / nd)
-        nd -= 1.0
-    return c0 + c1 * x * np.sqrt(2)
-
-
 @functools.cache
 def gauss_rule(kind: str, n: int):
-    """The n-point Gauss rule (nodes, weights), n >= 2, built once per process.
-
-    kind "legendre" integrates over [-1, 1] with weight 1, and "hermite"
-    over the real line with weight exp(-x^2). Every caller gets the same
-    arrays, so they are read-only.
-    """
-    k = np.arange(1, n)
-    if kind == "legendre":
-        scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-        off = k * scl[: n - 1] * scl[1:n]
-    else:
-        off = np.sqrt(0.5 * k)
-    # The companion matrix of the degree-n basis polynomial is symmetric
-    # and tridiagonal, so its eigenvalues are accurate first nodes.
-    mat = np.zeros((n, n))
-    mat.reshape(-1)[1 :: n + 1] = off
-    mat.reshape(-1)[n :: n + 1] = off
-    x = np.linalg.eigvalsh(mat)
-    if kind == "legendre":
-        c = [0.0] * n + [1.0]
-        dy = _legval(x, c)
-        df = _legval(x, _legder(c))
-        x -= dy / df
-        fm = _legval(x, c[1:])
-        fm /= np.abs(fm).max()
-        df /= np.abs(df).max()
-        w = 1 / (fm * df)
-        mass = 2.0
-    else:
-        dy = _hermite_normed(x, n)
-        df = _hermite_normed(x, n - 1) * np.sqrt(2 * n)
-        x -= dy / df
-        fm = _hermite_normed(x, n - 1)
-        fm /= np.abs(fm).max()
-        w = 1 / (fm * fm)
-        mass = np.sqrt(np.pi)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= mass / w.sum()
+    """The n-point Gauss rule (nodes, weights): "legendre" integrates over
+    [-1, 1] with weight 1, and "hermite" over the real line with weight
+    exp(-x^2)."""
+    x, w = legendre.leggauss(n) if kind == "legendre" else hermite.hermgauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w

@@ -770,7 +770,8 @@ def density_profile(region: Region, density: UeDensity, value_fn):
         value_fn: vectorized (n, 2) points -> (n,) field values.
 
     Returns:
-        (mean, variance, weights, values); weights sums to 1.
+        (mean, variance, weights, values); weights sums to 1, and the
+        variance is the law's second moment about the mean.
 
     Raises:
         DomainError: if value_fn returns any shape other than (n,).
@@ -778,8 +779,11 @@ def density_profile(region: Region, density: UeDensity, value_fn):
         EmptyRegion: if the region carries no mass under the density.
             Exceptions value_fn raises propagate unchanged.
     """
-    _, (mean, m2), (w, v) = _integrate(region, density, value_fn)
-    return mean, max(m2 - mean * mean, 0.0), w / w.sum(), v
+    _, (mean, _), (w, v) = _integrate(region, density, value_fn)
+    p = w / w.sum()
+    # A centred pass over the law's atoms: m2 - mean^2 cancels on far
+    # cells, where the variance is 1e-3 of mean^2.
+    return mean, (p * (v - mean) ** 2).sum(), p, v
 
 
 def rejection_envelope(region: Region, density: UeDensity):

@@ -371,11 +371,10 @@ def scenario_from_doc(doc) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario JSON file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_doc(doc)
 

@@ -393,6 +393,22 @@ def test_non_finite_scenario_exits_2(ws, scen_path, capsys):
     assert list(ws.glob("nan_fit*")) == []
 
 
+@pytest.mark.parametrize("command", ["bound", "fit", "simulate", "compare"])
+def test_non_utf8_document_exits_2(ws, sim_path, capsys, command):
+    # A UTF-16 byte-order mark is not UTF-8: a parse error, not a traceback.
+    doc = ws / f"utf16_{command}.json"
+    doc.write_bytes(b'\xff\xfe{"a":1}')
+    out = ws / f"utf16_{command}.out"
+    if command == "compare":
+        argv = ["compare", "--samples", str(sim_path), "--fit", str(doc)]
+    else:
+        argv = [command, "--scenario", str(doc)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(doc) in err
+    assert list(ws.glob(f"utf16_{command}.out*")) == []
+
+
 _INPUT_RULES = {
     # The Poisson mixture of a Rician law grows as sqrt(gamma).
     "fading.gamma": lambda d: d.update(fading={"kind": "rician", "gamma": 1e5}),
@@ -813,9 +829,11 @@ def _fresh_interpreter(code, *args):
 # Modules a command must not load beyond what numpy itself loads.
 _NOT_LOADED = {
     "import": {"numpy.ma"},
-    "bound": {"numpy.ma", "numpy.polynomial"},
-    "fit": {"numpy.ma", "numpy.polynomial"},
-    "simulate": {"ulfit.bound", "ulfit.fit", "ulfit.gauss", "numpy.ma"},
+    "bound": {"numpy.ma"},
+    "fit": {"numpy.ma"},
+    "simulate": {
+        "ulfit.bound", "ulfit.fit", "ulfit.gauss", "numpy.ma", "numpy.polynomial"
+    },
     "compare": {
         "numpy.ma",
         "ulfit.gauss",

@@ -447,6 +447,22 @@ def test_hotspot_seeded_acceptance(hotspot84):
     assert min(acceptance) >= 0.85
 
 
+def test_hotspot_variance_is_centred(hotspot84):
+    # On the far cells the gain's variance is about 1e-3 of its squared
+    # mean, so m2 - mean^2 kept only about 12 digits of it.
+    for cell, dom in _hotspot_domains(hotspot84):
+
+        def gain(p):
+            return coupling_gain_L(p, cell.bs, hotspot84.victim_bs, hotspot84.channel)
+
+        _, var, _, _ = density_profile(dom, cell.density, gain)
+        _, _, (w, v) = _integrate(dom, cell.density, gain)
+        mass = math.fsum(w)
+        mean = math.fsum(w * v) / mass
+        exact = math.fsum(w * (v - mean) ** 2) / mass
+        assert abs(var - exact) <= 1e-14 * exact
+
+
 def _bisected(panels):
     """The panels each halved until narrower than 2 pi / 1024."""
     parts = []
