@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import math
 import sys
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, ParseError, SchemaError, UlfitError
-from .fileio import atomic_open, finite_number, write_json
+from .fileio import atomic_open, finite_number, read_json, write_json
 
 __all__ = [
     "main",
@@ -247,11 +246,7 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
     """
     _bind("samples", "fit")
     samples, sidecar = load_samples(samples_path)
-    try:
-        with open(fit_json, encoding="utf-8") as fh:
-            fit_doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ParseError(f"{fit_json}: {exc}") from exc
+    fit_doc = read_json(fit_json)
     keys = ("lambda", "mu_q_dbm", "sigma_q2_db2", "eps_total")
     try:
         values = [finite_number(fit_doc[k]) for k in keys]
@@ -264,6 +259,8 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
         if value is None:
             raise SchemaError(f"{fit_json}: {key} must be a finite number")
     lam, mu_q, sigma_q2, eps_total = values
+    if eps_total < 0.0:
+        raise SchemaError(f"{fit_json}: eps_total must be >= 0")
     try:
         fit = PowerLognormalFit(lam, mu_q, sigma_q2)
     except DomainError as exc:

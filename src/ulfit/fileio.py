@@ -1,12 +1,13 @@
-"""Atomic output files, and the rule for numbers read from JSON.
+"""Atomic output files, the JSON reader, and the rule for JSON numbers.
 
 Every file the command line writes goes through ``atomic_open``: the
 content is written to ``<path>.tmp`` and moved over ``path`` with
 ``os.replace`` only once the write has finished, so a failure part way
 leaves the previous file intact and no temporary file behind. Every JSON
-file goes through ``write_json``, which fixes its layout. Every number
-read from a JSON document, a scenario's or a fit's, goes through
-``finite_number``.
+file goes through ``write_json``, which fixes its layout. Every JSON
+document read, a scenario, a fit or a sidecar, goes through
+``read_json``, and every number read from one, a scenario's or a fit's,
+through ``finite_number``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import math
 import os
 from contextlib import contextmanager
 
-__all__ = ["atomic_open", "write_json", "finite_number"]
+from .errors import ParseError
+
+__all__ = ["atomic_open", "write_json", "read_json", "finite_number"]
 
 
 @contextmanager
@@ -50,6 +53,20 @@ def write_json(path, doc) -> None:
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file at ``path``.
+
+    Raises:
+        ParseError: naming the path, if the file is not UTF-8 or not JSON.
+            An OSError from opening or reading it propagates.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def finite_number(val) -> float | None:

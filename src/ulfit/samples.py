@@ -4,19 +4,19 @@ This is the side of the Monte Carlo that reads and judges samples, kept
 apart from the sampler so that ``compare`` loads neither the geometry nor
 the scenario codec.
 
-Neither the sample file nor the KS statistic makes an n-sized copy:
-save_samples writes the array's own buffer and load_samples reads straight
-into one array. ks_distance is exact yet evaluates a non-decreasing model
-CDF at a few percent of the samples: at every _KS_STRIDE-th one, then in
-full only in the strides whose bound on the gap, read off the CDF at the
-stride's ends, could beat the largest gap found. A drop of more than
-_KS_SLACK between evaluated values raises DomainError, and a NaN value
-makes the statistic NaN.
+The sample file makes no n-sized copy: save_samples writes the array's
+own buffer and load_samples reads straight into one array. ks_distance is
+exact yet evaluates a non-decreasing model CDF in two calls and at a few
+percent of the samples: at every _KS_STRIDE-th one, then inside every
+stride whose bound on the gap, read off the CDF at the stride's ends,
+could beat the largest gap of the first call. Its arrays are sized by
+those strides, which reach n only for a CDF that tracks the samples
+almost exactly. A drop of more than _KS_SLACK between evaluated values
+raises DomainError, and a NaN value makes the statistic NaN.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .fileio import atomic_open, write_json
+from .fileio import atomic_open, read_json, write_json
 
 __all__ = [
     "SampleSet",
@@ -35,11 +35,10 @@ __all__ = [
     "load_samples",
 ]
 
-# ks_distance evaluates the model CDF at every _KS_STRIDE-th sample, then
-# refines up to _KS_BATCH strides per call. A drop of at most _KS_SLACK
-# between ordered CDF values is rounding, not a decreasing CDF.
+# ks_distance evaluates the model CDF at every _KS_STRIDE-th sample. A drop
+# of at most _KS_SLACK between ordered CDF values is rounding, not a
+# decreasing CDF.
 _KS_STRIDE = 64
-_KS_BATCH = 32
 _KS_SLACK = 1e-12
 
 
@@ -78,7 +77,7 @@ def _gaps(i: np.ndarray, f: np.ndarray, n: int) -> float:
 
 
 def _decreasing(f: np.ndarray) -> bool:
-    return bool((np.diff(f, axis=-1) < -_KS_SLACK).any())
+    return bool((np.diff(f) < -_KS_SLACK).any())
 
 
 def ks_distance(samples: SampleSet, cdf) -> float:
@@ -87,15 +86,15 @@ def ks_distance(samples: SampleSet, cdf) -> float:
     The statistic is the sup over the sample points of the larger
     one-sided gap, using the samples' empirical step CDF just before and
     at each point. The model CDF must be vectorized, mapping a 1-D array
-    of samples to as many values, and non-decreasing. ks_distance evaluates it at every _KS_STRIDE-th sorted sample,
-    the first and last included. Because the CDF is non-decreasing, the
-    gaps inside a stride from index lo to hi are at most
-    max(hi/n - F(x_lo), F(x_hi) - (lo+1)/n). Strides are then evaluated
-    in full, in descending order of that bound, until no bound plus
-    _KS_SLACK exceeds the largest gap found. The slack absorbs rounding
-    that makes a monotone CDF dip by an ulp or so. Every skipped point
-    has a gap of at most the result, so it is the float of the full pass
-    over all n samples, bit for bit.
+    of samples to as many values, and non-decreasing. The first call
+    evaluates it at every _KS_STRIDE-th sorted sample, the first and last
+    included. Because the CDF is non-decreasing, the gaps inside a stride
+    from index lo to hi are at most max(hi/n - F(x_lo), F(x_hi) - (lo+1)/n).
+    The second call evaluates the interior of every stride whose bound
+    plus _KS_SLACK exceeds the largest gap of the first call. The slack
+    absorbs rounding that makes a monotone CDF dip by an ulp or so. Every
+    skipped point has a gap of at most the result, so it is the float of
+    the full pass over all n samples, bit for bit.
 
     Returns:
         The statistic, or NaN if the CDF returns NaN at any evaluated
@@ -108,40 +107,27 @@ def ks_distance(samples: SampleSet, cdf) -> float:
     """
     x = samples.values
     n = samples.n
-    lo = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
-    f_lo = _model_cdf(cdf, x[lo])
-    if np.isnan(f_lo).any():
+    ends = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+    f_ends = _model_cdf(cdf, x[ends])
+    if np.isnan(f_ends).any():
         return math.nan
-    if _decreasing(f_lo):
+    if _decreasing(f_ends):
         raise DomainError("model CDF decreases between samples")
-    d = _gaps(lo, f_lo, n)
-    hi, f_hi = lo[1:], f_lo[1:]
-    lo, f_lo = lo[:-1], f_lo[:-1]
-    inner = hi - lo > 1
-    lo, hi, f_lo, f_hi = lo[inner], hi[inner], f_lo[inner], f_hi[inner]
-    bound = np.maximum(hi / n - f_lo, f_hi - (lo + 1) / n)
-    order = np.argsort(-bound, kind="stable")
-    # Row j of a batch holds samples lo[j] .. lo[j] + _KS_STRIDE; the
-    # columns past hi[j] repeat F(x_hi) so the monotonicity check skips them.
-    cols = np.arange(_KS_STRIDE + 1)
-    for start in range(0, order.size, _KS_BATCH):
-        take = order[start : start + _KS_BATCH]
-        take = take[bound[take] + _KS_SLACK > d]
-        if take.size == 0:
-            break
-        rows = lo[take, None] + cols
-        interior = (rows > lo[take, None]) & (rows < hi[take, None])
-        i = rows[interior]
-        f = _model_cdf(cdf, x[i])
-        if np.isnan(f).any():
-            return math.nan
-        run = np.repeat(f_hi[take, None], cols.size, axis=1)
-        run[:, 0] = f_lo[take]
-        run[interior] = f
-        if _decreasing(run):
-            raise DomainError("model CDF decreases between samples")
-        d = max(d, _gaps(i, f, n))
-    return d
+    d = _gaps(ends, f_ends, n)
+    lo, hi = ends[:-1], ends[1:]
+    bound = np.maximum(hi / n - f_ends[:-1], f_ends[1:] - (lo + 1) / n)
+    refine = bound + _KS_SLACK > d
+    rows = lo[refine, None] + np.arange(1, _KS_STRIDE)
+    i = rows[rows < hi[refine, None]]
+    if i.size == 0:
+        return d
+    f = _model_cdf(cdf, x[i])
+    if np.isnan(f).any():
+        return math.nan
+    # In sample order, each refined stride's values sit between its ends.
+    if _decreasing(np.insert(f_ends, np.searchsorted(ends, i), f)):
+        raise DomainError("model CDF decreases between samples")
+    return max(d, _gaps(i, f, n))
 
 
 def dkw_slack(n: int, alpha: float = 0.01) -> float:
@@ -184,11 +170,11 @@ def load_samples(path) -> tuple[SampleSet, dict]:
             raise ParseError(f"{path}: expected {n} values, got {body // 8}")
         values = np.fromfile(fh, dtype="<f8", count=n)
     try:
-        with open(path + ".json", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+        sidecar = read_json(path + ".json")
         seed, count, scen_hash = (sidecar[k] for k in ("seed", "n", "scenario_hash"))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ParseError(f"{path}.json: bad sidecar ({exc})") from exc
+    except (OSError, ParseError, KeyError, TypeError) as exc:
+        # A ParseError already names the path: keep only its cause.
+        raise ParseError(f"{path}.json: bad sidecar ({exc.__cause__ or exc})") from exc
     for key, val in (("seed", seed), ("n", count)):
         if isinstance(val, bool) or not isinstance(val, int):
             raise ParseError(f"{path}.json: bad sidecar ({key}: expected an integer)")

@@ -33,14 +33,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .channel import ChannelParams, FadingModel
-from .errors import (
-    DomainError,
-    EmptyRegion,
-    ParseError,
-    PlacementFailure,
-    SchemaError,
-)
-from .fileio import finite_number, write_json
+from .errors import DomainError, EmptyRegion, PlacementFailure, SchemaError
+from .fileio import finite_number, read_json, write_json
 from .geometry import (
     Annulus,
     Disk,
@@ -371,12 +365,7 @@ def scenario_from_doc(doc) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario JSON file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise ParseError(f"{path}: {exc}") from exc
-    return scenario_from_doc(doc)
+    return scenario_from_doc(read_json(path))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -712,6 +712,33 @@ def test_compare_rejects_out_of_range_fit_field(
     assert list(ws.glob(f"bad_{key}_{value:g}_report*")) == []
 
 
+def test_compare_rejects_negative_eps_total(ws, sim_path, fit_path, capsys):
+    # A bound below zero is no bound; one above 1 is vacuous but legal.
+    doc = json.loads(fit_path.read_text())
+    doc["eps_total"] = -1.0
+    bad_fit = ws / "neg_eps.json"
+    bad_fit.write_text(json.dumps(doc))
+    out = ws / "neg_eps_report.json"
+    assert _compare(sim_path, bad_fit, out) == 2
+    assert "eps_total must be >= 0" in capsys.readouterr().err
+    assert list(ws.glob("neg_eps_report*")) == []
+    doc["eps_total"] = 2.0
+    bad_fit.write_text(json.dumps(doc))
+    assert _compare(sim_path, bad_fit, out) == 0
+    assert json.loads(out.read_text())["pass"] is True
+
+
+def test_compare_rejects_non_utf8_sidecar(ws, sim_path, fit_path, capsys):
+    bad = ws / "utf16_sidecar.bin"
+    bad.write_bytes(sim_path.read_bytes())
+    Path(f"{bad}.json").write_bytes(b'\xff\xfe{"a":1}')
+    out = ws / "utf16_sidecar_report.json"
+    assert _compare(bad, fit_path, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad}.json: bad sidecar" in err
+    assert list(ws.glob("utf16_sidecar_report*")) == []
+
+
 def test_fit_dmin_cell(ws):
     # The canonical cell at r = d_min, whose scan gaps hold two label
     # changes each, settles.
