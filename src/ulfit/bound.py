@@ -151,12 +151,15 @@ def epsilon2(bp: BoundParams, sigma_l2: float, sigma_s2: float, char_fn) -> floa
     Sums (2/pi) |v_n - vhat_n| over odd n below 2p, where v_n carries the
     actual characteristic function and vhat_n the Gaussian one. Terms
     whose envelope exp(-n^2 w^2)/n is below 1e-18 cannot move the sum at
-    reporting precision and are skipped.
+    reporting precision and are skipped. As 1/n <= 1, no kept term has n
+    above sqrt(ln(1/1e-18)) / w, so the range ends one step past that,
+    however large p is.
     """
     if not sigma_s2 > 0:
         raise DomainError("sigma_s2 must be positive")
     w = bp.omega
-    n = np.arange(1, 2 * bp.p, 2, dtype=float)
+    stop = int(math.sqrt(-math.log(_TERM_FLOOR)) / w) + 3
+    n = np.arange(1, min(2 * bp.p, stop), 2, dtype=float)
     env = np.exp(-(n**2) * w**2) / n
     keep = env >= _TERM_FLOOR
     if not keep.any():

@@ -1,42 +1,45 @@
 """Planar regions, user densities, quadrature, and rejection proposals.
 
 Coverage areas are built from a small set of primitives (disk, polygon,
-ellipse, annulus) plus intersection. All membership tests are vectorized
-over arrays of points. For sampling, this module provides the pieces of
-the rejection step (the envelope and the accept test of a block of
-proposals); the position sampler itself is montecarlo._positions_slice,
-which draws the proposals from counter-based streams. The envelope is a
-table of equal tiles, and each proposal reads 2 uniforms: the first
-picks a tile and the offset along its first axis, the second the offset
-along the other. For a uniform density the tiles are the cells of a
-fixed 64 x 64 grid over the region's bounding box that the region's
-distance lower bound (_gap, vectorized over tile centres) cannot rule
-out. For an inverse_radial density there is one tile, a (rho, theta) box
-[floor, reach] x [0, 2 pi) around the density origin, where floor and
-reach bound the distance from the origin to the region from below and
-above; since the kernel 1/rho cancels the polar Jacobian, that proposal
-already has the density's law. In both kinds the accept test is region
-membership alone.
+ellipse, annulus) plus intersection. A primitive defines only its
+validation, its membership test (_mask, vectorized over arrays of
+points), its bounding box and its boundary pieces (_pieces): conics
+(leaf, c, M, size, big), the curve |M (p - c)| = 1 with least and
+largest semi-axes size and big, and polygon edges (leaf, a, b), the
+segments a[i] -> b[i]; leaf is the primitive a piece bounds, and an
+intersection lists its parts' pieces in part order. Every other question
+reads the pieces, for any shape and nesting: the distance bounds _gap
+(lower) and _reach (upper), the polar origin, and every crossing of a
+line with the boundary (_line_cuts).
 
-Integration against a user density is polar. A region's boundary is a
-set of pieces, conics {p : |M (p - c)| = 1} and polygon edges, and one
-clipper serves every shape and every nesting of intersections: each ray
-from the polar origin is cut at the origin and where it crosses a piece
-(the roots of a quadratic, or a 2 x 2 solve), and the stretches between
-consecutive cuts whose midpoints lie in the region are its exact radial
-intervals. The origin is the density's own origin for "inverse_radial",
-where the kernel 1/rho cancels the polar Jacobian, and for "uniform" the
-center of the region's first annulus in part order, which in a ue_domain
-region is the serving-station carve (the bounding-box center if there is
-no annulus).
+For sampling, this module provides the rejection step's envelope and the
+accept test of a block of proposals, which is region membership alone;
+montecarlo._positions_slice draws the proposals from counter-based
+streams. The envelope is a table of equal tiles, and each proposal reads
+2 uniforms: the first picks a tile and the offset along its first axis,
+the second the offset along the other. For a uniform density the tiles
+are the cells of a fixed 64 x 64 grid over the bounding box that _gap at
+their centres cannot rule out. For an inverse_radial density there is
+one tile, a (rho, theta) box [_gap, _reach] x [0, 2 pi) around the
+density origin; since the kernel 1/rho cancels the polar Jacobian, that
+proposal already has the density's law.
+
+Integration against a user density is polar. Each ray from the polar
+origin is cut at the origin and where it crosses a piece, and the
+stretches between consecutive cuts whose midpoints lie in the region
+are its exact radial intervals. The origin is the density's own for
+"inverse_radial", and for "uniform" the center of the first conic piece
+that bounds an annulus, in a ue_domain region the serving-station carve
+(the bounding-box center if there is none).
 
 In theta the circle is cut into panels at the event angles, where an
 interval endpoint changes the boundary piece that defines it. The events,
 in closed form, are the polygon vertices, the tangents from the origin to
-each conic and the crossings of pieces of different parts. Inside a
-panel the integrand is smooth in theta except for square-root behaviour
-at a tangency end, which the substitution
-theta = a + (b - a)(3 s^2 - 2 s^3) turns smooth in s.
+each conic, the crossings of conics of different parts, and the points
+where a polygon edge crosses a piece of another part. Inside a panel the
+integrand is smooth in theta except for square-root behaviour at a
+tangency end, which the substitution theta = a + (b - a)(3 s^2 - 2 s^3)
+turns smooth in s.
 
 Each panel is integrated by composite 16-point Gauss-Legendre rules, in s
 and in r on every interval. Both double their pieces until every tracked
@@ -109,7 +112,7 @@ def _roots(b, cc, disc):
 
 def _circle(leaf, center, radius):
     """A circle as a conic piece of ``leaf`` (see _pieces)."""
-    return (leaf, np.asarray(center), np.eye(2) / radius, radius)
+    return (leaf, np.asarray(center), np.eye(2) / radius, radius, radius)
 
 
 def _xy(p):
@@ -142,15 +145,6 @@ class Disk:
     def _pieces(self):
         return [_circle(self, self.center, self.radius_km)], []
 
-    def _gap(self, p):
-        x, y = _xy(p)
-        dist = np.hypot(x - self.center[0], y - self.center[1])
-        return np.maximum(dist - self.radius_km, 0.0)
-
-    def _reach(self, o):
-        dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
-        return dist + self.radius_km
-
 
 @dataclass(frozen=True)
 class Annulus:
@@ -180,16 +174,6 @@ class Annulus:
     def _pieces(self):
         radii = (self.r_inner, self.r_outer) if self.r_inner > 0 else (self.r_outer,)
         return [_circle(self, self.center, r) for r in radii], []
-
-    def _gap(self, p):
-        x, y = _xy(p)
-        dist = np.hypot(x - self.center[0], y - self.center[1])
-        outside = np.maximum(dist - self.r_outer, 0.0)
-        return np.where(dist < self.r_inner, self.r_inner - dist, outside)
-
-    def _reach(self, o):
-        dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
-        return dist + self.r_outer
 
 
 @dataclass(frozen=True)
@@ -230,21 +214,8 @@ class Ellipse:
         return np.array([[c, s], [-s, c]]) / np.array([[self.a_km], [self.b_km]])
 
     def _pieces(self):
-        size = min(self.a_km, self.b_km)
-        return [(self, np.asarray(self.center), self._unit_map(), size)], []
-
-    def _gap(self, p):
-        # |M (p - center)| - 1 is the gap in unit-disk coordinates, and M
-        # stretches no distance by more than 1 / min(a, b).
-        x, y = _xy(p)
-        dx, dy = x - self.center[0], y - self.center[1]
-        m = self._unit_map()
-        unit = np.hypot(m[0, 0] * dx + m[0, 1] * dy, m[1, 0] * dx + m[1, 1] * dy)
-        return np.maximum(min(self.a_km, self.b_km) * (unit - 1.0), 0.0)
-
-    def _reach(self, o):
-        dist = math.hypot(o[0] - self.center[0], o[1] - self.center[1])
-        return dist + max(self.a_km, self.b_km)
+        axes = (self.a_km, self.b_km)
+        return [(self, np.asarray(self.center), self._unit_map(), *sorted(axes))], []
 
 
 @dataclass(frozen=True)
@@ -313,19 +284,6 @@ class Polygon:
         vs = np.asarray(self.vertices)
         return [], [(self, vs, np.roll(vs, -1, axis=0))]
 
-    def _gap(self, p):
-        x, y = _xy(p)
-        vs = self.vertices
-        best = np.inf
-        for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
-            dx, dy = x1 - x0, y1 - y0
-            t = np.clip(((x - x0) * dx + (y - y0) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
-            best = np.minimum(best, np.hypot(x - x0 - t * dx, y - y0 - t * dy))
-        return np.where(self._mask(x, y), 0.0, best)
-
-    def _reach(self, o):
-        return max(math.hypot(x - o[0], y - o[1]) for x, y in self.vertices)
-
 
 @dataclass(frozen=True)
 class Intersection:
@@ -358,12 +316,6 @@ class Intersection:
     def _pieces(self):
         pieces = [part._pieces() for part in self.parts]
         return [c for cs, _ in pieces for c in cs], [e for _, es in pieces for e in es]
-
-    def _gap(self, p):
-        return np.maximum.reduce([part._gap(p) for part in self.parts])
-
-    def _reach(self, o):
-        return min(p._reach(o) for p in self.parts)
 
 
 Region = Disk | Polygon | Ellipse | Annulus | Intersection
@@ -425,31 +377,58 @@ def effective_region(region: Region, bs, d_min: float) -> Region:
     xmin, ymin, xmax, ymax = bounding_box(region)
     corners = ((xmin, ymin), (xmin, ymax), (xmax, ymin), (xmax, ymax))
     far = max(math.hypot(cx - bs[0], cy - bs[1]) for cx, cy in corners)
-    if min(far, region._reach(bs)) <= d_min:
+    if min(far, _reach(region, bs)) <= d_min:
         raise EmptyRegion("exclusion disk covers the whole region")
+    # One circle fewer than the intersection, in every ray clip, panel
+    # search and sampler mask: hotspot cells are such disks.
     if isinstance(region, Disk) and region.center == bs:
         return Annulus(bs, d_min, region.radius_km)
     return Intersection((region, Annulus(bs, d_min, far)))
 
 
-def _first_annulus(region):
-    if isinstance(region, Annulus):
-        return region
+def _gap(region: Region, p):
+    """Distance lower bound from a point (2,) or points (n, 2) to a region.
+
+    A primitive's bound is 0 inside it and otherwise the least over its
+    pieces (_pieces): _off for a conic, the exact distance for a polygon
+    edge. So it is exact for disks, annuli and polygons, and for ellipses
+    min(a, b) times the distance in unit-disk coordinates. An intersection
+    takes the largest bound of its parts.
+    """
     if isinstance(region, Intersection):
-        for part in region.parts:
-            found = _first_annulus(part)
-            if found is not None:
-                return found
-    return None
+        return np.maximum.reduce([_gap(part, p) for part in region.parts])
+    p = np.asarray(p, dtype=float)
+    conics, polygons = region._pieces()
+    near = [_off(conic, p) for conic in conics]
+    for _, a, b in polygons:
+        d, q = b - a, p[..., None, :] - a
+        t = np.clip((q * d).sum(axis=-1) / (d * d).sum(axis=-1), 0.0, 1.0)
+        near.append(np.hypot(*_xy(q - t[..., None] * d)).min(axis=-1))
+    return np.where(region._mask(*_xy(p)), 0.0, np.minimum.reduce(near))
+
+
+def _reach(region: Region, o) -> float:
+    """Distance upper bound from the point o to a region.
+
+    A primitive's bound is its farthest piece: a conic's centre distance
+    plus its largest semi-axis, or a polygon's farthest vertex. An
+    intersection takes the least bound of its parts.
+    """
+    if isinstance(region, Intersection):
+        return min(_reach(part, o) for part in region.parts)
+    conics, polygons = region._pieces()
+    far = [math.hypot(o[0] - c[0], o[1] - c[1]) + big for _, c, _, _, big in conics]
+    far += [math.hypot(x - o[0], y - o[1]) for _, a, _ in polygons for x, y in a]
+    return max(far)
 
 
 def _polar_origin(region: Region, density: UeDensity) -> tuple[float, float]:
     """The polar origin of the quadrature (see the module docstring)."""
     if density.kind == "inverse_radial":
         return density.origin
-    carve = _first_annulus(region)
-    if carve is not None:
-        return carve.center
+    for leaf, *_ in region._pieces()[0]:
+        if isinstance(leaf, Annulus):
+            return leaf.center
     xmin, ymin, xmax, ymax = bounding_box(region)
     return (0.5 * (xmin + xmax), 0.5 * (ymin + ymax))
 
@@ -460,8 +439,12 @@ def _cross(u, v):
 
 
 def _off(conic, p):
-    """Distance lower bound from points p (n, 2) to a conic piece's curve."""
-    _, c, m, size = conic
+    """Distance lower bound from a point (2,) or points (n, 2) to a conic's curve.
+
+    ||M (p - c)| - 1| is the distance in unit-disk coordinates, and M
+    stretches no distance by more than 1 / size.
+    """
+    _, c, m, size, _ = conic
     return size * np.abs(np.hypot(*(m @ (p - c).T)) - 1.0)
 
 
@@ -473,7 +456,7 @@ def _tangents(conic, o):
     J u) / d^2; at d = 1, o on the curve, they are the tangent line at o.
     For d < 1 the "touch points" lie off the curve, at 1 / d.
     """
-    _, c, m, _ = conic
+    _, c, m, *_ = conic
     back = np.linalg.inv(m)
     u = m @ (o - c)
     d2 = u @ u
@@ -494,8 +477,8 @@ def _conic_crossings(a, b):
     roots and phi = pi (tau = inf); the real part of a complex root may
     come back off b's curve, for the caller to drop.
     """
-    _, ca, ma, _ = a
-    _, cb, mb, _ = b
+    _, ca, ma, *_ = a
+    _, cb, mb, *_ = b
     back = np.linalg.inv(ma)
     k, w = mb @ back, mb @ (ca - cb)
     g, h = k.T @ k, 2.0 * (k.T @ w)
@@ -524,8 +507,8 @@ def _same_curve(a, b, tol):
     its size. Every point of such a pair lies on both curves, so
     _conic_crossings would return rounding noise.
     """
-    _, ca, ma, _ = a
-    _, cb, mb, _ = b
+    _, ca, ma, *_ = a
+    _, cb, mb, *_ = b
     ga, gb = ma.T @ ma, mb.T @ mb
     return (
         np.abs(ca - cb).max() <= tol
@@ -535,7 +518,7 @@ def _same_curve(a, b, tol):
 
 def _conic_line(conic, p, v):
     """Ordered parameters t where the lines p + t v cross a conic's curve."""
-    _, c, m, _ = conic
+    _, c, m, *_ = conic
     (ux, uy), (wx, wy) = _xy((p - c) @ m.T), _xy(v @ m.T)
     ww = wx * wx + wy * wy
     # |u + t w|^2 = 1, its quarter discriminant by Lagrange's identity.
@@ -546,49 +529,39 @@ def _conic_line(conic, p, v):
     )
 
 
-def _conic_segments(conic, a, b):
-    """Points where a conic's curve crosses the segments a[i] -> b[i]."""
-    t = np.concatenate(_conic_line(conic, a, b - a))
-    hit = (t >= 0.0) & (t <= 1.0)
-    a, b = np.concatenate((a, a))[hit], np.concatenate((b, b))[hit]
-    return a + t[hit, None] * (b - a)
+def _line_cuts(conics, polygons, p, v):
+    """Parameters t where the lines p + t v cross the given pieces.
 
-
-def _segment_crossings(a1, b1, a2, b2):
-    """Points where a segment a1[i] -> b1[i] crosses a segment a2[j] -> b2[j]."""
-    d1, d2, e = (b1 - a1)[:, None], (b2 - a2)[None], a2[None] - a1[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = _cross(e, d2) / _cross(d1, d2)
-        s = _cross(e, d1) / _cross(d1, d2)
-    i, j = np.nonzero((t >= 0.0) & (t <= 1.0) & (s >= 0.0) & (s <= 1.0))
-    return a1[i] + t[i, j, None] * d1[i, 0]
+    ``v`` is (n, 2) and ``p`` one point (2,) or one per line (n, 2).
+    Returns (n, m): two columns per conic (_conic_line) and one per polygon
+    edge, inf where a line misses the piece. An edge is solved from its
+    ends' sides of the line. Edges that meet at a vertex share its side,
+    so a line through a vertex cannot slip between them; an edge parallel
+    to the line gives no crossing.
+    """
+    cuts = [t for conic in conics for t in _conic_line(conic, p, v)]
+    q = np.asarray(p)[..., None, :]
+    for _, a, b in polygons:
+        sa, sb = _cross(v[:, None], a - q), _cross(v[:, None], b - q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s, t = sa / (sa - sb), _cross(a - q, b - a) / (sb - sa)
+        cuts.append(np.where((s >= 0.0) & (s <= 1.0), t, np.inf))
+    return np.column_stack(cuts) if cuts else np.empty((len(v), 0))
 
 
 def _clip(region, o, c, s):
     """Radial intervals that the rays o + r (c, s), r >= 0, cut from a region.
 
     Each ray is cut at r = 0 and where it crosses one of the region's
-    pieces (_pieces), crossings behind o counting as 0. A cut lies on a
+    pieces (_line_cuts), crossings behind o counting as 0. A cut lies on a
     piece's curve, never in the region's interior, so each stretch between
     consecutive cuts lies wholly inside or wholly outside the region, and
     its midpoint tells which. Returns (ray, lo, hi) of the stretches
     inside, by ray and then by r.
     """
-    conics, polygons = region._pieces()
     o, ray = np.asarray(o, dtype=float), np.column_stack((c, s))
-    cuts = [np.zeros_like(c)]
-    for conic in conics:
-        cuts.extend(_conic_line(conic, o, ray))
-    for _, a, b in polygons:
-        # o + r (c, s) = a + t (b - a), solved from each end's side of the
-        # ray's line. Edges that meet at a vertex share its side, so a ray
-        # through a vertex cannot slip between them; an edge parallel to
-        # the ray gives no t in [0, 1].
-        sa, sb = _cross(ray[:, None], a - o), _cross(ray[:, None], b - o)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t, r = sa / (sa - sb), _cross(a - o, b - a) / (sb - sa)
-        cuts.append(np.where((t >= 0.0) & (t <= 1.0), r, np.inf))
-    cuts = np.sort(np.maximum(np.column_stack(cuts), 0.0), axis=1)
+    cuts = np.column_stack((np.zeros_like(c), _line_cuts(*region._pieces(), o, ray)))
+    cuts = np.sort(np.maximum(cuts, 0.0), axis=1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     row, col = np.nonzero((lo < hi) & (hi < np.inf))
     lo, hi = lo[row, col], hi[row, col]
@@ -600,12 +573,14 @@ def _clip(region, o, c, s):
 def _panels(region: Region, origin) -> np.ndarray:
     """(P, 2) theta panels, consecutive around the circle, cut at the events.
 
-    The candidate events are the polygon vertices, the touch points of the
-    tangents from the origin to every curve, and the crossings of pieces of
-    different parts. A candidate counts when it lies on its curves and in
-    the closure of every part, both within _EVENT_TOL times the coordinate
-    scale; its break is the angle of its ray, and breaks within _EVENT_TOL
-    rad of each other are one.
+    The candidate events, all read from the region's pieces, are the
+    polygon vertices, the touch points of the tangents from the origin to
+    every conic, the crossings of conics of different parts, and where
+    each polygon edge crosses a piece of another part (_line_cuts, so two
+    polygons' crossings are found on both). A candidate counts when it
+    lies on its curves and in the closure of every part (_gap), both
+    within _EVENT_TOL times the coordinate scale; its break is the angle
+    of its ray, and breaks within _EVENT_TOL rad of each other are one.
     """
     o = np.asarray(origin, dtype=float)
     tol = _EVENT_TOL * max(*map(abs, region._bbox()), *map(abs, o))
@@ -621,17 +596,14 @@ def _panels(region: Region, origin) -> np.ndarray:
                 p = _conic_crossings(conic, other)
                 p = p[_off(other, p) <= tol]
                 found.append((p - o, p))
-        for leaf, a, b in polygons:
-            if leaf is not conic[0]:
-                p = _conic_segments(conic, a, b)
-                found.append((p - o, p))
-    for i, (leaf, a1, b1) in enumerate(polygons):
-        for other, a2, b2 in polygons[i + 1 :]:
-            if other is not leaf:
-                p = _segment_crossings(a1, b1, a2, b2)
-                found.append((p - o, p))
+    for leaf, a, b in polygons:
+        others = [c for c in conics if c[0] is not leaf]
+        t = _line_cuts(others, [e for e in polygons if e[0] is not leaf], a, b - a)
+        i, j = np.nonzero((t >= 0.0) & (t <= 1.0))
+        p = a[i] + t[i, j, None] * (b - a)[i]
+        found.append((p - o, p))
     ray, p = (np.concatenate(x) for x in zip(*found))
-    ray = ray[region._gap(p) <= tol]
+    ray = ray[_gap(region, p) <= tol]
     two_pi = 2.0 * math.pi
     breaks = np.sort(np.mod(np.arctan2(ray[:, 1], ray[:, 0]), two_pi))
     if not breaks.size:
@@ -804,19 +776,20 @@ def rejection_envelope(region: Region, density: UeDensity):
     the density origin, and the table holds one tile, the polar box
     [floor, reach] x [0, 2 pi). The kernel 1/rho cancels the polar
     Jacobian, so a proposal uniform on it has exactly the density's law
-    before the region test. The floor is the ``_gap`` lower bound on the
-    distance from the origin to the region: exact for disks, annuli and
-    polygons, min(a, b) times the gap in unit-disk coordinates for
-    ellipses, and the largest bound of the parts for intersections. The
-    reach is an upper bound: the center distance plus the radius, r_outer
-    or max(a, b) for disks, annuli and ellipses, the largest vertex
-    distance for polygons, and the smallest bound of the parts for
-    intersections. The floor is 0 when the origin lies in the region; the
-    box then starts at the origin and still has the 1/rho law.
+    before the region test. Both ends come from the region's pieces. The
+    floor is the ``_gap`` lower bound on the distance from the origin to
+    the region: exact for disks, annuli and polygons, min(a, b) times the
+    gap in unit-disk coordinates for ellipses, and the largest bound of
+    the parts for intersections. The reach is the ``_reach`` upper bound:
+    the farthest piece, a conic's center distance plus its largest
+    semi-axis or a polygon's farthest vertex, and the smallest bound of
+    the parts for intersections. The floor is 0 when the origin lies in
+    the region; the box then starts at the origin and still has the 1/rho
+    law.
     """
     if density.kind == "inverse_radial":
-        floor = float(region._gap(density.origin))
-        reach = region._reach(density.origin)
+        floor = float(_gap(region, density.origin))
+        reach = _reach(region, density.origin)
         return np.array([[floor, 0.0]]), np.array([reach - floor, 2.0 * math.pi])
     xmin, ymin, xmax, ymax = bounding_box(region)
     size = np.array([xmax - xmin, ymax - ymin]) / _TILES
@@ -826,7 +799,7 @@ def rejection_envelope(region: Region, density: UeDensity):
     # The centres' rounding error scales with the coordinates, which can be
     # far larger than a tile (a 1e-9 km disk 0.03 km from the origin).
     slack = 1e-12 * (half + max(abs(xmin), abs(ymin), abs(xmax), abs(ymax)))
-    keep = region._gap(corners + 0.5 * size) <= half + slack
+    keep = _gap(region, corners + 0.5 * size) <= half + slack
     return corners[keep], size
 
 

@@ -142,6 +142,21 @@ def test_epsilon2_half_frequency_equivalence():
     assert half == pytest.approx(direct, abs=1e-12)
 
 
+def test_epsilon2_ignores_harmonics_past_the_term_floor():
+    # p = 10^15 asks for 5e14 odd harmonics; only those whose envelope
+    # clears the 1e-18 floor are built, 2,863 at omega = 0.001 for any
+    # p >= 3,219, so the sum is the default's bit for bit.
+    probes = []
+
+    def phi(t):
+        probes.append(len(t))
+        return 0.3 * np.cos(2.0 * np.asarray(t)) + 0.7 * np.cos(0.5 * np.asarray(t))
+
+    huge = epsilon2(BoundParams(p=10**15), 11.0, 164.0, phi)
+    assert huge == epsilon2(DEFAULTS, 11.0, 164.0, phi)
+    assert probes == [2863, 2863]
+
+
 def test_epsilon3_values():
     assert epsilon3(500.0) == pytest.approx(4e-6, abs=1e-15)
     assert epsilon3(100.0) == pytest.approx(1e-4, abs=1e-15)

@@ -749,6 +749,17 @@ def test_fit_dmin_cell(ws):
     assert json.loads(out.read_text())["lambda"] > 0
 
 
+def test_fit_with_huge_p(ws):
+    # eps2 builds only the harmonics above its term floor, so a legal
+    # p = 10^15 costs what the default does.
+    bound = BoundParams(omega=0.01, p=10**15, k1=60.0, k2=60.0)
+    path = ws / "huge_p.json"
+    save_scenario(dataclasses.replace(_fast_scenario(), bound=bound), path)
+    out = ws / "huge_p_fit.json"
+    assert main(["fit", "--scenario", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lambda"] > 0
+
+
 def test_exit_code_3_numeric(ws):
     # Lens of two almost-disjoint disks: valid schema, unusable measure.
     lens = Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0)))

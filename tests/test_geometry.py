@@ -785,6 +785,64 @@ def test_same_curve_conics_keep_one_panel():
     assert len(geometry._panels(pair, origin)) == 1
 
 
+def _breaks_near(region, origin, points):
+    """For each point, the distance in rad from the angle of its ray from
+    ``origin`` to the nearest panel break, and the number of breaks within
+    1e-9 rad of that angle."""
+    breaks = geometry._panels(region, origin)[:, 0]
+    angles = [math.atan2(y - origin[1], x - origin[0]) for x, y in points]
+    turn = np.abs(np.subtract.outer(np.mod(angles, 2.0 * math.pi), breaks))
+    turn = np.minimum(turn, 2.0 * math.pi - turn)
+    return turn.min(axis=1), (turn <= 1e-9).sum(axis=1)
+
+
+def test_polygon_crossings_give_one_break_each():
+    # The kite of the artifact harness's events scenario: the diamond's
+    # edges x - y = -0.018, x + y = -0.010 and y - x = 0.046 cross the
+    # box's edges x = -0.018 and y = 0.012 at four points. Each crossing is
+    # found on the edges of both polygons, and is still one break.
+    box = Polygon(
+        ((-0.042, -0.012), (-0.018, -0.012), (-0.018, 0.012), (-0.042, 0.012))
+    )
+    diamond = Polygon(
+        ((-0.028, -0.01), (-0.014, 0.004), (-0.028, 0.018), (-0.042, 0.004))
+    )
+    crossings = [(-0.018, 0.0), (-0.018, 0.008), (-0.022, 0.012), (-0.034, 0.012)]
+    for kite in (Intersection((box, diamond)), Intersection((diamond, box))):
+        turn, count = _breaks_near(kite, (-0.03, 0.0), crossings)
+        assert turn.max() <= 1e-14
+        assert count.tolist() == [1, 1, 1, 1]
+
+
+def test_conic_edge_crossings_give_one_break_each():
+    # The unit circle crosses the square's edges x = -0.5 and y = -0.5 at
+    # (-0.5, sqrt(0.75)) and (sqrt(0.75), -0.5).
+    square = Polygon(((-0.5, -0.5), (2.0, -0.5), (2.0, 2.0), (-0.5, 2.0)))
+    root = math.sqrt(0.75)
+    region = Intersection((Disk((0.0, 0.0), 1.0), square))
+    turn, count = _breaks_near(region, (0.1, 0.2), [(-0.5, root), (root, -0.5)])
+    assert turn.max() <= 1e-14
+    assert count.tolist() == [1, 1]
+
+
+def test_polar_origin_is_the_first_annulus_centre():
+    uniform = UeDensity("uniform")
+    inner = Intersection((_SQUARE, Annulus((0.4, 0.6), 0.1, 0.5)))
+    outer = Annulus((0.5, 0.5), 0.05, 2.0)
+    nested = Intersection((Disk((0.5, 0.5), 0.6), inner, outer))
+    assert geometry._polar_origin(nested, uniform) == (0.4, 0.6)
+    # In a user domain, the serving station's carve comes first: for a disk
+    # centred on the station, for one that is not, and for a polygon.
+    bs, victim = (0.3, 0.4), (0.0, 0.0)
+    for region in (
+        Disk(bs, 0.2),
+        Disk((0.35, 0.4), 0.2),
+        Polygon(((0.2, 0.3), (0.5, 0.3), (0.5, 0.6), (0.2, 0.6))),
+    ):
+        dom = ue_domain(region, bs, victim, 0.005)
+        assert geometry._polar_origin(dom, uniform) == bs
+
+
 def _bread_domain(r):
     scen = build_single_cell(r, "uniform", FadingModel("none"))
     cell = scen.cells[0]
@@ -1017,6 +1075,92 @@ def test_rejection_reach_is_a_distance_upper_bound(region, exact):
         assert reach == pytest.approx(exact, rel=1e-12)
     if isinstance(region, Intersection):
         assert reach == math.hypot(0.6, 0.1) + 0.7
+
+
+def _segment_distance(p, vertices):
+    """Distance from one point to a polygon's boundary, edge by edge."""
+    best = math.inf
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        t = ((p[0] - x0) * dx + (p[1] - y0) * dy) / (dx * dx + dy * dy)
+        t = min(max(t, 0.0), 1.0)
+        best = min(best, math.hypot(p[0] - x0 - t * dx, p[1] - y0 - t * dy))
+    return best
+
+
+def _gap_points(region, seed, n=2000):
+    """n seeded points in the region's bounding box grown by half its size."""
+    xmin, ymin, xmax, ymax = bounding_box(region)
+    wx, wy = xmax - xmin, ymax - ymin
+    u = np.random.default_rng(seed).random((n, 2))
+    return np.column_stack(
+        (xmin - 0.5 * wx + 2.0 * wx * u[:, 0], ymin - 0.5 * wy + 2.0 * wy * u[:, 1])
+    )
+
+
+def _exact_gap(region, p):
+    """Brute-force distance from a point to a disk, annulus or polygon."""
+    if isinstance(region, Polygon):
+        return 0.0 if region._mask(*p) else _segment_distance(p, region.vertices)
+    d = math.hypot(p[0] - region.center[0], p[1] - region.center[1])
+    if isinstance(region, Disk):
+        return max(d - region.radius_km, 0.0)
+    return max(region.r_inner - d, d - region.r_outer, 0.0)
+
+
+@pytest.mark.parametrize(
+    "region",
+    [
+        Disk((0.3, -0.2), 0.7),
+        Annulus((0.1, 0.4), 0.3, 0.9),
+        _ELL,
+        Polygon(
+            ((0.0, 0.0), (3.0, 0.0), (3.0, 0.2), (0.2, 0.2), (0.2, 3.0), (0.0, 3.0))
+        ),
+    ],
+)
+def test_gap_is_exact_for_disks_annuli_and_polygons(region):
+    # At points all over and around the region, the ring's hole too: 0
+    # inside, and otherwise the distance to the region.
+    pts = _gap_points(region, 11)
+    gap = geometry._gap(region, pts)
+    inside = region._mask(*pts.T)
+    assert inside.any() and (~inside).any()
+    assert (gap[inside] == 0.0).all() and (gap[~inside] > 0.0).all()
+    exact = np.array([_exact_gap(region, p) for p in pts])
+    np.testing.assert_allclose(gap, exact, rtol=1e-12, atol=0.0)
+    for p, g in zip(pts[:50], gap[:50]):
+        assert float(geometry._gap(region, p)) == g
+
+
+@pytest.mark.parametrize("rotation", [0.0, 0.4, 1.3, 2.9])
+def test_gap_is_a_lower_bound_for_rotated_ellipses(rotation):
+    ellipse = Ellipse((0.2, -0.1), 0.9, 0.25, rotation)
+    pts = _gap_points(ellipse, 12)
+    gap = geometry._gap(ellipse, pts)
+    inside = ellipse._mask(*pts.T)
+    assert inside.any() and (gap[inside] == 0.0).all() and (gap[~inside] > 0.0).all()
+    # A dense sample of the curve: each sampled point lies on the ellipse,
+    # so its distance bounds the gap from above.
+    phi = np.linspace(0.0, 2.0 * math.pi, 20_001)
+    c, s = math.cos(rotation), math.sin(rotation)
+    ex, ey = 0.9 * np.cos(phi), 0.25 * np.sin(phi)
+    curve = np.column_stack((0.2 + c * ex - s * ey, -0.1 + s * ex + c * ey))
+    for p, g in zip(pts[~inside], gap[~inside]):
+        assert g <= np.hypot(*(curve - p).T).min()
+
+
+def test_gap_of_a_nested_intersection_is_the_largest_of_its_parts():
+    parts = (Disk((0.9, 0.0), 0.8), Annulus((0.0, 0.0), 0.25, 2.0))
+    inner = Intersection(parts)
+    ellipse = Ellipse((0.6, 0.1), 0.7, 0.3, 0.4)
+    region = Intersection((inner, ellipse))
+    pts = _gap_points(region, 13)
+    gap = geometry._gap(region, pts)
+    expect = np.maximum.reduce([geometry._gap(r, pts) for r in (*parts, ellipse)])
+    assert gap.tolist() == expect.tolist()
+    inside = region._mask(*pts.T)
+    assert inside.any() and (gap[inside] == 0.0).all() and (gap[~inside] > 0.0).all()
 
 
 @pytest.mark.parametrize("r", [0.01, 0.02, 0.04])
