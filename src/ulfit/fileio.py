@@ -32,6 +32,9 @@ def atomic_open(path, mode: str = "w"):
 
     Yields:
         The open temporary file.
+
+    Raises:
+        OSError: naming ``path``, not ``<path>.tmp``, if either is unwritable.
     """
     path = str(path)
     tmp = f"{path}.tmp"
@@ -40,11 +43,13 @@ def atomic_open(path, mode: str = "w"):
         with open(tmp, mode, **text) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.remove(tmp)
         except FileNotFoundError:
             pass
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

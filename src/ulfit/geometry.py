@@ -3,14 +3,14 @@
 Coverage areas are built from a small set of primitives (disk, polygon,
 ellipse, annulus) plus intersection. A primitive defines only its
 validation, its membership test (_mask, vectorized over arrays of
-points), its bounding box and its boundary pieces (_pieces): conics
-(leaf, c, M, size, big), the curve |M (p - c)| = 1 with least and
-largest semi-axes size and big, and polygon edges (leaf, a, b), the
-segments a[i] -> b[i]; leaf is the primitive a piece bounds, and an
+points) and its boundary pieces (_pieces): conics (leaf, c, M, size,
+big, M^-1), the curve |M (p - c)| = 1 with least and largest semi-axes
+size and big, and M^-1 in closed form, and polygon edges (leaf, a, b),
+the segments a[i] -> b[i]; leaf is the primitive a piece bounds, and an
 intersection lists its parts' pieces in part order. Every other question
-reads the pieces, for any shape and nesting: the distance bounds _gap
-(lower) and _reach (upper), the polar origin, and every crossing of a
-line with the boundary (_line_cuts).
+reads the pieces, for any shape and nesting: the bounding box, the
+distance bounds _gap (lower) and _reach (upper), the polar origin, and
+every crossing of a line with the boundary (_line_cuts).
 
 For sampling, this module provides the rejection step's envelope and the
 accept test of a block of proposals, which is region membership alone;
@@ -112,7 +112,8 @@ def _roots(b, cc, disc):
 
 def _circle(leaf, center, radius):
     """A circle as a conic piece of ``leaf`` (see _pieces)."""
-    return (leaf, np.asarray(center), np.eye(2) / radius, radius, radius)
+    eye = np.eye(2)
+    return (leaf, np.asarray(center), eye / radius, radius, radius, eye * radius)
 
 
 def _xy(p):
@@ -137,11 +138,6 @@ class Disk:
         cx, cy = self.center
         return (x - cx) ** 2 + (y - cy) ** 2 <= self.radius_km**2
 
-    def _bbox(self):
-        cx, cy = self.center
-        r = self.radius_km
-        return (cx - r, cy - r, cx + r, cy + r)
-
     def _pieces(self):
         return [_circle(self, self.center, self.radius_km)], []
 
@@ -165,11 +161,6 @@ class Annulus:
         cx, cy = self.center
         rho2 = (x - cx) ** 2 + (y - cy) ** 2
         return (rho2 >= self.r_inner**2) & (rho2 <= self.r_outer**2)
-
-    def _bbox(self):
-        cx, cy = self.center
-        r = self.r_outer
-        return (cx - r, cy - r, cx + r, cy + r)
 
     def _pieces(self):
         radii = (self.r_inner, self.r_outer) if self.r_inner > 0 else (self.r_outer,)
@@ -200,22 +191,12 @@ class Ellipse:
         v = -s * dx + c * dy
         return (u / self.a_km) ** 2 + (v / self.b_km) ** 2 <= 1.0
 
-    def _bbox(self):
-        # Extents of a rotated ellipse along the axes.
-        cx, cy = self.center
-        c, s = math.cos(self.rotation_rad), math.sin(self.rotation_rad)
-        ex = math.hypot(self.a_km * c, self.b_km * s)
-        ey = math.hypot(self.a_km * s, self.b_km * c)
-        return (cx - ex, cy - ey, cx + ex, cy + ey)
-
-    def _unit_map(self):
-        """M with the ellipse = {p : |M (p - center)| <= 1}."""
-        c, s = math.cos(self.rotation_rad), math.sin(self.rotation_rad)
-        return np.array([[c, s], [-s, c]]) / np.array([[self.a_km], [self.b_km]])
-
     def _pieces(self):
-        axes = (self.a_km, self.b_km)
-        return [(self, np.asarray(self.center), self._unit_map(), *sorted(axes))], []
+        a, b = self.a_km, self.b_km
+        c, s = math.cos(self.rotation_rad), math.sin(self.rotation_rad)
+        m = np.array([[c, s], [-s, c]]) / np.array([[a], [b]])
+        back = np.array([[a * c, -b * s], [a * s, b * c]])
+        return [(self, np.asarray(self.center), m, *sorted((a, b)), back)], []
 
 
 @dataclass(frozen=True)
@@ -275,11 +256,6 @@ class Polygon:
             inside ^= cond & (x < xin)
         return inside
 
-    def _bbox(self):
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
-
     def _pieces(self):
         vs = np.asarray(self.vertices)
         return [], [(self, vs, np.roll(vs, -1, axis=0))]
@@ -302,16 +278,6 @@ class Intersection:
         for part in self.parts[1:]:
             m &= part._mask(x, y)
         return m
-
-    def _bbox(self):
-        boxes = [p._bbox() for p in self.parts]
-        xmin = max(b[0] for b in boxes)
-        ymin = max(b[1] for b in boxes)
-        xmax = min(b[2] for b in boxes)
-        ymax = min(b[3] for b in boxes)
-        if not (xmax > xmin and ymax > ymin):
-            raise EmptyRegion("intersection bounding boxes are disjoint")
-        return (xmin, ymin, xmax, ymax)
 
     def _pieces(self):
         pieces = [part._pieces() for part in self.parts]
@@ -347,8 +313,27 @@ class UeDensity:
 
 
 def bounding_box(region: Region) -> tuple[float, float, float, float]:
-    """Axis-aligned (xmin, ymin, xmax, ymax) containing the region."""
-    return region._bbox()
+    """Axis-aligned (xmin, ymin, xmax, ymax) containing the region.
+
+    A primitive's box is its pieces': a conic c + M^-1 e, |e| = 1, spans
+    c_i +- |row i of M^-1| on axis i, and a polygon its vertices. An
+    intersection's is the common part of its parts' boxes; EmptyRegion if
+    they are disjoint.
+    """
+    if isinstance(region, Intersection):
+        boxes = np.array([bounding_box(part) for part in region.parts])
+        lo, hi = boxes[:, :2].max(axis=0), boxes[:, 2:].min(axis=0)
+        if not (hi > lo).all():
+            raise EmptyRegion("intersection bounding boxes are disjoint")
+    else:
+        conics, polygons = region._pieces()
+        ends = [a for _, a, _ in polygons]
+        for _, c, *_, back in conics:
+            ext = [math.hypot(*row) for row in back]
+            ends += [c - ext, c + ext]
+        ends = np.vstack(ends)
+        lo, hi = ends.min(axis=0), ends.max(axis=0)
+    return (*map(float, lo), *map(float, hi))
 
 
 def effective_region(region: Region, bs, d_min: float) -> Region:
@@ -417,7 +402,7 @@ def _reach(region: Region, o) -> float:
     if isinstance(region, Intersection):
         return min(_reach(part, o) for part in region.parts)
     conics, polygons = region._pieces()
-    far = [math.hypot(o[0] - c[0], o[1] - c[1]) + big for _, c, _, _, big in conics]
+    far = [math.hypot(o[0] - c[0], o[1] - c[1]) + big for _, c, _, _, big, _ in conics]
     far += [math.hypot(x - o[0], y - o[1]) for _, a, _ in polygons for x, y in a]
     return max(far)
 
@@ -444,7 +429,7 @@ def _off(conic, p):
     ||M (p - c)| - 1| is the distance in unit-disk coordinates, and M
     stretches no distance by more than 1 / size.
     """
-    _, c, m, size, _ = conic
+    _, c, m, size, *_ = conic
     return size * np.abs(np.hypot(*(m @ (p - c).T)) - 1.0)
 
 
@@ -456,8 +441,7 @@ def _tangents(conic, o):
     J u) / d^2; at d = 1, o on the curve, they are the tangent line at o.
     For d < 1 the "touch points" lie off the curve, at 1 / d.
     """
-    _, c, m, *_ = conic
-    back = np.linalg.inv(m)
+    _, c, m, *_, back = conic
     u = m @ (o - c)
     d2 = u @ u
     s = math.sqrt(max(d2 - 1.0, 0.0))
@@ -477,9 +461,8 @@ def _conic_crossings(a, b):
     roots and phi = pi (tau = inf); the real part of a complex root may
     come back off b's curve, for the caller to drop.
     """
-    _, ca, ma, *_ = a
+    _, ca, *_, back = a
     _, cb, mb, *_ = b
-    back = np.linalg.inv(ma)
     k, w = mb @ back, mb @ (ca - cb)
     g, h = k.T @ k, 2.0 * (k.T @ w)
     # |w + K e|^2 - 1 = a0 + h . e + a2 cos 2 phi + g01 sin 2 phi.
@@ -583,7 +566,7 @@ def _panels(region: Region, origin) -> np.ndarray:
     of its ray, and breaks within _EVENT_TOL rad of each other are one.
     """
     o = np.asarray(origin, dtype=float)
-    tol = _EVENT_TOL * max(*map(abs, region._bbox()), *map(abs, o))
+    tol = _EVENT_TOL * max(*map(abs, bounding_box(region)), *map(abs, o))
     conics, polygons = region._pieces()
     # (ray directions, points on them) per kind of candidate.
     found = [(a - o, a) for _, a, _ in polygons]

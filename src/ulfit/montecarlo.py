@@ -33,9 +33,9 @@ arrays. Its working set, the tracemalloc peak of one _cell_slice, is
 rejection round, and 1.8 MiB on a hotspot disk cell: about a 2 MB
 per-core L2 cache. simulate_aggregate builds each cell's user domain and
 envelope once per call, in the calling thread, for all of its slices.
-The envelope's pilot runs in slice-sized blocks of one stream, so no
-step of the sampler holds more than a slice. The sample files, the KS
-statistic and the DKW slack live in ulfit.samples.
+The envelope's pilot reads blocks of at most a slice and stops once it
+has decided, so no step of the sampler holds more than a slice. The
+sample files, the KS statistic and the DKW slack live in ulfit.samples.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ __all__ = ["simulate_aggregate"]
 # cell, near a 2 MB per-core L2 cache. At 2^14 draws the per-slice
 # overhead made single_cell's two-worker simulate a third slower.
 _SLICE = 1 << 15
-# Stall rule of _positions_slice: the pilot block's size, and the smallest
-# share of it that a cell must accept.
+# Stall rule of _positions_slice: the pilot's size and first block, and
+# the smallest share of the pilot that a cell must accept.
 _PILOT = 1 << 16
+_PILOT_HEAD = 1 << 10
 _MIN_ACCEPTANCE = 1e-3
 # ln of a power ratio per dB: 10^(v / 10) = exp(v _LN_PER_DB), and np.exp
 # takes about a tenth of the time of np.power (numpy 2.4, x86-64).
@@ -86,16 +87,21 @@ def _envelope(region, density):
     """(corners, size, acceptance) of a region's rejection envelope.
 
     The tile table is rejection_envelope's. The acceptance is the accepted
-    share of a fixed pilot of _PILOT proposals from one stream, the same
-    for every cell, seed and slice, proposed in blocks of at most _SLICE.
+    share of the proposals read from one stream, the same for every cell,
+    seed and slice: a first block of _PILOT_HEAD, then blocks of at most
+    _SLICE, until ceil(_MIN_ACCEPTANCE _PILOT) are accepted or _PILOT are
+    read. So it is below _MIN_ACCEPTANCE exactly when all _PILOT are.
     """
     corners, size = rejection_envelope(region, density)
     gen = rng_stream(0, 0, "pos:pilot")
-    accepted = 0
-    for _, m in _slice_spans(_PILOT):
+    enough = math.ceil(_MIN_ACCEPTANCE * _PILOT)
+    accepted = read = 0
+    while read < _PILOT and accepted < enough:
+        m = min(_SLICE if read else _PILOT_HEAD, _PILOT - read)
         _, ok = proposal_block(region, density, corners, size, gen.random((m, 2)))
         accepted += int(np.count_nonzero(ok))
-    return corners, size, accepted / _PILOT
+        read += m
+    return corners, size, accepted / read
 
 
 def _positions_slice(region, density, envelope, cell_id, seed, lo, m):

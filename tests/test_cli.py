@@ -191,6 +191,25 @@ def test_fit_command_output(ws, scen, fit_path):
     assert manifest["outputs"] == [str(fit_path), f"{fit_path}.cdf.csv"]
 
 
+@pytest.mark.parametrize("command", ["bound", "fit", "simulate", "compare"])
+def test_output_in_missing_directory_names_its_path(
+    ws, scen_path, sim_path, fit_path, capsys, command
+):
+    # The error names the path asked for, not the temporary file beside it.
+    missing = ws / f"missing_{command}"
+    out = missing / "out"
+    argv = {
+        "bound": ["bound", "--scenario", str(scen_path)],
+        "fit": ["fit", "--scenario", str(scen_path), "--grid", "-140:-40:20"],
+        "simulate": ["simulate", "--scenario", str(scen_path), "--n", "100"],
+        "compare": ["compare", "--samples", str(sim_path), "--fit", str(fit_path)],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{out}'" in err and ".tmp" not in err
+    assert not missing.exists()
+
+
 def test_atomic_open_failure_keeps_previous_file(tmp_path):
     for mode, old, part in (("w", "old\n", "new"), ("wb", b"\x00old", b"\x01new")):
         path = tmp_path / f"out.{mode}"

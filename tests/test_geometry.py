@@ -23,9 +23,16 @@ from ulfit.geometry import (
     ue_domain,
 )
 from ulfit.geometry import _integrate
-from ulfit.montecarlo import _envelope, _positions_slice
+from ulfit.montecarlo import (
+    _MIN_ACCEPTANCE,
+    _PILOT,
+    _PILOT_HEAD,
+    _SLICE,
+    _envelope,
+    _positions_slice,
+)
 from ulfit.samples import dkw_slack
-from ulfit.scenario import build_hotspot_layout, build_single_cell
+from ulfit.scenario import build_hotspot_layout, build_single_cell, rng_stream
 
 
 def _one(p):
@@ -112,6 +119,105 @@ def test_bounding_box_rotated_ellipse():
     by = -2.0 + 2.0 * np.cos(t) * math.sin(rot) + 1.0 * np.sin(t) * math.cos(rot)
     assert bx.min() >= xmin - 1e-12 and bx.max() <= xmax + 1e-12
     assert by.min() >= ymin - 1e-12 and by.max() <= ymax + 1e-12
+
+
+def _closed_form_box(region):
+    """A region's box from each shape's own closed form."""
+    if isinstance(region, Intersection):
+        boxes = [_closed_form_box(part) for part in region.parts]
+        return (
+            max(b[0] for b in boxes),
+            max(b[1] for b in boxes),
+            min(b[2] for b in boxes),
+            min(b[3] for b in boxes),
+        )
+    if isinstance(region, Polygon):
+        xs, ys = zip(*region.vertices)
+        return (min(xs), min(ys), max(xs), max(ys))
+    cx, cy = region.center
+    if isinstance(region, Ellipse):
+        c, s = math.cos(region.rotation_rad), math.sin(region.rotation_rad)
+        ex = math.hypot(region.a_km * c, region.b_km * s)
+        ey = math.hypot(region.a_km * s, region.b_km * c)
+    else:
+        ex = ey = region.radius_km if isinstance(region, Disk) else region.r_outer
+    return (cx - ex, cy - ey, cx + ex, cy + ey)
+
+
+def _boundary_points(region, n=4096):
+    """n points on a primitive's outer boundary, an edge's ends among them."""
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    if isinstance(region, Polygon):
+        a = np.asarray(region.vertices)
+        b = np.roll(a, -1, axis=0)
+        s = np.linspace(0.0, 1.0, n // len(a))[:, None, None]
+        return (a + s * (b - a)).reshape(-1, 2)
+    if isinstance(region, Ellipse):
+        c, s = math.cos(region.rotation_rad), math.sin(region.rotation_rad)
+        u, v = region.a_km * np.cos(t), region.b_km * np.sin(t)
+        return np.column_stack((c * u - s * v, s * u + c * v)) + region.center
+    r = region.radius_km if isinstance(region, Disk) else region.r_outer
+    return r * np.column_stack((np.cos(t), np.sin(t))) + region.center
+
+
+def _random_primitive(rng, kind, center):
+    """A seeded primitive of the given kind around ``center``."""
+    if kind == "disk":
+        return Disk(center, rng.uniform(0.01, 2.0))
+    if kind == "annulus":
+        r_outer = rng.uniform(0.01, 2.0)
+        return Annulus(center, rng.uniform(0.0, 0.9) * r_outer, r_outer)
+    if kind == "solid_annulus":
+        return Annulus(center, 0.0, rng.uniform(0.01, 2.0))
+    if kind == "ellipse":
+        a, b = rng.uniform(0.01, 2.0, 2)
+        return Ellipse(center, a, b, rng.uniform(-4.0, 4.0))
+    # A star-shaped polygon: counterclockwise angles, each in its own
+    # slot so that no gap reaches pi, and radii at random.
+    n = rng.integers(4, 12)
+    angles = (np.arange(n) + rng.uniform(0.0, 0.9, n)) * (2.0 * math.pi / n)
+    radii = rng.uniform(0.2, 2.0, angles.size)
+    pts = np.column_stack((np.cos(angles), np.sin(angles))) * radii[:, None]
+    return Polygon(tuple(map(tuple, pts + center)))
+
+
+def test_bounding_box_matches_closed_forms():
+    # Boxes read from the pieces equal each shape's closed form bit for
+    # bit: they fix the sampler's tile grid, the carve radius of
+    # effective_region and the panel tolerance. Each box holds its
+    # shape's boundary, and a primitive's touches it.
+    rng = np.random.default_rng(20)
+    kinds = ("disk", "annulus", "solid_annulus", "ellipse", "polygon")
+    for _ in range(300):
+        for kind in kinds:
+            center = tuple(rng.uniform(-3.0, 3.0, 2))
+            region = _random_primitive(rng, kind, center)
+            box = bounding_box(region)
+            assert box == _closed_form_box(region)
+            pts = _boundary_points(region)
+            scale = max(map(abs, box))
+            assert (pts.min(axis=0) >= np.array(box[:2]) - 1e-14 * scale).all()
+            assert (pts.max(axis=0) <= np.array(box[2:]) + 1e-14 * scale).all()
+            span = box[2] - box[0] + box[3] - box[1]
+            assert np.abs(pts.min(axis=0) - box[:2]).max() <= 1e-6 * span
+            assert np.abs(pts.max(axis=0) - box[2:]).max() <= 1e-6 * span
+        # Nested intersections of parts around nearby centres.
+        center = rng.uniform(-3.0, 3.0, 2)
+        parts = [
+            _random_primitive(rng, kind, tuple(center + rng.uniform(-0.1, 0.1, 2)))
+            for kind in rng.choice(kinds, 4)
+        ]
+        region = Intersection((parts[0], Intersection(tuple(parts[1:3])), parts[3]))
+        box = bounding_box(region)
+        assert box == _closed_form_box(region)
+        pts = np.concatenate([_boundary_points(part) for part in parts])
+        pts = pts[region._mask(*pts.T)]
+        assert (pts.min(axis=0, initial=np.inf) >= np.array(box[:2])).all()
+        assert (pts.max(axis=0, initial=-np.inf) <= np.array(box[2:])).all()
+    # Disjoint part boxes, one level down.
+    inner = Intersection((Ellipse((3.0, 0.0), 1.0, 0.5, 0.3), Disk((3.0, 0.0), 1.0)))
+    with pytest.raises(EmptyRegion):
+        bounding_box(Intersection((Disk((0.0, 0.0), 1.0), inner)))
 
 
 def test_effective_region_concentric_disk():
@@ -649,7 +755,7 @@ def _clip_matches_scan(region, origin, theta, n=4096):
     may fall between two samples (a ray that grazes a curve or a vertex).
     """
     o = np.asarray(origin, dtype=float)
-    xmin, ymin, xmax, ymax = region._bbox()
+    xmin, ymin, xmax, ymax = bounding_box(region)
     reach = 1.01 * max(
         math.hypot(x - o[0], y - o[1]) for x in (xmin, xmax) for y in (ymin, ymax)
     )
@@ -985,6 +1091,42 @@ def test_sampling_stall():
     reg = Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0)))
     with pytest.raises(SamplingStall):
         _sample(reg, UeDensity("uniform"), 2, 100_000)
+
+
+def test_pilot_stops_once_decided(hotspot84):
+    # The pilot stops once it has accepted ceil(1e-3 * 2^16) = 66
+    # proposals; its stall decision must be the whole pilot's, a share of
+    # the 2^16 below _MIN_ACCEPTANCE, and its share that of the proposals
+    # read, a first block of _PILOT_HEAD and then slice-sized ones.
+    lens = Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0)))
+    cells = [(lens, UeDensity("uniform"))]
+    for r in (0.01, 0.02, 0.04):
+        _, cell, dom = _bread_domain(r)
+        cells.append((dom, cell.density))
+    cells += [(dom, cell.density) for cell, dom in _hotspot_domains(hotspot84)]
+    # Disks at distance 1 from their density origin accept about r / 4;
+    # the whole pilot accepts 65 and 66 proposals in the middle two.
+    far = UeDensity("inverse_radial", (0.0, 0.0))
+    radii = (0.0015, 0.003, 0.00384, 0.00386, 0.006, 0.02)
+    cells += [(Disk((1.0, 0.0), r), far) for r in radii]
+    ends = np.minimum(np.cumsum([_PILOT_HEAD, _SLICE, _SLICE]), _PILOT)
+    u = rng_stream(0, 0, "pos:pilot").random((_PILOT, 2))
+    reads, stalls, counts = [], [], []
+    for region, density in cells:
+        corners, size, p = _envelope(region, density)
+        count = np.cumsum(proposal_block(region, density, corners, size, u)[1])
+        stall = count[-1] / _PILOT < _MIN_ACCEPTANCE
+        assert (p < _MIN_ACCEPTANCE) == stall
+        read = _PILOT if stall else ends[np.argmax(count[ends - 1] >= 66)]
+        assert p == count[read - 1] / read
+        reads.append(read)
+        stalls.append(stall)
+        counts.append(count[-1])
+    assert counts[-4:-2] == [65, 66]
+    assert stalls[0] and not any(stalls[1:-len(radii)])
+    assert set(stalls[-len(radii) :]) == {True, False}
+    assert max(reads[-len(radii) :]) > _PILOT_HEAD
+    assert max(reads[1:-len(radii)]) == _PILOT_HEAD
 
 
 def _polar_tile(region, density):

@@ -162,14 +162,15 @@ def test_slice_memory_is_bounded(bread, bread_ir):
 
 
 def test_pilot_reads_one_stream(bread, bread_ir):
-    # The pilot proposes in slice-sized blocks of one stream: the same
-    # proposals, and so the same acceptance, as one block of _PILOT.
+    # The pilot proposes in blocks of one stream: the same proposals as a
+    # prefix of one block of _PILOT. These cells accept at least 66 of
+    # its first block, so it stops there.
     for scen in (bread, bread_ir):
         cell = scen.cells[0]
         region, (corners, size, p) = _sampler_state(scen, cell)
         u = rng_stream(0, 0, "pos:pilot").random((montecarlo._PILOT, 2))
         _, ok = proposal_block(region, cell.density, corners, size, u)
-        assert p == ok.mean()
+        assert p == ok[: montecarlo._PILOT_HEAD].mean()
 
 
 def test_parallel_equals_serial(bread, bread_ir):
