@@ -10,9 +10,11 @@ OUT. So the trees of two checkouts compare directly: ``diff -r A B`` is
 empty when every artifact, sidecar and manifest is byte-identical.
 
 Scenarios: the two benchmark workloads of perfbench/scenarios.py, the
-84-station inverse-radial Rayleigh drop, and three cells that take the
+84-station inverse-radial Rayleigh drop, and four cells that take the
 user-domain carves: a uniform and an inverse-radial annulus, each centred
-on its station, and an annulus-polygon intersection; and three cells that
+on its station, an annulus-polygon intersection, and a uniform annulus
+whose hole is the d_min carve's own circle, so that two parts of its
+user domain trace one curve; and three cells that
 put every kind of panel break in the quadrature: two crossing ellipses,
 two crossing polygons, and an inverse-radial disk whose density origin
 lies on its rim; and the bread cell of the single-cell sweep under the
@@ -59,10 +61,10 @@ def _scenarios():
 
     rayleigh = FadingModel("rayleigh")
     uniform = UeDensity("uniform")
-    east, west, north = (0.03, 0.0), (-0.03, 0.0), (0.0, 0.03)
+    east, west, north, south = (0.03, 0.0), (-0.03, 0.0), (0.0, 0.03), (0.0, -0.03)
     radial = UeDensity("inverse_radial", west)
     square = Polygon(((-0.01, 0.02), (0.01, 0.02), (0.01, 0.04), (-0.01, 0.04)))
-    # Ring holes inside and outside the d_min disk, and a ring cut by a square.
+    # Ring holes inside, outside and on the d_min disk, and a ring cut by a square.
     cut = Intersection((Annulus(north, 0.003, 0.012), square))
     carves = Scenario(
         (0.0, 0.0),
@@ -70,6 +72,7 @@ def _scenarios():
             Cell(2, east, Annulus(east, 0.002, 0.01), uniform),
             Cell(3, west, Annulus(west, 0.006, 0.01), radial),
             Cell(4, north, cut, uniform),
+            Cell(5, south, Annulus(south, DEFAULT_CHANNEL.d_min_km, 0.01), uniform),
         ),
         DEFAULT_CHANNEL,
         rayleigh,

@@ -3,14 +3,18 @@
 Coverage areas are built from a small set of primitives (disk, polygon,
 ellipse, annulus) plus intersection. A primitive defines only its
 validation, its membership test (_mask, vectorized over arrays of
-points) and its boundary pieces (_pieces): conics (leaf, c, M, size,
-big, M^-1), the curve |M (p - c)| = 1 with least and largest semi-axes
-size and big, and M^-1 in closed form, and polygon edges (leaf, a, b),
-the segments a[i] -> b[i]; leaf is the primitive a piece bounds, and an
-intersection lists its parts' pieces in part order. Every other question
-reads the pieces, for any shape and nesting: the bounding box, the
-distance bounds _gap (lower) and _reach (upper), the polar origin, and
-every crossing of a line with the boundary (_line_cuts).
+points) and its boundary pieces. Every region builds its pieces once, at
+construction, and keeps them as _pieces = (conics, edges): conics
+(leaf, c, M, size, big, M^-1), the curve |M (p - c)| = 1 with least and
+largest semi-axes size and big, and M^-1 in closed form, and polygon
+edges (leaf, a, b), the segments a[i] -> b[i]; leaf is the primitive a
+piece bounds. An intersection keeps its parts' pieces in part order, and
+its primitives, in the same order, as _leaves; a primitive is its own
+one leaf, and also keeps the box of its pieces. Every other question
+reads these same tuples, for any shape and nesting: the bounding box,
+the distance bounds _gap (lower) and _reach (upper), each a loop over
+the leaves, the polar origin, and every crossing of a line with the
+boundary (_line_cuts).
 
 For sampling, this module provides the rejection step's envelope and the
 accept test of a block of proposals, which is region membership alone;
@@ -36,7 +40,9 @@ In theta the circle is cut into panels at the event angles, where an
 interval endpoint changes the boundary piece that defines it. The events,
 in closed form, are the polygon vertices, the tangents from the origin to
 each conic, the crossings of conics of different parts, and the points
-where a polygon edge crosses a piece of another part. Inside a panel the
+where a polygon edge crosses a piece of another part. Two conics that
+trace one curve have no crossing, which their quartic decides
+(_conic_crossings). Inside a panel the
 integrand is smooth in theta except for square-root behaviour at a
 tangency end, which the substitution theta = a + (b - a)(3 s^2 - 2 s^3)
 turns smooth in s.
@@ -111,9 +117,30 @@ def _roots(b, cc, disc):
 
 
 def _circle(leaf, center, radius):
-    """A circle as a conic piece of ``leaf`` (see _pieces)."""
+    """A circle as a conic piece of ``leaf``."""
     eye = np.eye(2)
     return (leaf, np.asarray(center), eye / radius, radius, radius, eye * radius)
+
+
+def _keep(region, conics=(), edges=(), leaves=None):
+    """Keep a region's pieces, as (conics, polygon edges), and its leaves.
+
+    The leaves are the primitives the region intersects, in part order. A
+    primitive is its own one leaf, and also keeps the box of its pieces: a
+    conic c + M^-1 e, |e| = 1, spans c_i +- |row i of M^-1| on axis i, and
+    a polygon its vertices.
+    """
+    if leaves is None:
+        leaves = (region,)
+        ends = [v for _, a, _ in edges for v in a.tolist()]
+        for _, (cx, cy), *_, back in conics:
+            ex, ey = (math.hypot(*row) for row in back.tolist())
+            ends += [(cx - ex, cy - ey), (cx + ex, cy + ey)]
+        xs, ys = zip(*ends)
+        box = (min(xs), min(ys), max(xs), max(ys))
+        object.__setattr__(region, "_box", tuple(map(float, box)))
+    object.__setattr__(region, "_pieces", (tuple(conics), tuple(edges)))
+    object.__setattr__(region, "_leaves", leaves)
 
 
 def _xy(p):
@@ -133,13 +160,11 @@ class Disk:
         object.__setattr__(self, "center", _as_point(self.center, "center"))
         if not self.radius_km > 0:
             raise EmptyRegion("radius_km: must be positive")
+        _keep(self, [_circle(self, self.center, self.radius_km)])
 
     def _mask(self, x, y):
         cx, cy = self.center
         return (x - cx) ** 2 + (y - cy) ** 2 <= self.radius_km**2
-
-    def _pieces(self):
-        return [_circle(self, self.center, self.radius_km)], []
 
 
 @dataclass(frozen=True)
@@ -156,15 +181,13 @@ class Annulus:
             raise DomainError("r_inner: must be >= 0")
         if not self.r_outer > self.r_inner:
             raise EmptyRegion("r_outer: must exceed r_inner")
+        radii = (self.r_inner, self.r_outer) if self.r_inner > 0 else (self.r_outer,)
+        _keep(self, [_circle(self, self.center, r) for r in radii])
 
     def _mask(self, x, y):
         cx, cy = self.center
         rho2 = (x - cx) ** 2 + (y - cy) ** 2
         return (rho2 >= self.r_inner**2) & (rho2 <= self.r_outer**2)
-
-    def _pieces(self):
-        radii = (self.r_inner, self.r_outer) if self.r_inner > 0 else (self.r_outer,)
-        return [_circle(self, self.center, r) for r in radii], []
 
 
 @dataclass(frozen=True)
@@ -182,21 +205,20 @@ class Ellipse:
         for name in ("a_km", "b_km"):
             if not getattr(self, name) > 0:
                 raise EmptyRegion(f"{name}: must be positive")
-
-    def _mask(self, x, y):
-        cx, cy = self.center
-        c, s = math.cos(self.rotation_rad), math.sin(self.rotation_rad)
-        dx, dy = x - cx, y - cy
-        u = c * dx + s * dy
-        v = -s * dx + c * dy
-        return (u / self.a_km) ** 2 + (v / self.b_km) ** 2 <= 1.0
-
-    def _pieces(self):
         a, b = self.a_km, self.b_km
         c, s = math.cos(self.rotation_rad), math.sin(self.rotation_rad)
         m = np.array([[c, s], [-s, c]]) / np.array([[a], [b]])
         back = np.array([[a * c, -b * s], [a * s, b * c]])
-        return [(self, np.asarray(self.center), m, *sorted((a, b)), back)], []
+        _keep(self, [(self, np.asarray(self.center), m, *sorted((a, b)), back)])
+
+    def _mask(self, x, y):
+        # |M (p - c)| <= 1, with the M of the kept conic piece.
+        cx, cy = self.center
+        (m00, m01), (m10, m11) = self._pieces[0][0][2].tolist()
+        dx, dy = x - cx, y - cy
+        u = m00 * dx + m01 * dy
+        v = m10 * dx + m11 * dy
+        return u * u + v * v <= 1.0
 
 
 @dataclass(frozen=True)
@@ -217,48 +239,34 @@ class Polygon:
         object.__setattr__(self, "vertices", vs)
         if len(vs) < 3:
             raise DomainError("vertices: a polygon needs at least 3")
-        if any(v == w for v, w in zip(vs, vs[1:] + vs[:1])):
+        a = np.asarray(vs)
+        b = np.roll(a, -1, axis=0)
+        if (a == b).all(axis=1).any():
             raise DomainError("vertices: consecutive vertices must differ")
-        if self._signed_area() <= 0:
+        # Twice the signed area.
+        if _cross(a, b).sum() <= 0:
             raise DomainError("vertices: must be counterclockwise")
-        if not self._is_simple():
-            raise DomainError("vertices: polygon must be non-self-intersecting")
-
-    def _signed_area(self) -> float:
-        vs = self.vertices
-        acc = 0.0
-        for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
-            acc += x0 * y1 - x1 * y0
-        return 0.5 * acc
-
-    def _is_simple(self) -> bool:
         # No two edges cross properly, each with its ends strictly on both
         # sides of the other's line. Edges that share a vertex never do: the
         # shared end's side is exactly 0.
-        a = np.asarray(self.vertices)
-        b = np.roll(a, -1, axis=0)
         ends = np.stack((a, b), axis=1)
         side = _cross((b - a)[:, None, None], ends - a[:, None, None])
         straddles = side[..., 0] * side[..., 1] < 0
-        return not (straddles & straddles.T).any()
+        if (straddles & straddles.T).any():
+            raise DomainError("vertices: polygon must be non-self-intersecting")
+        _keep(self, edges=[(self, a, b)])
 
     def _mask(self, x, y):
-        # Crossing-number test, vectorized over flat coordinate arrays.
+        # Crossing-number test over the kept edges, vectorized over flat
+        # coordinate arrays.
         inside = np.zeros(np.shape(x), dtype=bool)
-        vs = self.vertices
-        n = len(vs)
-        for i in range(n):
-            x0, y0 = vs[i]
-            x1, y1 = vs[(i + 1) % n]
+        _, a, b = self._pieces[1][0]
+        for (x0, y0), (x1, y1) in zip(a.tolist(), b.tolist()):
             cond = (y0 > y) != (y1 > y)
             with np.errstate(divide="ignore", invalid="ignore"):
                 xin = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
             inside ^= cond & (x < xin)
         return inside
-
-    def _pieces(self):
-        vs = np.asarray(self.vertices)
-        return [], [(self, vs, np.roll(vs, -1, axis=0))]
 
 
 @dataclass(frozen=True)
@@ -272,16 +280,18 @@ class Intersection:
         if not parts:
             raise DomainError("parts: an intersection needs at least one region")
         object.__setattr__(self, "parts", parts)
+        _keep(
+            self,
+            [c for part in parts for c in part._pieces[0]],
+            [e for part in parts for e in part._pieces[1]],
+            tuple(leaf for part in parts for leaf in part._leaves),
+        )
 
     def _mask(self, x, y):
         m = self.parts[0]._mask(x, y)
         for part in self.parts[1:]:
             m &= part._mask(x, y)
         return m
-
-    def _pieces(self):
-        pieces = [part._pieces() for part in self.parts]
-        return [c for cs, _ in pieces for c in cs], [e for _, es in pieces for e in es]
 
 
 Region = Disk | Polygon | Ellipse | Annulus | Intersection
@@ -315,25 +325,14 @@ class UeDensity:
 def bounding_box(region: Region) -> tuple[float, float, float, float]:
     """Axis-aligned (xmin, ymin, xmax, ymax) containing the region.
 
-    A primitive's box is its pieces': a conic c + M^-1 e, |e| = 1, spans
-    c_i +- |row i of M^-1| on axis i, and a polygon its vertices. An
-    intersection's is the common part of its parts' boxes; EmptyRegion if
-    they are disjoint.
+    It is the common part of the boxes its leaves keep (_keep),
+    EmptyRegion if they are disjoint.
     """
-    if isinstance(region, Intersection):
-        boxes = np.array([bounding_box(part) for part in region.parts])
-        lo, hi = boxes[:, :2].max(axis=0), boxes[:, 2:].min(axis=0)
-        if not (hi > lo).all():
-            raise EmptyRegion("intersection bounding boxes are disjoint")
-    else:
-        conics, polygons = region._pieces()
-        ends = [a for _, a, _ in polygons]
-        for _, c, *_, back in conics:
-            ext = [math.hypot(*row) for row in back]
-            ends += [c - ext, c + ext]
-        ends = np.vstack(ends)
-        lo, hi = ends.min(axis=0), ends.max(axis=0)
-    return (*map(float, lo), *map(float, hi))
+    xmin, ymin, xmax, ymax = zip(*(leaf._box for leaf in region._leaves))
+    box = (max(xmin), max(ymin), min(xmax), min(ymax))
+    if not (box[0] < box[2] and box[1] < box[3]):
+        raise EmptyRegion("intersection bounding boxes are disjoint")
+    return box
 
 
 def effective_region(region: Region, bs, d_min: float) -> Region:
@@ -374,44 +373,46 @@ def effective_region(region: Region, bs, d_min: float) -> Region:
 def _gap(region: Region, p):
     """Distance lower bound from a point (2,) or points (n, 2) to a region.
 
-    A primitive's bound is 0 inside it and otherwise the least over its
-    pieces (_pieces): _off for a conic, the exact distance for a polygon
-    edge. So it is exact for disks, annuli and polygons, and for ellipses
-    min(a, b) times the distance in unit-disk coordinates. An intersection
-    takes the largest bound of its parts.
+    It is the largest bound of the leaves. A leaf's is 0 inside it and
+    otherwise the least over its pieces: _off for a conic, the exact
+    distance for a polygon edge. So it is exact for disks, annuli and
+    polygons, and for ellipses min(a, b) times the distance in unit-disk
+    coordinates.
     """
-    if isinstance(region, Intersection):
-        return np.maximum.reduce([_gap(part, p) for part in region.parts])
     p = np.asarray(p, dtype=float)
-    conics, polygons = region._pieces()
-    near = [_off(conic, p) for conic in conics]
-    for _, a, b in polygons:
-        d, q = b - a, p[..., None, :] - a
-        t = np.clip((q * d).sum(axis=-1) / (d * d).sum(axis=-1), 0.0, 1.0)
-        near.append(np.hypot(*_xy(q - t[..., None] * d)).min(axis=-1))
-    return np.where(region._mask(*_xy(p)), 0.0, np.minimum.reduce(near))
+    gaps = []
+    for leaf in region._leaves:
+        conics, polygons = leaf._pieces
+        near = [_off(conic, p) for conic in conics]
+        for _, a, b in polygons:
+            d, q = b - a, p[..., None, :] - a
+            t = np.clip((q * d).sum(axis=-1) / (d * d).sum(axis=-1), 0.0, 1.0)
+            near.append(np.hypot(*_xy(q - t[..., None] * d)).min(axis=-1))
+        gaps.append(np.where(leaf._mask(*_xy(p)), 0.0, np.minimum.reduce(near)))
+    return np.maximum.reduce(gaps)
 
 
 def _reach(region: Region, o) -> float:
     """Distance upper bound from the point o to a region.
 
-    A primitive's bound is its farthest piece: a conic's centre distance
-    plus its largest semi-axis, or a polygon's farthest vertex. An
-    intersection takes the least bound of its parts.
+    It is the least bound of the leaves. A leaf's is its farthest piece: a
+    conic's centre distance plus its largest semi-axis, or a polygon's
+    farthest vertex.
     """
-    if isinstance(region, Intersection):
-        return min(_reach(part, o) for part in region.parts)
-    conics, polygons = region._pieces()
-    far = [math.hypot(o[0] - c[0], o[1] - c[1]) + big for _, c, _, _, big, _ in conics]
-    far += [math.hypot(x - o[0], y - o[1]) for _, a, _ in polygons for x, y in a]
-    return max(far)
+    reach = []
+    for leaf in region._leaves:
+        conics, polygons = leaf._pieces
+        far = [math.hypot(*(o - c)) + big for _, c, _, _, big, _ in conics]
+        far += [math.hypot(x - o[0], y - o[1]) for _, a, _ in polygons for x, y in a]
+        reach.append(max(far))
+    return min(reach)
 
 
 def _polar_origin(region: Region, density: UeDensity) -> tuple[float, float]:
     """The polar origin of the quadrature (see the module docstring)."""
     if density.kind == "inverse_radial":
         return density.origin
-    for leaf, *_ in region._pieces()[0]:
+    for leaf in region._leaves:
         if isinstance(leaf, Annulus):
             return leaf.center
     xmin, ymin, xmax, ymax = bounding_box(region)
@@ -459,7 +460,10 @@ def _conic_crossings(a, b):
     equation |w + K e|^2 = 1, with w = M_b (c_a - c_b) and K = M_b M_a^-1,
     is a quartic in tau = tan(phi / 2). Newton steps in phi polish its
     roots and phi = pi (tau = inf); the real part of a complex root may
-    come back off b's curve, for the caller to drop.
+    come back off b's curve, for the caller to drop. When all five
+    coefficients vanish to _EVENT_TOL of the terms they are formed from,
+    every point of a's curve lies on b's: the pair traces one curve, and
+    there is no crossing.
     """
     _, ca, *_, back = a
     _, cb, mb, *_ = b
@@ -470,7 +474,11 @@ def _conic_crossings(a, b):
     a2 = 0.5 * (g[0, 0] - g[1, 1])
     c4, c2, c0 = a0 - h[0] + a2, 2.0 * a0 - 6.0 * a2, a0 + h[0] + a2
     c3, c1 = 2.0 * h[1] - 4.0 * g[0, 1], 2.0 * h[1] + 4.0 * g[0, 1]
-    tau = np.roots([c4, c3, c2, c1, c0])
+    coeffs = np.array([c4, c3, c2, c1, c0])
+    terms = w @ w + 1.0 + g[0, 0] + g[1, 1] + np.abs(h).sum() + abs(g[0, 1])
+    if (np.abs(coeffs) <= _EVENT_TOL * terms).all():
+        return np.empty((0, 2))
+    tau = np.roots(coeffs)
     phi = start = np.append(2.0 * np.arctan(tau.real), math.pi)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(8):
@@ -481,22 +489,6 @@ def _conic_crossings(a, b):
         # A start that moved far has left its root, or had none to polish.
         phi = phi[np.abs(phi - start) <= 1e-6]
         return ca + np.column_stack((np.cos(phi), np.sin(phi))) @ back.T
-
-
-def _same_curve(a, b, tol):
-    """Whether conics a and b trace one curve: the same c and M^T M.
-
-    The centres must agree within ``tol`` and M^T M within _EVENT_TOL of
-    its size. Every point of such a pair lies on both curves, so
-    _conic_crossings would return rounding noise.
-    """
-    _, ca, ma, *_ = a
-    _, cb, mb, *_ = b
-    ga, gb = ma.T @ ma, mb.T @ mb
-    return (
-        np.abs(ca - cb).max() <= tol
-        and np.abs(ga - gb).max() <= _EVENT_TOL * np.abs(ga).max()
-    )
 
 
 def _conic_line(conic, p, v):
@@ -543,7 +535,7 @@ def _clip(region, o, c, s):
     inside, by ray and then by r.
     """
     o, ray = np.asarray(o, dtype=float), np.column_stack((c, s))
-    cuts = np.column_stack((np.zeros_like(c), _line_cuts(*region._pieces(), o, ray)))
+    cuts = np.column_stack((np.zeros_like(c), _line_cuts(*region._pieces, o, ray)))
     cuts = np.sort(np.maximum(cuts, 0.0), axis=1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     row, col = np.nonzero((lo < hi) & (hi < np.inf))
@@ -567,7 +559,7 @@ def _panels(region: Region, origin) -> np.ndarray:
     """
     o = np.asarray(origin, dtype=float)
     tol = _EVENT_TOL * max(*map(abs, bounding_box(region)), *map(abs, o))
-    conics, polygons = region._pieces()
+    conics, polygons = region._pieces
     # (ray directions, points on them) per kind of candidate.
     found = [(a - o, a) for _, a, _ in polygons]
     for i, conic in enumerate(conics):
@@ -575,7 +567,7 @@ def _panels(region: Region, origin) -> np.ndarray:
         on = _off(conic, touch) <= tol
         found.append((ray[on], touch[on]))
         for other in conics[i + 1 :]:
-            if other[0] is not conic[0] and not _same_curve(conic, other, tol):
+            if other[0] is not conic[0]:
                 p = _conic_crossings(conic, other)
                 p = p[_off(other, p) <= tol]
                 found.append((p - o, p))

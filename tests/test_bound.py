@@ -74,6 +74,13 @@ def test_bound_params_validation():
         BoundParams(omega=0.001, p=1500)  # below 2/omega
 
 
+def test_bound_params_reject_tiny_omega():
+    # p >= 2/omega holds, but eps2 would keep about 3.2e12 harmonics.
+    with pytest.raises(DomainError, match="^omega: must be at least 1e-6"):
+        BoundParams(omega=1e-12, p=2 * 10**12)
+    assert BoundParams(omega=1e-6, p=2 * 10**6).omega == 1e-6
+
+
 def test_delta1_is_large_k_limit_of_delta0():
     # erfc saturates at 2, so delta0 -> delta1 once k clears the period
     assert delta0(0.001, 4000, 1e9) == delta1(0.001, 4000)

@@ -433,6 +433,8 @@ _INPUT_RULES = {
     "fading.gamma": lambda d: d.update(fading={"kind": "rician", "gamma": 1e5}),
     # The per-cell step bounds need equal cutoffs.
     "bound.k2": lambda d: d["bound"].update(k2=2 * d["bound"]["k1"]),
+    # eps2 keeps about 3.2/omega harmonics whatever p is.
+    "bound.omega": lambda d: d["bound"].update(omega=1e-12, p=2 * 10**12),
 }
 
 

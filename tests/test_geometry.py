@@ -790,7 +790,7 @@ def _clip_matches_scan(region, origin, theta, n=4096):
 def _ray_angles(region, origin, rng, count=32):
     """Random angles, and the rays through every vertex and every tangent."""
     o = np.asarray(origin, dtype=float)
-    conics, polygons = region._pieces()
+    conics, polygons = region._pieces
     rays = [a - o for _, a, _ in polygons]
     rays += [geometry._tangents(conic, o)[0] for conic in conics]
     rays = np.concatenate(rays) if rays else np.zeros((0, 2))
@@ -931,6 +931,38 @@ def test_conic_edge_crossings_give_one_break_each():
     assert count.tolist() == [1, 1]
 
 
+def _offset_circles(offset):
+    """Two circles of radius 0.01, the second moved east by ``offset`` radii."""
+    r, (cx, cy) = 0.01, (0.03, 0.0)
+    return Disk((cx, cy), r), Disk((cx + offset * r, cy), r)
+
+
+@pytest.mark.parametrize("offset", [1e-6, 1e-9, 1e-11])
+def test_offset_equal_circles_break_at_their_crossings(offset):
+    # The circles cross at (cx + offset r / 2, +- sqrt(r^2 - (offset r / 2)^2)),
+    # and meet there at an angle of about offset radians.
+    disk, moved = _offset_circles(offset)
+    (cx, cy), r = disk.center, disk.radius_km
+    half = 0.5 * offset * r
+    crossings = [(cx + half, cy + s * math.sqrt(r * r - half * half)) for s in (1, -1)]
+    origin = (0.032, 0.003)
+    turn, count = _breaks_near(Intersection((disk, moved)), origin, crossings)
+    # The quartic's constant term loses offset^2 against 1, so a crossing
+    # may lie up to half the offset, 5e-12 km, from its break's ray.
+    reach = np.hypot(*(np.array(crossings) - origin).T)
+    assert (turn * reach).max() <= 1e-11
+    assert count.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-13])
+def test_nearly_equal_circles_keep_one_panel(offset):
+    # Within 1e-12 of the terms of their quartic, the two trace one curve.
+    disk, moved = _offset_circles(offset)
+    origin = (0.032, 0.003)
+    lone = geometry._panels(disk, origin).tolist()
+    assert geometry._panels(Intersection((disk, moved)), origin).tolist() == lone
+
+
 def test_polar_origin_is_the_first_annulus_centre():
     uniform = UeDensity("uniform")
     inner = Intersection((_SQUARE, Annulus((0.4, 0.6), 0.1, 0.5)))
@@ -955,6 +987,30 @@ def _bread_domain(r):
     return scen, cell, ue_domain(
         cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km
     )
+
+
+def test_pieces_are_built_once(monkeypatch):
+    # The bread cell's user domain builds its circles when it is made; no
+    # geometric question builds them again.
+    _, cell, dom = _bread_domain(0.01)
+    pieces = dom._pieces
+    built = []
+    circle = geometry._circle
+    monkeypatch.setattr(geometry, "_circle", lambda *a: built.append(a) or circle(*a))
+    radial = UeDensity("inverse_radial", cell.bs)
+    points = np.array([[0.0, 0.0], [0.015, 0.001], [0.02, -0.004]])
+    theta = np.linspace(0.0, 2.0 * math.pi, 64)
+    for _ in range(3):
+        bounding_box(dom)
+        geometry._gap(dom, points)
+        geometry._reach(dom, (0.0, 0.0))
+        geometry._clip(dom, cell.bs, np.cos(theta), np.sin(theta))
+        geometry._panels(dom, cell.bs)
+        rejection_envelope(dom, cell.density)
+        rejection_envelope(dom, radial)
+        density_profile(dom, cell.density, _one)
+    assert built == []
+    assert dom._pieces is pieces
 
 
 # Uniform regions for the tile tests, each with the box its test points
