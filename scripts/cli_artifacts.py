@@ -13,13 +13,13 @@ Scenarios: the two benchmark workloads of perfbench/scenarios.py, the
 84-station inverse-radial Rayleigh drop, and four cells that take the
 user-domain carves: a uniform and an inverse-radial annulus, each centred
 on its station, an annulus-polygon intersection, and a uniform annulus
-whose hole is the d_min carve's own circle, so that two parts of its
-user domain trace one curve; and three cells that
-put every kind of panel break in the quadrature: two crossing ellipses,
-two crossing polygons, and an inverse-radial disk whose density origin
-lies on its rim; and the bread cell of the single-cell sweep under the
-other two fading kinds, uniform with Rician fading (gamma 5) and
-inverse-radial with none. On each scenario the
+whose hole is one ulp inside the d_min carve's circle, so that the carve
+applies and two parts of its user domain trace one curve to rounding;
+and three cells that put every kind of panel break in the quadrature:
+two crossing ellipses, two crossing polygons, and an inverse-radial disk
+whose density origin lies on its rim; and the bread cell of the
+single-cell sweep under the other two fading kinds, uniform with Rician
+fading (gamma 5) and inverse-radial with none. On each scenario the
 chain runs bound, fit with a grid, simulate with one and with two
 workers, and compare. The exit status is 0 when every command exits 0,
 and otherwise the first failing command's.
@@ -27,6 +27,7 @@ and otherwise the first failing command's.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -64,15 +65,17 @@ def _scenarios():
     east, west, north, south = (0.03, 0.0), (-0.03, 0.0), (0.0, 0.03), (0.0, -0.03)
     radial = UeDensity("inverse_radial", west)
     square = Polygon(((-0.01, 0.02), (0.01, 0.02), (0.01, 0.04), (-0.01, 0.04)))
-    # Ring holes inside, outside and on the d_min disk, and a ring cut by a square.
+    # Ring holes inside and outside the d_min disk, one a ulp inside its
+    # circle, so that the carve applies, and a ring cut by a square.
     cut = Intersection((Annulus(north, 0.003, 0.012), square))
+    hole = math.nextafter(DEFAULT_CHANNEL.d_min_km, 0.0)
     carves = Scenario(
         (0.0, 0.0),
         (
             Cell(2, east, Annulus(east, 0.002, 0.01), uniform),
             Cell(3, west, Annulus(west, 0.006, 0.01), radial),
             Cell(4, north, cut, uniform),
-            Cell(5, south, Annulus(south, DEFAULT_CHANNEL.d_min_km, 0.01), uniform),
+            Cell(5, south, Annulus(south, hole, 0.01), uniform),
         ),
         DEFAULT_CHANNEL,
         rayleigh,

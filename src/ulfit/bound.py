@@ -130,8 +130,7 @@ def delta0(omega: float, p: int, k: float) -> float:
 
 def delta1(omega: float, p: int) -> float:
     """Worst-case series residual without the offset cancellation."""
-    lead = (2.0 / (math.sqrt(math.pi) * omega)) * math.erfc((2 * p + 1) * omega)
-    return lead + 2.0
+    return delta0(omega, p, math.inf)
 
 
 def epsilon1(bp: BoundParams, sigma_l2: float, sigma_s2: float) -> float:

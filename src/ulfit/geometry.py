@@ -32,9 +32,9 @@ Integration against a user density is polar. Each ray from the polar
 origin is cut at the origin and where it crosses a piece, and the
 stretches between consecutive cuts whose midpoints lie in the region
 are its exact radial intervals. The origin is the density's own for
-"inverse_radial", and for "uniform" the center of the first conic piece
-that bounds an annulus, in a ue_domain region the serving-station carve
-(the bounding-box center if there is none).
+"inverse_radial", and for "uniform" the center of the first annulus leaf
+(the bounding-box center if none): in a ue_domain region the serving
+carve, which a station d_min or more outside its region does not have.
 
 In theta the circle is cut into panels at the event angles, where an
 interval endpoint changes the boundary piece that defines it. The events,
@@ -340,9 +340,9 @@ def effective_region(region: Region, bs, d_min: float) -> Region:
 
     The returned region is what density normalization, integration, and
     sampling all operate on, so a minimum distance to the base station is
-    enforced once, geometrically: a disk centred on ``bs`` becomes the
-    annulus d_min <= rho <= radius, and any other region is intersected
-    with the annulus from d_min to the farthest bounding-box corner.
+    enforced once: a disk centred on ``bs`` becomes the annulus d_min <= rho
+    <= radius, a region the disk misses (_gap >= d_min) is kept, and any
+    other is cut by the annulus from d_min to the farthest box corner.
 
     Args:
         region: raw coverage region.
@@ -350,7 +350,7 @@ def effective_region(region: Region, bs, d_min: float) -> Region:
         d_min: exclusion radius in km, > 0.
 
     Returns:
-        The restricted region.
+        The restricted region, ``region`` itself when nothing is carved.
 
     Raises:
         EmptyRegion: if the region lies within d_min of ``bs``, judged by
@@ -367,6 +367,8 @@ def effective_region(region: Region, bs, d_min: float) -> Region:
     # search and sampler mask: hotspot cells are such disks.
     if isinstance(region, Disk) and region.center == bs:
         return Annulus(bs, d_min, region.radius_km)
+    if _gap(region, bs) >= d_min:
+        return region
     return Intersection((region, Annulus(bs, d_min, far)))
 
 
@@ -409,7 +411,7 @@ def _reach(region: Region, o) -> float:
 
 
 def _polar_origin(region: Region, density: UeDensity) -> tuple[float, float]:
-    """The polar origin of the quadrature (see the module docstring)."""
+    """Polar origin: the density's own, the first Annulus leaf's, or the box centre."""
     if density.kind == "inverse_radial":
         return density.origin
     for leaf in region._leaves:
@@ -470,7 +472,7 @@ def _conic_crossings(a, b):
     k, w = mb @ back, mb @ (ca - cb)
     g, h = k.T @ k, 2.0 * (k.T @ w)
     # |w + K e|^2 - 1 = a0 + h . e + a2 cos 2 phi + g01 sin 2 phi.
-    a0 = w @ w - 1.0 + 0.5 * (g[0, 0] + g[1, 1])
+    a0 = w @ w + (0.5 * (g[0, 0] + g[1, 1]) - 1.0)
     a2 = 0.5 * (g[0, 0] - g[1, 1])
     c4, c2, c0 = a0 - h[0] + a2, 2.0 * a0 - 6.0 * a2, a0 + h[0] + a2
     c3, c1 = 2.0 * h[1] - 4.0 * g[0, 1], 2.0 * h[1] + 4.0 * g[0, 1]
@@ -693,12 +695,10 @@ def ue_domain(region: Region, serving_bs, victim_bs, d_min: float) -> Region:
     The serving-station carve follows from the minimum-distance rule; the
     victim-station carve keeps every admissible position inside the domain
     of the deterministic coupling gain, which requires distance d_min from
-    both stations. Normalization, integration, and sampling all use this
-    same region so they agree.
+    both stations; effective_region applies each, serving first, where it
+    cuts. Normalization, integration and sampling all use this one region.
     """
     eff = effective_region(region, serving_bs, d_min)
-    if _as_point(serving_bs, "serving_bs") == _as_point(victim_bs, "victim_bs"):
-        return eff
     return effective_region(eff, victim_bs, d_min)
 
 

@@ -954,6 +954,24 @@ def test_offset_equal_circles_break_at_their_crossings(offset):
     assert count.tolist() == [1, 1]
 
 
+@pytest.mark.parametrize("offset", [1e-6, 1e-9, 1e-11])
+def test_offset_equal_circles_cross_to_rounding(offset):
+    # For equal circles the quartic's constant term is offset^2 exactly,
+    # however small against 1, so each crossing comes back to rounding.
+    disk, moved = _offset_circles(offset)
+    (cx, cy), r = disk.center, disk.radius_km
+    half = 0.5 * offset * r
+    exact = np.array(
+        [(cx + half, cy + s * math.sqrt(r * r - half * half)) for s in (1, -1)]
+    )
+    a, b = disk._pieces[0][0], moved._pieces[0][0]
+    points = geometry._conic_crossings(a, b)
+    points = points[geometry._off(b, points) <= 1e-12 * 0.05]
+    miss = np.hypot(*(points[:, None] - exact[None]).transpose(2, 0, 1))
+    assert miss.min(axis=0).max() <= 1e-16
+    assert miss.min(axis=1).max() <= 1e-16
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e-13])
 def test_nearly_equal_circles_keep_one_panel(offset):
     # Within 1e-12 of the terms of their quartic, the two trace one curve.
@@ -987,6 +1005,75 @@ def _bread_domain(r):
     return scen, cell, ue_domain(
         cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km
     )
+
+
+def test_victim_carve_applies_where_it_reaches(hotspot84):
+    # The victim's d_min disk reaches one cell of the drop, id 8; every
+    # other domain is its serving-station annulus alone, whatever the
+    # victim.
+    victim, d_min = hotspot84.victim_bs, hotspot84.channel.d_min_km
+    reached = []
+    for cell, dom in _hotspot_domains(hotspot84):
+        eff = effective_region(cell.region, cell.bs, d_min)
+        carves = [leaf.center for leaf in dom._leaves if isinstance(leaf, Annulus)]
+        if geometry._gap(eff, victim) < d_min:
+            reached.append(cell.id)
+            assert carves == [cell.bs, victim]
+        else:
+            assert dom == eff == Annulus(cell.bs, d_min, cell.region.radius_km)
+    assert reached == [8]
+
+
+def test_benchmark_domains_keep_only_the_carves_that_cut(hotspot84):
+    # The two hotspot_fit cells lie 0.27-0.29 km from the victim; the bread
+    # cell comes within 4 m of it, so it keeps both carves.
+    for _, dom in list(_hotspot_domains(hotspot84))[:2]:
+        assert type(dom) is Annulus
+    assert len(_bread_domain(0.01)[2]._leaves) == 5
+
+
+def test_second_carve_around_the_same_station_adds_nothing():
+    scen, cell, _ = _bread_domain(0.01)
+    bs, d_min = cell.bs, scen.channel.d_min_km
+    for region in (cell.region, Disk(bs, 0.01), Disk((bs[0] + 0.004, bs[1]), 0.01)):
+        assert ue_domain(region, bs, bs, d_min) == effective_region(region, bs, d_min)
+
+
+def test_carve_whose_disk_touches_the_region_is_not_applied():
+    # The ring's inner circle is the carve's own: its gap is d_min exactly,
+    # and the open disk misses the ring.
+    bs, d_min = (0.3, 0.4), 0.005
+    ring = Annulus(bs, d_min, 0.01)
+    assert geometry._gap(ring, bs) == d_min
+    assert effective_region(ring, bs, d_min) is ring
+    disk = Disk((0.3, 0.42), 0.01)
+    assert effective_region(disk, bs, d_min) is disk
+    assert effective_region(disk, bs, 0.0101) != disk
+
+
+def test_unreached_domains_integrate_as_with_the_carve(hotspot84):
+    # A carve that misses the cell cuts no ray inside it and adds no
+    # panel break, so dropping it moves no node and no weight.
+    victim, channel = hotspot84.victim_bs, hotspot84.channel
+    d_min = channel.d_min_km
+    for cell, dom in _hotspot_domains(hotspot84):
+        eff = effective_region(cell.region, cell.bs, d_min)
+        xmin, ymin, xmax, ymax = bounding_box(eff)
+        far = max(
+            math.hypot(x - victim[0], y - victim[1])
+            for x in (xmin, xmax)
+            for y in (ymin, ymax)
+        )
+        carved = Intersection((eff, Annulus(victim, d_min, far)))
+
+        def gain(p):
+            return coupling_gain_L(p, cell.bs, victim, channel)
+
+        got = density_profile(dom, cell.density, gain)
+        want = density_profile(carved, cell.density, gain)
+        assert got[:2] == want[:2]
+        for x, y in zip(got[2:], want[2:]):
+            assert np.array_equal(x, y)
 
 
 def test_pieces_are_built_once(monkeypatch):
