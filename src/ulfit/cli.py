@@ -225,7 +225,10 @@ def cmd_simulate(scenario_path, n, seed, out_bin, workers=1) -> int:
     _bind("scenario", "montecarlo", "samples")
     scenario = load_scenario(scenario_path)
     scen_hash = scenario_hash(scenario)
-    samples = simulate_aggregate(scenario, n, seed, workers=workers)
+    try:
+        samples = simulate_aggregate(scenario, n, seed, workers=workers)
+    except MemoryError as exc:
+        raise SchemaError(f"--n: {n} samples do not fit in memory") from exc
     save_samples(samples, out_bin, scen_hash)
     _write_manifest(
         "simulate",

@@ -3,18 +3,16 @@
 Coverage areas are built from a small set of primitives (disk, polygon,
 ellipse, annulus) plus intersection. A primitive defines only its
 validation, its membership test (_mask, vectorized over arrays of
-points) and its boundary pieces. Every region builds its pieces once, at
-construction, and keeps them as _pieces = (conics, edges): conics
-(leaf, c, M, size, big, M^-1), the curve |M (p - c)| = 1 with least and
+points) and its boundary pieces. Every primitive builds its pieces once,
+at construction, and keeps them as _pieces = (conics, edges): conics
+(c, M, size, big, M^-1), the curve |M (p - c)| = 1 with least and
 largest semi-axes size and big, and M^-1 in closed form, and polygon
-edges (leaf, a, b), the segments a[i] -> b[i]; leaf is the primitive a
-piece bounds. An intersection keeps its parts' pieces in part order, and
-its primitives, in the same order, as _leaves; a primitive is its own
-one leaf, and also keeps the box of its pieces. Every other question
-reads these same tuples, for any shape and nesting: the bounding box,
-the distance bounds _gap (lower) and _reach (upper), each a loop over
-the leaves, the polar origin, and every crossing of a line with the
-boundary (_line_cuts).
+edges (a, b), the segments a[i] -> b[i]. It also keeps the box of its
+pieces. An intersection keeps only its parts. Every other question
+walks the region's primitives (_leaves) and reads these same tuples,
+for any shape and nesting: the bounding box, the distance bounds _gap
+(lower) and _reach (upper), the polar origin, and every crossing of a
+line with the boundary (_line_cuts).
 
 For sampling, this module provides the rejection step's envelope and the
 accept test of a block of proposals, which is region membership alone;
@@ -39,13 +37,12 @@ carve, which a station d_min or more outside its region does not have.
 In theta the circle is cut into panels at the event angles, where an
 interval endpoint changes the boundary piece that defines it. The events,
 in closed form, are the polygon vertices, the tangents from the origin to
-each conic, the crossings of conics of different parts, and the points
-where a polygon edge crosses a piece of another part. Two conics that
-trace one curve have no crossing, which their quartic decides
-(_conic_crossings). Inside a panel the
-integrand is smooth in theta except for square-root behaviour at a
-tangency end, which the substitution theta = a + (b - a)(3 s^2 - 2 s^3)
-turns smooth in s.
+each conic, the crossings of conics of different primitives, and the
+points where a polygon edge crosses a piece of another primitive. Two
+conics that trace one curve have no crossing, which their quartic
+decides (_conic_crossings). Inside a panel the integrand is smooth in
+theta except for square-root behaviour at a tangency end, which the
+substitution theta = a + (b - a)(3 s^2 - 2 s^3) turns smooth in s.
 
 Each panel is integrated by composite 16-point Gauss-Legendre rules, in s
 and in r on every interval. Both double their pieces until every tracked
@@ -116,31 +113,33 @@ def _roots(b, cc, disc):
     return lo, hi
 
 
-def _circle(leaf, center, radius):
-    """A circle as a conic piece of ``leaf``."""
+def _circle(center, radius):
+    """A circle as a conic piece."""
     eye = np.eye(2)
-    return (leaf, np.asarray(center), eye / radius, radius, radius, eye * radius)
+    return (np.asarray(center), eye / radius, radius, radius, eye * radius)
 
 
-def _keep(region, conics=(), edges=(), leaves=None):
-    """Keep a region's pieces, as (conics, polygon edges), and its leaves.
+def _keep(primitive, conics=(), edges=()):
+    """Keep a primitive's pieces, as (conics, polygon edges), and their box.
 
-    The leaves are the primitives the region intersects, in part order. A
-    primitive is its own one leaf, and also keeps the box of its pieces: a
-    conic c + M^-1 e, |e| = 1, spans c_i +- |row i of M^-1| on axis i, and
-    a polygon its vertices.
+    A conic c + M^-1 e, |e| = 1, spans c_i +- |row i of M^-1| on axis i,
+    and a polygon its vertices.
     """
-    if leaves is None:
-        leaves = (region,)
-        ends = [v for _, a, _ in edges for v in a.tolist()]
-        for _, (cx, cy), *_, back in conics:
-            ex, ey = (math.hypot(*row) for row in back.tolist())
-            ends += [(cx - ex, cy - ey), (cx + ex, cy + ey)]
-        xs, ys = zip(*ends)
-        box = (min(xs), min(ys), max(xs), max(ys))
-        object.__setattr__(region, "_box", tuple(map(float, box)))
-    object.__setattr__(region, "_pieces", (tuple(conics), tuple(edges)))
-    object.__setattr__(region, "_leaves", leaves)
+    ends = [v for a, _ in edges for v in a.tolist()]
+    for (cx, cy), *_, back in conics:
+        ex, ey = (math.hypot(*row) for row in back.tolist())
+        ends += [(cx - ex, cy - ey), (cx + ex, cy + ey)]
+    xs, ys = zip(*ends)
+    box = (min(xs), min(ys), max(xs), max(ys))
+    object.__setattr__(primitive, "_box", tuple(map(float, box)))
+    object.__setattr__(primitive, "_pieces", (tuple(conics), tuple(edges)))
+
+
+def _leaves(region):
+    """The primitives a region intersects, in part order; a primitive is its own."""
+    if isinstance(region, Intersection):
+        return tuple(leaf for part in region.parts for leaf in _leaves(part))
+    return (region,)
 
 
 def _xy(p):
@@ -160,7 +159,7 @@ class Disk:
         object.__setattr__(self, "center", _as_point(self.center, "center"))
         if not self.radius_km > 0:
             raise EmptyRegion("radius_km: must be positive")
-        _keep(self, [_circle(self, self.center, self.radius_km)])
+        _keep(self, [_circle(self.center, self.radius_km)])
 
     def _mask(self, x, y):
         cx, cy = self.center
@@ -182,7 +181,7 @@ class Annulus:
         if not self.r_outer > self.r_inner:
             raise EmptyRegion("r_outer: must exceed r_inner")
         radii = (self.r_inner, self.r_outer) if self.r_inner > 0 else (self.r_outer,)
-        _keep(self, [_circle(self, self.center, r) for r in radii])
+        _keep(self, [_circle(self.center, r) for r in radii])
 
     def _mask(self, x, y):
         cx, cy = self.center
@@ -209,12 +208,12 @@ class Ellipse:
         c, s = math.cos(self.rotation_rad), math.sin(self.rotation_rad)
         m = np.array([[c, s], [-s, c]]) / np.array([[a], [b]])
         back = np.array([[a * c, -b * s], [a * s, b * c]])
-        _keep(self, [(self, np.asarray(self.center), m, *sorted((a, b)), back)])
+        _keep(self, [(np.asarray(self.center), m, *sorted((a, b)), back)])
 
     def _mask(self, x, y):
         # |M (p - c)| <= 1, with the M of the kept conic piece.
         cx, cy = self.center
-        (m00, m01), (m10, m11) = self._pieces[0][0][2].tolist()
+        (m00, m01), (m10, m11) = self._pieces[0][0][1].tolist()
         dx, dy = x - cx, y - cy
         u = m00 * dx + m01 * dy
         v = m10 * dx + m11 * dy
@@ -254,13 +253,13 @@ class Polygon:
         straddles = side[..., 0] * side[..., 1] < 0
         if (straddles & straddles.T).any():
             raise DomainError("vertices: polygon must be non-self-intersecting")
-        _keep(self, edges=[(self, a, b)])
+        _keep(self, edges=[(a, b)])
 
     def _mask(self, x, y):
         # Crossing-number test over the kept edges, vectorized over flat
         # coordinate arrays.
         inside = np.zeros(np.shape(x), dtype=bool)
-        _, a, b = self._pieces[1][0]
+        a, b = self._pieces[1][0]
         for (x0, y0), (x1, y1) in zip(a.tolist(), b.tolist()):
             cond = (y0 > y) != (y1 > y)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -280,12 +279,6 @@ class Intersection:
         if not parts:
             raise DomainError("parts: an intersection needs at least one region")
         object.__setattr__(self, "parts", parts)
-        _keep(
-            self,
-            [c for part in parts for c in part._pieces[0]],
-            [e for part in parts for e in part._pieces[1]],
-            tuple(leaf for part in parts for leaf in part._leaves),
-        )
 
     def _mask(self, x, y):
         m = self.parts[0]._mask(x, y)
@@ -328,7 +321,7 @@ def bounding_box(region: Region) -> tuple[float, float, float, float]:
     It is the common part of the boxes its leaves keep (_keep),
     EmptyRegion if they are disjoint.
     """
-    xmin, ymin, xmax, ymax = zip(*(leaf._box for leaf in region._leaves))
+    xmin, ymin, xmax, ymax = zip(*(leaf._box for leaf in _leaves(region)))
     box = (max(xmin), max(ymin), min(xmax), min(ymax))
     if not (box[0] < box[2] and box[1] < box[3]):
         raise EmptyRegion("intersection bounding boxes are disjoint")
@@ -383,10 +376,10 @@ def _gap(region: Region, p):
     """
     p = np.asarray(p, dtype=float)
     gaps = []
-    for leaf in region._leaves:
+    for leaf in _leaves(region):
         conics, polygons = leaf._pieces
         near = [_off(conic, p) for conic in conics]
-        for _, a, b in polygons:
+        for a, b in polygons:
             d, q = b - a, p[..., None, :] - a
             t = np.clip((q * d).sum(axis=-1) / (d * d).sum(axis=-1), 0.0, 1.0)
             near.append(np.hypot(*_xy(q - t[..., None] * d)).min(axis=-1))
@@ -402,10 +395,10 @@ def _reach(region: Region, o) -> float:
     farthest vertex.
     """
     reach = []
-    for leaf in region._leaves:
+    for leaf in _leaves(region):
         conics, polygons = leaf._pieces
-        far = [math.hypot(*(o - c)) + big for _, c, _, _, big, _ in conics]
-        far += [math.hypot(x - o[0], y - o[1]) for _, a, _ in polygons for x, y in a]
+        far = [math.hypot(*(o - c)) + big for c, _, _, big, _ in conics]
+        far += [math.hypot(x - o[0], y - o[1]) for a, _ in polygons for x, y in a]
         reach.append(max(far))
     return min(reach)
 
@@ -414,7 +407,7 @@ def _polar_origin(region: Region, density: UeDensity) -> tuple[float, float]:
     """Polar origin: the density's own, the first Annulus leaf's, or the box centre."""
     if density.kind == "inverse_radial":
         return density.origin
-    for leaf in region._leaves:
+    for leaf in _leaves(region):
         if isinstance(leaf, Annulus):
             return leaf.center
     xmin, ymin, xmax, ymax = bounding_box(region)
@@ -432,7 +425,7 @@ def _off(conic, p):
     ||M (p - c)| - 1| is the distance in unit-disk coordinates, and M
     stretches no distance by more than 1 / size.
     """
-    _, c, m, size, *_ = conic
+    c, m, size, *_ = conic
     return size * np.abs(np.hypot(*(m @ (p - c).T)) - 1.0)
 
 
@@ -444,7 +437,7 @@ def _tangents(conic, o):
     J u) / d^2; at d = 1, o on the curve, they are the tangent line at o.
     For d < 1 the "touch points" lie off the curve, at 1 / d.
     """
-    _, c, m, *_, back = conic
+    c, m, *_, back = conic
     u = m @ (o - c)
     d2 = u @ u
     s = math.sqrt(max(d2 - 1.0, 0.0))
@@ -467,8 +460,8 @@ def _conic_crossings(a, b):
     every point of a's curve lies on b's: the pair traces one curve, and
     there is no crossing.
     """
-    _, ca, *_, back = a
-    _, cb, mb, *_ = b
+    ca, *_, back = a
+    cb, mb, *_ = b
     k, w = mb @ back, mb @ (ca - cb)
     g, h = k.T @ k, 2.0 * (k.T @ w)
     # |w + K e|^2 - 1 = a0 + h . e + a2 cos 2 phi + g01 sin 2 phi.
@@ -495,7 +488,7 @@ def _conic_crossings(a, b):
 
 def _conic_line(conic, p, v):
     """Ordered parameters t where the lines p + t v cross a conic's curve."""
-    _, c, m, *_ = conic
+    c, m, *_ = conic
     (ux, uy), (wx, wy) = _xy((p - c) @ m.T), _xy(v @ m.T)
     ww = wx * wx + wy * wy
     # |u + t w|^2 = 1, its quarter discriminant by Lagrange's identity.
@@ -506,23 +499,26 @@ def _conic_line(conic, p, v):
     )
 
 
-def _line_cuts(conics, polygons, p, v):
-    """Parameters t where the lines p + t v cross the given pieces.
+def _line_cuts(leaves, p, v):
+    """Parameters t where the lines p + t v cross the given primitives' pieces.
 
     ``v`` is (n, 2) and ``p`` one point (2,) or one per line (n, 2).
-    Returns (n, m): two columns per conic (_conic_line) and one per polygon
-    edge, inf where a line misses the piece. An edge is solved from its
-    ends' sides of the line. Edges that meet at a vertex share its side,
-    so a line through a vertex cannot slip between them; an edge parallel
-    to the line gives no crossing.
+    Returns (n, m): per primitive, two columns per conic (_conic_line) and
+    one per polygon edge, inf where a line misses the piece. An edge is
+    solved from its ends' sides of the line. Edges that meet at a vertex
+    share its side, so a line through a vertex cannot slip between them;
+    an edge parallel to the line gives no crossing.
     """
-    cuts = [t for conic in conics for t in _conic_line(conic, p, v)]
+    cuts = []
     q = np.asarray(p)[..., None, :]
-    for _, a, b in polygons:
-        sa, sb = _cross(v[:, None], a - q), _cross(v[:, None], b - q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s, t = sa / (sa - sb), _cross(a - q, b - a) / (sb - sa)
-        cuts.append(np.where((s >= 0.0) & (s <= 1.0), t, np.inf))
+    for leaf in leaves:
+        conics, polygons = leaf._pieces
+        cuts += [t for conic in conics for t in _conic_line(conic, p, v)]
+        for a, b in polygons:
+            sa, sb = _cross(v[:, None], a - q), _cross(v[:, None], b - q)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s, t = sa / (sa - sb), _cross(a - q, b - a) / (sb - sa)
+            cuts.append(np.where((s >= 0.0) & (s <= 1.0), t, np.inf))
     return np.column_stack(cuts) if cuts else np.empty((len(v), 0))
 
 
@@ -537,7 +533,7 @@ def _clip(region, o, c, s):
     inside, by ray and then by r.
     """
     o, ray = np.asarray(o, dtype=float), np.column_stack((c, s))
-    cuts = np.column_stack((np.zeros_like(c), _line_cuts(*region._pieces, o, ray)))
+    cuts = np.column_stack((np.zeros_like(c), _line_cuts(_leaves(region), o, ray)))
     cuts = np.sort(np.maximum(cuts, 0.0), axis=1)
     lo, hi = cuts[:, :-1], cuts[:, 1:]
     row, col = np.nonzero((lo < hi) & (hi < np.inf))
@@ -550,35 +546,37 @@ def _clip(region, o, c, s):
 def _panels(region: Region, origin) -> np.ndarray:
     """(P, 2) theta panels, consecutive around the circle, cut at the events.
 
-    The candidate events, all read from the region's pieces, are the
-    polygon vertices, the touch points of the tangents from the origin to
-    every conic, the crossings of conics of different parts, and where
-    each polygon edge crosses a piece of another part (_line_cuts, so two
-    polygons' crossings are found on both). A candidate counts when it
-    lies on its curves and in the closure of every part (_gap), both
-    within _EVENT_TOL times the coordinate scale; its break is the angle
-    of its ray, and breaks within _EVENT_TOL rad of each other are one.
+    The candidate events, all read from the pieces of the region's
+    primitives, are the touch points of the tangents from the origin to
+    every conic, the crossings of each conic with the conics of later
+    primitives, where each polygon edge crosses a piece of another
+    primitive (_line_cuts, so two polygons' crossings are found on both),
+    and the polygon vertices. A candidate counts when it lies on its
+    curves and in the closure of every part (_gap), both within
+    _EVENT_TOL times the coordinate scale; its break is the angle of its
+    ray, and breaks within _EVENT_TOL rad of each other are one.
     """
     o = np.asarray(origin, dtype=float)
     tol = _EVENT_TOL * max(*map(abs, bounding_box(region)), *map(abs, o))
-    conics, polygons = region._pieces
+    leaves = _leaves(region)
     # (ray directions, points on them) per kind of candidate.
-    found = [(a - o, a) for _, a, _ in polygons]
-    for i, conic in enumerate(conics):
-        ray, touch = _tangents(conic, o)
-        on = _off(conic, touch) <= tol
-        found.append((ray[on], touch[on]))
-        for other in conics[i + 1 :]:
-            if other[0] is not conic[0]:
+    found = []
+    for k, leaf in enumerate(leaves):
+        conics, polygons = leaf._pieces
+        later = [c for x in leaves[k + 1 :] if x is not leaf for c in x._pieces[0]]
+        for conic in conics:
+            ray, touch = _tangents(conic, o)
+            on = _off(conic, touch) <= tol
+            found.append((ray[on], touch[on]))
+            for other in later:
                 p = _conic_crossings(conic, other)
                 p = p[_off(other, p) <= tol]
                 found.append((p - o, p))
-    for leaf, a, b in polygons:
-        others = [c for c in conics if c[0] is not leaf]
-        t = _line_cuts(others, [e for e in polygons if e[0] is not leaf], a, b - a)
-        i, j = np.nonzero((t >= 0.0) & (t <= 1.0))
-        p = a[i] + t[i, j, None] * (b - a)[i]
-        found.append((p - o, p))
+        for a, b in polygons:
+            t = _line_cuts([x for x in leaves if x is not leaf], a, b - a)
+            i, j = np.nonzero((t >= 0.0) & (t <= 1.0))
+            p = a[i] + t[i, j, None] * (b - a)[i]
+            found += [(p - o, p), (a - o, a)]
     ray, p = (np.concatenate(x) for x in zip(*found))
     ray = ray[_gap(region, p) <= tol]
     two_pi = 2.0 * math.pi
@@ -751,16 +749,10 @@ def rejection_envelope(region: Region, density: UeDensity):
     the density origin, and the table holds one tile, the polar box
     [floor, reach] x [0, 2 pi). The kernel 1/rho cancels the polar
     Jacobian, so a proposal uniform on it has exactly the density's law
-    before the region test. Both ends come from the region's pieces. The
-    floor is the ``_gap`` lower bound on the distance from the origin to
-    the region: exact for disks, annuli and polygons, min(a, b) times the
-    gap in unit-disk coordinates for ellipses, and the largest bound of
-    the parts for intersections. The reach is the ``_reach`` upper bound:
-    the farthest piece, a conic's center distance plus its largest
-    semi-axis or a polygon's farthest vertex, and the smallest bound of
-    the parts for intersections. The floor is 0 when the origin lies in
-    the region; the box then starts at the origin and still has the 1/rho
-    law.
+    before the region test. The floor and the reach are the distance
+    bounds ``_gap`` (lower) and ``_reach`` (upper) from the origin to the
+    region. The floor is 0 when the origin lies in the region; the box
+    then starts at the origin and still has the 1/rho law.
     """
     if density.kind == "inverse_radial":
         floor = float(_gap(region, density.origin))

@@ -173,7 +173,10 @@ def _slice_spans(n: int):
 
 def _run_slices(fn, n: int, workers: int) -> np.ndarray:
     """Execute fn(lo, m) -> (m,) over fixed slices, merged by index."""
-    out = np.empty(n)
+    try:
+        out = np.empty(n)
+    except ValueError as exc:  # numpy's error for a size past the address space
+        raise MemoryError(str(exc)) from exc
     spans = _slice_spans(n)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for (lo, m), vals in zip(spans, pool.map(lambda s: fn(*s), spans)):

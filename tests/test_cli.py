@@ -12,6 +12,7 @@ import pytest
 
 import ulfit
 import ulfit.cli
+import ulfit.montecarlo
 from ulfit.bound import BoundParams
 from ulfit.channel import ChannelParams, FadingModel
 from ulfit.cli import main, parse_grid
@@ -397,6 +398,23 @@ def test_exit_code_2_paths(ws, scen_path, sim_path):
         )
         == 2
     )
+
+
+@pytest.mark.parametrize("n", [2**59, 2**63])
+def test_unallocatable_n_exits_2(ws, scen_path, capsys, monkeypatch, n):
+    # 2^59 samples raise MemoryError on any 64-bit machine, and 2^63 numpy's
+    # ValueError for a size past the address space. Neither allocates, and
+    # the output fails before any worker thread starts.
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(ulfit.montecarlo, "ThreadPoolExecutor", no_threads)
+    out = ws / "huge.bin"
+    argv = ["simulate", "--scenario", str(scen_path), "--out", str(out)]
+    assert main(argv + ["--n", str(n)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --n:")
+    assert list(ws.glob("huge.bin*")) == []
 
 
 def test_non_finite_scenario_exits_2(ws, scen_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -790,9 +791,9 @@ def _clip_matches_scan(region, origin, theta, n=4096):
 def _ray_angles(region, origin, rng, count=32):
     """Random angles, and the rays through every vertex and every tangent."""
     o = np.asarray(origin, dtype=float)
-    conics, polygons = region._pieces
-    rays = [a - o for _, a, _ in polygons]
-    rays += [geometry._tangents(conic, o)[0] for conic in conics]
+    pieces = [leaf._pieces for leaf in geometry._leaves(region)]
+    rays = [a - o for _, polygons in pieces for a, _ in polygons]
+    rays += [geometry._tangents(c, o)[0] for conics, _ in pieces for c in conics]
     rays = np.concatenate(rays) if rays else np.zeros((0, 2))
     special = np.arctan2(rays[:, 1], rays[:, 0])
     return np.concatenate((rng.uniform(0.0, 2.0 * math.pi, count), special))
@@ -947,10 +948,11 @@ def test_offset_equal_circles_break_at_their_crossings(offset):
     crossings = [(cx + half, cy + s * math.sqrt(r * r - half * half)) for s in (1, -1)]
     origin = (0.032, 0.003)
     turn, count = _breaks_near(Intersection((disk, moved)), origin, crossings)
-    # The quartic's constant term loses offset^2 against 1, so a crossing
-    # may lie up to half the offset, 5e-12 km, from its break's ray.
+    # The quartic's constant term is offset^2 exactly, so each crossing
+    # comes back to rounding (test_offset_equal_circles_cross_to_rounding)
+    # and its break's ray passes within rounding of it.
     reach = np.hypot(*(np.array(crossings) - origin).T)
-    assert (turn * reach).max() <= 1e-11
+    assert (turn * reach).max() <= 1e-15
     assert count.tolist() == [1, 1]
 
 
@@ -1015,7 +1017,7 @@ def test_victim_carve_applies_where_it_reaches(hotspot84):
     reached = []
     for cell, dom in _hotspot_domains(hotspot84):
         eff = effective_region(cell.region, cell.bs, d_min)
-        carves = [leaf.center for leaf in dom._leaves if isinstance(leaf, Annulus)]
+        carves = [x.center for x in geometry._leaves(dom) if isinstance(x, Annulus)]
         if geometry._gap(eff, victim) < d_min:
             reached.append(cell.id)
             assert carves == [cell.bs, victim]
@@ -1029,7 +1031,7 @@ def test_benchmark_domains_keep_only_the_carves_that_cut(hotspot84):
     # cell comes within 4 m of it, so it keeps both carves.
     for _, dom in list(_hotspot_domains(hotspot84))[:2]:
         assert type(dom) is Annulus
-    assert len(_bread_domain(0.01)[2]._leaves) == 5
+    assert len(geometry._leaves(_bread_domain(0.01)[2])) == 5
 
 
 def test_second_carve_around_the_same_station_adds_nothing():
@@ -1076,11 +1078,24 @@ def test_unreached_domains_integrate_as_with_the_carve(hotspot84):
             assert np.array_equal(x, y)
 
 
+def test_regions_leave_no_cyclic_garbage():
+    # A primitive keeps its pieces and an intersection its parts, and no
+    # region refers to itself, so reference counts free a dropped region.
+    gc.collect()
+    drop = build_hotspot_layout(
+        84, 0.01, 1, density_kind="inverse_radial", fading=FadingModel("rayleigh")
+    )
+    bread = _bread_domain(0.01)
+    del drop, bread
+    assert gc.collect() == 0
+
+
 def test_pieces_are_built_once(monkeypatch):
     # The bread cell's user domain builds its circles when it is made; no
     # geometric question builds them again.
     _, cell, dom = _bread_domain(0.01)
-    pieces = dom._pieces
+    leaves = geometry._leaves(dom)
+    pieces = [leaf._pieces for leaf in leaves]
     built = []
     circle = geometry._circle
     monkeypatch.setattr(geometry, "_circle", lambda *a: built.append(a) or circle(*a))
@@ -1097,7 +1112,7 @@ def test_pieces_are_built_once(monkeypatch):
         rejection_envelope(dom, radial)
         density_profile(dom, cell.density, _one)
     assert built == []
-    assert dom._pieces is pieces
+    assert all(leaf._pieces is kept for leaf, kept in zip(leaves, pieces))
 
 
 # Uniform regions for the tile tests, each with the box its test points
@@ -1446,6 +1461,17 @@ def test_gap_of_a_nested_intersection_is_the_largest_of_its_parts():
     assert gap.tolist() == expect.tolist()
     inside = region._mask(*pts.T)
     assert inside.any() and (gap[inside] == 0.0).all() and (gap[~inside] > 0.0).all()
+    # The nested form answers every question as its flat form, bit for bit.
+    flat = Intersection((*parts, ellipse))
+    assert bounding_box(region) == bounding_box(flat)
+    assert np.array_equal(flat._mask(*pts.T), inside)
+    panels = [geometry._panels(r, (0.0, 0.0)) for r in (region, flat)]
+    assert np.array_equal(*panels)
+    uniform = UeDensity("uniform")
+    got, want = (density_profile(r, uniform, lambda p: p[:, 0]) for r in (region, flat))
+    assert got[:2] == want[:2]
+    for x, y in zip(got[2:], want[2:]):
+        assert np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("r", [0.01, 0.02, 0.04])
