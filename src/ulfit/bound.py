@@ -124,7 +124,9 @@ def l_stats(cell, victim_bs, params: ChannelParams) -> LStats:
 
 def delta0(omega: float, p: int, k: float) -> float:
     """Residual bound of the truncated erfc Fourier series at offset k."""
-    lead = (2.0 / (math.sqrt(math.pi) * omega)) * math.erfc((2 * p + 1) * omega)
+    # erfc is exactly 0.0 past 27.23: the cap keeps every p's bits, in float range.
+    m = min(2 * p + 1, math.ceil(28.0 / omega))
+    lead = (2.0 / (math.sqrt(math.pi) * omega)) * math.erfc(m * omega)
     return lead + math.erfc(math.pi / (2.0 * omega) - k)
 
 
@@ -184,11 +186,9 @@ def step1_bound(
 ) -> tuple[float, float]:
     """KS bound components for the Gaussian fit of gain plus shadowing.
 
-    Requires k1 == k2, which removes the asymptotic-window term from the
-    bound.
+    BoundParams guarantees k1 == k2, which removes the asymptotic-window
+    term from the bound.
     """
-    if bp.k1 != bp.k2:
-        raise DomainError("step bound requires k1 == k2")
     e1 = epsilon1(bp, stats.sigma_l2, sigma_s2)
     e2 = epsilon2(bp, stats.sigma_l2, sigma_s2, stats.char_fn)
     return e1, e2
@@ -202,10 +202,8 @@ def step2_bound(
     The first-step roles are swapped: the already-fitted Gaussian, of
     variance sigma_g2, plays the shadowing part and the fading gain plays
     the coupling part. A point-mass fading model changes nothing, so both
-    components are zero.
+    components are zero. BoundParams guarantees k1 == k2.
     """
-    if bp.k1 != bp.k2:
-        raise DomainError("step bound requires k1 == k2")
     if fading.kind == "none":
         return 0.0, 0.0
     _, sigma_h2 = fading_moments(fading)

@@ -217,4 +217,4 @@ def simulate_aggregate(
 
     vals = _run_slices(agg_slice, n, workers)
     vals.sort()
-    return SampleSet(vals, n, seed)
+    return SampleSet(vals, seed)

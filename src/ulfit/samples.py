@@ -44,21 +44,24 @@ _KS_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Sorted dBm samples with their provenance seed."""
+    """Sorted dBm samples with their provenance seed; n is their count."""
 
     values: np.ndarray
-    n: int
     seed: int
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if self.n < 1 or vals.shape != (self.n,):
-            raise DomainError("sample count must match values and be >= 1")
+        if vals.ndim != 1 or vals.size < 1:
+            raise DomainError("sample values must be a non-empty 1-D array")
         if not np.isfinite(vals).all():
             raise DomainError("sample values must be finite")
         if np.any(vals[1:] < vals[:-1]):
             raise DomainError("sample values must be sorted ascending")
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
 
 def _model_cdf(cdf, x: np.ndarray) -> np.ndarray:
@@ -183,6 +186,6 @@ def load_samples(path) -> tuple[SampleSet, dict]:
     if count != n:
         raise ParseError(f"{path}.json: sidecar n disagrees with header")
     try:
-        return SampleSet(values, n, seed), sidecar
+        return SampleSet(values, seed), sidecar
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -81,8 +81,9 @@ class BoundParams:
     """Tuning constants of the KS bound.
 
     omega is the fundamental frequency of the erfc Fourier series, p the
-    number of retained odd harmonics, k1/k2 the tail cutoffs. Defaults
-    keep every tail term at the 1e-6 scale.
+    number of retained odd harmonics, k1 = k2 the tail cutoffs: the per-cell
+    step bounds drop the asymptotic-window term, which needs equal cutoffs.
+    Defaults keep every tail term at the 1e-6 scale.
 
     omega must be at least 1e-6. The eps2 sum keeps about 3.2/omega odd
     harmonics whatever p is. At omega = 1e-6, on the canonical single
@@ -96,15 +97,16 @@ class BoundParams:
     k2: float = 500.0
 
     def __post_init__(self):
-        for name in ("omega", "k1", "k2"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name}: must be positive")
-        if self.omega < 1e-6:
+        if not self.omega >= 1e-6:
             raise DomainError("omega: must be at least 1e-6")
+        if not self.k1 > 0:
+            raise DomainError("k1: must be positive")
         if int(self.p) != self.p or self.p < 1:
             raise DomainError("p: must be a positive integer")
         if self.p < 2.0 / self.omega:
             raise DomainError("p: must be at least 2/omega")
+        if self.k2 != self.k1:
+            raise DomainError("k2: must equal k1")
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,6 @@ class Scenario:
         object.__setattr__(self, "cells", tuple(self.cells))
         if not self.cells:
             raise DomainError("cells: must contain at least one cell")
-        if self.bound.k1 != self.bound.k2:
-            # The per-cell step bounds drop the asymptotic-window term,
-            # which vanishes only for equal cutoffs.
-            raise DomainError("bound.k2: must equal bound.k1")
         ids = [c.id for c in self.cells]
         if len(set(ids)) != len(ids):
             raise DomainError("cells: cell ids must be unique")

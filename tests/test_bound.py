@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,12 +105,13 @@ def test_epsilon1_default_scale():
 def test_epsilon1_decreasing_in_k2():
     # Holds while (k1 + k2) stays below pi/(2 omega); past that the
     # erfc(pi/(2 omega) - k) term saturates and the bound goes vacuous.
-    vals = [
-        epsilon1(BoundParams(k1=500.0, k2=k2), 15.0, 164.0)
-        for k2 in (100.0, 300.0, 900.0)
-    ]
+    # BoundParams holds only k2 == k1, so the cutoffs ride on a plain object.
+    def bp(k2):
+        return SimpleNamespace(omega=DEFAULTS.omega, p=DEFAULTS.p, k1=500.0, k2=k2)
+
+    vals = [epsilon1(bp(k2), 15.0, 164.0) for k2 in (100.0, 300.0, 900.0)]
     assert vals[0] > vals[1] > vals[2]
-    assert epsilon1(BoundParams(k1=500.0, k2=5000.0), 15.0, 164.0) > 1.0
+    assert epsilon1(bp(5000.0), 15.0, 164.0) > 1.0
 
 
 def test_epsilon1_rejects_zero_sigma_s2():
@@ -385,8 +387,9 @@ def test_discrete_char_fn_memory_is_bounded():
 
 
 def test_step1_requires_matching_cutoffs():
+    # BoundParams refuses unequal cutoffs, so step1_bound never sees them.
     _, _, stats = bread_stats(0.01, "uniform")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^k2: must equal k1"):
         step1_bound(
             stats, shadow_var(DEFAULT_CHANNEL), BoundParams(k1=500.0, k2=600.0)
         )

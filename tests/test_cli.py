@@ -799,6 +799,23 @@ def test_fit_with_huge_p(ws):
     assert json.loads(out.read_text())["lambda"] > 0
 
 
+def test_p_past_float_range(ws):
+    # erfc((2p + 1) omega) is 0 long before p = 10^15, so p = 10^400, which
+    # no float holds, gives the same bound, bit for bit, and a fit.
+    tables = []
+    for p in (10**15, 10**400):
+        bound = BoundParams(omega=0.01, p=p, k1=60.0, k2=60.0)
+        path = ws / f"p_digits_{len(str(p))}.json"
+        save_scenario(dataclasses.replace(_fast_scenario(), bound=bound), path)
+        out = ws / f"p_digits_{len(str(p))}.csv"
+        assert main(["bound", "--scenario", str(path), "--out", str(out)]) == 0
+        tables.append(out.read_text())
+    assert tables[1] == tables[0]
+    out = ws / "p_digits_401_fit.json"
+    assert main(["fit", "--scenario", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["lambda"] > 0
+
+
 def test_exit_code_3_numeric(ws):
     # Lens of two almost-disjoint disks: valid schema, unusable measure.
     lens = Intersection((Disk((0.0, 0.0), 1.0), Disk((2.0 - 1e-12, 0.0), 1.0)))

@@ -31,9 +31,18 @@ from ulfit.montecarlo import (
     _SLICE,
     _envelope,
     _positions_slice,
+    simulate_aggregate,
 )
 from ulfit.samples import dkw_slack
-from ulfit.scenario import build_hotspot_layout, build_single_cell, rng_stream
+from ulfit.scenario import (
+    DEFAULT_CHANNEL,
+    BoundParams,
+    Cell,
+    Scenario,
+    build_hotspot_layout,
+    build_single_cell,
+    rng_stream,
+)
 
 
 def _one(p):
@@ -644,6 +653,38 @@ def test_panels_match_bisection_on_drop(monkeypatch, hotspot84):
     assert len(gaps) == 83
     assert [i for i, gap in enumerate(gaps) if gap > 1e-12] == [6]
     assert gaps[6] <= 1e-9
+
+
+def _far_station_scenario(kind):
+    """A disk cell whose serving station lies 0.04 km, 8 d_min, outside it.
+
+    The disk comes within 0.002 km of the victim at the origin, so its user
+    domain keeps the victim's carve and drops the serving station's.
+    """
+    bs = (0.05, 0.0)
+    density = UeDensity(kind, bs if kind == "inverse_radial" else None)
+    cell = Cell(2, bs, Disk((0.006, 0.0), 0.004), density)
+    none = FadingModel("none")
+    return Scenario((0.0, 0.0), (cell,), DEFAULT_CHANNEL, none, BoundParams())
+
+
+@pytest.mark.parametrize("kind", ["uniform", "inverse_radial"])
+def test_far_serving_station_cell(monkeypatch, kind):
+    scen = _far_station_scenario(kind)
+    cell = scen.cells[0]
+    dom = ue_domain(cell.region, cell.bs, scen.victim_bs, scen.channel.d_min_km)
+    disk, carve = geometry._leaves(dom)
+    assert disk == cell.region
+    assert type(carve) is Annulus and carve.center == scen.victim_bs
+    assert carve.r_inner == scen.channel.d_min_km
+    assert _cell_gap(monkeypatch, scen, cell) <= 1e-12
+
+
+def test_far_serving_station_cell_simulates():
+    # A uniform density takes the victim, its one carve's centre, as the
+    # polar origin; the sampler places every draw all the same.
+    samples = simulate_aggregate(_far_station_scenario("uniform"), 1 << 12, 17)
+    assert samples.n == 1 << 12
 
 
 def _carved_cell(rng, i, delta):

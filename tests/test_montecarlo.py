@@ -66,15 +66,13 @@ def sim1m(bread):
 
 def test_sample_set_validation():
     with pytest.raises(DomainError):
-        SampleSet(np.array([2.0, 1.0]), 2, 0)
+        SampleSet(np.array([2.0, 1.0]), 0)
     with pytest.raises(DomainError):
-        SampleSet(np.array([1.0, 2.0]), 3, 0)
-    with pytest.raises(DomainError):
-        SampleSet(np.array([]), 0, 0)
+        SampleSet(np.array([]), 0)
     # NaN compares False, so a mid-array NaN would pass the sort check.
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError, match="finite"):
-            SampleSet(np.array([1.0, bad, 3.0]), 3, 0)
+            SampleSet(np.array([1.0, bad, 3.0]), 0)
 
 
 def test_stream_offset_positioning():
@@ -350,14 +348,14 @@ def test_empirical_ks_within_error_budget(sim1m, bread):
 
 
 def test_ks_hand_case():
-    s = SampleSet(np.array([1.0, 2.0, 3.0, 4.0]), 4, 0)
+    s = SampleSet(np.array([1.0, 2.0, 3.0, 4.0]), 0)
     assert ks_distance(s, lambda x: np.asarray(x) / 5.0) == pytest.approx(
         0.2, abs=1e-15
     )
 
 
 def test_ks_self_comparison_is_one_over_n():
-    s = SampleSet(np.array([0.5, 1.5, 2.5, 10.0]), 4, 0)
+    s = SampleSet(np.array([0.5, 1.5, 2.5, 10.0]), 0)
     # The samples' own step CDF as the model.
     v = s.values
     step = lambda q: np.searchsorted(v, q, "right") / s.n
@@ -366,14 +364,14 @@ def test_ks_self_comparison_is_one_over_n():
 
 def test_ks_matches_scipy():
     vals = np.sort(np.random.Generator(np.random.Philox(3)).standard_normal(1000))
-    s = SampleSet(vals, 1000, 3)
+    s = SampleSet(vals, 3)
     mine = ks_distance(s, ndtr)
     ref = kstest(vals, "norm").statistic
     assert mine == pytest.approx(ref, abs=1e-12)
 
 
 def test_ks_requires_vectorized_cdf():
-    s = SampleSet(np.linspace(-1.0, 2.0, 50), 50, 0)
+    s = SampleSet(np.linspace(-1.0, 2.0, 50), 0)
     # A wrong output shape is refused, not retried point by point.
     with pytest.raises(DomainError):
         ks_distance(s, lambda x: 0.5)
@@ -394,7 +392,7 @@ def test_ks_blocks(monkeypatch):
     # Strides of 7 give the statistic of strides of 64, and a NaN from the
     # CDF at a later sample makes the statistic NaN rather than vanishing.
     vals = np.sort(np.random.Generator(np.random.Philox(8)).standard_normal(50))
-    s = SampleSet(vals, 50, 8)
+    s = SampleSet(vals, 8)
     whole = ks_distance(s, ndtr)
     monkeypatch.setattr(samples, "_KS_STRIDE", 7)
     assert ks_distance(s, ndtr) == whole
@@ -433,11 +431,11 @@ def test_ks_equals_full_pass(n, tied, model):
         x = np.round(x, 1)
         x[1:2] = x[0]
     cdf = _MODEL_CDFS[model]
-    assert ks_distance(SampleSet(x, n, 0), cdf) == _ks_full(x, cdf)
+    assert ks_distance(SampleSet(x, 0), cdf) == _ks_full(x, cdf)
 
 
 def _uniform_grid(n):
-    return SampleSet((np.arange(n) + 0.5) / n, n, 0)
+    return SampleSet((np.arange(n) + 0.5) / n, 0)
 
 
 def test_ks_checks_refined_points():
@@ -473,7 +471,7 @@ def test_ks_evaluates_few_points():
         evaluated.append(q.size)
         return ndtr(q)
 
-    d = ks_distance(SampleSet(x, n, 1), counted)
+    d = ks_distance(SampleSet(x, 1), counted)
     assert len(evaluated) == 2
     assert sum(evaluated) <= n // 16
     assert d == _ks_full(x, ndtr)
@@ -481,7 +479,7 @@ def test_ks_evaluates_few_points():
 
 def test_ks_self_drawn_within_dkw():
     u = np.sort(np.random.Generator(np.random.Philox(21)).random(1_000_000))
-    s = SampleSet(u, 1_000_000, 21)
+    s = SampleSet(u, 21)
     d = ks_distance(s, lambda q: np.clip(q, 0.0, 1.0))
     assert d <= 0.002
 
@@ -503,7 +501,7 @@ def test_dkw_slack_values():
 
 def test_save_load_round_trip(tmp_path):
     vals = np.sort(np.random.Generator(np.random.Philox(5)).standard_normal(32))
-    s = SampleSet(vals, 32, 5)
+    s = SampleSet(vals, 5)
     path = tmp_path / "samples.bin"
     save_samples(s, path, "cafe01")
     loaded, sidecar = load_samples(path)
@@ -524,7 +522,7 @@ def test_load_samples_error_paths(tmp_path):
         load_samples(path)
 
     vals = np.sort(np.random.Generator(np.random.Philox(6)).random(8))
-    s = SampleSet(vals, 8, 6)
+    s = SampleSet(vals, 6)
     save_samples(s, path, "h")
     sidecar_path = tmp_path / "s.bin.json"
 
