@@ -31,7 +31,6 @@ from .channel import (
     fading_moments,
     shadow_var,
 )
-from .errors import DomainError
 from .fit import GaussianFit
 from .geometry import density_profile, ue_domain
 # The scenario defines its bound block, so that loading a scenario does
@@ -58,15 +57,15 @@ _TERM_FLOOR = 1e-18
 
 @dataclass(frozen=True)
 class LStats:
-    """Moments and centered characteristic function of the coupling gain."""
+    """Moments and centered characteristic function of the coupling gain.
+
+    sigma_l2 >= 0, as density_profile's centered sum with non-negative
+    weights; GaussianFit checks step 1's sigma_l2 + sigma_S^2 > 0.
+    """
 
     mu_l: float
     sigma_l2: float
     char_fn: object
-
-    def __post_init__(self):
-        if self.sigma_l2 < 0:
-            raise DomainError("sigma_l2 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -124,8 +123,9 @@ def l_stats(cell, victim_bs, params: ChannelParams) -> LStats:
 
 def delta0(omega: float, p: int, k: float) -> float:
     """Residual bound of the truncated erfc Fourier series at offset k."""
-    # erfc is exactly 0.0 past 27.23: the cap keeps every p's bits, in float range.
-    m = min(2 * p + 1, math.ceil(28.0 / omega))
+    # erfc is exactly 0.0 past 27.23: the cap keeps every p's bits, in float
+    # range. m >= 1, as ceil(28 / inf) is 0 and erfc(0 * inf) would be NaN.
+    m = min(2 * p + 1, max(1, math.ceil(28.0 / omega)))
     lead = (2.0 / (math.sqrt(math.pi) * omega)) * math.erfc(m * omega)
     return lead + math.erfc(math.pi / (2.0 * omega) - k)
 
@@ -136,9 +136,11 @@ def delta1(omega: float, p: int) -> float:
 
 
 def epsilon1(bp: BoundParams, sigma_l2: float, sigma_s2: float) -> float:
-    """Tail-cutoff component of the step bound."""
-    if not sigma_s2 > 0:
-        raise DomainError("sigma_s2 must be positive")
+    """Tail-cutoff component of the step bound.
+
+    sigma_s2 > 0 by its owners: ChannelParams for step 1's shadowing
+    variance, GaussianFit for step 2's, the fitted step-1 variance.
+    """
     sig = math.sqrt((sigma_l2 + sigma_s2) / sigma_s2)
     term1 = 0.5 * delta1(bp.omega, bp.p) / bp.k2**2
     term2 = 0.5 * delta0(bp.omega, bp.p, (bp.k1 + bp.k2) * sig / math.sqrt(2.0))
@@ -154,10 +156,8 @@ def epsilon2(bp: BoundParams, sigma_l2: float, sigma_s2: float, char_fn) -> floa
     whose envelope exp(-n^2 w^2)/n is below 1e-18 cannot move the sum at
     reporting precision and are skipped. As 1/n <= 1, no kept term has n
     above sqrt(ln(1/1e-18)) / w, so the range ends one step past that,
-    however large p is.
+    however large p is. sigma_s2 > 0 is the caller's, as in epsilon1.
     """
-    if not sigma_s2 > 0:
-        raise DomainError("sigma_s2 must be positive")
     w = bp.omega
     stop = int(math.sqrt(-math.log(_TERM_FLOOR)) / w) + 3
     n = np.arange(1, min(2 * bp.p, stop), 2, dtype=float)
@@ -175,9 +175,7 @@ def epsilon2(bp: BoundParams, sigma_l2: float, sigma_s2: float, char_fn) -> floa
 
 
 def epsilon3(k1: float) -> float:
-    """Asymptotic-window component; decreasing in k1."""
-    if not k1 > 0:
-        raise DomainError("k1 must be positive")
+    """Asymptotic-window component; decreasing in k1 > 0 (BoundParams)."""
     return 1.0 / k1**2 + 0.5 * math.erfc(k1)
 
 

@@ -66,8 +66,11 @@ class ChannelParams:
         alpha: path-loss slope in dB per decade.
         p0_dbm: power-control target at the serving station.
         eta: fractional power-control compensation factor, in (0, 1].
-        sigma_shad_db: shadowing standard deviation per link.
-        d_min_km: minimum station-to-user distance, > 0.
+        sigma_shad_db: shadowing standard deviation per link, in
+            (1e-150, 1e150): (1 + eta^2) sigma^2 and the bound's ratio
+            sigma_L^2 / sigma_S^2 must be finite, non-zero floats.
+        d_min_km: minimum station-to-user distance, above 1e-150: the
+            carve circle's map I / d_min must square to a finite float.
     """
 
     a_db: float
@@ -82,10 +85,10 @@ class ChannelParams:
             raise DomainError("alpha: must be > 0")
         if not 0 < self.eta <= 1:
             raise DomainError("eta: must be in (0, 1]")
-        if not self.sigma_shad_db > 0:
-            raise DomainError("sigma_shad_db: must be > 0")
-        if not self.d_min_km > 0:
-            raise DomainError("d_min_km: must be > 0")
+        if not 1e-150 < self.sigma_shad_db < 1e150:
+            raise DomainError("sigma_shad_db: must be in (1e-150, 1e150)")
+        if not self.d_min_km > 1e-150:
+            raise DomainError("d_min_km: must be > 1e-150")
 
 
 @dataclass(frozen=True)

@@ -56,15 +56,18 @@ _PROBES = (0.001, 0.005)
 
 @dataclass(frozen=True)
 class GaussianFit:
-    """Gaussian approximation (mu in dBm, sigma2 in dB^2)."""
+    """Gaussian approximation (mu in dBm, sigma2 > 0 in dB^2).
+
+    The fits' lower tail slope, a sum of 1 / sigma2, and step 2 of the KS
+    bound rely on sigma2 > 0 without checking it again.
+    """
 
     mu: float
     sigma2: float
 
     def __post_init__(self):
-        # sigma2 == 0 is allowed: a deterministic (point-mass) cell.
-        if self.sigma2 < 0:
-            raise DomainError("sigma2 must be >= 0")
+        if not self.sigma2 > 0:
+            raise DomainError("sigma2 must be > 0")
 
 
 @dataclass(frozen=True)
@@ -112,12 +115,15 @@ def _mgf_deficit(mu: float, sigma2: float, s: float):
 
 def _fw_init(fits):
     """Fenton-Wilkinson moment match of the linear-scale sum."""
-    m1 = sum(math.exp(f.mu / ZETA + f.sigma2 / (2.0 * ZETA**2)) for f in fits)
-    m2 = sum(
-        math.exp(2.0 * f.mu / ZETA + f.sigma2 / ZETA**2)
-        * (math.exp(f.sigma2 / ZETA**2) - 1.0)
-        for f in fits
-    )
+    try:
+        m1 = sum(math.exp(f.mu / ZETA + f.sigma2 / (2.0 * ZETA**2)) for f in fits)
+        m2 = sum(
+            math.exp(2.0 * f.mu / ZETA + f.sigma2 / ZETA**2)
+            * (math.exp(f.sigma2 / ZETA**2) - 1.0)
+            for f in fits
+        )
+    except OverflowError:
+        raise NoConvergence("Fenton-Wilkinson moments overflow") from None
     var = ZETA**2 * math.log1p(m2 / m1**2)
     mu = ZETA * math.log(m1) - var / (2.0 * ZETA)
     return mu, max(var, 1e-12)
@@ -169,18 +175,11 @@ def solve_sum_stats(fits, p_ref_dbm: float) -> tuple[float, float]:
         (mu_x in dBm, sigma_x in dB), sigma_x >= 0.
 
     Raises:
-        DomainError: when fits is empty or any cell is deterministic
-            (sigma2 == 0): the power lognormal's lower tail slope needs
-            sigma2 > 0 for every cell.
         NoConvergence: when kappa exceeds 1e4 (the probes sit in the
             linear regime), when Newton stalls or uses 200 iterations, or
-            when an iterate's sigma_X^2 overflows.
+            when the Fenton-Wilkinson start or an iterate leaves the float
+            range.
     """
-    if not fits:
-        raise DomainError("at least one fit is required")
-    if any(f.sigma2 == 0 for f in fits):
-        raise DomainError("tail matching requires sigma2 > 0 for every cell")
-
     # Work in dB relative to P_ref, where the probes are stated.
     rel = [GaussianFit(f.mu - p_ref_dbm, f.sigma2) for f in fits]
     targets = [
@@ -191,14 +190,15 @@ def solve_sum_stats(fits, p_ref_dbm: float) -> tuple[float, float]:
     ]
 
     def system(x):
-        # sigma_X^2 overflows only on a diverging iterate, as when the sum
-        # sits far above P_ref and both deficits are near 1.
+        # An iterate leaves the float range only when it diverges, as when
+        # the sum sits far above P_ref and both deficits are near 1, or
+        # when the Fenton-Wilkinson start does, as for very wide cells.
         try:
             sig2 = math.exp(2.0 * x[1])
         except OverflowError:
-            raise NoConvergence(
-                f"MGF match diverged: ln sigma_X reached {float(x[1]):.3e}"
-            ) from None
+            sig2 = math.inf
+        if not (math.isfinite(x[0]) and sig2 < math.inf):
+            raise NoConvergence(f"MGF match diverged: mu_X, ln sigma_X = {x.tolist()}")
         r = np.empty(2)
         jac = np.empty((2, 2))
         for k, (s, c) in enumerate(zip(_PROBES, targets)):
@@ -308,8 +308,6 @@ def power_lognormal_fit(fits, p_ref_dbm: float) -> PowerLognormalFit:
         NoConvergence: from the MGF match, if the location bracket
             mu_X +- 20 sigma_X fails to contain the root, or if the
             secant has not settled after 64 steps.
-        DomainError: from the MGF match, when fits is empty or any cell
-            is deterministic.
     """
     mu_x, sigma_x = solve_sum_stats(fits, p_ref_dbm)
     sigma_q2 = sigma_x**2

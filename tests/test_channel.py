@@ -156,8 +156,20 @@ def test_channel_params_validation():
         ChannelParams(103.8, 20.9, -76.0, 0.8, 0.0, 0.005)
     with pytest.raises(DomainError):
         ChannelParams(103.8, 20.9, -76.0, 0.8, 10.0, -0.001)
-    with pytest.raises(DomainError, match="^d_min_km: must be > 0$"):
+    with pytest.raises(DomainError, match="^d_min_km: must be > 1e-150$"):
         ChannelParams(103.8, 20.9, -76.0, 0.8, 10.0, 0.0)
+
+
+def test_channel_params_shadowing_range():
+    # The step bounds divide by the shadowing variance (1 + eta^2) sigma^2
+    # and by its ratio to sigma_L^2, so both must be finite, non-zero floats.
+    for sigma in (1e-170, 1e-158, 1e-150, 1e150, 1e160, math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"^sigma_shad_db: must be in \(1e-150"):
+            ChannelParams(103.8, 20.9, -76.0, 0.8, sigma, 0.005)
+    for sigma in (1.01e-150, 9.9e149):
+        var = shadow_var(ChannelParams(103.8, 20.9, -76.0, 0.8, sigma, 0.005))
+        assert 0.0 < var < math.inf
+        assert 0.0 < 1e3 / var < math.inf
 
 
 def test_fading_model_validation():

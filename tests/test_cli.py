@@ -23,6 +23,7 @@ from ulfit.samples import load_samples
 from ulfit.scenario import (
     Cell,
     Scenario,
+    build_hotspot_layout,
     build_single_cell,
     save_scenario,
     scenario_hash,
@@ -453,6 +454,10 @@ _INPUT_RULES = {
     "bound.k2": lambda d: d["bound"].update(k2=2 * d["bound"]["k1"]),
     # eps2 keeps about 3.2/omega harmonics whatever p is.
     "bound.omega": lambda d: d["bound"].update(omega=1e-12, p=2 * 10**12),
+    # The shadowing variance must be a positive float: sigma^2 is 0 here.
+    "channel.sigma_shad_db": lambda d: d["channel"].update(sigma_shad_db=1e-170),
+    # The carve circle's map I / d_min must square to a finite float.
+    "channel.d_min_km": lambda d: d["channel"].update(d_min_km=1e-200),
 }
 
 
@@ -547,7 +552,7 @@ def _set_region(**region):
     return lambda doc: doc["cells"][0].update(region=region)
 
 
-_D_MIN_0 = "channel.d_min_km: must be > 0"
+_D_MIN_0 = "channel.d_min_km: must be > 1e-150"
 _COVERED = "cells[0].region: exclusion disk covers the whole region"
 # Edits of the bread cell's document (r = 0.01, station at (0.015, 0)):
 # density kind, edit, and the exit code that fit and simulate both give,
@@ -842,6 +847,72 @@ def test_exit_code_3_numeric(ws):
         ]
     )
     assert rc == 3
+
+
+_WIDE_SPREADS = {
+    # The Fenton-Wilkinson moments overflow math.exp.
+    "sigma_shad_100": ("sigma_shad_db", 100.0),
+    "alpha_1000": ("alpha", 1000.0),
+    # The moments overflow to inf, and the Newton start leaves the float range.
+    "sigma_shad_80": ("sigma_shad_db", 80.0),
+}
+
+
+@pytest.mark.parametrize("key, value", _WIDE_SPREADS.values(), ids=list(_WIDE_SPREADS))
+def test_fit_wide_spread_exits_3(ws, capsys, key, value):
+    # bound exits 0 on these cells; only the aggregate fit fails, as a numeric error.
+    doc = scenario_to_doc(build_single_cell(0.01, "uniform", FadingModel("rayleigh")))
+    doc["channel"][key] = value
+    path = ws / f"wide_{key}.json"
+    path.write_text(json.dumps(doc))
+    out = ws / f"wide_{key}.out"
+    assert main(["fit", "--scenario", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(ws.glob(f"wide_{key}.out*")) == []
+
+
+def _fit_doc(ws, name, scen):
+    """The fit command's JSON document for scen."""
+    path, out = ws / f"{name}.json", ws / f"{name}.fit.json"
+    save_scenario(scen, path)
+    assert main(["fit", "--scenario", str(path), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+_MU_KEYS = ("mu_g_dbm", "mu_q_dbm")
+
+
+def _without_mu(cell):
+    return {k: v for k, v in cell.items() if k not in _MU_KEYS}
+
+
+def test_fit_json_invariants(ws):
+    # The first 4 stations of the 84-station drop: 3 inverse-radial cells.
+    drop = build_hotspot_layout(84, 0.01, 1, "inverse_radial", FadingModel("rayleigh"))
+    scen = dataclasses.replace(drop, cells=drop.cells[:3])
+    base = _fit_doc(ws, "inv_base", scen)
+
+    # Shifting P0 by c dB shifts every location by c and leaves the
+    # spreads, the bounds and the shape of the aggregate as they were. A
+    # shift that no float holds exactly moves mu_q by about 1.5e-13 dB.
+    c = -7.3
+    channel = dataclasses.replace(scen.channel, p0_dbm=scen.channel.p0_dbm + c)
+    moved = _fit_doc(ws, "inv_shift", dataclasses.replace(scen, channel=channel))
+    for a, b in zip(base["per_cell"], moved["per_cell"]):
+        assert _without_mu(b) == _without_mu(a)
+        for key in _MU_KEYS:
+            assert abs(b[key] - a[key] - c) <= 1e-12
+    assert abs(moved["mu_q_dbm"] - base["mu_q_dbm"] - c) <= 1e-12
+    assert moved["eps_total"] == base["eps_total"]
+    for key in ("lambda", "sigma_q2_db2"):
+        assert moved[key] == pytest.approx(base[key], rel=1e-12, abs=0)
+
+    # The order of the cells is not part of the model.
+    rev = _fit_doc(ws, "inv_rev", dataclasses.replace(scen, cells=scen.cells[::-1]))
+    assert rev["per_cell"] == base["per_cell"][::-1]
+    assert rev["eps_total"] == base["eps_total"]
+    for key in ("lambda", "mu_q_dbm", "sigma_q2_db2"):
+        assert rev[key] == pytest.approx(base[key], rel=1e-12, abs=0)
 
 
 def _fast_scenario_with(*cells):

@@ -256,11 +256,13 @@ def test_schema_bad_channel_values():
     doc["channel"]["alpha"] = 0
     _expect_schema_error(doc, "channel.alpha")
 
-    doc = _valid_doc()
-    doc["channel"]["sigma_shad_db"] = "10"
-    _expect_schema_error(doc, "channel.sigma_shad_db")
+    # Not a number; sigma^2 subnormal; sigma^2 past the float range.
+    for sigma in ("10", 1e-158, 1e160):
+        doc = _valid_doc()
+        doc["channel"]["sigma_shad_db"] = sigma
+        _expect_schema_error(doc, "channel.sigma_shad_db")
 
-    for d_min in (-0.1, 0.0):
+    for d_min in (-0.1, 0.0, 1e-200):
         doc = _valid_doc()
         doc["channel"]["d_min_km"] = d_min
         _expect_schema_error(doc, "channel.d_min_km")
