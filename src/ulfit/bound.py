@@ -59,8 +59,9 @@ _TERM_FLOOR = 1e-18
 class LStats:
     """Moments and centered characteristic function of the coupling gain.
 
-    sigma_l2 >= 0, as density_profile's centered sum with non-negative
-    weights; GaussianFit checks step 1's sigma_l2 + sigma_S^2 > 0.
+    mu_l and sigma_l2 are the moments of the law char_fn transforms about
+    mu_l, so sigma_l2 >= 0, a centered sum with non-negative weights;
+    GaussianFit checks step 1's sigma_l2 + sigma_S^2 > 0.
     """
 
     mu_l: float

@@ -100,9 +100,10 @@ def _roots(b, cc, disc):
     ``disc`` is the quarter discriminant b^2 - cc, which the caller forms
     without cancellation: where a line p + r v meets a conic
     |M (x - c)| = 1, with u = M (p - c) and w = M v, Lagrange's identity
-    gives it as (|w|^2 - (u x w)^2) / |w|^4. A double root, a tangent
-    line, counts as no crossing. The larger root in magnitude is
-    formed first so the other avoids cancellation.
+    gives it as 1 / |w|^2 - ((u x w) / |w|^2)^2, which takes no fourth
+    power of |w|. A double root, a tangent line, counts as no crossing.
+    The larger root in magnitude is formed first so the other avoids
+    cancellation.
     """
     hit = disc > 0
     q = -(b + np.copysign(np.sqrt(np.where(hit, disc, 0.0)), b))
@@ -168,7 +169,9 @@ class Disk:
 
 @dataclass(frozen=True)
 class Annulus:
-    """Closed ring ``r_inner <= rho <= r_outer`` around ``center``."""
+    """Closed ring ``r_inner <= rho <= r_outer`` around ``center``; ``r_inner``
+    is 0 or above 1e-150, so that the hole's map I / r_inner squares to a
+    finite float."""
 
     center: tuple[float, float]
     r_inner: float
@@ -176,8 +179,8 @@ class Annulus:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_point(self.center, "center"))
-        if self.r_inner < 0:
-            raise DomainError("r_inner: must be >= 0")
+        if not (self.r_inner == 0 or self.r_inner > 1e-150):
+            raise DomainError("r_inner: must be 0 or above 1e-150")
         if not self.r_outer > self.r_inner:
             raise EmptyRegion("r_outer: must exceed r_inner")
         radii = (self.r_inner, self.r_outer) if self.r_inner > 0 else (self.r_outer,)
@@ -495,7 +498,7 @@ def _conic_line(conic, p, v):
     return _roots(
         (ux * wx + uy * wy) / ww,
         (ux * ux + uy * uy - 1.0) / ww,
-        (ww - (ux * wy - uy * wx) ** 2) / (ww * ww),
+        1.0 / ww - ((ux * wy - uy * wx) / ww) ** 2,
     )
 
 
@@ -646,19 +649,17 @@ def _level(region, density, origin, field, panels, pieces):
 def _integrate(region, density, field):
     """The panel quadrature of density_profile.
 
-    Returns (mass, moments, nodes). mass is the plain integral of the
-    density kernel. The field maps an (n, 2) block of points to n values
-    and is evaluated once per node of each level; its first two powers
-    are tracked with the mass, moments holds their density averages, and
-    nodes is (kernel weights, field values) of every panel's accepted
-    level.
+    Returns (weights, values): the density kernel's weights and the field
+    values at the nodes of every panel's accepted level. The field maps
+    an (n, 2) block of points to n values and is evaluated once per node
+    of each level; the per-panel sums of the kernel and of the field's
+    first two powers only decide when each panel's level is accepted.
     """
     origin = _polar_origin(region, density)
     panels = _panels(region, origin)
     npan = len(panels)
-    best, best_scale, *_ = _level(region, density, origin, field, panels, 1)
+    prev, scale, *_ = _level(region, density, origin, field, panels, 1)
     active = np.arange(npan)
-    prev = best.copy()
     kept = []
     pieces = 1
     while active.size:
@@ -668,23 +669,21 @@ def _integrate(region, density, field):
                 f"{active.size} of {npan} theta panels still changing at "
                 f"{16 * _MAX_PIECES} nodes; last relative change {rel:.3e}"
             )
-        cur, scale, w, v, ids = _level(
+        cur, cur_scale, w, v, ids = _level(
             region, density, origin, field, panels[active], pieces
         )
-        best[:, active], best_scale[:, active] = cur, scale
-        total = best_scale.sum(axis=1, keepdims=True)
+        scale[:, active] = cur_scale
+        total = scale.sum(axis=1, keepdims=True)
         change = np.abs(cur - prev)
         done = (change <= _REL_TOL * total / npan).all(axis=0)
         rel = float((change * npan / np.maximum(total, 1e-300)).max())
         keep = done[ids]
         kept.append((w[keep], v[keep]))
         active, prev = active[~done], cur[:, ~done]
-    sums = best.sum(axis=1)
-    mass = sums[0]
-    if not mass > 0:
+    w, v = (np.concatenate(x) for x in zip(*kept))
+    if not w.sum() > 0:
         raise EmptyRegion("region carries no mass under the density")
-    nodes = tuple(np.concatenate(x) for x in zip(*kept))
-    return mass, sums[1:] / mass, nodes
+    return w, v
 
 
 def ue_domain(region: Region, serving_bs, victim_bs, d_min: float) -> Region:
@@ -703,10 +702,10 @@ def ue_domain(region: Region, serving_bs, victim_bs, d_min: float) -> Region:
 def density_profile(region: Region, density: UeDensity, value_fn):
     """Law of a scalar field under the density, plus its moments.
 
-    Runs the panel quadrature on the field's first two moments, evaluating
-    the field once per node of each level visited. The law is discrete:
-    its atoms are the field values at the nodes of every panel's accepted
-    level, kept from that same pass, and its probabilities their
+    Runs the panel quadrature, evaluating the field once per node of each
+    level visited; the per-panel sums of the field's powers only pick each
+    panel's level. The law is discrete: its atoms are the field values at
+    the nodes of every panel's accepted level, and its probabilities their
     normalized quadrature weights.
 
     Args:
@@ -715,8 +714,8 @@ def density_profile(region: Region, density: UeDensity, value_fn):
         value_fn: vectorized (n, 2) points -> (n,) field values.
 
     Returns:
-        (mean, variance, weights, values); weights sums to 1, and the
-        variance is the law's second moment about the mean.
+        (mean, variance, weights, values); weights sums to 1, and the mean
+        and the variance about it are the law's.
 
     Raises:
         DomainError: if value_fn returns any shape other than (n,).
@@ -724,8 +723,9 @@ def density_profile(region: Region, density: UeDensity, value_fn):
         EmptyRegion: if the region carries no mass under the density.
             Exceptions value_fn raises propagate unchanged.
     """
-    _, (mean, _), (w, v) = _integrate(region, density, value_fn)
+    w, v = _integrate(region, density, value_fn)
     p = w / w.sum()
+    mean = (p * v).sum()
     # A centred pass over the law's atoms: m2 - mean^2 cancels on far
     # cells, where the variance is 1e-3 of mean^2.
     return mean, (p * (v - mean) ** 2).sum(), p, v

@@ -167,23 +167,6 @@ def _cell_slice(
     return out
 
 
-def _slice_spans(n: int):
-    return [(lo, min(lo + _SLICE, n) - lo) for lo in range(0, n, _SLICE)]
-
-
-def _run_slices(fn, n: int, workers: int) -> np.ndarray:
-    """Execute fn(lo, m) -> (m,) over fixed slices, merged by index."""
-    try:
-        out = np.empty(n)
-    except ValueError as exc:  # numpy's error for a size past the address space
-        raise MemoryError(str(exc)) from exc
-    spans = _slice_spans(n)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for (lo, m), vals in zip(spans, pool.map(lambda s: fn(*s), spans)):
-            out[lo : lo + m] = vals
-    return out
-
-
 def simulate_aggregate(
     scenario: Scenario, n: int, seed: int, workers: int = 1
 ) -> SampleSet:
@@ -205,7 +188,8 @@ def simulate_aggregate(
         region = ue_domain(cell.region, cell.bs, scenario.victim_bs, d_min)
         states.append((cell, region, _envelope(region, cell.density)))
 
-    def agg_slice(lo, m):
+    def agg_slice(lo):
+        m = min(_SLICE, n - lo)
         acc = np.zeros(m)
         for cell, region, envelope in states:
             vals = _cell_slice(cell, region, envelope, scenario, seed, lo, m)
@@ -215,6 +199,14 @@ def simulate_aggregate(
         acc *= 10.0
         return acc
 
-    vals = _run_slices(agg_slice, n, workers)
+    try:
+        vals = np.empty(n)
+    except ValueError as exc:  # numpy's error for a size past the address space
+        raise MemoryError(str(exc)) from exc
+    # Slices merge by index, so any worker count gives the same draws.
+    los = range(0, n, _SLICE)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for lo, part in zip(los, pool.map(agg_slice, los)):
+            vals[lo : lo + part.size] = part
     vals.sort()
     return SampleSet(vals, seed)

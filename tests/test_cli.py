@@ -458,6 +458,11 @@ _INPUT_RULES = {
     "channel.sigma_shad_db": lambda d: d["channel"].update(sigma_shad_db=1e-170),
     # The carve circle's map I / d_min must square to a finite float.
     "channel.d_min_km": lambda d: d["channel"].update(d_min_km=1e-200),
+    # So must an annulus hole's I / r_inner.
+    "cells[0].region.r_inner": lambda d: d["cells"][0].update(
+        region={"type": "annulus", "center": [0.03, 0.0], "r_inner": 1e-200,
+                "r_outer": 0.01}
+    ),
 }
 
 
@@ -869,6 +874,47 @@ def test_fit_wide_spread_exits_3(ws, capsys, key, value):
     assert main(["fit", "--scenario", str(path), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
     assert list(ws.glob(f"wide_{key}.out*")) == []
+
+
+def _bread_doc():
+    return scenario_to_doc(build_single_cell(0.01, "uniform", FadingModel("rayleigh")))
+
+
+@pytest.mark.parametrize("d_min", [1.01e-150, 1e-120])
+@pytest.mark.parametrize("command", ["bound", "fit"])
+def test_tiny_d_min_exits_3(ws, capsys, command, d_min):
+    # The carve circle's map I / d_min squares to a finite float, and the
+    # quarter discriminant takes no higher power of it. Under the suite's
+    # RuntimeWarning filter these raised from an overflow; now, as at
+    # d_min = 1e-50, no panel settles around the point-like carve.
+    doc = _bread_doc()
+    doc["channel"]["d_min_km"] = d_min
+    path = ws / f"tiny_d_min_{command}_{d_min}.json"
+    path.write_text(json.dumps(doc))
+    out = ws / f"tiny_d_min_{command}_{d_min}.out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: cell 2: ")
+    assert list(ws.glob(f"tiny_d_min_{command}_{d_min}.out*")) == []
+
+
+def _hole_bound_csv(ws, r_inner):
+    """bound's CSV for the bread document with an annulus of hole r_inner."""
+    doc = _bread_doc()
+    doc["cells"][0]["region"] = {
+        "type": "annulus", "center": [0.02, 0.004], "r_inner": r_inner, "r_outer": 0.008
+    }
+    path, out = ws / f"hole_{r_inner}.json", ws / f"hole_{r_inner}.csv"
+    path.write_text(json.dumps(doc))
+    assert main(["bound", "--scenario", str(path), "--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("r_inner", [1e-100, 1.01e-150])
+def test_tiny_annulus_hole_bounds_as_a_disk(ws, r_inner):
+    # The rays start at the hole's centre, and a hole this small moves
+    # their first cut by less than a rounding step. The quarter
+    # discriminant takes no fourth power of 1 / r_inner, which overflowed.
+    assert _hole_bound_csv(ws, r_inner) == _hole_bound_csv(ws, 0.0)
 
 
 def _fit_doc(ws, name, scen):

@@ -250,14 +250,14 @@ def test_effective_region_offcenter_carve():
 
 
 def test_normalize_uniform_disk():
-    w = 1.0 / _integrate(Disk((0.3, -0.1), 0.7), UeDensity("uniform"), _one)[0]
+    w = 1.0 / _integrate(Disk((0.3, -0.1), 0.7), UeDensity("uniform"), _one)[0].sum()
     assert w == pytest.approx(1.0 / (math.pi * 0.7**2), rel=1e-12)
 
 
 def test_normalize_inverse_radial_annulus():
     # int W/rho over the annulus = W * 2 pi (R - r0)
     reg = Annulus((0.0, 0.0), 0.2, 1.1)
-    w = 1.0 / _integrate(reg, UeDensity("inverse_radial", (0.0, 0.0)), _one)[0]
+    w = 1.0 / _integrate(reg, UeDensity("inverse_radial", (0.0, 0.0)), _one)[0].sum()
     assert w == pytest.approx(1.0 / (2.0 * math.pi * (1.1 - 0.2)), rel=1e-12)
 
 
@@ -273,7 +273,7 @@ def test_normalize_uniform_nonconvex_polygon_is_shoelace_area():
     area = 0.5 * sum(
         x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])
     )
-    w = 1.0 / _integrate(Polygon(vs), UeDensity("uniform"), _one)[0]
+    w = 1.0 / _integrate(Polygon(vs), UeDensity("uniform"), _one)[0].sum()
     assert 1.0 / w == pytest.approx(area, rel=1e-12)
 
 
@@ -309,7 +309,7 @@ def test_inverse_radial_mass_with_origin_on_boundary(name):
     # is a panel break: the rays on one side meet the region at once, the
     # others not at all.
     region, origin, mass = _RIM_ORIGINS[name]
-    got = _integrate(region, UeDensity("inverse_radial", origin), _one)[0]
+    got = _integrate(region, UeDensity("inverse_radial", origin), _one)[0].sum()
     assert got == pytest.approx(mass, rel=1e-12)
 
 
@@ -317,7 +317,7 @@ def test_polygons_sharing_edges_integrate():
     # Two squares with two edges in common and one inside the other: the
     # parallel edges give no crossing, and the shared corners are vertices.
     big = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (0.0, 2.0)))
-    mass = _integrate(Intersection((_SQUARE, big)), UeDensity("uniform"), _one)[0]
+    mass = _integrate(Intersection((_SQUARE, big)), UeDensity("uniform"), _one)[0].sum()
     assert mass == pytest.approx(1.0, rel=1e-12)
 
 
@@ -337,7 +337,7 @@ def test_normalize_tiny_far_region(name):
     # the disk and the ellipse raised QuadratureFailure.
     region, area = _TINY_FAR[name]
     dom = ue_domain(region, (0.02, 0.0), (0.0, 0.0), 0.005)
-    w = 1.0 / _integrate(dom, UeDensity("uniform"), _one)[0]
+    w = 1.0 / _integrate(dom, UeDensity("uniform"), _one)[0].sum()
     assert w == pytest.approx(1.0 / area, rel=1e-7)
 
 
@@ -351,7 +351,7 @@ def test_normalize_self_consistency_monte_carlo():
         )
     )
     density = UeDensity("inverse_radial", (-1.5, 0.0))
-    w = 1.0 / _integrate(reg, density, _one)[0]
+    w = 1.0 / _integrate(reg, density, _one)[0].sum()
     rng = np.random.default_rng(42)
     xmin, ymin, xmax, ymax = bounding_box(reg)
     n = 4_000_000
@@ -456,8 +456,8 @@ def test_density_profile_evaluates_each_node_once():
     assert mean == pytest.approx(2.0, abs=1e-12)
     assert var == pytest.approx(0.25, abs=1e-12)
     # The law is the accepted level's nodes, with normalized weights.
-    mass, _, (w, v) = _integrate(square, UeDensity("uniform"), field)
-    assert mass == pytest.approx(1.0, rel=1e-12)
+    w, v = _integrate(square, UeDensity("uniform"), field)
+    assert w.sum() == pytest.approx(1.0, rel=1e-12)
     np.testing.assert_array_equal(v, field(blocks[-1]))
     np.testing.assert_array_equal(vals, v)
     np.testing.assert_array_equal(wts, w / w.sum())
@@ -572,11 +572,32 @@ def test_hotspot_variance_is_centred(hotspot84):
             return coupling_gain_L(p, cell.bs, hotspot84.victim_bs, hotspot84.channel)
 
         _, var, _, _ = density_profile(dom, cell.density, gain)
-        _, _, (w, v) = _integrate(dom, cell.density, gain)
+        w, v = _integrate(dom, cell.density, gain)
         mass = math.fsum(w)
         mean = math.fsum(w * v) / mass
         exact = math.fsum(w * (v - mean) ** 2) / mass
         assert abs(var - exact) <= 1e-14 * exact
+
+
+def test_hotspot_mean_is_its_laws(hotspot84):
+    # The mean is the returned law's, within 1e-15 relative of its 30-digit
+    # value on the drop's first 10 cells (the first 2 are the hotspot_fit
+    # workload's). Per-panel sums added in sequence were 2.6e-15 and 2.8e-15
+    # off on those two.
+    import mpmath as mp
+
+    for cell, dom in list(_hotspot_domains(hotspot84))[:10]:
+
+        def gain(p):
+            return coupling_gain_L(p, cell.bs, hotspot84.victim_bs, hotspot84.channel)
+
+        mean, _, p, v = density_profile(dom, cell.density, gain)
+        with mp.workdps(30):
+            p30 = [mp.mpf(x) for x in p.tolist()]
+            v30 = [mp.mpf(x) for x in v.tolist()]
+            exact = mp.fdot(p30, v30) / mp.fsum(p30)
+            err = abs((mp.mpf(mean) - exact) / exact)
+        assert err <= 1e-15, (cell.id, float(err))
 
 
 def _bisected(panels):

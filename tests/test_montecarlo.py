@@ -26,9 +26,7 @@ from ulfit.montecarlo import (
     _cell_slice,
     _envelope,
     _positions_slice,
-    _run_slices,
     _skipped,
-    _slice_spans,
     simulate_aggregate,
 )
 from ulfit.samples import (
@@ -91,20 +89,29 @@ def test_stream_draws_are_contiguous():
     )
 
 
-def test_slice_spans():
-    s = _SLICE
-    assert _slice_spans(100) == [(0, 100)]
-    assert _slice_spans(s) == [(0, s)]
-    assert _slice_spans(s + 1) == [(0, s), (s, 1)]
-    assert _slice_spans(2 * s + 100) == [(0, s), (s, s), (2 * s, 100)]
+def _spans(monkeypatch, scen, n):
+    """The (lo, m) slices that simulate_aggregate draws, with _SLICE = 4096."""
+    spans = []
+    cell_slice = montecarlo._cell_slice
+
+    def recorded(*args):
+        spans.append(args[5:])
+        return cell_slice(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "_SLICE", 4096)
+        m.setattr(montecarlo, "_cell_slice", recorded)
+        simulate_aggregate(scen, n, 3, workers=2)
+    return sorted(spans)
 
 
-def test_run_slices_merges_by_index():
-    fn = lambda lo, m: np.arange(lo, lo + m, dtype=float)
-    serial = _run_slices(fn, 600_000, 1)
-    threaded = _run_slices(fn, 600_000, 4)
-    np.testing.assert_array_equal(serial, np.arange(600_000, dtype=float))
-    np.testing.assert_array_equal(serial, threaded)
+def test_slices_cover_every_draw_once(bread, monkeypatch):
+    # Below one slice, exactly one, one over, and two with a remainder.
+    s = 4096
+    assert _spans(monkeypatch, bread, 100) == [(0, 100)]
+    assert _spans(monkeypatch, bread, s) == [(0, s)]
+    assert _spans(monkeypatch, bread, s + 1) == [(0, s), (s, 1)]
+    assert _spans(monkeypatch, bread, 2 * s + 100) == [(0, s), (s, s), (2 * s, 100)]
 
 
 def test_simulate_cell_frozen(bread):
@@ -184,7 +191,6 @@ def test_slice_size_invariance(bread, bread_ir, monkeypatch):
         default = simulate_aggregate(scen, 10_000, 7)
         with monkeypatch.context() as m:
             m.setattr(montecarlo, "_SLICE", 4096)
-            assert len(_slice_spans(10_000)) == 3
             small = simulate_aggregate(scen, 10_000, 7, workers=2)
         np.testing.assert_array_equal(small.values, default.values)
 
