@@ -14,6 +14,7 @@ import argparse
 import importlib
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -45,7 +46,7 @@ _SOURCES = {
         "load_samples",
         "save_samples",
     ),
-    "scenario": ("_to_doc", "load_scenario", "scenario_hash"),
+    "scenario": ("load_scenario", "scenario_hash"),
 }
 
 
@@ -168,9 +169,7 @@ def cmd_bound(scenario_path, out_csv) -> int:
             fh.write(
                 str(row[0]) + "," + ",".join(_g17(v) for v in row[1:]) + "\n"
             )
-    _write_manifest(
-        "bound", scen_hash, _to_doc(scenario.bound), None, None, [out_csv]
-    )
+    _write_manifest("bound", scen_hash, asdict(scenario.bound), None, None, [out_csv])
     return 0
 
 
@@ -203,7 +202,7 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
         "sigma_q2_db2": agg.sigma_q2,
         "scenario_hash": scen_hash,
         "eps_total": max(c["eps_total"] for c in per_cell),
-        "bound": _to_doc(scenario.bound),
+        "bound": asdict(scenario.bound),
         "per_cell": per_cell,
     }
     write_json(out_json, doc)
@@ -216,7 +215,7 @@ def cmd_fit(scenario_path, out_json, grid_spec=None) -> int:
             for q, v in zip(grid, vals):
                 fh.write(f"{_g17(q)},{_g17(v)}\n")
         outputs.append(cdf_csv)
-    _write_manifest("fit", scen_hash, _to_doc(scenario.bound), None, None, outputs)
+    _write_manifest("fit", scen_hash, asdict(scenario.bound), None, None, outputs)
     return 0
 
 
@@ -233,7 +232,7 @@ def cmd_simulate(scenario_path, n, seed, out_bin, workers=1) -> int:
     _write_manifest(
         "simulate",
         scen_hash,
-        _to_doc(scenario.bound),
+        asdict(scenario.bound),
         seed,
         n,
         [out_bin, f"{out_bin}.json"],

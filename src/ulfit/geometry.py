@@ -632,12 +632,7 @@ def _level(region, density, origin, field, panels, pieces):
     count = len(panels)
     sums = [np.bincount(ids, w, count)]
     scales = [sums[0]]
-    v = np.asarray(field(pts)) if w.size else np.zeros(0)
-    if v.shape != w.shape:
-        raise DomainError(
-            f"integrand returned shape {v.shape} for {w.size} points; "
-            "it must be vectorized over an (n, 2) block"
-        )
+    v = field(pts) if w.size else np.zeros(0)
     term = w
     for _ in range(2):
         term = term * v
@@ -718,7 +713,6 @@ def density_profile(region: Region, density: UeDensity, value_fn):
         and the variance about it are the law's.
 
     Raises:
-        DomainError: if value_fn returns any shape other than (n,).
         QuadratureFailure: if a theta panel does not settle.
         EmptyRegion: if the region carries no mass under the density.
             Exceptions value_fn raises propagate unchanged.

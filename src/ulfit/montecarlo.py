@@ -51,7 +51,7 @@ from .channel import (
     sample_fading_db_block,
     shadow_db_block,
 )
-from .errors import DomainError, SamplingStall
+from .errors import SamplingStall
 from .geometry import proposal_block, rejection_envelope, ue_domain
 from .samples import SampleSet
 from .scenario import Scenario, rng_stream
@@ -177,11 +177,10 @@ def simulate_aggregate(
     position drawn from the cell's density over its effective region. The
     sum is taken in mW and reported in dBm. Output is identical for any
     worker count.
+
+    n >= 1 and workers >= 1 are the caller's: the CLI's --n and --workers
+    parse through _positive_int, and SampleSet refuses an empty set.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
     d_min = scenario.channel.d_min_km
     states = []
     for cell in scenario.cells:

@@ -40,6 +40,8 @@ __all__ = [
 # decreasing CDF.
 _KS_STRIDE = 64
 _KS_SLACK = 1e-12
+# compare's verdict allows the DKW radius at confidence 1 - _DKW_ALPHA.
+_DKW_ALPHA = 0.01
 
 
 @dataclass(frozen=True)
@@ -62,16 +64,6 @@ class SampleSet:
     @property
     def n(self) -> int:
         return self.values.size
-
-
-def _model_cdf(cdf, x: np.ndarray) -> np.ndarray:
-    f = np.asarray(cdf(x), dtype=float)
-    if f.shape != x.shape:
-        raise DomainError(
-            f"model CDF returned shape {f.shape} for {x.size} samples; "
-            "it must be vectorized"
-        )
-    return f
 
 
 def _gaps(i: np.ndarray, f: np.ndarray, n: int) -> float:
@@ -104,14 +96,13 @@ def ks_distance(samples: SampleSet, cdf) -> float:
         point.
 
     Raises:
-        DomainError: if the CDF returns any other shape, or if its
-            evaluated values decrease by more than _KS_SLACK. Exceptions
-            the CDF raises propagate unchanged.
+        DomainError: if the CDF's evaluated values decrease by more than
+            _KS_SLACK. Exceptions the CDF raises propagate unchanged.
     """
     x = samples.values
     n = samples.n
     ends = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
-    f_ends = _model_cdf(cdf, x[ends])
+    f_ends = cdf(x[ends])
     if np.isnan(f_ends).any():
         return math.nan
     if _decreasing(f_ends):
@@ -124,7 +115,7 @@ def ks_distance(samples: SampleSet, cdf) -> float:
     i = rows[rows < hi[refine, None]]
     if i.size == 0:
         return d
-    f = _model_cdf(cdf, x[i])
+    f = cdf(x[i])
     if np.isnan(f).any():
         return math.nan
     # In sample order, each refined stride's values sit between its ends.
@@ -133,11 +124,13 @@ def ks_distance(samples: SampleSet, cdf) -> float:
     return max(d, _gaps(i, f, n))
 
 
-def dkw_slack(n: int, alpha: float = 0.01) -> float:
-    """Dvoretzky-Kiefer-Wolfowitz radius: KS noise at confidence 1-alpha."""
-    if n < 1 or not 0 < alpha < 1:
-        raise DomainError("need n >= 1 and alpha in (0, 1)")
-    return float(np.sqrt(np.log(2.0 / alpha) / (2.0 * n)))
+def dkw_slack(n: int) -> float:
+    """Dvoretzky-Kiefer-Wolfowitz radius of n >= 1 samples at 99% confidence.
+
+    n draws lie farther than this from their own law, in KS distance,
+    with probability at most _DKW_ALPHA.
+    """
+    return float(np.sqrt(np.log(2.0 / _DKW_ALPHA) / (2.0 * n)))
 
 
 def save_samples(samples: SampleSet, path, scenario_hash: str) -> None:

@@ -182,7 +182,7 @@ def test_criterion_05_fading_moments():
 
 
 def test_criterion_06_soundness_sweep(sweep):
-    slack = dkw_slack(1_000_000, 0.01)
+    slack = dkw_slack(1_000_000)
     violations = []
     worst_margin = -math.inf
     for (r, kind, name), case in sweep.items():
@@ -276,7 +276,7 @@ def test_criterion_09_hotspot_aggregate(hotspot84):
     eps_total + dkw_slack of the cell's Gaussian fit.
     """
     lay, cells, agg_fit, sim = hotspot84
-    slack = dkw_slack(AGG_N, 0.01)
+    slack = dkw_slack(AGG_N)
     problems = []
     if not abs(agg_fit.lam - 48.9) <= 0.15 * 48.9:
         problems.append(f"lambda {agg_fit.lam:.2f} vs 48.9 +-15%")

@@ -167,6 +167,17 @@ def test_epsilon2_ignores_harmonics_past_the_term_floor():
     assert probes == [2863, 2863]
 
 
+def test_epsilon2_without_a_term_is_zero():
+    # At omega = 10 and p = 1 the one odd harmonic, n = 1, has envelope
+    # exp(-100), under the 1e-18 floor: no term is built, both mismatch
+    # components are 0, and the series residuals make eps_total vacuous.
+    cell, _, stats = bread_stats(0.01, "uniform")
+    bp = BoundParams(omega=10.0, p=1)
+    rep = total_bound(cell, stats, DEFAULT_CHANNEL, FadingModel("rayleigh"), bp)
+    assert rep.eps2 == 0.0 and rep.eps2_prime == 0.0
+    assert rep.eps_total == pytest.approx(4.000008, rel=1e-12)
+
+
 def test_epsilon3_values():
     assert epsilon3(500.0) == pytest.approx(4e-6, abs=1e-15)
     assert epsilon3(100.0) == pytest.approx(1e-4, abs=1e-15)

@@ -358,9 +358,15 @@ def test_exit_code_2_paths(ws, scen_path, sim_path):
     )
     assert rc == 2
 
-    # Draw and worker counts below 1 are refused by the argument parser.
+    # Draw and worker counts below 1, or not integers, are refused by the
+    # argument parser.
     out = ws / "bad_count.bin"
-    for flag, value in (("--n", "0"), ("--workers", "-3")):
+    for flag, value in (
+        ("--n", "0"),
+        ("--workers", "-3"),
+        ("--n", "1.5"),
+        ("--workers", "two"),
+    ):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--scenario", str(scen_path), "--out", str(out), flag, value])
         assert exc.value.code == 2

@@ -274,6 +274,10 @@ def test_schema_bad_fading():
     _expect_schema_error(doc, "fading.kind")
 
     doc = _valid_doc()
+    doc["fading"]["kind"] = 3
+    _expect_schema_error(doc, "fading.kind: expected a string")
+
+    doc = _valid_doc()
     doc["fading"]["gamma"] = 3.0  # kind is rayleigh
     _expect_schema_error(doc, "fading.gamma")
 
