@@ -20,7 +20,7 @@ two crossing ellipses, two crossing polygons, and an inverse-radial disk
 whose density origin lies on its rim; and the bread cell of the
 single-cell sweep under the other two fading kinds, uniform with Rician
 fading (gamma 5) and inverse-radial with none. On each scenario the
-chain runs bound, fit with a grid, simulate with one and with two
+chain runs bound, fit with a grid, simulate with one, two and three
 workers, and compare. The exit status is 0 when every command exits 0,
 and otherwise the first failing command's.
 """
@@ -130,7 +130,7 @@ def _chain(name):
                 "simulate", "--scenario", scen, "--out", f"{name}/samples_w{w}.bin",
                 "--n", _N, "--seed", _SEED, "--workers", str(w),
             ]
-            for w in (1, 2)
+            for w in (1, 2, 3)
         ),
         [
             "compare", "--samples", f"{name}/samples_w1.bin",

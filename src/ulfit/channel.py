@@ -145,22 +145,19 @@ def coupling_gain_L(z, serving_bs, victim_bs, params: ChannelParams):
     a station is refused here.
 
     Args:
-        z: position (2,) or block of positions (n, 2).
+        z: block of positions (n, 2).
         serving_bs: station whose power control the user obeys.
         victim_bs: station whose received interference is modeled.
         params: channel parameters.
 
     Returns:
-        float for a single point, array (n,) for a block.
+        array (n,), one coupling per row of z.
 
     Raises:
         DomainError: when a point lies on either station.
     """
-    arr = np.asarray(z, dtype=float)
-    single = arr.shape == (2,)
-    pts = arr.reshape(1, 2) if single else arr
-    x, y = pts[:, 0], pts[:, 1]
-    tmp = np.empty(len(pts))
+    x, y = z[:, 0], z[:, 1]
+    tmp = np.empty(len(z))
     q_bb = _squared_distance(x, y, serving_bs, tmp)
     q_b1 = _squared_distance(x, y, victim_bs, tmp)
     if len(q_bb) and min(q_bb.min(), q_b1.min()) <= 0:
@@ -171,7 +168,7 @@ def coupling_gain_L(z, serving_bs, victim_bs, params: ChannelParams):
     q_bb -= q_b1
     q_bb *= 0.5 * params.alpha
     q_bb += (params.eta - 1.0) * params.a_db
-    return float(q_bb[0]) if single else q_bb
+    return q_bb
 
 
 def _log_gamma(z):
@@ -237,10 +234,10 @@ def fading_char_fn(model: FadingModel, t):
     r_j = r_{j-1} (j + s) / j.
 
     Args:
-        t: frequency in 1/dB, scalar or array.
+        t: array of frequencies in 1/dB.
 
     Returns:
-        complex scalar or array matching t.
+        complex array of t's shape (0-d for a scalar t).
     """
     tt = np.asarray(t, dtype=float)
     if model.kind == "none":
@@ -255,7 +252,7 @@ def fading_char_fn(model: FadingModel, t):
             r *= (jj + s) / jj
             out += pj * r
         out *= np.exp(-1j * tt * (_ZETA * math.log1p(k) + mu))
-    return complex(out) if np.isscalar(t) else out
+    return out
 
 
 def discrete_char_fn(values, weights, t):

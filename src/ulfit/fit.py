@@ -420,12 +420,9 @@ def _log_ndtr(z):
     With q = erfc(|z| / sqrt 2) / 2 = erfcx(|z| / sqrt 2) exp(-z^2 / 2) / 2,
     log Phi(z) is log q below 0, which never underflows, and log1p(-q)
     from 0 up. Rounding z^2 / 2 costs exp(-z^2 / 2) about z^2 / 2 ulps,
-    so for z > 4 the exponential is split at z rounded to 1/16. The input
-    is flattened for the masked steps, so scalars and 0-d arrays work too,
-    and the result takes z's shape.
+    so for z > 4 the exponential is split at z rounded to 1/16. z is a
+    1-D float array, and the result has its shape.
     """
-    shape = np.shape(z)
-    z = np.asarray(z, dtype=float).reshape(-1)
     with np.errstate(divide="ignore", over="ignore"):
         e = _erfcx(np.abs(z) / math.sqrt(2.0))
         log_q = np.log(0.5 * e) - 0.5 * z * z
@@ -437,18 +434,17 @@ def _log_ndtr(z):
         zr = np.trunc(16.0 * zf) / 16.0
         split = np.exp(-0.5 * zr * zr) * np.exp(-0.5 * (zf - zr) * (zf + zr))
         q[far] = 0.5 * e[far] * split
-    return np.where(z < 0.0, log_q, np.log1p(-q)).reshape(shape)
+    return np.where(z < 0.0, log_q, np.log1p(-q))
 
 
 def powln_cdf_db(q, fit: PowerLognormalFit):
-    """CDF at q dBm."""
+    """CDF at a 1-D array q of dBm values, as an array of q's shape."""
     z = (np.asarray(q, dtype=float) - fit.mu_q) / fit.sigma_q
-    out = np.exp(fit.lam * _log_ndtr(z))
-    return float(out) if out.ndim == 0 else out
+    return np.exp(fit.lam * _log_ndtr(z))
 
 
 def powln_pdf_db(q, fit: PowerLognormalFit):
-    """Density at q dBm."""
+    """Density at a 1-D array q of dBm values, as an array of q's shape."""
     z = (np.asarray(q, dtype=float) - fit.mu_q) / fit.sigma_q
     # log-domain pdf: stable for large lambda where Phi^(lambda-1)
     # underflows.
@@ -459,5 +455,4 @@ def powln_pdf_db(q, fit: PowerLognormalFit):
         - 0.5 * math.log(2.0 * math.pi)
         - math.log(fit.sigma_q)
     )
-    out = np.exp(logpdf)
-    return float(out) if out.ndim == 0 else out
+    return np.exp(logpdf)

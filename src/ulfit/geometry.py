@@ -630,14 +630,11 @@ def _level(region, density, origin, field, panels, pieces):
     ids = np.repeat(panel_of[row], s.size)
 
     count = len(panels)
-    sums = [np.bincount(ids, w, count)]
-    scales = [sums[0]]
     v = field(pts) if w.size else np.zeros(0)
-    term = w
-    for _ in range(2):
-        term = term * v
-        sums.append(np.bincount(ids, term, count))
-        scales.append(np.bincount(ids, np.abs(term), count))
+    wv = w * v
+    sums = [np.bincount(ids, term, count) for term in (w, wv, wv * v)]
+    # Every weight is positive, so only the first power needs |.|.
+    scales = [sums[0], np.bincount(ids, np.abs(wv), count), sums[2]]
     return np.array(sums), np.array(scales), w, v, ids
 
 

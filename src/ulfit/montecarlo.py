@@ -26,7 +26,8 @@ their cosines and sines from the tangent of the half angle
 exp(v ln(10) / 10). Samples differ from the np.cos and np.power forms by
 at most about 1.5e-13 dB.
 
-Work runs in slices of _SLICE = 2^15 draws, and the sorted output is
+Work runs in slices of _SLICE = 2^15 draws. Each slice accumulates its
+draws straight into its own span of the output array, which is then
 sorted in place. A slice's arithmetic runs in place on a few slice-sized
 arrays. Its working set, the tracemalloc peak of one _cell_slice, is
 2.5 MiB on the bread cell, most of it the region test of the first
@@ -179,8 +180,16 @@ def simulate_aggregate(
     worker count.
 
     n >= 1 and workers >= 1 are the caller's: the CLI's --n and --workers
-    parse through _positive_int, and SampleSet refuses an empty set.
+    parse through _positive_int, and SampleSet refuses an empty set. The
+    output is allocated before any cell is set up, and each slice sums its
+    cells' draws straight into its own span of it.
     """
+    try:
+        vals = np.zeros(n)
+    except ValueError as exc:  # numpy's error for n < 0 or past the address space
+        if n < 0:
+            raise
+        raise MemoryError(str(exc)) from exc
     d_min = scenario.channel.d_min_km
     states = []
     for cell in scenario.cells:
@@ -188,24 +197,17 @@ def simulate_aggregate(
         states.append((cell, region, _envelope(region, cell.density)))
 
     def agg_slice(lo):
-        m = min(_SLICE, n - lo)
-        acc = np.zeros(m)
+        acc = vals[lo : lo + _SLICE]
         for cell, region, envelope in states:
-            vals = _cell_slice(cell, region, envelope, scenario, seed, lo, m)
-            vals *= _LN_PER_DB
-            acc += np.exp(vals, out=vals)
+            part = _cell_slice(cell, region, envelope, scenario, seed, lo, acc.size)
+            part *= _LN_PER_DB
+            acc += np.exp(part, out=part)
         np.log10(acc, out=acc)
         acc *= 10.0
-        return acc
 
-    try:
-        vals = np.empty(n)
-    except ValueError as exc:  # numpy's error for a size past the address space
-        raise MemoryError(str(exc)) from exc
-    # Slices merge by index, so any worker count gives the same draws.
-    los = range(0, n, _SLICE)
+    # Slices write disjoint spans, so any worker count gives the same draws;
+    # draining the map re-raises a slice's exception.
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for lo, part in zip(los, pool.map(agg_slice, los)):
-            vals[lo : lo + part.size] = part
+        list(pool.map(agg_slice, range(0, n, _SLICE)))
     vals.sort()
     return SampleSet(vals, seed)

@@ -41,16 +41,15 @@ def _path_loss(d):
 
 
 def test_path_loss_reference_distance():
-    assert coupling_gain_L((1.0, 0.0), ORIGIN, ORIGIN, PARAMS) == SCALE * 103.8
-    assert coupling_gain_L((0.1, 0.0), ORIGIN, ORIGIN, PARAMS) == pytest.approx(
-        SCALE * (103.8 - 20.9), rel=1e-14
-    )
+    val = coupling_gain_L(np.array([[1.0, 0.0]]), ORIGIN, ORIGIN, PARAMS)[0]
+    assert val == SCALE * 103.8
+    val = coupling_gain_L(np.array([[0.1, 0.0]]), ORIGIN, ORIGIN, PARAMS)[0]
+    assert val == pytest.approx(SCALE * (103.8 - 20.9), rel=1e-14)
 
 
 def test_path_loss_short_range():
-    assert coupling_gain_L((0.005, 0.0), ORIGIN, ORIGIN, PARAMS) == pytest.approx(
-        SCALE * 55.70847309062279, rel=1e-14
-    )
+    val = coupling_gain_L(np.array([[0.005, 0.0]]), ORIGIN, ORIGIN, PARAMS)[0]
+    assert val == pytest.approx(SCALE * 55.70847309062279, rel=1e-14)
 
 
 def test_path_loss_vectorized_and_increasing():
@@ -63,26 +62,26 @@ def test_path_loss_vectorized_and_increasing():
 
 def test_path_loss_rejects_nonpositive():
     with pytest.raises(DomainError):
-        coupling_gain_L(ORIGIN, ORIGIN, ORIGIN, PARAMS)
+        coupling_gain_L(np.array([ORIGIN]), ORIGIN, ORIGIN, PARAMS)
     with pytest.raises(DomainError):
         coupling_gain_L(np.array([[0.5, 0.0], ORIGIN]), ORIGIN, ORIGIN, PARAMS)
 
 
 def test_coupling_symmetry_eta_one():
     p1 = ChannelParams(103.8, 20.9, -76.0, 1.0, 10.0, 0.005)
-    val = coupling_gain_L((0.0, 0.02), (-0.03, 0.0), (0.03, 0.0), p1)
+    val = coupling_gain_L(np.array([[0.0, 0.02]]), (-0.03, 0.0), (0.03, 0.0), p1)[0]
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coupling_off_balance():
     # d_bb = 0.01, d_b1 = 0.05
-    val = coupling_gain_L((-0.01, 0.0), (0.0, 0.0), (0.04, 0.0), PARAMS)
+    val = coupling_gain_L(np.array([[-0.01, 0.0]]), (0.0, 0.0), (0.04, 0.0), PARAMS)[0]
     assert val == pytest.approx(-27.008473090622793, rel=1e-14)
 
 
 def test_coupling_equidistant_collapse():
     d = 0.02
-    val = coupling_gain_L((0.0, d), (0.0, 0.0), (0.0, 0.0), PARAMS)
+    val = coupling_gain_L(np.array([[0.0, d]]), (0.0, 0.0), (0.0, 0.0), PARAMS)[0]
     assert val == pytest.approx(-0.2 * _path_loss(d), rel=1e-12)
 
 
@@ -95,11 +94,11 @@ def test_coupling_block():
 
 def test_coupling_rejects_point_on_station():
     # Only the distance check inside coupling_gain_L guards a point on a
-    # station: both stations, one point and a block.
+    # station: both stations, a one-row block and a longer one.
     serving, victim = (0.01, -0.02), (0.04, 0.0)
     for station in (serving, victim):
         with pytest.raises(DomainError):
-            coupling_gain_L(station, serving, victim, PARAMS)
+            coupling_gain_L(np.array([station]), serving, victim, PARAMS)
         block = np.array([[0.0, 0.02], station, [-0.01, 0.0]])
         with pytest.raises(DomainError):
             coupling_gain_L(block, serving, victim, PARAMS)

@@ -411,14 +411,23 @@ def test_exit_code_2_paths(ws, scen_path, sim_path):
 def test_unallocatable_n_exits_2(ws, scen_path, capsys, monkeypatch, n):
     # 2^59 samples raise MemoryError on any 64-bit machine, and 2^63 numpy's
     # ValueError for a size past the address space. Neither allocates, and
-    # the output fails before any worker thread starts.
+    # the output fails before any cell's user domain is built or any worker
+    # thread starts.
     def no_threads(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
+    ue_domain, domains = ulfit.montecarlo.ue_domain, []
+
+    def counted_domain(*args):
+        domains.append(args)
+        return ue_domain(*args)
+
     monkeypatch.setattr(ulfit.montecarlo, "ThreadPoolExecutor", no_threads)
+    monkeypatch.setattr(ulfit.montecarlo, "ue_domain", counted_domain)
     out = ws / "huge.bin"
     argv = ["simulate", "--scenario", str(scen_path), "--out", str(out)]
     assert main(argv + ["--n", str(n)]) == 2
+    assert len(domains) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --n:")
     assert list(ws.glob("huge.bin*")) == []

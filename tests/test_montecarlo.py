@@ -129,6 +129,8 @@ def test_simulate_cell_validation(bread):
         simulate_aggregate(bread, 0, 5, workers=2)
     with pytest.raises(ValueError, match="max_workers"):
         simulate_aggregate(bread, 10, 5, workers=0)
+    with pytest.raises(ValueError, match="negative dimensions"):
+        simulate_aggregate(bread, -1, 5)
 
 
 def _sampler_state(scen, cell):
