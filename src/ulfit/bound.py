@@ -169,8 +169,7 @@ def epsilon2(bp: BoundParams, sigma_l2: float, sigma_s2: float, char_fn) -> floa
     n = n[keep]
     env = env[keep]
     sigma_s = math.sqrt(sigma_s2)
-    phi = np.asarray(char_fn(-math.sqrt(2.0) * n * w / sigma_s), dtype=complex)
-    v = env * phi
+    v = env * char_fn(-math.sqrt(2.0) * n * w / sigma_s)
     vhat = env * np.exp(-(n**2) * w**2 * sigma_l2 / sigma_s2)
     return float((2.0 / math.pi) * np.abs(v - vhat).sum())
 

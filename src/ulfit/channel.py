@@ -140,9 +140,9 @@ def coupling_gain_L(z, serving_bs, victim_bs, params: ChannelParams):
 
     With q the squared distance to a station, this is
     (eta - 1) a + (alpha / 2) (eta log10 q_bb - log10 q_b1), evaluated in
-    place on one block. Callers must keep z at least d_min from both
-    stations; that is enforced geometrically upstream, and only a point on
-    a station is refused here.
+    place on one block. The carve owns the distance rule: every
+    quadrature node and draw lies in geometry.ue_domain, at least
+    d_min > 1e-150 from both stations, so q > 0 and nothing is checked here.
 
     Args:
         z: block of positions (n, 2).
@@ -152,16 +152,11 @@ def coupling_gain_L(z, serving_bs, victim_bs, params: ChannelParams):
 
     Returns:
         array (n,), one coupling per row of z.
-
-    Raises:
-        DomainError: when a point lies on either station.
     """
     x, y = z[:, 0], z[:, 1]
     tmp = np.empty(len(z))
     q_bb = _squared_distance(x, y, serving_bs, tmp)
     q_b1 = _squared_distance(x, y, victim_bs, tmp)
-    if len(q_bb) and min(q_bb.min(), q_b1.min()) <= 0:
-        raise DomainError("distance must be > 0")
     np.log10(q_bb, out=q_bb)
     np.log10(q_b1, out=q_b1)
     q_bb *= params.eta
@@ -234,24 +229,24 @@ def fading_char_fn(model: FadingModel, t):
     r_j = r_{j-1} (j + s) / j.
 
     Args:
-        t: array of frequencies in 1/dB.
+        t: float array of frequencies in 1/dB, or a float.
 
     Returns:
-        complex array of t's shape (0-d for a scalar t).
+        complex array of t's shape; a complex scalar for a float t (0-d
+        for "none").
     """
-    tt = np.asarray(t, dtype=float)
     if model.kind == "none":
-        out = np.ones_like(tt, dtype=complex)
+        out = np.ones_like(t, dtype=complex)
     else:
         k, j, p = _mixture(model)
         mu, _ = fading_moments(model)
-        s = (1j * _ZETA) * tt
+        s = (1j * _ZETA) * t
         r = np.exp(_log_gamma(j[0] + 1.0 + s) - math.lgamma(j[0] + 1.0))
         out = p[0] * r
         for jj, pj in zip(j[1:].tolist(), p[1:].tolist()):
             r *= (jj + s) / jj
             out += pj * r
-        out *= np.exp(-1j * tt * (_ZETA * math.log1p(k) + mu))
+        out *= np.exp(-1j * t * (_ZETA * math.log1p(k) + mu))
     return out
 
 
@@ -270,28 +265,25 @@ def discrete_char_fn(values, weights, t):
     set is therefore about 2.5 MB whatever the number of atoms.
 
     Args:
-        values: atoms of the law, shape (n,).
-        weights: their probabilities, shape (n,).
-        t: evenly spaced frequencies, shape (T,).
+        values: atoms of the law, a float array (n,).
+        weights: their probabilities, a float array (n,).
+        t: evenly spaced frequencies, a float array (T,).
 
     Returns:
         complex array, shape (T,).
     """
-    x = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    t = np.asarray(t, dtype=float)
     rows = max(1, math.ceil(math.sqrt(t.size)))
     shift = t[::rows] - t[0]
-    chunk = max(1, min(x.size, _CHARFN_CHUNK_ENTRIES // rows))
+    chunk = max(1, min(values.size, _CHARFN_CHUNK_ENTRIES // rows))
     first = np.empty((rows, chunk), dtype=complex)
     shifts = np.empty((chunk, shift.size), dtype=complex)
     acc = np.zeros((rows, shift.size), dtype=complex)
-    for lo in range(0, x.size, chunk):
-        ix = x[lo : lo + chunk] * 1j
+    for lo in range(0, values.size, chunk):
+        ix = values[lo : lo + chunk] * 1j
         f, s = first[:, : ix.size], shifts[: ix.size]
         np.exp(np.multiply.outer(t[:rows], ix, out=f), out=f)
         np.exp(np.multiply.outer(ix, shift, out=s), out=s)
-        s *= w[lo : lo + chunk, None]
+        s *= weights[lo : lo + chunk, None]
         acc += f @ s
     return acc.T.ravel()[: t.size]
 

@@ -243,8 +243,9 @@ def cmd_simulate(scenario_path, n, seed, out_bin, workers=1) -> int:
 def cmd_compare(samples_path, fit_json, out_report) -> int:
     """KS of empirical samples against a fitted CDF, with verdict.
 
-    The verdict passes when the KS distance is at most the fit's bound
-    plus the DKW sampling slack at 99% confidence.
+    The verdict passes only a one-cell fit whose KS distance is at most
+    eps_total plus the DKW slack at 99% confidence: a fit of more cells
+    holds their largest eps_total, which certifies one cell, not the sum.
     """
     _bind("samples", "fit")
     samples, sidecar = load_samples(samples_path)
@@ -253,10 +254,13 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
     try:
         values = [finite_number(fit_doc[k]) for k in keys]
         fit_hash = fit_doc["scenario_hash"]
+        per_cell = fit_doc["per_cell"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{fit_json}: missing or bad field ({exc})") from exc
     if not isinstance(fit_hash, str):
         raise SchemaError(f"{fit_json}: scenario_hash must be a string")
+    if not isinstance(per_cell, list) or not per_cell:
+        raise SchemaError(f"{fit_json}: per_cell must be a non-empty list")
     for key, value in zip(keys, values):
         if value is None:
             raise SchemaError(f"{fit_json}: {key} must be a finite number")
@@ -280,7 +284,7 @@ def cmd_compare(samples_path, fit_json, out_report) -> int:
         "ks_empirical_vs_fit": ks,
         "eps_total": eps_total,
         "dkw_slack": slack,
-        "pass": bool(ks <= eps_total + slack),
+        "pass": len(per_cell) == 1 and bool(ks <= eps_total + slack),
     }
     write_json(out_report, verdict)
     _write_manifest(

@@ -402,15 +402,13 @@ def _erfcx(x):
     """exp(x^2) erfc(x) for x >= 0 by Cody's three rational forms."""
     out = _ratio(np.clip(x, 0.5, 4.0), _ERFCX_MID_P, _ERFCX_MID_Q)
     small = x <= 0.5
-    if small.any():
-        xs = x[small]
-        out[small] = np.exp(xs * xs) * (1.0 - xs * _ratio(xs * xs, _ERF_P, _ERF_Q))
+    xs = x[small]
+    out[small] = np.exp(xs * xs) * (1.0 - xs * _ratio(xs * xs, _ERF_P, _ERF_Q))
     big = x > 4.0
-    if big.any():
-        xb = x[big]
-        inv2 = (1.0 / xb) ** 2
-        tail = inv2 * _ratio(inv2, _ERFCX_TAIL_P, _ERFCX_TAIL_Q)
-        out[big] = (1.0 / math.sqrt(math.pi) - tail) / xb
+    xb = x[big]
+    inv2 = (1.0 / xb) ** 2
+    tail = inv2 * _ratio(inv2, _ERFCX_TAIL_P, _ERFCX_TAIL_Q)
+    out[big] = (1.0 / math.sqrt(math.pi) - tail) / xb
     return out
 
 
@@ -421,7 +419,8 @@ def _log_ndtr(z):
     log Phi(z) is log q below 0, which never underflows, and log1p(-q)
     from 0 up. Rounding z^2 / 2 costs exp(-z^2 / 2) about z^2 / 2 ulps,
     so for z > 4 the exponential is split at z rounded to 1/16. z is a
-    1-D float array, and the result has its shape.
+    1-D float array, and the result has its shape; a scalar or 0-d z
+    raises TypeError.
     """
     with np.errstate(divide="ignore", over="ignore"):
         e = _erfcx(np.abs(z) / math.sqrt(2.0))
@@ -429,23 +428,22 @@ def _log_ndtr(z):
     q = np.exp(log_q)
     # Past z = 40, q underflows to 0 either way.
     far = (z > 4.0) & (z < 40.0)
-    if far.any():
-        zf = z[far]
-        zr = np.trunc(16.0 * zf) / 16.0
-        split = np.exp(-0.5 * zr * zr) * np.exp(-0.5 * (zf - zr) * (zf + zr))
-        q[far] = 0.5 * e[far] * split
+    zf = z[far]
+    zr = np.trunc(16.0 * zf) / 16.0
+    split = np.exp(-0.5 * zr * zr) * np.exp(-0.5 * (zf - zr) * (zf + zr))
+    q[far] = 0.5 * e[far] * split
     return np.where(z < 0.0, log_q, np.log1p(-q))
 
 
 def powln_cdf_db(q, fit: PowerLognormalFit):
-    """CDF at a 1-D array q of dBm values, as an array of q's shape."""
-    z = (np.asarray(q, dtype=float) - fit.mu_q) / fit.sigma_q
+    """CDF at a 1-D float array q of dBm values (scalar or 0-d q: TypeError)."""
+    z = (q - fit.mu_q) / fit.sigma_q
     return np.exp(fit.lam * _log_ndtr(z))
 
 
 def powln_pdf_db(q, fit: PowerLognormalFit):
-    """Density at a 1-D array q of dBm values, as an array of q's shape."""
-    z = (np.asarray(q, dtype=float) - fit.mu_q) / fit.sigma_q
+    """Density at a 1-D float array q of dBm values (scalar or 0-d q: TypeError)."""
+    z = (q - fit.mu_q) / fit.sigma_q
     # log-domain pdf: stable for large lambda where Phi^(lambda-1)
     # underflows.
     logpdf = (

@@ -132,7 +132,7 @@ def _keep(primitive, conics=(), edges=()):
         ends += [(cx - ex, cy - ey), (cx + ex, cy + ey)]
     xs, ys = zip(*ends)
     box = (min(xs), min(ys), max(xs), max(ys))
-    object.__setattr__(primitive, "_box", tuple(map(float, box)))
+    object.__setattr__(primitive, "_box", box)
     object.__setattr__(primitive, "_pieces", (tuple(conics), tuple(edges)))
 
 
@@ -630,7 +630,7 @@ def _level(region, density, origin, field, panels, pieces):
     ids = np.repeat(panel_of[row], s.size)
 
     count = len(panels)
-    v = field(pts) if w.size else np.zeros(0)
+    v = field(pts)
     wv = w * v
     sums = [np.bincount(ids, term, count) for term in (w, wv, wv * v)]
     # Every weight is positive, so only the first power needs |.|.
@@ -703,7 +703,7 @@ def density_profile(region: Region, density: UeDensity, value_fn):
     Args:
         region: effective region.
         density: user density over the region.
-        value_fn: vectorized (n, 2) points -> (n,) field values.
+        value_fn: vectorized (n, 2) points -> (n,) field values, n >= 0.
 
     Returns:
         (mean, variance, weights, values); weights sums to 1, and the mean
@@ -796,8 +796,6 @@ def proposal_block(region: Region, density: UeDensity, corners, size, u):
     variates. Returns (points, accepted mask); the (n, 2) points are the
     transpose of a (2, n) array, so each coordinate column is contiguous.
     """
-    corners = np.asarray(corners, dtype=float)
-    size = np.asarray(size, dtype=float)
     k = len(corners)
     # Every step runs in place on the contiguous rows x and y of q.
     q = np.empty((2, len(u)))

@@ -68,7 +68,7 @@ class SampleSet:
 
 def _gaps(i: np.ndarray, f: np.ndarray, n: int) -> float:
     """Largest one-sided gap at sample indices i with model values f."""
-    return float(np.maximum((i + 1) / n - f, f - i / n).max())
+    return float(np.maximum((i + 1) / n - f, f - i / n).max(initial=-np.inf))
 
 
 def _decreasing(f: np.ndarray) -> bool:
@@ -85,11 +85,11 @@ def ks_distance(samples: SampleSet, cdf) -> float:
     evaluates it at every _KS_STRIDE-th sorted sample, the first and last
     included. Because the CDF is non-decreasing, the gaps inside a stride
     from index lo to hi are at most max(hi/n - F(x_lo), F(x_hi) - (lo+1)/n).
-    The second call evaluates the interior of every stride whose bound
-    plus _KS_SLACK exceeds the largest gap of the first call. The slack
-    absorbs rounding that makes a monotone CDF dip by an ulp or so. Every
-    skipped point has a gap of at most the result, so it is the float of
-    the full pass over all n samples, bit for bit.
+    The second call, maybe on an empty array, evaluates the interior of
+    every stride whose bound plus _KS_SLACK exceeds the largest gap of the
+    first call. The slack absorbs rounding that makes a monotone CDF dip
+    by an ulp or so. Every skipped point has a gap of at most the result,
+    so it is the float of the full pass over all n samples, bit for bit.
 
     Returns:
         The statistic, or NaN if the CDF returns NaN at any evaluated
@@ -113,8 +113,6 @@ def ks_distance(samples: SampleSet, cdf) -> float:
     refine = bound + _KS_SLACK > d
     rows = lo[refine, None] + np.arange(1, _KS_STRIDE)
     i = rows[rows < hi[refine, None]]
-    if i.size == 0:
-        return d
     f = cdf(x[i])
     if np.isnan(f).any():
         return math.nan

@@ -60,13 +60,6 @@ def test_path_loss_vectorized_and_increasing():
     assert (np.diff(pl) > 0).all()
 
 
-def test_path_loss_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        coupling_gain_L(np.array([ORIGIN]), ORIGIN, ORIGIN, PARAMS)
-    with pytest.raises(DomainError):
-        coupling_gain_L(np.array([[0.5, 0.0], ORIGIN]), ORIGIN, ORIGIN, PARAMS)
-
-
 def test_coupling_symmetry_eta_one():
     p1 = ChannelParams(103.8, 20.9, -76.0, 1.0, 10.0, 0.005)
     val = coupling_gain_L(np.array([[0.0, 0.02]]), (-0.03, 0.0), (0.03, 0.0), p1)[0]
@@ -90,18 +83,6 @@ def test_coupling_block():
     out = coupling_gain_L(pts, (0.0, 0.0), (0.04, 0.0), PARAMS)
     assert out.shape == (2,)
     assert out[0] == pytest.approx(-27.008473090622793, rel=1e-14)
-
-
-def test_coupling_rejects_point_on_station():
-    # Only the distance check inside coupling_gain_L guards a point on a
-    # station: both stations, a one-row block and a longer one.
-    serving, victim = (0.01, -0.02), (0.04, 0.0)
-    for station in (serving, victim):
-        with pytest.raises(DomainError):
-            coupling_gain_L(np.array([station]), serving, victim, PARAMS)
-        block = np.array([[0.0, 0.02], station, [-0.01, 0.0]])
-        with pytest.raises(DomainError):
-            coupling_gain_L(block, serving, victim, PARAMS)
 
 
 def test_coupling_matches_path_loss_formula():

@@ -12,6 +12,7 @@ import pytest
 
 import ulfit
 import ulfit.cli
+import ulfit.fit
 import ulfit.montecarlo
 from ulfit.bound import BoundParams
 from ulfit.channel import ChannelParams, FadingModel
@@ -792,6 +793,42 @@ def test_compare_rejects_negative_eps_total(ws, sim_path, fit_path, capsys):
     assert json.loads(out.read_text())["pass"] is True
 
 
+def test_compare_never_passes_a_multi_cell_fit(ws, sim_path, fit_path):
+    # The one-cell fit passes; listing its cell twice leaves the law, the
+    # KS and eps_total as they were, but the largest per-cell eps_total
+    # certifies one cell, not a sum of two.
+    doc = json.loads(fit_path.read_text())
+    assert len(doc["per_cell"]) == 1
+    single, double = ws / "one_cell_report.json", ws / "two_cell_report.json"
+    assert _compare(sim_path, fit_path, single) == 0
+    doc["per_cell"] *= 2
+    two_cells = ws / "two_cell_fit.json"
+    two_cells.write_text(json.dumps(doc))
+    assert _compare(sim_path, two_cells, double) == 0
+    one, two = (json.loads(p.read_text()) for p in (single, double))
+    assert one["pass"] is True and two["pass"] is False
+    assert {k: v for k, v in two.items() if k != "pass"} == {
+        k: v for k, v in one.items() if k != "pass"
+    }
+
+
+@pytest.mark.parametrize(
+    "value", [None, [], {"cell_id": 2}, "cells"], ids=["missing", "empty", "dict", "str"]
+)
+def test_compare_rejects_bad_per_cell(ws, sim_path, fit_path, capsys, value):
+    doc = json.loads(fit_path.read_text())
+    if value is None:
+        del doc["per_cell"]
+    else:
+        doc["per_cell"] = value
+    bad_fit = ws / "per_cell_fit.json"
+    bad_fit.write_text(json.dumps(doc))
+    out = ws / "per_cell_report.json"
+    assert _compare(sim_path, bad_fit, out) == 2
+    assert "per_cell" in capsys.readouterr().err
+    assert list(ws.glob("per_cell_report*")) == []
+
+
 def test_compare_rejects_non_utf8_sidecar(ws, sim_path, fit_path, capsys):
     bad = ws / "utf16_sidecar.bin"
     bad.write_bytes(sim_path.read_bytes())
@@ -996,6 +1033,54 @@ def test_numeric_error_names_the_cell(ws, capsys, command):
     assert capsys.readouterr().err.startswith("error: cell 5:")
     assert list(ws.glob("lens2_*")) == []
     assert list(ws.glob("*.tmp")) == []
+
+
+def _with_gradient(change):
+    """_mgf_deficit with change(gradient) in place of its gradient."""
+    real = ulfit.fit._mgf_deficit
+
+    def deficit(mu, sig2, s):
+        d, grad = real(mu, sig2, s)
+        return d, change(grad)
+
+    return deficit
+
+
+# Failures of the aggregate fit, each forced by one replaced name of fit
+# and each a typed error that names its cause.
+_AGGREGATE_FAILURES = {
+    # Every Newton step climbs the residual: the line search is exhausted.
+    "uphill": ("_mgf_deficit", lambda: _with_gradient(np.negative), "MGF match stalled"),
+    # A zero Jacobian column: np.linalg.solve gives up, and kappa is inf.
+    "singular": (
+        "_mgf_deficit",
+        lambda: _with_gradient(lambda g: g * [1.0, 0.0]),
+        "linear regime",
+    ),
+    # A constant deficit: no sign change in the location bracket.
+    "no_bracket": ("_powln_expect", lambda: lambda fit, g, rtol: 0.5, "location bracket"),
+    # One secant step does not settle the location.
+    "step_cap": ("_LOCATION_STEPS", lambda: 1, "did not settle in 1 steps"),
+}
+
+
+@pytest.mark.parametrize(
+    "attr, make, message", _AGGREGATE_FAILURES.values(), ids=list(_AGGREGATE_FAILURES)
+)
+def test_fit_aggregate_failure_exits_3(ws, capsys, monkeypatch, attr, make, message):
+    # Two cells, so that the Fenton-Wilkinson start is not the match.
+    monkeypatch.setattr(ulfit.fit, attr, make())
+    scen = _fast_scenario_with(
+        Cell(4, (-0.03, 0.0), Disk((-0.03, 0.0), 0.01), UeDensity("uniform")),
+        *_fast_scenario().cells,
+    )
+    tag = message.split()[0]
+    path, out = ws / f"agg_{tag}.json", ws / f"agg_{tag}.out"
+    save_scenario(scen, path)
+    assert main(["fit", "--scenario", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(ws.glob(f"agg_{tag}.out*")) == []
 
 
 def test_bound_and_fit_report_the_same_cells(ws):

@@ -9,7 +9,7 @@ from scipy.stats import norm
 from ulfit import fit as fit_module
 from ulfit.bound import l_stats, total_bound
 from ulfit.channel import ChannelParams, FadingModel
-from ulfit.errors import DomainError, NoConvergence
+from ulfit.errors import DomainError, NoConvergence, QuadratureFailure
 from ulfit.gauss import gauss_rule
 from ulfit.scenario import Scenario, build_hotspot_layout, build_single_cell
 from ulfit.fit import (
@@ -299,6 +299,30 @@ def test_diverging_match_raises_no_convergence():
         solve_sum_stats(fits, -120.0)
 
 
+def test_powln_expect_unsettled_raises():
+    # On a step in g, doubling the panels only halves the error.
+    fit = PowerLognormalFit(2.0, -100.0, 150.0)
+    with pytest.raises(QuadratureFailure, match="did not settle at 128 panels"):
+        _powln_expect(fit, lambda q: (q > -97.3).astype(float), 1e-10)
+
+
+def test_location_solve_halves_a_kept_upper_end(monkeypatch):
+    # gap(mu) = expm1((mu - root) / 10) is convex, so every secant point
+    # falls below the root and the upper end is kept: plain false position
+    # creeps up from mu_X, and only the Illinois halving of the upper gap
+    # reaches the root within the 64 steps.
+    root = -92.3 - P0
+    monkeypatch.setattr(fit_module, "solve_sum_stats", lambda fits, p: (-97.3, 2.0))
+
+    def expect(fit, g, rtol):
+        return 1.0 if fit.lam == 1.0 else math.exp(math.expm1(0.1 * (fit.mu_q - root)))
+
+    monkeypatch.setattr(fit_module, "_powln_expect", expect)
+    fit = power_lognormal_fit([GaussianFit(-97.3, 4.0), GaussianFit(-95.0, 4.0)], P0)
+    assert fit.lam == 2.0
+    assert abs(fit.mu_q - -92.3) <= 1e-9
+
+
 @pytest.mark.parametrize("p_ref", [-90.0, -76.0, -60.0])
 def test_power_lognormal_single_cell_is_the_cell(p_ref):
     g = GaussianFit(-97.1, 205.3)
@@ -412,9 +436,8 @@ def test_powln_cdf_shape():
     assert (np.diff(cdf) >= 0).all()
     assert cdf[0] < 1e-12
     assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
-    assert powln_cdf_db(-104.0, PowerLognormalFit(1.0, -104.0, 173.0)) == pytest.approx(
-        0.5, rel=1e-14
-    )
+    mid = powln_cdf_db(np.array([-104.0]), PowerLognormalFit(1.0, -104.0, 173.0))
+    assert mid[0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_log_ndtr_matches_mpmath():
@@ -438,6 +461,15 @@ def test_log_ndtr_matches_mpmath():
     assert _log_ndtr(np.array([np.inf]))[0] == 0.0
     assert _log_ndtr(np.array([-np.inf]))[0] == -np.inf
     assert np.isnan(_log_ndtr(np.array([np.nan]))[0])
+    # Only arrays: a scalar or 0-d z or q raises in the body and in the
+    # far tail, through the CDF and the density too.
+    unit = PowerLognormalFit(1.0, 0.0, 1.0)
+    fns = (_log_ndtr, lambda q: powln_cdf_db(q, unit), lambda q: powln_pdf_db(q, unit))
+    for v in (0.0, 5.0):
+        for scalar in (v, np.float64(v), np.array(v)):
+            for fn in fns:
+                with pytest.raises(TypeError):
+                    fn(scalar)
 
 
 def test_powln_cdf_mw_change_of_variable():
@@ -453,9 +485,9 @@ def test_powln_cdf_mw_change_of_variable():
 def test_powln_pdf_is_cdf_derivative():
     fit = PowerLognormalFit(2.984146214504281, -104.7, 173.3)
     h = 1e-4
-    for q in (-120.0, -104.7, -90.0):
-        num = (powln_cdf_db(q + h, fit) - powln_cdf_db(q - h, fit)) / (2.0 * h)
-        assert num == pytest.approx(powln_pdf_db(q, fit), rel=1e-5)
+    q = np.array([-120.0, -104.7, -90.0])
+    num = (powln_cdf_db(q + h, fit) - powln_cdf_db(q - h, fit)) / (2.0 * h)
+    assert num == pytest.approx(powln_pdf_db(q, fit), rel=1e-5)
 
 
 def test_powln_pdf_integrates_to_one():

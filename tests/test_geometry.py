@@ -116,6 +116,18 @@ def test_region_validation():
         Intersection(())
     with pytest.raises(DomainError):
         Polygon(((0, 0), (1, 0)))
+    # Every point a constructor or a carve takes must be finite.
+    nan, inf = float("nan"), float("inf")
+    for build in (
+        lambda: Disk((nan, 0.0), 1.0),
+        lambda: Annulus((0.0, inf), 0.0, 1.0),
+        lambda: Ellipse((-inf, 0.0), 1.0, 0.5),
+        lambda: Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, nan))),
+        lambda: UeDensity("inverse_radial", (0.0, nan)),
+        lambda: effective_region(Disk((0.0, 0.0), 1.0), (inf, 0.0), 0.1),
+    ):
+        with pytest.raises(DomainError, match="coordinates must be finite"):
+            build()
 
 
 def test_bounding_box_rotated_ellipse():
@@ -482,15 +494,29 @@ def _sample(region, density, seed, n):
 
 
 def test_ue_domain_excludes_both_stations():
+    # The carve owns the station-distance rule that coupling_gain_L does
+    # not check: the sampler's draws and every point the quadrature hands
+    # its field, under both densities, lie at least d_min from both
+    # stations.
     serving = (0.015, 0.0)
     victim = (0.0, 0.0)
     dom = ue_domain(Disk(serving, 0.012), serving, victim, 0.005)
     pts = _sample(dom, UeDensity("uniform"), 3, 100_000)
-    d_serv = np.hypot(pts[:, 0] - serving[0], pts[:, 1] - serving[1])
-    d_vict = np.hypot(pts[:, 0] - victim[0], pts[:, 1] - victim[1])
-    assert d_serv.min() >= 0.005
-    assert d_vict.min() >= 0.005
     assert dom._mask(*pts.T).all()
+    blocks = [pts]
+
+    def recorded(p):
+        blocks.append(p.copy())
+        return _one(p)
+
+    for density in (UeDensity("uniform"), UeDensity("inverse_radial", serving)):
+        density_profile(dom, density, recorded)
+    assert len(blocks) > 3
+    for pts in blocks:
+        d_serv = np.hypot(pts[:, 0] - serving[0], pts[:, 1] - serving[1])
+        d_vict = np.hypot(pts[:, 0] - victim[0], pts[:, 1] - victim[1])
+        assert d_serv.min(initial=np.inf) >= 0.005
+        assert d_vict.min(initial=np.inf) >= 0.005
 
 
 def test_sample_uniform_disk_mean():

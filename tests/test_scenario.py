@@ -108,6 +108,9 @@ def test_hotspot_layout_spacing_and_bounds():
 def test_hotspot_layout_failure_modes():
     with pytest.raises(DomainError):
         build_hotspot_layout(1, 0.01, 1)
+    for r in (0.0, -0.01, float("nan")):
+        with pytest.raises(DomainError, match="r must be > 0"):
+            build_hotspot_layout(5, r, 1)
     with pytest.raises(PlacementFailure):
         build_hotspot_layout(50, 0.2, 1)
 
